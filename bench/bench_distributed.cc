@@ -1,8 +1,7 @@
 // Distributed dispatch overhead and fault resilience: the same GROUP BY
-// workload through (a) the plain in-process engine pool, (b) LocalTransport
-// (the dispatch seam's zero-copy fast path), and (c) SimulatedRemoteTransport
-// at a 0% and a 2% transport fault rate (drops, duplicates, delays, worker
-// crashes, heartbeat loss).
+// workload through (a) the plain in-process engine pool, the local path, and
+// (b) SimulatedRemoteTransport, the remote path, at a 0% and a 2% transport
+// fault rate (drops, duplicates, delays, worker crashes, heartbeat loss).
 //
 // Per-query latency p50/p99 and the dispatch-layer counters are reported.
 // The machine-independent gates are the counts: queries completed, result
@@ -76,7 +75,7 @@ ConfigResult RunConfig(dfs::FileSystem* fs, ql::Catalog* catalog,
   FaultConfig config;
   std::unique_ptr<FaultInjector> injector;
   if (fault_rate > 0) {
-    if (!workers.simulate_remote || workers.num_workers <= 0) {
+    if (workers.num_workers <= 0) {
       std::fprintf(stderr,
                    "FATAL: fault injection needs the simulated transport\n");
       std::abort();
@@ -90,8 +89,7 @@ ConfigResult RunConfig(dfs::FileSystem* fs, ql::Catalog* catalog,
     config.send_delay_probability = fault_rate;
     config.delay_millis = 50;
     injector = std::make_unique<FaultInjector>(config);
-    static_cast<mr::SimulatedRemoteTransport*>(driver.transport())
-        ->set_fault_injector(injector.get());
+    driver.transport()->set_fault_injector(injector.get());
   }
 
   const std::string sql =
@@ -129,8 +127,7 @@ ConfigResult RunConfig(dfs::FileSystem* fs, ql::Catalog* catalog,
   }
   r.wall_ms = wall.ElapsedMillis();
   if (injector != nullptr) {
-    static_cast<mr::SimulatedRemoteTransport*>(driver.transport())
-        ->set_fault_injector(nullptr);
+    driver.transport()->set_fault_injector(nullptr);
     r.faults_fired = injector->stats().transport_total();
   }
   std::sort(latencies.begin(), latencies.end());
@@ -142,7 +139,7 @@ ConfigResult RunConfig(dfs::FileSystem* fs, ql::Catalog* catalog,
 }
 
 int Main() {
-  std::printf("=== Distributed dispatch: transports + fault rates ===\n\n");
+  std::printf("=== Distributed dispatch: plain vs remote, fault rates ===\n\n");
   bench::BenchReporter reporter("distributed");
 
   dfs::FileSystemOptions fs_options;
@@ -167,11 +164,8 @@ int Main() {
         "load orders");
 
   WorkerPoolOptions none;  // num_workers == 0: plain engine pool.
-  WorkerPoolOptions local;
-  local.num_workers = 3;
-  local.simulate_remote = false;
-  WorkerPoolOptions remote = local;
-  remote.simulate_remote = true;
+  WorkerPoolOptions remote;
+  remote.num_workers = 3;
   remote.rpc_timeout_millis = 500;
   remote.heartbeat_millis = 20;
   remote.retry_backoff.max_millis = 50;
@@ -183,7 +177,6 @@ int Main() {
   };
   const Config configs[] = {
       {"plain", none, 0.0},
-      {"local", local, 0.0},
       {"remote_0pct", remote, 0.0},
       {"remote_2pct", remote, 0.02},
   };
@@ -227,7 +220,7 @@ int Main() {
   reporter.Write();
 
   const ConfigResult& plain = results[0];
-  const ConfigResult& faulted = results[3];
+  const ConfigResult& faulted = results[2];
   std::printf("\nshape checks:\n");
   bool rows_match = true;
   for (const ConfigResult& r : results) rows_match &= r.rows == plain.rows;
@@ -239,7 +232,7 @@ int Main() {
               faulted.faults_fired > 0 ? "yes" : "NO",
               static_cast<unsigned long long>(faulted.faults_fired));
   std::printf("  remote p99 overhead vs plain: %.2fx (0%%), %.2fx (2%%)\n",
-              results[2].p99_ms / std::max(0.001, plain.p99_ms),
+              results[1].p99_ms / std::max(0.001, plain.p99_ms),
               faulted.p99_ms / std::max(0.001, plain.p99_ms));
   if (!rows_match || faulted.completed != kQueries ||
       faulted.faults_fired == 0) {

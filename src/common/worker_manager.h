@@ -21,13 +21,11 @@ namespace minihive {
 /// owns the WorkerManager) and the ql::Driver (which wires the transport);
 /// defaults are scaled for the in-process simulation, not a real cluster.
 struct WorkerPoolOptions {
-  /// Remote worker endpoints. 0 disables the dispatch layer entirely: the
-  /// engine keeps running tasks on its in-process pool.
+  /// Remote worker endpoints: tasks dispatch to a SimulatedRemoteTransport
+  /// with this many worker threads (real wire encoding + CRC, fault hooks).
+  /// 0 disables the dispatch layer entirely: the engine keeps running
+  /// tasks on its in-process pool, the local path.
   int num_workers = 0;
-  /// true: SimulatedRemoteTransport (separate worker threads, real wire
-  /// encoding + CRC, fault hooks). false: LocalTransport (zero-copy
-  /// in-process fast path through the same seam).
-  bool simulate_remote = true;
   /// Liveness probe period for the heartbeat monitor. 0 disables the
   /// monitor thread (liveness then derives from dispatch results only).
   int heartbeat_millis = 25;
@@ -50,8 +48,9 @@ struct WorkerPoolOptions {
   /// Completed-task duration samples required before speculation arms
   /// (a p99 from two samples is noise).
   int min_duration_samples = 16;
-  /// How long one Dispatch call waits for the worker's response before the
-  /// coordinator declares the RPC lost and retries elsewhere.
+  /// How long one Dispatch call waits for the request's delivery and its
+  /// response before the coordinator declares the RPC lost and retries
+  /// elsewhere. Time the worker spends executing the task is not counted.
   int rpc_timeout_millis = 1000;
   /// Delay policy between dispatch retries of one task (capped exponential
   /// with jitter deterministic in `seed`).

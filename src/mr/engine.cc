@@ -4,7 +4,9 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -189,6 +191,306 @@ Status RunParallel(int count, int workers,
   return first_error;
 }
 
+/// Cancelled/DeadlineExceeded once the job's query has died.
+Status QueryAlive(const JobConfig& job) {
+  return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
+                                  : Status::OK();
+}
+
+/// One map task's sorted (and combined) runs; null until an attempt wins.
+using MapRuns = std::unique_ptr<PartitionedEmitter>;
+
+/// The governor one task attempt polls: the query's lifecycle, the job's
+/// straggler deadline and, for a dispatched launch, its kill switch.
+TaskGovernor AttemptGovernor(const JobConfig& job,
+                             const CancellationToken* cancel) {
+  TaskGovernor governor(job.query_ctx);
+  governor.set_attempt_timeout_millis(job.task_timeout_millis);
+  governor.set_attempt_cancel(cancel);
+  return governor;
+}
+
+/// Opens the span of one task attempt ("map[3]", "reduce[0]"); null when
+/// the job is not traced.
+telemetry::Span* StartAttemptSpan(telemetry::Span* job_span, const char* kind,
+                                  int index, int attempt) {
+  if (job_span == nullptr) return nullptr;
+  telemetry::Span* span = job_span->StartChild(
+      std::string(kind) + "[" + std::to_string(index) + "]");
+  span->SetAttr("attempt", static_cast<int64_t>(attempt));
+  return span;
+}
+
+/// Closes one attempt of either kind: ends its span and aborts a failed
+/// attempt's output.
+Status EndAttempt(const JobConfig& job, TaskKind kind, int index, int attempt,
+                  Status s, telemetry::Span* span) {
+  if (span != nullptr) {
+    if (!s.ok()) span->SetAttr("error", s.ToString());
+    span->End();
+  }
+  if (!s.ok() && job.abort_task) job.abort_task(kind, index, attempt);
+  return s;
+}
+
+/// One map task attempt: runs the task into fresh partition runs, then
+/// forms this task's sorted (and combined) runs while still on the task's
+/// thread — the expensive sort work happens where it is cheap and parallel
+/// — and commits. Fills the attempt-local `local`; on success `*runs`
+/// holds the runs.
+Status RunMapAttempt(const JobConfig& job, telemetry::Span* job_span,
+                     int index, int attempt, const TaskGovernor& governor,
+                     JobCounters* local, MapRuns* runs) {
+  telemetry::Span* span = StartAttemptSpan(job_span, "map", index, attempt);
+  auto emitter = std::make_unique<PartitionedEmitter>(
+      std::max(job.num_reducers, 1), local);
+  std::unique_ptr<MapTask> task = job.map_factory();
+  task->set_attempt_counters(local);
+  task->set_governor(&governor);
+  Status s = task->Run(job.splits[index], index, attempt, emitter.get());
+  // A task that never polls its governor is still caught here: a late
+  // kill, but deterministic — the attempt can't commit past its deadline.
+  if (s.ok()) s = governor.CheckAlive();
+  if (s.ok() && job.num_reducers > 0) {
+    s = SortAndCombineRuns(emitter.get(), job, local, &governor);
+  }
+  if (s.ok() && job.commit_task) {
+    s = job.commit_task(TaskKind::kMap, index, attempt);
+  }
+  if (s.ok()) *runs = std::move(emitter);
+  if (span != nullptr) {
+    span->SetAttr("split", job.splits[index].path);
+    span->SetAttr("records_in", local->map_input_records.load());
+    span->SetAttr("records_out", local->map_output_records.load());
+  }
+  return EndAttempt(job, TaskKind::kMap, index, attempt, std::move(s), span);
+}
+
+/// One reduce task attempt: k-way merges `partition` of every map task's
+/// sorted runs with a binary heap — O(N log M) for M runs, reading the runs
+/// in place (no second copy of the partition) — pushes the merged stream
+/// into the reduce task with group boundary signals, and commits. Fills
+/// the attempt-local `local`.
+Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
+                        const std::vector<MapRuns>& map_runs, int partition,
+                        int attempt, const TaskGovernor& governor,
+                        JobCounters* local) {
+  telemetry::Span* span =
+      StartAttemptSpan(job_span, "reduce", partition, attempt);
+  struct RunCursor {
+    const std::vector<ShuffleRecord>* run;
+    size_t pos;
+    int run_index;  // Map task index: the tie-break, for determinism.
+    const ShuffleRecord& record() const { return (*run)[pos]; }
+  };
+  ShuffleLess less{&job.sort_ascending};
+  // `after(a, b)` == "a merges after b": a min-heap via the inverted
+  // comparator of std::make_heap/push_heap (which build max-heaps).
+  auto after = [&less](const RunCursor& a, const RunCursor& b) {
+    if (less(b.record(), a.record())) return true;
+    if (less(a.record(), b.record())) return false;
+    return b.run_index < a.run_index;
+  };
+  std::vector<RunCursor> heap;
+  heap.reserve(map_runs.size());
+  size_t total = 0;
+  for (size_t m = 0; m < map_runs.size(); ++m) {
+    if (!map_runs[m]) continue;
+    const auto& run = map_runs[m]->partitions()[partition];
+    if (run.empty()) continue;
+    total += run.size();
+    heap.push_back({&run, 0, static_cast<int>(m)});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  local->reduce_input_records += total;
+
+  std::unique_ptr<ReduceTask> task = job.reduce_factory(partition, attempt);
+  auto next = [&]() -> const ShuffleRecord* {
+    if (heap.empty()) return nullptr;
+    std::pop_heap(heap.begin(), heap.end(), after);
+    RunCursor& cursor = heap.back();
+    const ShuffleRecord* record = &cursor.record();
+    if (++cursor.pos < cursor.run->size()) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+    return record;
+  };
+  Status s = DriveGroups(task.get(), next, &governor);
+  if (s.ok()) s = governor.CheckAlive();
+  if (s.ok() && job.commit_task) {
+    s = job.commit_task(TaskKind::kReduce, partition, attempt);
+  }
+  if (span != nullptr) {
+    span->SetAttr("records_in", local->reduce_input_records.load());
+  }
+  return EndAttempt(job, TaskKind::kReduce, partition, attempt, std::move(s),
+                    span);
+}
+
+/// The plain path's retry loop: runs attempts of one task on the calling
+/// thread until one wins, the query dies, or max_task_attempts attempts
+/// have failed (counted in `*failures`). Only the winning attempt's
+/// counters reach `counters`, so a retry never double-counts records.
+Status RetryTask(const JobConfig& job, telemetry::Span* job_span,
+                 TaskKind kind, int index, std::vector<MapRuns>* map_runs,
+                 JobCounters* counters, int* failures) {
+  const int max_attempts = std::max(1, job.max_task_attempts);
+  Status s;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    // Fast exit: a task picked up (or retried) after the query died must
+    // not start another attempt.
+    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
+    Stopwatch attempt_watch;
+    TaskGovernor governor = AttemptGovernor(job, /*cancel=*/nullptr);
+    JobCounters local;
+    ThreadCpuTimer cpu;
+    s = kind == TaskKind::kMap
+            ? RunMapAttempt(job, job_span, index, attempt, governor, &local,
+                            &(*map_runs)[index])
+            : RunReduceAttempt(job, job_span, *map_runs, index, attempt,
+                               governor, &local);
+    if (s.ok()) {
+      // Only a winning attempt's CPU counts; a failed attempt's time goes
+      // to retried_task_nanos below.
+      local.cpu_nanos += cpu.ElapsedNanos();
+      local.AccumulateTaskLocalInto(counters);
+      if (kind == TaskKind::kReduce) {
+        // Release this partition's runs only after a successful attempt (a
+        // retry merges them again); the job may hold many partitions.
+        for (MapRuns& runs : *map_runs) {
+          if (!runs) continue;
+          auto& run = runs->partitions()[index];
+          run.clear();
+          run.shrink_to_fit();
+        }
+      }
+      return s;
+    }
+    // Classify the failure. Dead query: stop, not a task failure and never
+    // retried. Attempt timeout (straggler kill): counted, then retried like
+    // any failure.
+    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
+    *failures += 1;
+    (kind == TaskKind::kMap ? counters->map_task_failures
+                            : counters->reduce_task_failures) += 1;
+    if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
+    counters->retried_task_nanos +=
+        static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
+  }
+  return s;
+}
+
+/// The dispatched path's half of a job: registers the attempt executor with
+/// the coordinator for the job's lifetime and runs each logical task through
+/// DispatchCoordinator::RunTask. Duplicate executions of a task (message
+/// duplication, committed-but-lost responses, speculative duplicates) each
+/// park their product under their own attempt id; only the winning
+/// attempt's is consumed, so records and counters merge exactly once per
+/// logical task no matter how many attempts actually ran.
+///
+/// Unlike the plain path, partition runs are not freed after a reduce task
+/// wins: an abandoned duplicate execution may still be merging them on a
+/// worker thread. They go when the job's frame unwinds, after the
+/// destructor has drained every in-flight execution.
+class DispatchedJob {
+ public:
+  DispatchedJob(DispatchCoordinator* dispatcher, const JobConfig& job,
+                telemetry::Span* job_span, std::vector<MapRuns>* map_runs)
+      : dispatcher_(dispatcher),
+        job_(job),
+        job_span_(job_span),
+        map_runs_(map_runs),
+        job_id_(dispatcher->NewJobId()) {
+    dispatcher_->StartJob(job_id_, [this](const TaskRequest& request,
+                                          const CancellationToken* cancel) {
+      return Execute(request, cancel);
+    });
+  }
+  ~DispatchedJob() { dispatcher_->EndJob(job_id_); }
+
+  DispatchedJob(const DispatchedJob&) = delete;
+  DispatchedJob& operator=(const DispatchedJob&) = delete;
+
+  /// Dispatches one logical task, folds the dispatch bookkeeping into
+  /// `counters`, and merges the winning attempt's product.
+  Status RunTask(TaskKind kind, int index, JobCounters* counters,
+                 int* failures) {
+    DispatchOutcome outcome = dispatcher_->RunTask(
+        job_id_, job_.name, kind, index,
+        kind == TaskKind::kMap ? job_.splits[index] : InputSplit(),
+        std::max(1, job_.max_task_attempts), job_.query_ctx);
+    counters->transport_dispatches += outcome.dispatches;
+    counters->transport_retries += outcome.retries;
+    counters->speculative_launches += outcome.speculative_launches;
+    if (outcome.speculative_won) counters->speculative_wins += 1;
+    if (outcome.ran_local_fallback) counters->transport_fallbacks += 1;
+    (kind == TaskKind::kMap ? counters->map_task_failures
+                            : counters->reduce_task_failures) +=
+        outcome.failures;
+    counters->tasks_timed_out += outcome.timeouts;
+    counters->retried_task_nanos += outcome.retried_nanos;
+    *failures = outcome.failures;
+    if (!outcome.status.ok()) return outcome.status;
+
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = products_.find({kind, index, outcome.winning_attempt});
+    if (it == products_.end()) {
+      return Status::Internal("winning attempt " +
+                              std::to_string(outcome.winning_attempt) +
+                              " left no result");
+    }
+    it->second.counters.AccumulateTaskLocalInto(counters);
+    if (kind == TaskKind::kMap) {
+      (*map_runs_)[index] = std::move(it->second.runs);
+    }
+    products_.erase(it);
+    return Status::OK();
+  }
+
+ private:
+  struct Product {
+    MapRuns runs;  // Map attempts only.
+    JobCounters counters;
+  };
+
+  /// The worker-side attempt body: one decoded request in, one complete
+  /// attempt out. Runs on transport worker threads, and on launch threads
+  /// for the coordinator's local fallback.
+  Status Execute(const TaskRequest& request, const CancellationToken* cancel) {
+    const bool is_map = request.kind == TaskKind::kMap;
+    const int index = request.task_index;
+    if (index < 0 || index >= (is_map ? static_cast<int>(job_.splits.size())
+                                      : job_.num_reducers)) {
+      return Status::InvalidArgument("task index out of range: " +
+                                     std::to_string(index));
+    }
+    TaskGovernor governor = AttemptGovernor(job_, cancel);
+    Product product;
+    ThreadCpuTimer cpu;
+    MINIHIVE_RETURN_IF_ERROR(
+        is_map ? RunMapAttempt(job_, job_span_, index, request.attempt,
+                               governor, &product.counters, &product.runs)
+               : RunReduceAttempt(job_, job_span_, *map_runs_, index,
+                                  request.attempt, governor,
+                                  &product.counters));
+    product.counters.cpu_nanos += cpu.ElapsedNanos();
+    std::lock_guard<std::mutex> lock(mu_);
+    products_[{request.kind, index, request.attempt}] = std::move(product);
+    return Status::OK();
+  }
+
+  DispatchCoordinator* dispatcher_;
+  const JobConfig& job_;
+  telemetry::Span* job_span_;
+  std::vector<MapRuns>* map_runs_;  // Read-only while reduces run.
+  const uint64_t job_id_;
+  std::mutex mu_;
+  // Successful attempts' products, keyed (kind, task index, attempt).
+  std::map<std::tuple<TaskKind, int, int>, Product> products_;
+};
+
 }  // namespace
 
 Engine::Engine(dfs::FileSystem* fs, EngineOptions options)
@@ -216,524 +518,68 @@ Status Engine::RunJob(const JobConfig& job, JobCounters* counters) {
   }
   counters->map_tasks = static_cast<int>(job.splits.size());
   counters->reduce_tasks = job.num_reducers;
-
-  // Folds counters into the job span and closes it on every exit path.
-  auto finish_job = [&](Status s) -> Status {
-    if (job_span != nullptr) {
-      counters->ExportToSpan(job_span);
-      if (!s.ok()) job_span->SetAttr("error", s.ToString());
-      job_span->End();
-    }
-    return s;
-  };
-
-  // Dead-query check at phase boundaries. Counted once per job: tasks that
-  // die of the same cause inside a phase do not re-bump the counter.
-  auto query_dead_status = [&]() -> Status {
-    return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
-                                    : Status::OK();
-  };
-  {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return finish_job(alive);
-    }
+  Status status = RunPhases(job, counters, job_span);
+  if (job_span != nullptr) {
+    counters->ExportToSpan(job_span);
+    if (!status.ok()) job_span->SetAttr("error", status.ToString());
+    job_span->End();
   }
-
-  // Distributed mode: route every task attempt through the dispatch layer.
-  if (options_.dispatcher != nullptr) {
-    return finish_job(RunJobDispatched(job, counters, job_span));
-  }
-
-  // ---- Map phase: run the map task, then form this task's sorted
-  // (and combined) runs while still on the worker thread — the expensive
-  // sort work happens where it is cheap and parallel.
-  Stopwatch map_watch;
-  int num_partitions = std::max(job.num_reducers, 1);
-  const int max_attempts = std::max(1, job.max_task_attempts);
-  std::vector<std::unique_ptr<PartitionedEmitter>> emitters(job.splits.size());
-  Status status = RunTasks(
-      static_cast<int>(job.splits.size()),
-      [&](int index) -> Status {
-        ThreadCpuTimer cpu;
-        Status s;
-        bool query_dead = false;
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          // Fast exit: a task picked up (or retried) after the query died
-          // must not start another attempt.
-          s = query_dead_status();
-          if (!s.ok()) {
-            query_dead = true;
-            break;
-          }
-          Stopwatch attempt_watch;
-          TaskGovernor governor(job.query_ctx);
-          governor.set_attempt_timeout_millis(job.task_timeout_millis);
-          telemetry::Span* attempt_span =
-              job_span != nullptr
-                  ? job_span->StartChild("map[" + std::to_string(index) + "]")
-                  : nullptr;
-          // Attempt-local counters, merged only on success: a retried
-          // attempt must never double-count records.
-          JobCounters local;
-          auto emitter =
-              std::make_unique<PartitionedEmitter>(num_partitions, &local);
-          std::unique_ptr<MapTask> task = job.map_factory();
-          task->set_attempt_counters(&local);
-          task->set_governor(&governor);
-          s = task->Run(job.splits[index], index, attempt, emitter.get());
-          // A task that never polls its governor is still caught here: a
-          // late kill, but deterministic — the attempt can't commit past
-          // its deadline.
-          if (s.ok()) s = governor.CheckAlive();
-          if (s.ok() && job.num_reducers > 0) {
-            s = SortAndCombineRuns(emitter.get(), job, &local, &governor);
-          }
-          if (s.ok() && job.commit_task) {
-            s = job.commit_task(TaskKind::kMap, index, attempt);
-          }
-          if (attempt_span != nullptr) {
-            attempt_span->SetAttr("attempt", static_cast<int64_t>(attempt));
-            attempt_span->SetAttr("split", job.splits[index].path);
-            attempt_span->SetAttr("records_in",
-                                  local.map_input_records.load());
-            attempt_span->SetAttr("records_out",
-                                  local.map_output_records.load());
-            if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-            attempt_span->End();
-          }
-          if (s.ok()) {
-            local.AccumulateTaskLocalInto(counters);
-            emitters[index] = std::move(emitter);
-            break;
-          }
-          if (job.abort_task) job.abort_task(TaskKind::kMap, index, attempt);
-          // Classify the failure. Dead query: stop, not a task failure and
-          // never retried. Attempt timeout (straggler kill): counted, then
-          // retried like any failure.
-          Status alive = query_dead_status();
-          if (!alive.ok()) {
-            s = alive;
-            query_dead = true;
-            break;
-          }
-          counters->map_task_failures += 1;
-          if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
-          counters->retried_task_nanos +=
-              static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
-        }
-        counters->cpu_nanos += cpu.ElapsedNanos();
-        if (!s.ok() && !query_dead) {
-          return Status(s.code(),
-                        "map task " + std::to_string(index) +
-                            " failed after " + std::to_string(max_attempts) +
-                            " attempts: " + s.message());
-        }
-        return s;
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return finish_job(status);
-  }
-  counters->map_phase_millis = map_watch.ElapsedMillis();
-
-  if (job.num_reducers == 0) return finish_job(Status::OK());
-  if (!job.reduce_factory) {
-    return finish_job(
-        Status::InvalidArgument("job has reducers but no reduce factory"));
-  }
-  {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return finish_job(alive);
-    }
-  }
-
-  // ---- Shuffle + reduce phase (starts after the whole map phase). Each
-  // reduce task k-way merges its partition's per-map sorted runs with a
-  // binary heap — O(N log M) for M runs, reading the runs in place (no
-  // second copy of the partition) — and pushes the merged stream into the
-  // Reducer Driver with group boundary signals.
-  Stopwatch reduce_watch;
-  status = RunTasks(
-      job.num_reducers, [&](int partition) -> Status {
-        ThreadCpuTimer cpu;
-        struct RunCursor {
-          const std::vector<ShuffleRecord>* run;
-          size_t pos;
-          int run_index;  // Map task index: the tie-break, for determinism.
-          const ShuffleRecord& record() const { return (*run)[pos]; }
-        };
-        ShuffleLess less{&job.sort_ascending};
-        // `after(a, b)` == "a merges after b": a min-heap via the inverted
-        // comparator of std::make_heap/push_heap (which build max-heaps).
-        auto after = [&less](const RunCursor& a, const RunCursor& b) {
-          if (less(b.record(), a.record())) return true;
-          if (less(a.record(), b.record())) return false;
-          return b.run_index < a.run_index;
-        };
-        Status s;
-        bool query_dead = false;
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          s = query_dead_status();
-          if (!s.ok()) {
-            query_dead = true;
-            break;
-          }
-          Stopwatch attempt_watch;
-          TaskGovernor governor(job.query_ctx);
-          governor.set_attempt_timeout_millis(job.task_timeout_millis);
-          telemetry::Span* attempt_span =
-              job_span != nullptr
-                  ? job_span->StartChild("reduce[" +
-                                         std::to_string(partition) + "]")
-                  : nullptr;
-          JobCounters local;
-          std::vector<RunCursor> heap;
-          heap.reserve(emitters.size());
-          size_t total = 0;
-          for (size_t m = 0; m < emitters.size(); ++m) {
-            if (!emitters[m]) continue;
-            const auto& run = emitters[m]->partitions()[partition];
-            if (run.empty()) continue;
-            total += run.size();
-            heap.push_back({&run, 0, static_cast<int>(m)});
-          }
-          std::make_heap(heap.begin(), heap.end(), after);
-          local.reduce_input_records += total;
-
-          std::unique_ptr<ReduceTask> task =
-              job.reduce_factory(partition, attempt);
-          auto next = [&]() -> const ShuffleRecord* {
-            if (heap.empty()) return nullptr;
-            std::pop_heap(heap.begin(), heap.end(), after);
-            RunCursor& cursor = heap.back();
-            const ShuffleRecord* record = &cursor.record();
-            if (++cursor.pos < cursor.run->size()) {
-              std::push_heap(heap.begin(), heap.end(), after);
-            } else {
-              heap.pop_back();
-            }
-            return record;
-          };
-          s = DriveGroups(task.get(), next, &governor);
-          if (s.ok()) s = governor.CheckAlive();
-          if (s.ok() && job.commit_task) {
-            s = job.commit_task(TaskKind::kReduce, partition, attempt);
-          }
-          if (attempt_span != nullptr) {
-            attempt_span->SetAttr("attempt", static_cast<int64_t>(attempt));
-            attempt_span->SetAttr("records_in",
-                                  local.reduce_input_records.load());
-            if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-            attempt_span->End();
-          }
-          if (s.ok()) {
-            local.AccumulateTaskLocalInto(counters);
-            // Release this partition's runs only after a successful attempt
-            // (a retry merges them again); the job may hold many partitions.
-            for (const auto& emitter : emitters) {
-              if (emitter) {
-                auto& run = emitter->partitions()[partition];
-                run.clear();
-                run.shrink_to_fit();
-              }
-            }
-            break;
-          }
-          if (job.abort_task) {
-            job.abort_task(TaskKind::kReduce, partition, attempt);
-          }
-          Status alive = query_dead_status();
-          if (!alive.ok()) {
-            s = alive;
-            query_dead = true;
-            break;
-          }
-          counters->reduce_task_failures += 1;
-          if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
-          counters->retried_task_nanos +=
-              static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
-        }
-        counters->cpu_nanos += cpu.ElapsedNanos();
-        if (!s.ok() && !query_dead) {
-          return Status(s.code(),
-                        "reduce task " + std::to_string(partition) +
-                            " failed after " + std::to_string(max_attempts) +
-                            " attempts: " + s.message());
-        }
-        return s;
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return finish_job(status);
-  }
-  counters->reduce_phase_millis = reduce_watch.ElapsedMillis();
-  return finish_job(Status::OK());
+  return status;
 }
 
-Status Engine::RunJobDispatched(const JobConfig& job, JobCounters* counters,
-                                telemetry::Span* job_span) {
-  DispatchCoordinator* dispatcher = options_.dispatcher;
-  const uint64_t job_id = dispatcher->NewJobId();
-  const int num_partitions = std::max(job.num_reducers, 1);
-  const int max_attempts = std::max(1, job.max_task_attempts);
-
-  auto query_dead_status = [&]() -> Status {
-    return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
-                                    : Status::OK();
+Status Engine::RunPhases(const JobConfig& job, JobCounters* counters,
+                         telemetry::Span* job_span) {
+  // Dead-query check at phase boundaries. Counted once per job: tasks that
+  // die of the same cause inside a phase do not re-bump the counter.
+  auto count_if_dead = [&](Status s) -> Status {
+    if (!s.ok() && !QueryAlive(job).ok()) counters->queries_cancelled += 1;
+    return s;
   };
+  MINIHIVE_RETURN_IF_ERROR(count_if_dead(QueryAlive(job)));
   if (job.num_reducers > 0 && !job.reduce_factory) {
     return Status::InvalidArgument("job has reducers but no reduce factory");
   }
 
-  // Successful attempt products, keyed (task_index, attempt). Duplicate
-  // executions of a task (message duplication, committed-but-lost
-  // responses, speculative duplicates) each store their own product under
-  // their own attempt id; the engine consumes exactly the winning
-  // attempt's, so records and counters merge exactly once per logical
-  // task no matter how many attempts actually ran.
-  struct MapCandidate {
-    std::unique_ptr<PartitionedEmitter> emitter;
-    JobCounters local;
-  };
-  std::mutex candidates_mu;
-  std::map<std::pair<int, int>, MapCandidate> map_candidates;
-  std::map<std::pair<int, int>, JobCounters> reduce_candidates;
-
-  // Winning map emitters, filled by the engine thread as each map task's
-  // dispatch settles; read-only during the reduce phase. Unlike the local
-  // path, partition runs are NOT cleared after a reduce task succeeds: an
-  // abandoned duplicate execution may still be merging them on a worker
-  // thread. Memory is released when this frame unwinds — safe, because
-  // the JobGuard below drains every in-flight execution first.
-  std::vector<std::unique_ptr<PartitionedEmitter>> emitters(job.splits.size());
-
-  // The worker-side attempt body: one decoded request in, one complete
-  // attempt out (run + sort/combine + commit, or abort). Runs on transport
-  // worker threads, inline for LocalTransport, and on launch threads for
-  // the local fallback.
-  TaskExecutor executor = [&](const TaskRequest& request,
-                              const CancellationToken* cancel) -> Status {
-    ThreadCpuTimer cpu;
-    TaskGovernor governor(job.query_ctx);
-    governor.set_attempt_timeout_millis(job.task_timeout_millis);
-    governor.set_attempt_cancel(cancel);
-    const bool is_map = request.kind == TaskKind::kMap;
-    telemetry::Span* attempt_span =
-        job_span != nullptr
-            ? job_span->StartChild((is_map ? "map[" : "reduce[") +
-                                   std::to_string(request.task_index) + "]")
-            : nullptr;
-    JobCounters local;
-    Status s;
-    if (is_map) {
-      if (request.task_index < 0 ||
-          request.task_index >= static_cast<int>(job.splits.size())) {
-        s = Status::InvalidArgument("map task index out of range: " +
-                                    std::to_string(request.task_index));
-      } else {
-        auto emitter =
-            std::make_unique<PartitionedEmitter>(num_partitions, &local);
-        std::unique_ptr<MapTask> task = job.map_factory();
-        task->set_attempt_counters(&local);
-        task->set_governor(&governor);
-        s = task->Run(job.splits[request.task_index], request.task_index,
-                      request.attempt, emitter.get());
-        if (s.ok()) s = governor.CheckAlive();
-        if (s.ok() && job.num_reducers > 0) {
-          s = SortAndCombineRuns(emitter.get(), job, &local, &governor);
-        }
-        if (s.ok() && job.commit_task) {
-          s = job.commit_task(TaskKind::kMap, request.task_index,
-                              request.attempt);
-        }
-        if (s.ok()) {
-          local.cpu_nanos += cpu.ElapsedNanos();
-          std::lock_guard<std::mutex> lock(candidates_mu);
-          map_candidates[{request.task_index, request.attempt}] =
-              MapCandidate{std::move(emitter), local};
-        }
-      }
-    } else {
-      const int partition = request.task_index;
-      if (partition < 0 || partition >= job.num_reducers) {
-        s = Status::InvalidArgument("reduce partition out of range: " +
-                                    std::to_string(partition));
-      } else {
-        struct RunCursor {
-          const std::vector<ShuffleRecord>* run;
-          size_t pos;
-          int run_index;
-          const ShuffleRecord& record() const { return (*run)[pos]; }
-        };
-        ShuffleLess less{&job.sort_ascending};
-        auto after = [&less](const RunCursor& a, const RunCursor& b) {
-          if (less(b.record(), a.record())) return true;
-          if (less(a.record(), b.record())) return false;
-          return b.run_index < a.run_index;
-        };
-        std::vector<RunCursor> heap;
-        heap.reserve(emitters.size());
-        size_t total = 0;
-        for (size_t m = 0; m < emitters.size(); ++m) {
-          if (!emitters[m]) continue;
-          const auto& run = emitters[m]->partitions()[partition];
-          if (run.empty()) continue;
-          total += run.size();
-          heap.push_back({&run, 0, static_cast<int>(m)});
-        }
-        std::make_heap(heap.begin(), heap.end(), after);
-        local.reduce_input_records += total;
-        std::unique_ptr<ReduceTask> task =
-            job.reduce_factory(partition, request.attempt);
-        auto next = [&]() -> const ShuffleRecord* {
-          if (heap.empty()) return nullptr;
-          std::pop_heap(heap.begin(), heap.end(), after);
-          RunCursor& cursor = heap.back();
-          const ShuffleRecord* record = &cursor.record();
-          if (++cursor.pos < cursor.run->size()) {
-            std::push_heap(heap.begin(), heap.end(), after);
-          } else {
-            heap.pop_back();
-          }
-          return record;
-        };
-        s = DriveGroups(task.get(), next, &governor);
-        if (s.ok()) s = governor.CheckAlive();
-        if (s.ok() && job.commit_task) {
-          s = job.commit_task(TaskKind::kReduce, partition, request.attempt);
-        }
-        if (s.ok()) {
-          local.cpu_nanos += cpu.ElapsedNanos();
-          std::lock_guard<std::mutex> lock(candidates_mu);
-          reduce_candidates[{partition, request.attempt}] = local;
-        }
-      }
-    }
-    if (attempt_span != nullptr) {
-      attempt_span->SetAttr("attempt",
-                            static_cast<int64_t>(request.attempt));
-      if (is_map) {
-        attempt_span->SetAttr("records_in", local.map_input_records.load());
-        attempt_span->SetAttr("records_out",
-                              local.map_output_records.load());
-      } else {
-        attempt_span->SetAttr("records_in",
-                              local.reduce_input_records.load());
-      }
-      if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-      attempt_span->End();
-    }
-    if (!s.ok() && job.abort_task) {
-      job.abort_task(request.kind, request.task_index, request.attempt);
-    }
-    return s;
-  };
-
-  dispatcher->StartJob(job_id, executor);
-  // Drain every in-flight execution before this frame (the candidate maps,
-  // the emitters, the executor itself) unwinds — on every exit path.
-  struct JobGuard {
-    DispatchCoordinator* dispatcher;
-    uint64_t job_id;
-    ~JobGuard() { dispatcher->EndJob(job_id); }
-  } guard{dispatcher, job_id};
-
-  auto fold_outcome = [&](const DispatchOutcome& outcome, TaskKind kind) {
-    counters->transport_dispatches += outcome.dispatches;
-    counters->transport_retries += outcome.retries;
-    counters->speculative_launches += outcome.speculative_launches;
-    if (outcome.speculative_won) counters->speculative_wins += 1;
-    if (outcome.ran_local_fallback) counters->transport_fallbacks += 1;
-    if (kind == TaskKind::kMap) {
-      counters->map_task_failures += outcome.failures;
-    } else {
-      counters->reduce_task_failures += outcome.failures;
-    }
-    counters->tasks_timed_out += outcome.timeouts;
-    counters->retried_task_nanos += outcome.retried_nanos;
-  };
-
-  Stopwatch map_watch;
-  Status status = RunTasks(
-      static_cast<int>(job.splits.size()), [&](int index) -> Status {
-        DispatchOutcome outcome = dispatcher->RunTask(
-            job_id, job.name, TaskKind::kMap, index, job.splits[index],
-            max_attempts, job.query_ctx);
-        fold_outcome(outcome, TaskKind::kMap);
-        if (!outcome.status.ok()) {
-          Status alive = query_dead_status();
-          if (!alive.ok()) return alive;
-          return Status(outcome.status.code(),
-                        "map task " + std::to_string(index) +
-                            " failed after " +
-                            std::to_string(outcome.failures) +
-                            " attempts: " + outcome.status.message());
-        }
-        std::lock_guard<std::mutex> lock(candidates_mu);
-        auto it = map_candidates.find({index, outcome.winning_attempt});
-        if (it == map_candidates.end()) {
-          return Status::Internal(
-              "map task " + std::to_string(index) + ": winning attempt " +
-              std::to_string(outcome.winning_attempt) + " left no result");
-        }
-        it->second.local.AccumulateTaskLocalInto(counters);
-        emitters[index] = std::move(it->second.emitter);
-        map_candidates.erase(it);
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return status;
-  }
-  counters->map_phase_millis = map_watch.ElapsedMillis();
-
-  if (job.num_reducers == 0) return Status::OK();
-  {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return alive;
-    }
+  std::vector<MapRuns> map_runs(job.splits.size());
+  // Distributed mode: every task attempt routes through the dispatch layer.
+  // Declared after map_runs so its destructor drains in-flight executions
+  // before the runs they read are freed.
+  std::optional<DispatchedJob> dispatched;
+  if (options_.dispatcher != nullptr) {
+    dispatched.emplace(options_.dispatcher, job, job_span, &map_runs);
   }
 
-  Stopwatch reduce_watch;
-  const InputSplit empty_split;
-  status = RunTasks(job.num_reducers, [&](int partition) -> Status {
-    DispatchOutcome outcome = dispatcher->RunTask(
-        job_id, job.name, TaskKind::kReduce, partition, empty_split,
-        max_attempts, job.query_ctx);
-    fold_outcome(outcome, TaskKind::kReduce);
-    if (!outcome.status.ok()) {
-      Status alive = query_dead_status();
-      if (!alive.ok()) return alive;
-      return Status(outcome.status.code(),
-                    "reduce task " + std::to_string(partition) +
-                        " failed after " +
-                        std::to_string(outcome.failures) +
-                        " attempts: " + outcome.status.message());
-    }
-    std::lock_guard<std::mutex> lock(candidates_mu);
-    auto it = reduce_candidates.find({partition, outcome.winning_attempt});
-    if (it == reduce_candidates.end()) {
-      return Status::Internal(
-          "reduce task " + std::to_string(partition) +
-          ": winning attempt " + std::to_string(outcome.winning_attempt) +
-          " left no result");
-    }
-    it->second.AccumulateTaskLocalInto(counters);
-    reduce_candidates.erase(it);
+  // Runs one logical task to completion. A failure that is not the query's
+  // own death names the task and how many attempts it burnt.
+  auto run_task = [&](TaskKind kind, int index) -> Status {
+    int failures = 0;
+    Status s = dispatched.has_value()
+                   ? dispatched->RunTask(kind, index, counters, &failures)
+                   : RetryTask(job, job_span, kind, index, &map_runs,
+                               counters, &failures);
+    if (s.ok()) return s;
+    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
+    return Status(s.code(),
+                  std::string(kind == TaskKind::kMap ? "map" : "reduce") +
+                      " task " + std::to_string(index) + " failed after " +
+                      std::to_string(failures) + " attempts: " + s.message());
+  };
+  auto run_phase = [&](TaskKind kind, int count, double* millis) -> Status {
+    Stopwatch watch;
+    MINIHIVE_RETURN_IF_ERROR(count_if_dead(
+        RunTasks(count, [&](int index) { return run_task(kind, index); })));
+    *millis = watch.ElapsedMillis();
     return Status::OK();
-  });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return status;
-  }
-  counters->reduce_phase_millis = reduce_watch.ElapsedMillis();
-  return Status::OK();
+  };
+
+  MINIHIVE_RETURN_IF_ERROR(run_phase(TaskKind::kMap,
+                                     static_cast<int>(job.splits.size()),
+                                     &counters->map_phase_millis));
+  if (job.num_reducers == 0) return Status::OK();
+  MINIHIVE_RETURN_IF_ERROR(count_if_dead(QueryAlive(job)));
+  // Shuffle + reduce phase: starts after the whole map phase.
+  return run_phase(TaskKind::kReduce, job.num_reducers,
+                   &counters->reduce_phase_millis);
 }
 
 Result<std::vector<InputSplit>> ComputeSplits(

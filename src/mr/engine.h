@@ -52,6 +52,8 @@ struct JobCounters {
   /// combiner kept off the wire.
   std::atomic<uint64_t> combine_input_records{0};
   std::atomic<uint64_t> combine_output_records{0};
+  /// Thread CPU of the winning attempt of each task (failed attempts'
+  /// time is in retried_task_nanos).
   std::atomic<int64_t> cpu_nanos{0};
   /// Wall time spent forming sorted runs inside map tasks (run sort +
   /// combine), summed over tasks; runs in parallel, so it can exceed
@@ -74,8 +76,8 @@ struct JobCounters {
   /// Map-join builds that blew the memory budget and were re-run through
   /// the backup reduce-join plan (Hive's backup-task protocol).
   std::atomic<uint64_t> mapjoin_fallbacks{0};
-  /// Distributed dispatch (zero when no transport is configured): physical
-  /// task launches shipped through the WorkerTransport, launches after a
+  /// Distributed dispatch (zero on the plain engine pool): physical task
+  /// launches shipped to the SimulatedRemoteTransport, launches after a
   /// task's first (retries), speculative straggler duplicates, logical
   /// tasks whose speculative duplicate beat the original, and logical
   /// tasks that degraded to the local pool because every worker was dead
@@ -373,12 +375,12 @@ class Engine {
   /// one is set, else across an engine-private thread pool.
   Status RunTasks(int count, const std::function<Status(int)>& fn);
 
-  /// RunJob's body when a DispatchCoordinator is configured: registers the
-  /// attempt executor with the transport and routes every task through
-  /// DispatchCoordinator::RunTask, merging only the winning attempt's
-  /// results (exactly-once accounting across duplicate executions).
-  Status RunJobDispatched(const JobConfig& job, JobCounters* counters,
-                          telemetry::Span* job_span);
+  /// RunJob's body inside the job span: the map phase, then the shuffle +
+  /// reduce phase. Each logical task runs its attempts through the plain
+  /// retry loop, or through `options_.dispatcher` when one is set; both
+  /// paths share the same map and reduce attempt bodies.
+  Status RunPhases(const JobConfig& job, JobCounters* counters,
+                   telemetry::Span* job_span);
 
   dfs::FileSystem* fs_;
   EngineOptions options_;

@@ -183,48 +183,13 @@ Status DecodeTaskResponse(std::string_view frame, TaskResponse* response) {
 }
 
 // ---------------------------------------------------------------------------
-// LocalTransport.
-// ---------------------------------------------------------------------------
-
-void LocalTransport::RegisterJob(uint64_t job_id, TaskExecutor executor) {
-  std::lock_guard<std::mutex> lock(mu_);
-  jobs_[job_id] = std::move(executor);
-}
-
-void LocalTransport::UnregisterJob(uint64_t job_id) {
-  // Dispatch runs executors inline on the calling thread, so once the
-  // engine's task fan-out has returned there is nothing in flight to drain.
-  std::lock_guard<std::mutex> lock(mu_);
-  jobs_.erase(job_id);
-}
-
-Status LocalTransport::Dispatch(int worker, const TaskRequest& request,
-                                std::shared_ptr<const CancellationToken>
-                                    cancel) {
-  if (worker < 0 || worker >= num_workers_) {
-    return Status::InvalidArgument("no such worker: " +
-                                   std::to_string(worker));
-  }
-  TaskExecutor executor;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(request.job_id);
-    if (it == jobs_.end()) {
-      return Status::InvalidArgument("dispatch for unregistered job " +
-                                     std::to_string(request.job_id));
-    }
-    executor = it->second;
-  }
-  return executor(request, cancel.get());
-}
-
-// ---------------------------------------------------------------------------
 // SimulatedRemoteTransport.
 // ---------------------------------------------------------------------------
 
-SimulatedRemoteTransport::SimulatedRemoteTransport(Options options)
-    : options_(options) {
-  int n = std::max(1, options_.num_workers);
+SimulatedRemoteTransport::SimulatedRemoteTransport(
+    const WorkerPoolOptions& options)
+    : rpc_timeout_millis_(std::max(1, options.rpc_timeout_millis)) {
+  int n = std::max(1, options.num_workers);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -326,9 +291,14 @@ Status SimulatedRemoteTransport::Dispatch(
                                       : 0;
 
   PendingCall call;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(
-                      std::max(1, options_.rpc_timeout_millis));
+  // The rpc clock: it runs while the request and its response are in
+  // flight and stops while a worker executes the request, so a long task
+  // never times out as a lost message. Each slice is charged by the state
+  // seen at its start; workers notify response_cv_ on every change.
+  auto budget = std::chrono::steady_clock::duration(
+      std::chrono::milliseconds(rpc_timeout_millis_));
+  auto last = std::chrono::steady_clock::now();
+  bool executing = false;
   Status result;
   std::unique_lock<std::mutex> lock(mu_);
   if (stopping_) return Status::IoError("transport shutting down");
@@ -370,10 +340,12 @@ Status SimulatedRemoteTransport::Dispatch(
       break;
     }
     auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
+    if (!executing) budget -= now - last;
+    last = now;
+    executing = call.executing > 0;
+    if (!executing && budget <= budget.zero()) {
       result = Status::DeadlineExceeded(
-          "rpc timeout after " +
-          std::to_string(options_.rpc_timeout_millis) +
+          "rpc timeout after " + std::to_string(rpc_timeout_millis_) +
           " ms waiting for " + label);
       break;
     }
@@ -383,8 +355,9 @@ Status SimulatedRemoteTransport::Dispatch(
       break;
     }
     // Short slices so cancellation and worker death are noticed promptly.
-    response_cv_.wait_until(
-        lock, std::min(deadline, now + std::chrono::milliseconds(5)));
+    auto slice = std::chrono::steady_clock::duration(
+        std::chrono::milliseconds(5));
+    response_cv_.wait_for(lock, executing ? slice : std::min(budget, slice));
   }
   pending_.erase(req.request_id);
   if (!delivered) {
@@ -412,6 +385,14 @@ void SimulatedRemoteTransport::DeliverResponse(uint64_t request_id,
   if (it == pending_.end() || it->second->done) return;
   it->second->response_frame = std::move(frame);
   it->second->done = true;
+  response_cv_.notify_all();
+}
+
+void SimulatedRemoteTransport::MarkExecuting(uint64_t request_id,
+                                             int delta) {
+  auto it = pending_.find(request_id);
+  if (it == pending_.end()) return;
+  it->second->executing += delta;
   response_cv_.notify_all();
 }
 
@@ -460,11 +441,13 @@ void SimulatedRemoteTransport::WorkerLoop(int index) {
       }
       executor = it->second;
       self.in_flight[envelope.job_id] += 1;
+      MarkExecuting(envelope.request_id, +1);
       lock.unlock();
 
       status = executor(request, envelope.cancel.get());
 
       lock.lock();
+      MarkExecuting(envelope.request_id, -1);
       if (--self.in_flight[envelope.job_id] == 0) {
         self.in_flight.erase(envelope.job_id);
       }
@@ -523,7 +506,7 @@ struct DispatchCoordinator::Launch {
   double duration_millis = 0;
 };
 
-DispatchCoordinator::DispatchCoordinator(WorkerTransport* transport,
+DispatchCoordinator::DispatchCoordinator(SimulatedRemoteTransport* transport,
                                          WorkerManager* manager)
     : transport_(transport), manager_(manager) {
   auto& registry = telemetry::MetricsRegistry::Global();

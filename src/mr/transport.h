@@ -78,7 +78,7 @@ Status DecodeTaskRequest(std::string_view frame, TaskRequest* request);
 Status DecodeTaskResponse(std::string_view frame, TaskResponse* response);
 
 // ---------------------------------------------------------------------------
-// Transport seam.
+// Remote transport.
 // ---------------------------------------------------------------------------
 
 /// Runs one decoded task attempt on the worker side. Registered per job
@@ -88,63 +88,8 @@ using TaskExecutor =
     std::function<Status(const TaskRequest& request,
                          const CancellationToken* cancel)>;
 
-/// The dispatch seam between the engine and its workers. Implementations
-/// must be thread-safe: the engine dispatches many tasks concurrently, and
-/// the heartbeat monitor probes from its own thread.
-class WorkerTransport {
- public:
-  virtual ~WorkerTransport() = default;
-
-  virtual const char* name() const = 0;
-  virtual int num_workers() const = 0;
-
-  /// Registers the executor workers run for `job_id`'s requests. The
-  /// executor may be called from worker threads until UnregisterJob.
-  virtual void RegisterJob(uint64_t job_id, TaskExecutor executor) = 0;
-
-  /// Drops the job's executor, discards its queued requests, and blocks
-  /// until in-flight executions of the job finish — after this returns no
-  /// worker thread touches the job's state again.
-  virtual void UnregisterJob(uint64_t job_id) = 0;
-
-  /// Ships one task attempt to `worker` and blocks for its response (or
-  /// an rpc timeout / dead-worker fast fail). Returns the executor's
-  /// status on a delivered response; DeadlineExceeded when the rpc timed
-  /// out (the attempt may still have run and committed — the retry path
-  /// must tolerate duplicate commits); IoError for a dead worker;
-  /// Cancelled when `cancel` fires first. The token is shared so an
-  /// abandoned (timed-out) request still executing on a worker can keep
-  /// polling it safely after this call returns.
-  virtual Status Dispatch(int worker, const TaskRequest& request,
-                          std::shared_ptr<const CancellationToken> cancel) = 0;
-
-  /// Liveness probe (the WorkerManager monitor's injected function).
-  virtual Status Heartbeat(int worker) = 0;
-};
-
-/// The in-process fast path: Dispatch runs the executor inline on the
-/// calling thread — no serialization, no extra threads, no faults. This is
-/// the degenerate transport the engine's local pool maps onto, and the
-/// baseline the dispatch bench compares the simulated-remote path against.
-class LocalTransport : public WorkerTransport {
- public:
-  explicit LocalTransport(int num_workers) : num_workers_(num_workers) {}
-
-  const char* name() const override { return "local"; }
-  int num_workers() const override { return num_workers_; }
-  void RegisterJob(uint64_t job_id, TaskExecutor executor) override;
-  void UnregisterJob(uint64_t job_id) override;
-  Status Dispatch(int worker, const TaskRequest& request,
-                  std::shared_ptr<const CancellationToken> cancel) override;
-  Status Heartbeat(int /*worker*/) override { return Status::OK(); }
-
- private:
-  int num_workers_;
-  std::mutex mu_;
-  std::map<uint64_t, TaskExecutor> jobs_;
-};
-
-/// A simulated remote cluster: one mailbox + service thread per worker,
+/// The remote path (the engine's plain pool is the local one). A simulated
+/// remote cluster: one mailbox + service thread per worker,
 /// every message taking a real serde round trip (encode, CRC, decode) with
 /// per-site FaultInjector hooks — the failure surface of an RPC layer:
 ///
@@ -157,27 +102,44 @@ class LocalTransport : public WorkerTransport {
 /// fail, queued and future dispatches fast-fail). Fault decisions are
 /// labelled "worker-<w>/job-<id>/<map|reduce>-<index>/attempt-<n>" so
 /// path_filter can target one worker or one job.
-class SimulatedRemoteTransport : public WorkerTransport {
+class SimulatedRemoteTransport {
  public:
-  struct Options {
-    int num_workers = 2;
-    /// How long Dispatch waits for a response before declaring the rpc
-    /// lost. Bounds every fault-induced stall, so queries never hang.
-    int rpc_timeout_millis = 1000;
-  };
+  /// Starts `options.num_workers` worker threads (at least one). Dispatch
+  /// waits `options.rpc_timeout_millis` for a request's delivery and its
+  /// response; the clock stops while a worker executes the request, so the
+  /// timeout bounds the messages, never the task.
+  explicit SimulatedRemoteTransport(const WorkerPoolOptions& options);
+  ~SimulatedRemoteTransport();
 
-  explicit SimulatedRemoteTransport(Options options);
-  ~SimulatedRemoteTransport() override;
+  SimulatedRemoteTransport(const SimulatedRemoteTransport&) = delete;
+  SimulatedRemoteTransport& operator=(const SimulatedRemoteTransport&) =
+      delete;
 
-  const char* name() const override { return "simulated-remote"; }
-  int num_workers() const override {
-    return static_cast<int>(workers_.size());
-  }
-  void RegisterJob(uint64_t job_id, TaskExecutor executor) override;
-  void UnregisterJob(uint64_t job_id) override;
+  const char* name() const { return "simulated-remote"; }
+  int num_workers() const { return static_cast<int>(workers_.size()); }
+
+  /// Registers the executor workers run for `job_id`'s requests. The
+  /// executor may be called from worker threads until UnregisterJob.
+  void RegisterJob(uint64_t job_id, TaskExecutor executor);
+
+  /// Drops the job's executor, discards its queued requests, and blocks
+  /// until in-flight executions of the job finish — after this returns no
+  /// worker thread touches the job's state again.
+  void UnregisterJob(uint64_t job_id);
+
+  /// Ships one task attempt to `worker` and blocks for its response (or
+  /// an rpc timeout / dead-worker fast fail). Returns the executor's
+  /// status on a delivered response; DeadlineExceeded when the request or
+  /// its response was lost (the attempt may still have run and committed —
+  /// the retry path must tolerate duplicate commits); IoError for a dead
+  /// worker; Cancelled when `cancel` fires first. The token is shared so
+  /// an abandoned request still executing on a worker can keep polling it
+  /// safely after this call returns.
   Status Dispatch(int worker, const TaskRequest& request,
-                  std::shared_ptr<const CancellationToken> cancel) override;
-  Status Heartbeat(int worker) override;
+                  std::shared_ptr<const CancellationToken> cancel);
+
+  /// Liveness probe (the WorkerManager monitor's injected function).
+  Status Heartbeat(int worker);
 
   /// Installs (or clears, nullptr) the fault injector consulted by every
   /// message hop. Same atomic-pointer pattern as dfs::FileSystem.
@@ -213,6 +175,9 @@ class SimulatedRemoteTransport : public WorkerTransport {
   struct PendingCall {
     std::string response_frame;
     bool done = false;
+    /// Copies of the request a worker is executing right now (more than
+    /// one under duplicate delivery). The rpc clock stops while any runs.
+    int executing = 0;
   };
 
   FaultInjector* fault_injector() const {
@@ -223,8 +188,11 @@ class SimulatedRemoteTransport : public WorkerTransport {
   /// Delivers a response frame to its waiting Dispatch call (no-op when
   /// the call timed out and deregistered, or a duplicate already landed).
   void DeliverResponse(uint64_t request_id, std::string frame);
+  /// Adds `delta` to the executing count of `request_id`'s waiting call
+  /// (no-op once the call has returned). Caller holds mu_.
+  void MarkExecuting(uint64_t request_id, int delta);
 
-  Options options_;
+  const int rpc_timeout_millis_;
   std::atomic<FaultInjector*> fault_injector_{nullptr};
 
   std::mutex mu_;  // Guards mailboxes, jobs_, pending_, in_flight maps.
@@ -236,8 +204,6 @@ class SimulatedRemoteTransport : public WorkerTransport {
   std::map<uint64_t, TaskExecutor> jobs_;
   std::map<uint64_t, PendingCall*> pending_;
   std::atomic<uint64_t> next_request_id_{1};
-
-  friend class DispatchCoordinator;
 };
 
 // ---------------------------------------------------------------------------
@@ -270,9 +236,10 @@ struct DispatchOutcome {
 /// many concurrent RunTask calls (the engine's task fan-out).
 class DispatchCoordinator {
  public:
-  DispatchCoordinator(WorkerTransport* transport, WorkerManager* manager);
+  DispatchCoordinator(SimulatedRemoteTransport* transport,
+                      WorkerManager* manager);
 
-  WorkerTransport* transport() { return transport_; }
+  SimulatedRemoteTransport* transport() { return transport_; }
   WorkerManager* manager() { return manager_; }
 
   uint64_t NewJobId() { return next_job_id_.fetch_add(1); }
@@ -300,7 +267,7 @@ class DispatchCoordinator {
 
   TaskExecutor FallbackExecutor(uint64_t job_id);
 
-  WorkerTransport* transport_;
+  SimulatedRemoteTransport* transport_;
   WorkerManager* manager_;
   std::atomic<uint64_t> next_job_id_{1};
 

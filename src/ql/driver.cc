@@ -85,15 +85,8 @@ Driver::Driver(dfs::FileSystem* fs, Catalog* catalog, DriverOptions options)
     fs_->set_cache_manager(caches_);
   }
   if (options_.workers.num_workers > 0) {
-    if (options_.workers.simulate_remote) {
-      mr::SimulatedRemoteTransport::Options topt;
-      topt.num_workers = options_.workers.num_workers;
-      topt.rpc_timeout_millis = options_.workers.rpc_timeout_millis;
-      transport_ = std::make_unique<mr::SimulatedRemoteTransport>(topt);
-    } else {
-      transport_ =
-          std::make_unique<mr::LocalTransport>(options_.workers.num_workers);
-    }
+    transport_ =
+        std::make_unique<mr::SimulatedRemoteTransport>(options_.workers);
     // Prefer the session's shared health tracker so a worker blacklisted by
     // one driver stays blacklisted for the session's others — but only when
     // the pool sizes agree (a mismatched shared manager could pick worker

@@ -113,8 +113,8 @@ struct DriverOptions {
   /// cap are rejected up front.
   uint64_t query_memory_bytes = 0;
   /// Distributed dispatch: when `workers.num_workers > 0` the driver builds
-  /// a worker transport (simulated-remote with real wire encoding + fault
-  /// hooks, or the in-process local fast path), tracks worker health
+  /// a SimulatedRemoteTransport (worker threads, real wire encoding, fault
+  /// hooks), tracks worker health
   /// (heartbeats, blacklists, straggler stats) and routes every engine task
   /// attempt through the dispatch coordinator — retries with capped
   /// exponential backoff, speculative duplicates for stragglers, and local
@@ -168,8 +168,8 @@ class Driver {
   DriverOptions& options() { return options_; }
 
   /// The dispatch transport, when workers are configured (null otherwise).
-  /// Tests downcast to SimulatedRemoteTransport to install fault injectors.
-  mr::WorkerTransport* transport() { return transport_.get(); }
+  /// Tests install fault injectors on it.
+  mr::SimulatedRemoteTransport* transport() { return transport_.get(); }
   /// The worker health tracker backing dispatch (session-shared or owned);
   /// null when workers are not configured.
   WorkerManager* worker_manager() { return worker_manager_; }
@@ -208,7 +208,7 @@ class Driver {
   /// matters: the coordinator references manager and transport, and the
   /// monitor probe references the transport — ~Driver stops the monitor
   /// (when this driver started it) before any of these die.
-  std::unique_ptr<mr::WorkerTransport> transport_;
+  std::unique_ptr<mr::SimulatedRemoteTransport> transport_;
   std::unique_ptr<WorkerManager> own_worker_manager_;
   WorkerManager* worker_manager_ = nullptr;
   std::unique_ptr<mr::DispatchCoordinator> dispatcher_;

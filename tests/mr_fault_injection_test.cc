@@ -299,8 +299,7 @@ TEST_F(FaultSweepTest, DispatchedWorkerLossSweep) {
     options.workers.retry_backoff.max_millis = 50;
     options.workers.seed = config.seed;
     Driver driver(fs_.get(), catalog_.get(), options);
-    auto* transport =
-        static_cast<mr::SimulatedRemoteTransport*>(driver.transport());
+    mr::SimulatedRemoteTransport* transport = driver.transport();
     transport->set_fault_injector(&injector);
     auto result = driver.Execute(sql);
     transport->set_fault_injector(nullptr);

@@ -281,13 +281,6 @@ class DispatchTest : public ::testing::Test {
     return options;
   }
 
-  static SimulatedRemoteTransport::Options TransportOptions(int workers) {
-    SimulatedRemoteTransport::Options topt;
-    topt.num_workers = workers;
-    topt.rpc_timeout_millis = 400;
-    return topt;
-  }
-
   DispatchOutcome RunOne(DispatchCoordinator* coordinator, uint64_t job_id,
                          int max_attempts = 4) {
     InputSplit split;
@@ -299,7 +292,7 @@ class DispatchTest : public ::testing::Test {
 };
 
 TEST_F(DispatchTest, SimpleDispatchSucceeds) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerManager manager(Pool(2));
   DispatchCoordinator coordinator(&transport, &manager);
 
@@ -321,8 +314,30 @@ TEST_F(DispatchTest, SimpleDispatchSucceeds) {
   EXPECT_FALSE(outcome.ran_local_fallback);
 }
 
+TEST_F(DispatchTest, LongTaskIsNotAnRpcTimeout) {
+  // The rpc timeout bounds the messages, not the work: a task running three
+  // timeouts long, with no fault injected, succeeds on its first launch.
+  WorkerPoolOptions pool = Pool(2);
+  pool.rpc_timeout_millis = 100;
+  SimulatedRemoteTransport transport(pool);
+  WorkerManager manager(pool);
+  DispatchCoordinator coordinator(&transport, &manager);
+
+  uint64_t job = coordinator.NewJobId();
+  coordinator.StartJob(job, [&](const TaskRequest&, const CancellationToken*) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(3 * pool.rpc_timeout_millis));
+    return Status::OK();
+  });
+  DispatchOutcome outcome = RunOne(&coordinator, job);
+  coordinator.EndJob(job);
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.dispatches, 1);
+  EXPECT_EQ(outcome.failures, 0);
+}
+
 TEST_F(DispatchTest, FailingExecutorRetriesWithBackoffThenSucceeds) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerManager manager(Pool(2));
   DispatchCoordinator coordinator(&transport, &manager);
 
@@ -341,7 +356,7 @@ TEST_F(DispatchTest, FailingExecutorRetriesWithBackoffThenSucceeds) {
 }
 
 TEST_F(DispatchTest, DeterministicFailureSurfacesAfterMaxAttempts) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerManager manager(Pool(2));
   DispatchCoordinator coordinator(&transport, &manager);
 
@@ -358,7 +373,7 @@ TEST_F(DispatchTest, DeterministicFailureSurfacesAfterMaxAttempts) {
 }
 
 TEST_F(DispatchTest, SpeculativeDuplicateBeatsStraggler) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerPoolOptions pool = Pool(2);
   pool.speculative_threshold = 1.0;
   pool.speculative_min_millis = 20;
@@ -398,7 +413,7 @@ TEST_F(DispatchTest, SpeculativeDuplicateBeatsStraggler) {
 }
 
 TEST_F(DispatchTest, AllWorkersOutFallsBackToLocalRun) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerManager manager(Pool(2));
   DispatchCoordinator coordinator(&transport, &manager);
   // Kill both workers via missed heartbeats.
@@ -422,7 +437,7 @@ TEST_F(DispatchTest, AllWorkersOutFallsBackToLocalRun) {
 }
 
 TEST_F(DispatchTest, CrashedWorkerFastFailsAndWorkRoutesAround) {
-  SimulatedRemoteTransport transport(TransportOptions(2));
+  SimulatedRemoteTransport transport(Pool(2));
   WorkerManager manager(Pool(2));
   DispatchCoordinator coordinator(&transport, &manager);
 
@@ -504,7 +519,7 @@ class DispatchQueryTest : public ::testing::Test {
   std::unique_ptr<ql::Catalog> catalog_;
 };
 
-TEST_F(DispatchQueryTest, RemoteAndLocalTransportsMatchPlainEngine) {
+TEST_F(DispatchQueryTest, RemoteTransportMatchesPlainEngine) {
   ql::DriverOptions plain;
   plain.num_workers = 2;
   ql::Driver baseline(fs_.get(), catalog_.get(), plain);
@@ -513,21 +528,32 @@ TEST_F(DispatchQueryTest, RemoteAndLocalTransportsMatchPlainEngine) {
   auto want = Canonicalize(golden->rows);
   ASSERT_FALSE(want.empty());
 
-  for (bool simulate_remote : {false, true}) {
-    ql::DriverOptions options;
-    options.num_workers = 2;
-    options.workers.num_workers = 3;
-    options.workers.simulate_remote = simulate_remote;
-    ql::Driver driver(fs_.get(), catalog_.get(), options);
-    ASSERT_NE(driver.transport(), nullptr);
-    auto result = driver.Execute(kSql);
-    ASSERT_TRUE(result.ok())
-        << driver.transport()->name() << ": " << result.status().ToString();
-    EXPECT_EQ(Canonicalize(result->rows), want) << driver.transport()->name();
-    EXPECT_GT(result->counters.transport_dispatches.load(), 0u)
-        << "tasks did not actually route through the dispatch layer";
-    EXPECT_EQ(result->counters.transport_fallbacks.load(), 0u);
+  ql::DriverOptions options;
+  options.num_workers = 2;
+  options.workers.num_workers = 3;
+  ql::Driver driver(fs_.get(), catalog_.get(), options);
+  ASSERT_NE(driver.transport(), nullptr);
+  auto result = driver.Execute(kSql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(Canonicalize(result->rows), want);
+  EXPECT_GT(result->counters.transport_dispatches.load(), 0u)
+      << "tasks did not actually route through the dispatch layer";
+  EXPECT_EQ(result->counters.transport_fallbacks.load(), 0u);
+
+  // Both paths run the same attempt bodies, so they count the same work.
+  const JobCounters& local = golden->counters;
+  const JobCounters& remote = result->counters;
+  for (auto field : {&JobCounters::map_input_records,
+                     &JobCounters::map_output_records,
+                     &JobCounters::reduce_input_records,
+                     &JobCounters::shuffled_bytes,
+                     &JobCounters::combine_input_records,
+                     &JobCounters::combine_output_records}) {
+    EXPECT_EQ((remote.*field).load(), (local.*field).load());
   }
+  EXPECT_GT(local.map_input_records.load(), 0u);
+  EXPECT_EQ(remote.map_tasks, local.map_tasks);
+  EXPECT_EQ(remote.reduce_tasks, local.reduce_tasks);
 }
 
 TEST_F(DispatchQueryTest, DuplicateDeliveriesCommitExactlyOnce) {
@@ -549,8 +575,7 @@ TEST_F(DispatchQueryTest, DuplicateDeliveriesCommitExactlyOnce) {
   options.num_workers = 2;
   options.workers.num_workers = 2;
   ql::Driver driver(fs_.get(), catalog_.get(), options);
-  auto* transport =
-      static_cast<SimulatedRemoteTransport*>(driver.transport());
+  SimulatedRemoteTransport* transport = driver.transport();
   transport->set_fault_injector(&injector);
   auto result = driver.Execute(kSql);
   transport->set_fault_injector(nullptr);
@@ -573,8 +598,7 @@ TEST_F(DispatchQueryTest, TotalResponseLossFailsTypedNotHung) {
   options.workers.rpc_timeout_millis = 150;
   options.workers.retry_backoff.max_millis = 20;
   ql::Driver driver(fs_.get(), catalog_.get(), options);
-  static_cast<SimulatedRemoteTransport*>(driver.transport())
-      ->set_fault_injector(&injector);
+  driver.transport()->set_fault_injector(&injector);
   auto result = driver.Execute(kSql);
   ASSERT_FALSE(result.ok()) << "every response dropped, yet the query passed";
   EXPECT_TRUE(result.status().IsDeadlineExceeded() ||
@@ -604,8 +628,7 @@ TEST_F(DispatchQueryTest, HeartbeatLossDegradesToLocalFallback) {
   options.workers.heartbeat_millis = 10;
   options.workers.missed_heartbeats_dead = 2;
   ql::Driver driver(fs_.get(), catalog_.get(), options);
-  static_cast<SimulatedRemoteTransport*>(driver.transport())
-      ->set_fault_injector(&injector);
+  driver.transport()->set_fault_injector(&injector);
   // Let the monitor run enough probe rounds to kill both workers.
   for (int i = 0; i < 100 && (driver.worker_manager()->IsAlive(0) ||
                               driver.worker_manager()->IsAlive(1));
