@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "bench/bench_util.h"
-#include "common/cache.h"
 #include "common/json.h"
 #include "common/stopwatch.h"
 #include "datagen/tpch.h"
@@ -118,45 +117,6 @@ int Main() {
               Fmt(q6[2].cpu_ms, 0)});
   cpu.Print();
 
-  // --- Cached rescan: one Driver = one session, so its block + metadata
-  // caches survive across queries. Q1 run twice in that session: the second
-  // run reads table bytes from memory and skips the ORC tail re-parse.
-  // num_workers=1 keeps the split/read order deterministic so the hit
-  // counters are machine-independent (gated against the baseline).
-  double rescan_cold_ms = 0, rescan_warm_ms = 0;
-  uint64_t rescan_block_hits = 0, rescan_meta_hits = 0;
-  uint64_t rescan_cached_bytes = 0;
-  {
-    ql::DriverOptions options;
-    options.vectorized_execution = true;
-    options.num_workers = 1;
-    ql::Driver driver(&fs, &catalog, options);
-    Stopwatch watch;
-    CheckResult(driver.Execute(Q1("orc_lineitem")), "rescan cold");
-    rescan_cold_ms = watch.ElapsedMillis();
-
-    std::shared_ptr<cache::CacheManager> caches = fs.cache_manager();
-    cache::Cache::StatsSnapshot block_before = caches->block_cache()->stats();
-    cache::Cache::StatsSnapshot meta_before = caches->metadata_cache()->stats();
-    uint64_t cached_before = fs.stats().bytes_read_cached.load();
-    watch.Reset();
-    CheckResult(driver.Execute(Q1("orc_lineitem")), "rescan warm");
-    rescan_warm_ms = watch.ElapsedMillis();
-    rescan_block_hits = caches->block_cache()->stats().hits - block_before.hits;
-    rescan_meta_hits = caches->metadata_cache()->stats().hits - meta_before.hits;
-    rescan_cached_bytes = fs.stats().bytes_read_cached.load() - cached_before;
-  }
-
-  std::printf("--- Cached rescan: Q1 twice in one session (ORC, vector) ---\n");
-  TablePrinter rescan({"pass", "elapsed ms", "block hits", "meta hits",
-                       "cached MB"});
-  rescan.AddRow({"first run", Fmt(rescan_cold_ms, 1), "0", "0", "0.00"});
-  rescan.AddRow({"second run", Fmt(rescan_warm_ms, 1),
-                 std::to_string(rescan_block_hits),
-                 std::to_string(rescan_meta_hits),
-                 bench::Mb(rescan_cached_bytes)});
-  rescan.Print();
-
   // --- Late materialization: a high-cardinality equality (uniform
   // l_partkey means group min/max statistics can never prune; with ~0.5
   // expected matches per 10000-row index group, most groups come up empty at
@@ -183,7 +143,7 @@ int Main() {
     size_t rows = 0;
     uint64_t rows_late_skipped = 0;
     uint64_t lazy_decodes_avoided = 0;
-    uint64_t physical_bytes = 0;
+    uint64_t bytes_read = 0;
   };
   auto run_late = [&](bool late) {
     ql::DriverOptions options;
@@ -191,8 +151,8 @@ int Main() {
     options.enable_late_materialization = late;
     options.num_workers = 1;  // Deterministic read order for the counters.
     ql::Driver driver(&fs, &catalog, options);
-    // Warm the session caches once, then take the best of three measured
-    // runs (both configurations get identical treatment).
+    // Warm the session metadata cache once, then take the best of three
+    // measured runs (both configurations get identical treatment).
     CheckResult(driver.Execute(late_sql), "latemat warmup");
     LateMeasurement m;
     for (int rep = 0; rep < 3; ++rep) {
@@ -204,7 +164,7 @@ int Main() {
       m.rows = result.rows.size();
       m.rows_late_skipped = profile_attr(result, "rows_late_skipped");
       m.lazy_decodes_avoided = profile_attr(result, "lazy_decodes_avoided");
-      m.physical_bytes = profile_attr(result, "physical_bytes_read");
+      m.bytes_read = profile_attr(result, "bytes_read");
     }
     return m;
   };
@@ -217,15 +177,17 @@ int Main() {
   std::printf("--- Late materialization: l_partkey = 71, 7-column "
               "projection (ORC, vector) ---\n");
   TablePrinter latemat({"config", "elapsed ms", "rows", "rows late-skipped",
-                        "lazy decodes avoided"});
+                        "lazy decodes avoided", "DFS MB read"});
   latemat.AddRow({"eager decode", Fmt(eager.elapsed_ms, 1),
                   std::to_string(eager.rows),
                   std::to_string(eager.rows_late_skipped),
-                  std::to_string(eager.lazy_decodes_avoided)});
+                  std::to_string(eager.lazy_decodes_avoided),
+                  bench::Mb(eager.bytes_read)});
   latemat.AddRow({"late materialization", Fmt(late.elapsed_ms, 1),
                   std::to_string(late.rows),
                   std::to_string(late.rows_late_skipped),
-                  std::to_string(late.lazy_decodes_avoided)});
+                  std::to_string(late.lazy_decodes_avoided),
+                  bench::Mb(late.bytes_read)});
   latemat.Print();
 
   bench::BenchReporter reporter("fig12_vectorized");
@@ -244,14 +206,6 @@ int Main() {
     reporter.AddMetric(std::string("q6.") + keys[c] + ".cpu_ms", q6[c].cpu_ms,
                        "ms");
   }
-  reporter.AddMetric("rescan.cold_ms", rescan_cold_ms, "ms");
-  reporter.AddMetric("rescan.warm_ms", rescan_warm_ms, "ms");
-  reporter.AddMetric("rescan.block_cache_hits",
-                     static_cast<double>(rescan_block_hits), "count");
-  reporter.AddMetric("rescan.metadata_cache_hits",
-                     static_cast<double>(rescan_meta_hits), "count");
-  reporter.AddMetric("rescan.cached_bytes",
-                     static_cast<double>(rescan_cached_bytes), "bytes");
   reporter.AddMetric("latemat.eager_ms", eager.elapsed_ms, "ms");
   reporter.AddMetric("latemat.late_ms", late.elapsed_ms, "ms");
   reporter.AddMetric("latemat.speedup", late_speedup, "x");
@@ -259,10 +213,10 @@ int Main() {
                      static_cast<double>(late.rows_late_skipped), "count");
   reporter.AddMetric("latemat.lazy_decodes_avoided",
                      static_cast<double>(late.lazy_decodes_avoided), "count");
-  reporter.AddMetric("latemat.eager_physical_bytes",
-                     static_cast<double>(eager.physical_bytes), "bytes");
-  reporter.AddMetric("latemat.late_physical_bytes",
-                     static_cast<double>(late.physical_bytes), "bytes");
+  reporter.AddMetric("latemat.eager_bytes_read",
+                     static_cast<double>(eager.bytes_read), "bytes");
+  reporter.AddMetric("latemat.late_bytes_read",
+                     static_cast<double>(late.bytes_read), "bytes");
   reporter.Write();
 
   std::printf("shape checks:\n");
@@ -283,6 +237,17 @@ int Main() {
               static_cast<unsigned long long>(late.rows_late_skipped),
               static_cast<unsigned long long>(late.lazy_decodes_avoided),
               eager.rows == late.rows ? "yes" : "NO");
+  // Invariant with one worker: phase 1 reads only l_partkey's streams, so
+  // skipped groups never fetch the other six columns' bytes.
+  const bool fewer_bytes = late.bytes_read < eager.bytes_read;
+  std::printf("  late materialization reads fewer DFS bytes than eager "
+              "(%s vs %s MB): %s\n",
+              bench::Mb(late.bytes_read).c_str(),
+              bench::Mb(eager.bytes_read).c_str(), fewer_bytes ? "yes" : "NO");
+  if (!fewer_bytes) {
+    std::fprintf(stderr, "FATAL: late materialization read no fewer bytes\n");
+    return 1;
+  }
   return 0;
 }
 

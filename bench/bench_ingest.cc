@@ -44,23 +44,22 @@ uint64_t FileCount(ql::Catalog* catalog, const std::string& table) {
   return catalog->TableFiles(*desc).size();
 }
 
-/// Runs the aggregation with caches off so bytes_read_physical reflects the
-/// on-disk layout, not cache luck. Fresh driver per scan = fresh session.
+/// Runs the aggregation with the metadata cache off so bytes_read reflects
+/// the on-disk layout, tails included. Fresh driver per scan = fresh session.
 ScanResult Scan(dfs::FileSystem* fs, ql::Catalog* catalog,
                 const std::string& table) {
   ql::DriverOptions options;
   options.num_workers = 2;
   options.vectorized_execution = true;
-  options.block_cache_bytes = 0;
   options.metadata_cache_bytes = 0;
   ql::Driver driver(fs, catalog, options);
 
   ScanResult r;
-  const uint64_t before = fs->stats().bytes_read_physical.load();
+  const uint64_t before = fs->stats().bytes_read.load();
   auto result = CheckResult(
       driver.Execute("SELECT grp, COUNT(*) FROM " + table + " GROUP BY grp"),
       "scan");
-  r.physical_bytes = fs->stats().bytes_read_physical.load() - before;
+  r.physical_bytes = fs->stats().bytes_read.load() - before;
   r.files = FileCount(catalog, table);
   for (const Row& row : result.rows) {
     r.live_rows += static_cast<uint64_t>(row[1].AsInt());
@@ -79,10 +78,9 @@ int Main() {
   fs_options.block_size = 256 * 1024;
   dfs::FileSystem fs(fs_options);
   ql::Catalog catalog(&fs);
-  // Caches off for the whole bench: its write-through block cache would
-  // otherwise serve the scans from memory and hide the layout delta.
+  // Metadata cache off for the whole bench: this driver's cache stays
+  // installed on the filesystem and would otherwise serve the scans' tails.
   ql::DriverOptions ingest_options;
-  ingest_options.block_cache_bytes = 0;
   ingest_options.metadata_cache_bytes = 0;
   ql::Driver ingest(&fs, &catalog, ingest_options);
 

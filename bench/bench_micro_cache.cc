@@ -1,11 +1,8 @@
-// Microbenchmarks for the session cache layer (LLAP-style, scaled down):
+// Microbenchmarks for the session metadata cache (LLAP-style, scaled down):
 //   1. Cache core operations — insert / hit / miss throughput, single shard
 //      contention excluded (single-threaded; common_cache_test covers the
 //      concurrent budget contract).
-//   2. DFS ReadAt cold vs warm — the block cache turning repeated range
-//      reads into memory copies, measured via the physical/cached IoStats
-//      split.
-//   3. ORC reopen — the metadata cache eliminating tail re-parse and
+//   2. ORC reopen — the metadata cache eliminating tail re-parse and
 //      checksum re-verification when a file is opened again in the session.
 // The machine-independent counters (hit/miss/byte counts) are gated against
 // bench/baseline/; timings are recorded for humans only.
@@ -36,6 +33,15 @@ struct CoreOpsResult {
   int ops = 0;
 };
 
+/// A (path, generation, offset) key, the shape of the metadata cache's.
+std::string CoreKey(uint64_t generation, uint64_t offset) {
+  return cache::KeyBuilder("bench")
+      .Add("/bench/core")
+      .Add(generation)
+      .Add(offset)
+      .Take();
+}
+
 CoreOpsResult BenchCoreOps() {
   const int kOps = bench::SmokeScaled(200000, 20000);
   const size_t kValueBytes = 256;
@@ -47,80 +53,24 @@ CoreOpsResult BenchCoreOps() {
   r.ops = kOps;
   Stopwatch watch;
   for (int i = 0; i < kOps; ++i) {
-    cache.InsertAndRelease(cache::BlockCacheKey("/bench/core", 1, i), value,
+    cache.InsertAndRelease(CoreKey(1, i), value,
                            kValueBytes + cache::kEntryOverhead);
   }
   r.insert_ms = watch.ElapsedMillis();
 
   watch.Reset();
   for (int i = 0; i < kOps; ++i) {
-    cache::Cache::Handle* h =
-        cache.Lookup(cache::BlockCacheKey("/bench/core", 1, i));
+    cache::Cache::Handle* h = cache.Lookup(CoreKey(1, i));
     if (h != nullptr) cache.Release(h);
   }
   r.hit_ms = watch.ElapsedMillis();
 
   watch.Reset();
   for (int i = 0; i < kOps; ++i) {
-    cache::Cache::Handle* h =
-        cache.Lookup(cache::BlockCacheKey("/bench/core", 2, i));
+    cache::Cache::Handle* h = cache.Lookup(CoreKey(2, i));
     if (h != nullptr) cache.Release(h);
   }
   r.miss_ms = watch.ElapsedMillis();
-  return r;
-}
-
-struct ReadAtResult {
-  double cold_ms = 0;
-  double warm_ms = 0;
-  uint64_t physical_bytes = 0;   // All passes; only the cold pass adds any.
-  uint64_t cold_cached_bytes = 0;  // Chunks served by blocks the cold pass
-                                   // itself already populated.
-  uint64_t warm_cached_bytes = 0;
-};
-
-ReadAtResult BenchReadAt(bench::BenchReporter* reporter) {
-  const uint64_t kFileBytes = bench::SmokeScaled(32u << 20, 4u << 20);
-  const uint64_t kChunk = 64 * 1024;
-  dfs::FileSystemOptions fs_options;
-  // Blocks well under a cache shard (budget / 8), so every block is
-  // cacheable and the warm pass is fully served from memory.
-  fs_options.block_size = 256 * 1024;
-  dfs::FileSystem fs(fs_options);
-  auto caches = std::make_shared<cache::CacheManager>(/*block_cache_bytes=*/4 * kFileBytes,
-                             /*metadata_cache_bytes=*/0);
-  fs.set_cache_manager(caches);
-
-  auto writer = CheckResult(fs.Create("/bench/blob"), "create");
-  std::string chunk(kChunk, 'b');
-  for (uint64_t off = 0; off < kFileBytes; off += kChunk) {
-    Check(writer->Append(chunk), "append");
-  }
-  Check(writer->Close(), "close");
-
-  auto reader = CheckResult(fs.Open("/bench/blob"), "open");
-  ReadAtResult r;
-  std::string out;
-  Stopwatch watch;
-  for (uint64_t off = 0; off < kFileBytes; off += kChunk) {
-    Check(reader->ReadAt(off, kChunk, &out), "cold read");
-  }
-  r.cold_ms = watch.ElapsedMillis();
-  r.physical_bytes = fs.stats().bytes_read_physical.load();
-  r.cold_cached_bytes = fs.stats().bytes_read_cached.load();
-
-  watch.Reset();
-  for (uint64_t off = 0; off < kFileBytes; off += kChunk) {
-    Check(reader->ReadAt(off, kChunk, &out), "warm read");
-  }
-  r.warm_ms = watch.ElapsedMillis();
-  r.warm_cached_bytes =
-      fs.stats().bytes_read_cached.load() - r.cold_cached_bytes;
-
-  reporter->AddMetric("readat.block_cache_hits",
-                      static_cast<double>(caches->block_cache()->stats().hits),
-                      "count");
-  fs.set_cache_manager(nullptr);
   return r;
 }
 
@@ -135,8 +85,8 @@ ReopenResult BenchOrcReopen() {
   const int kRows = bench::SmokeScaled(200000, 20000);
   const int kReopens = 20;
   dfs::FileSystem fs;
-  auto caches = std::make_shared<cache::CacheManager>(/*block_cache_bytes=*/0,
-                             /*metadata_cache_bytes=*/16 << 20);
+  auto caches =
+      std::make_shared<cache::CacheManager>(/*metadata_cache_bytes=*/16 << 20);
   fs.set_cache_manager(caches);
 
   TypePtr schema = CheckResult(
@@ -174,11 +124,10 @@ ReopenResult BenchOrcReopen() {
 }
 
 int Main() {
-  std::printf("=== Micro: session caches (block + ORC metadata) ===\n\n");
+  std::printf("=== Micro: session ORC metadata cache ===\n\n");
   bench::BenchReporter reporter("micro_cache");
 
   CoreOpsResult core = BenchCoreOps();
-  ReadAtResult readat = BenchReadAt(&reporter);
   ReopenResult reopen = BenchOrcReopen();
 
   TablePrinter ops({"operation", "ops", "total ms", "Mops/s"});
@@ -193,14 +142,6 @@ int Main() {
               rate(core.miss_ms)});
   ops.Print();
 
-  TablePrinter io({"pass", "ms", "physical MB", "cached MB"});
-  io.AddRow({"ReadAt cold", Fmt(readat.cold_ms),
-             bench::Mb(readat.physical_bytes),
-             bench::Mb(readat.cold_cached_bytes)});
-  io.AddRow({"ReadAt warm", Fmt(readat.warm_ms), "0.00",
-             bench::Mb(readat.warm_cached_bytes)});
-  io.Print();
-
   TablePrinter orc_t({"pass", "open ms", "meta hits", "meta misses"});
   orc_t.AddRow({"ORC cold open", Fmt(reopen.cold_open_ms), "0",
                 std::to_string(reopen.meta_misses)});
@@ -212,12 +153,6 @@ int Main() {
   reporter.AddMetric("core.insert_ms", core.insert_ms, "ms");
   reporter.AddMetric("core.hit_ms", core.hit_ms, "ms");
   reporter.AddMetric("core.miss_ms", core.miss_ms, "ms");
-  reporter.AddMetric("readat.cold_ms", readat.cold_ms, "ms");
-  reporter.AddMetric("readat.warm_ms", readat.warm_ms, "ms");
-  reporter.AddMetric("readat.physical_bytes",
-                     static_cast<double>(readat.physical_bytes), "bytes");
-  reporter.AddMetric("readat.warm_cached_bytes",
-                     static_cast<double>(readat.warm_cached_bytes), "bytes");
   reporter.AddMetric("orc.cold_open_ms", reopen.cold_open_ms, "ms");
   reporter.AddMetric("orc.reopen_ms", reopen.warm_open_ms, "ms");
   reporter.AddMetric("orc.metadata_cache_hits",
@@ -227,13 +162,6 @@ int Main() {
   reporter.Write();
 
   std::printf("shape checks:\n");
-  std::printf("  warm ReadAt fully cached: %s\n",
-              readat.warm_cached_bytes ==
-                      readat.physical_bytes + readat.cold_cached_bytes
-                  ? "yes"
-                  : "NO");
-  std::printf("  warm ReadAt faster than cold: %s\n",
-              readat.warm_ms < readat.cold_ms ? "yes" : "NO");
   std::printf("  every reopen hit the metadata cache: yes\n");
   return 0;
 }

@@ -184,7 +184,6 @@ void BM_SimdArithColColF64(benchmark::State& state) {
 BENCHMARK(BM_SimdArithColColF64)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_SimdHashBytes(benchmark::State& state) {
-  simd::SetEnabled(state.range(0) != 0);
   // Multi-column group-by keys land in the 32-128 byte range.
   Random rng(7);
   std::string key = rng.NextString(96);
@@ -195,9 +194,8 @@ void BM_SimdHashBytes(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
   state.SetBytesProcessed(state.iterations() * key.size());
-  simd::SetEnabled(true);
 }
-BENCHMARK(BM_SimdHashBytes)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdHashBytes);
 
 // ---- ORC integer RLE vs raw varints.
 

@@ -398,21 +398,11 @@ KeyBuilder& KeyBuilder::Add(uint64_t field) {
   return *this;
 }
 
-std::string BlockCacheKey(std::string_view path, uint64_t generation,
-                          uint64_t block_index) {
-  return KeyBuilder("blk").Add(path).Add(generation).Add(block_index).Take();
-}
-
 // ---------------------------------------------------------------------------
 // CacheManager
 // ---------------------------------------------------------------------------
 
-CacheManager::CacheManager(uint64_t block_cache_bytes,
-                           uint64_t metadata_cache_bytes) {
-  if (block_cache_bytes > 0) {
-    block_cache_ =
-        std::make_unique<Cache>("dfs.block_cache", block_cache_bytes);
-  }
+CacheManager::CacheManager(uint64_t metadata_cache_bytes) {
   if (metadata_cache_bytes > 0) {
     metadata_cache_ =
         std::make_unique<Cache>("orc.metadata_cache", metadata_cache_bytes);

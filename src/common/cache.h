@@ -172,7 +172,7 @@ class ScopedHandle {
 /// Typed-key builder: every field is length- or width-delimited, so distinct
 /// field sequences can never collide ("a"+"bc" != "ab"+"c"), and every key
 /// starts with a short type tag that namespaces the entry kind within a
-/// cache ("blk", "orc.tail", ...).
+/// cache ("orc.tail", ...).
 class KeyBuilder {
  public:
   explicit KeyBuilder(std::string_view type_tag);
@@ -184,29 +184,22 @@ class KeyBuilder {
   std::string key_;
 };
 
-/// Key of one DFS block of one file incarnation. `generation` is the
-/// filesystem's per-path write counter: any rewrite of the path (create
-/// after delete, rename over it) bumps it, so stale bytes are simply never
-/// looked up again — invalidation by key, no scanning.
-std::string BlockCacheKey(std::string_view path, uint64_t generation,
-                          uint64_t block_index);
-
-/// The two session caches, wired into the read stack at different levels:
-/// the block cache serves dfs::ReadableFile::ReadAt ranges; the metadata
-/// cache holds parsed ORC tails and per-stripe index structures. A budget
-/// of 0 disables that level (accessor returns null).
+/// The session cache of parsed ORC tails and per-stripe index structures,
+/// keyed by `(path, generation)`: the filesystem bumps a path's generation on
+/// every rewrite, so stale entries are never looked up again. A budget of 0
+/// disables it (metadata_cache() returns null).
 class CacheManager {
  public:
-  CacheManager(uint64_t block_cache_bytes, uint64_t metadata_cache_bytes);
+  explicit CacheManager(uint64_t metadata_cache_bytes);
 
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
 
-  Cache* block_cache() const { return block_cache_.get(); }
+  // Sole reader: perfbench/src/util.cc. There is no block cache; always null.
+  Cache* block_cache() const { return nullptr; }
   Cache* metadata_cache() const { return metadata_cache_.get(); }
 
  private:
-  std::unique_ptr<Cache> block_cache_;
   std::unique_ptr<Cache> metadata_cache_;
 };
 

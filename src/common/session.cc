@@ -42,21 +42,20 @@ SessionManager::SessionManager(const SessionManagerOptions& options)
     : options_(options) {
   root_budget_ = std::make_unique<MemoryBudget>(
       "server", options_.global_memory_budget_bytes);
-  // The shared caches commit their full budgets against the root for the
-  // manager's lifetime, so admission maths always accounts for the caches'
-  // worst case. If the global budget is configured smaller than the caches
-  // (a misconfiguration), the caches run uncharged rather than failing.
-  uint64_t cache_bytes =
-      options_.block_cache_bytes + options_.metadata_cache_bytes;
-  auto cache_child =
-      MemoryBudget::CreateChild(root_budget_.get(), "caches", cache_bytes);
+  // The shared cache commits its full budget against the root for the
+  // manager's lifetime, so admission maths always accounts for the cache's
+  // worst case. If the global budget is configured smaller than the cache
+  // (a misconfiguration), the cache runs uncharged rather than failing.
+  auto cache_child = MemoryBudget::CreateChild(
+      root_budget_.get(), "caches", options_.metadata_cache_bytes);
   if (cache_child.ok()) {
     cache_budget_ = std::move(cache_child).ValueOrDie();
   } else {
-    cache_budget_ = std::make_unique<MemoryBudget>("caches", cache_bytes);
+    cache_budget_ =
+        std::make_unique<MemoryBudget>("caches", options_.metadata_cache_bytes);
   }
-  cache_manager_ = std::make_shared<cache::CacheManager>(
-      options_.block_cache_bytes, options_.metadata_cache_bytes);
+  cache_manager_ =
+      std::make_shared<cache::CacheManager>(options_.metadata_cache_bytes);
   SchedulerOptions sched;
   sched.num_workers = options_.num_workers;
   scheduler_ = std::make_unique<TaskScheduler>(sched);

@@ -28,8 +28,8 @@ struct SessionManagerOptions {
   /// writers charge within it). Must fit under the global budget after the
   /// caches take their share.
   uint64_t per_query_memory_budget_bytes = 64ull << 20;  // 64 MiB
-  /// Shared cache budgets, committed against the global budget up front.
-  uint64_t block_cache_bytes = 128ull << 20;
+  /// Shared ORC metadata cache budget, committed against the global budget
+  /// up front.
   uint64_t metadata_cache_bytes = 16ull << 20;
   /// Queries beyond the committed global budget wait in the admission queue
   /// up to this bound; 0 disables queueing (immediate rejection).
@@ -104,8 +104,8 @@ class Session {
 };
 
 /// The in-process multi-query server core: owns the shared worker pool
-/// (TaskScheduler), the shared caches (CacheManager), and the root of the
-/// unified memory accounting tree, and admits queries against it.
+/// (TaskScheduler), the shared metadata cache (CacheManager), and the root
+/// of the unified memory accounting tree, and admits queries against it.
 ///
 /// Admission is commitment-based: each admitted query commits a whole
 /// per-query slice of the global budget (see MemoryBudget). When the global
@@ -138,7 +138,7 @@ class SessionManager {
   TaskScheduler* scheduler() { return scheduler_.get(); }
   cache::CacheManager* cache_manager() { return cache_manager_.get(); }
   /// Shared handle for installing into a FileSystem — readers pin it, so
-  /// the caches outlive any in-flight scan even if the manager dies first
+  /// the cache outlives any in-flight scan even if the manager dies first
   /// (FileSystem::set_cache_manager's ownership contract).
   std::shared_ptr<cache::CacheManager> shared_cache_manager() {
     return cache_manager_;
@@ -162,8 +162,8 @@ class SessionManager {
 
   SessionManagerOptions options_;
   std::unique_ptr<MemoryBudget> root_budget_;
-  // Cache budgets are committed against the root for the manager's
-  // lifetime, so admission maths sees the caches' worst case.
+  // The cache budget is committed against the root for the manager's
+  // lifetime, so admission maths sees the cache's worst case.
   std::unique_ptr<MemoryBudget> cache_budget_;
   std::shared_ptr<cache::CacheManager> cache_manager_;
   std::unique_ptr<TaskScheduler> scheduler_;

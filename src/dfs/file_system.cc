@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/cache.h"
-
 namespace minihive::dfs {
 
 namespace {
@@ -83,82 +81,16 @@ class ReadableFileImpl : public ReadableFile {
         length > data_->contents.size() - offset) {
       return Status::OutOfRange("read past end of file");
     }
-    // The injector fires on every ReadAt — cache hit or miss — so a given
-    // seed produces the same per-site fault sequence whatever the cache
-    // holds; only the *source* of the bytes differs.
     FaultInjector* faults = fs_->fault_injector();
-    uint64_t delays_before = 0, flips_before = 0;
     if (faults != nullptr) {
-      delays_before = faults->stats().read_delays.load();
-      flips_before = faults->stats().byte_flips.load();
       faults->MaybeDelay(FaultSite::kRead, path_);
       MINIHIVE_RETURN_IF_ERROR(faults->MaybeError(FaultSite::kRead, path_));
     }
-
-    // Pinned for the whole read: the owning session may be torn down
-    // concurrently, and bcache must stay valid until the last use below.
-    std::shared_ptr<cache::CacheManager> cache_pin = fs_->cache_manager();
-    cache::Cache* bcache =
-        cache_pin != nullptr ? cache_pin->block_cache() : nullptr;
-
-    // Blocks the requested range covers whose bytes had to come from
-    // backing storage; candidates for (whole-block) population below.
-    std::vector<uint64_t> fill_blocks;
-    uint64_t cached_bytes = 0;
-    if (bcache == nullptr || length == 0) {
-      out->assign(data_->contents, offset, length);
-    } else {
-      out->clear();
-      out->reserve(length);
-      uint64_t first_block = offset / block_size_;
-      uint64_t last_block = (offset + length - 1) / block_size_;
-      for (uint64_t b = first_block; b <= last_block; ++b) {
-        uint64_t bstart = b * block_size_;
-        uint64_t rstart = std::max(offset, bstart);
-        uint64_t rend = std::min(offset + length,
-                                 std::min(bstart + block_size_,
-                                          (uint64_t)data_->contents.size()));
-        std::string key = cache::BlockCacheKey(path_, generation_, b);
-        if (cache::Cache::Handle* handle = bcache->Lookup(key)) {
-          auto block = cache::Cache::value<std::string>(handle);
-          out->append(*block, rstart - bstart, rend - rstart);
-          bcache->Release(handle);
-          cached_bytes += rend - rstart;
-        } else {
-          out->append(data_->contents, rstart, rend - rstart);
-          fill_blocks.push_back(b);
-        }
-      }
-    }
+    out->assign(data_->contents, offset, length);
     if (faults != nullptr) faults->MaybeFlip(path_, offset, out);
-
-    // Populate missed blocks — but never from a read the injector touched:
-    // a delayed read models a straggling replica and a flipped read
-    // delivered corrupt bytes, and neither may seed future hits. Block
-    // copies come straight from backing contents (pristine even when the
-    // delivered buffer was flipped), so the taint check is about honoring
-    // the fault model, not about corrupt cache entries.
-    bool tainted =
-        faults != nullptr &&
-        (faults->stats().read_delays.load() != delays_before ||
-         faults->stats().byte_flips.load() != flips_before);
-    if (bcache != nullptr && !tainted) {
-      for (uint64_t b : fill_blocks) {
-        uint64_t bstart = b * block_size_;
-        uint64_t blen = std::min<uint64_t>(block_size_,
-                                           data_->contents.size() - bstart);
-        std::string key = cache::BlockCacheKey(path_, generation_, b);
-        auto block =
-            std::make_shared<std::string>(data_->contents, bstart, blen);
-        bcache->InsertAndRelease(key, std::move(block),
-                                 blen + key.size() + cache::kEntryOverhead);
-      }
-    }
 
     IoStats& stats = fs_->stats();
     stats.bytes_read += length;
-    stats.bytes_read_cached += cached_bytes;
-    stats.bytes_read_physical += length - cached_bytes;
     stats.read_ops += 1;
     if (length > 0) {
       uint64_t first_block = offset / block_size_;

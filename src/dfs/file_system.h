@@ -23,14 +23,12 @@ namespace minihive::dfs {
 /// Cluster-wide I/O counters. The benchmarks report `bytes_read` as the
 /// paper's "amount of data read from HDFS" (Figure 10b); `remote_block_reads`
 /// backs the stripe/block-alignment ablation.
-///
-/// `bytes_read` stays the aggregate bytes *delivered to readers* (its
-/// pre-cache meaning), and splits into `bytes_read_physical` (served from
-/// backing storage) + `bytes_read_cached` (served from the session block
-/// cache): physical + cached == bytes_read always holds.
 struct IoStats {
   std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_read_physical{0};
+  // Sole reader: perfbench/src/util.cc. Every byte is read from backing
+  // storage, so this names `bytes_read` itself rather than counting again.
+  std::atomic<uint64_t>& bytes_read_physical = bytes_read;
+  // Sole reader: perfbench/src/util.cc. Never written: no block cache.
   std::atomic<uint64_t> bytes_read_cached{0};
   std::atomic<uint64_t> bytes_written{0};
   std::atomic<uint64_t> read_ops{0};
@@ -39,8 +37,6 @@ struct IoStats {
 
   void Reset() {
     bytes_read = 0;
-    bytes_read_physical = 0;
-    bytes_read_cached = 0;
     bytes_written = 0;
     read_ops = 0;
     local_block_reads = 0;
@@ -98,7 +94,7 @@ class ReadableFile {
   /// The path's write-generation at Open() time: the filesystem bumps it on
   /// every Create/Delete/Rename of the path, so `(path, Generation())` names
   /// this exact file incarnation — the cache-key contract that makes stale
-  /// cached bytes unreachable after a rewrite.
+  /// cached metadata unreachable after a rewrite.
   virtual uint64_t Generation() const { return 0; }
 };
 
@@ -147,15 +143,14 @@ class FileSystem {
     return fault_injector_.load(std::memory_order_acquire);
   }
 
-  /// Installs (or clears, with nullptr) the session cache manager. Shared
-  /// ownership, unlike the fault injector: in-flight reads and long-lived
-  /// ORC readers pin the manager they captured, so replacing or clearing
-  /// the installation never destroys a manager out from under a concurrent
-  /// user — the last pin does. (Sessions come and go per Driver while
-  /// background work reads through the same filesystem; a raw pointer here
-  /// is a use-after-free waiting for that overlap.) nullptr keeps caching
-  /// entirely off the hot path. The block cache intercepts ReadAt; the
-  /// metadata cache is picked up by ORC readers opened on this filesystem.
+  /// Installs (or clears, with nullptr) the session cache manager, whose
+  /// metadata cache ORC readers opened on this filesystem pick up. Shared
+  /// ownership, unlike the fault injector: long-lived ORC readers pin the
+  /// manager they captured, so replacing or clearing the installation never
+  /// destroys a manager out from under a concurrent user — the last pin
+  /// does. (Sessions come and go per Driver while background work reads
+  /// through the same filesystem; a raw pointer here is a use-after-free
+  /// waiting for that overlap.)
   void set_cache_manager(std::shared_ptr<cache::CacheManager> manager) {
     std::lock_guard<std::mutex> lock(cache_manager_mu_);
     cache_manager_ = std::move(manager);

@@ -78,10 +78,9 @@ Driver::Driver(dfs::FileSystem* fs, Catalog* catalog, DriverOptions options)
     // Installing the same handle is idempotent across drivers; it stays
     // installed for the manager's lifetime (the manager outlives us).
     fs_->set_cache_manager(options_.session->manager()->shared_cache_manager());
-  } else if (options_.block_cache_bytes > 0 ||
-             options_.metadata_cache_bytes > 0) {
-    caches_ = std::make_shared<cache::CacheManager>(
-        options_.block_cache_bytes, options_.metadata_cache_bytes);
+  } else if (options_.metadata_cache_bytes > 0) {
+    caches_ =
+        std::make_shared<cache::CacheManager>(options_.metadata_cache_bytes);
     fs_->set_cache_manager(caches_);
   }
   if (options_.workers.num_workers > 0) {
@@ -121,7 +120,7 @@ Driver::~Driver() {
   // same filesystem may have replaced us (last-wins, like fault injectors).
   // Concurrent users that captured the handle keep it alive past us: the
   // installation is shared_ptr-based precisely so this destructor cannot
-  // pull the caches out from under an in-flight read.
+  // pull the cache out from under an open ORC reader.
   if (caches_ != nullptr && fs_->cache_manager() == caches_) {
     fs_->set_cache_manager(nullptr);
   }
@@ -264,15 +263,12 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
       options_.session != nullptr
           ? options_.session->manager()->cache_manager()
           : caches_.get();
-  cache::Cache* block_cache =
-      cache_manager != nullptr ? cache_manager->block_cache() : nullptr;
   cache::Cache* meta_cache =
       cache_manager != nullptr ? cache_manager->metadata_cache() : nullptr;
-  cache::Cache::StatsSnapshot block_before, meta_before;
-  if (block_cache != nullptr) block_before = block_cache->stats();
+  cache::Cache::StatsSnapshot meta_before;
   if (meta_cache != nullptr) meta_before = meta_cache->stats();
   // Late-materialization observability: per-query deltas of the reader's
-  // process-wide skip counters plus the DFS physical/cached byte split, so
+  // process-wide skip counters plus the DFS bytes read, so
   // EXPLAIN PROFILE shows both the rows pruned before lazy decode and the
   // I/O the pruning saved.
   telemetry::Counter* late_rows_counter =
@@ -283,8 +279,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
           "orc.reader.lazy_decodes_avoided");
   const uint64_t late_rows_before = late_rows_counter->value();
   const uint64_t lazy_decodes_before = lazy_decodes_counter->value();
-  const uint64_t physical_before = fs_->stats().bytes_read_physical.load();
-  const uint64_t cached_before = fs_->stats().bytes_read_cached.load();
+  const uint64_t bytes_before = fs_->stats().bytes_read.load();
   // Dispatch-layer observability: the mr.transport.* registry counters are
   // process-wide and monotonic, so per-query deltas come from start-of-run
   // snapshots — EXPLAIN PROFILE then shows this query's own dispatches,
@@ -324,12 +319,6 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
       query_span->SetAttr("mapjoin_fallbacks",
                           static_cast<uint64_t>(mapjoin_fallbacks));
     }
-    if (block_cache != nullptr) {
-      cache::Cache::StatsSnapshot now = block_cache->stats();
-      query_span->SetAttr("block_cache_hits", now.hits - block_before.hits);
-      query_span->SetAttr("block_cache_misses",
-                          now.misses - block_before.misses);
-    }
     if (meta_cache != nullptr) {
       cache::Cache::StatsSnapshot now = meta_cache->stats();
       query_span->SetAttr("metadata_cache_hits", now.hits - meta_before.hits);
@@ -340,11 +329,8 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
                         late_rows_counter->value() - late_rows_before);
     query_span->SetAttr("lazy_decodes_avoided",
                         lazy_decodes_counter->value() - lazy_decodes_before);
-    query_span->SetAttr(
-        "physical_bytes_read",
-        fs_->stats().bytes_read_physical.load() - physical_before);
-    query_span->SetAttr("cached_bytes_read",
-                        fs_->stats().bytes_read_cached.load() - cached_before);
+    query_span->SetAttr("bytes_read",
+                        fs_->stats().bytes_read.load() - bytes_before);
     if (active_admission_ != nullptr) {
       query_span->SetAttr(
           "admission_queue_wait_millis",

@@ -79,17 +79,9 @@ struct DriverOptions {
   /// the query with map-join conversion disabled (the reduce-join backup
   /// plan), counted in mapjoin_fallbacks. 0 = unlimited.
   uint64_t mapjoin_memory_budget_bytes = 0;
-  /// Session block cache: DFS blocks served from memory on repeated reads
-  /// (LLAP-style data caching). Strict budget in bytes; 0 disables. The
-  /// cache lives for the Driver's lifetime, so a query run twice in one
-  /// session reads most bytes without touching backing storage. Keep the
-  /// budget at >= 2x the DFS block size per shard (8 shards): entries are
-  /// whole blocks, and a block that outsizes its shard can never be cached.
-  uint64_t block_cache_bytes = 128ULL * 1024 * 1024;
   /// Session ORC metadata cache: parsed file tails, stripe footers and
   /// stripe indexes, keyed by (path, generation). Strict budget in bytes;
-  /// 0 disables. Typically a few percent of the block cache is plenty —
-  /// metadata is small but expensive to re-parse and re-verify.
+  /// 0 disables. Metadata is small but expensive to re-parse and re-verify.
   uint64_t metadata_cache_bytes = 16ULL * 1024 * 1024;
   /// Keep intermediate files after the query (debugging).
   bool keep_temps = false;
@@ -98,14 +90,14 @@ struct DriverOptions {
   /// turns this on for its one query regardless of the setting.
   bool enable_profiling = false;
   /// Multi-query mode: attach this driver to a SessionManager session. The
-  /// driver then (a) uses the manager's shared caches instead of creating
-  /// its own (block/metadata_cache_bytes are ignored), (b) runs its engine
+  /// driver then (a) uses the manager's shared cache instead of creating
+  /// its own (metadata_cache_bytes is ignored), (b) runs its engine
   /// task fan-outs on the manager's shared worker pool through a per-query
   /// fair-share queue at the session's priority, and (c) passes every query
   /// through admission control first — a query is queued or rejected with a
   /// typed ResourceExhausted when the global memory budget is committed.
   /// The Session (and its SessionManager) must outlive the driver and any
-  /// filesystem reads that may hit the shared caches. Null = standalone
+  /// filesystem reads that may hit the shared cache. Null = standalone
   /// single-query mode, exactly as before.
   Session* session = nullptr;
   /// Session mode only: bytes to request from admission for each query
@@ -199,7 +191,7 @@ class Driver {
   dfs::FileSystem* fs_;
   Catalog* catalog_;
   DriverOptions options_;
-  /// Session caches (block + ORC metadata), installed on fs_ for this
+  /// Session ORC metadata cache, installed on fs_ for this
   /// driver's lifetime. Installation is last-wins like the fault injector:
   /// with several Drivers on one filesystem the most recent construction's
   /// caches serve everyone, and the destructor only uninstalls itself.

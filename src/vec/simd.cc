@@ -96,37 +96,6 @@ uint64_t LoadLane(const uint8_t* p) {
   return v;
 }
 
-// Shared block structure for HashBytes: 32-byte blocks feed 4 independent
-// 64-bit lanes; the tail and finalizer are scalar in both arms. The lane
-// recurrence is lane = mix(lane ^ input).
-uint64_t HashFinish(const uint64_t lanes[4], const uint8_t* tail,
-                    size_t tail_len, size_t total_len) {
-  uint64_t h = lanes[0];
-  h = HashMix(h ^ lanes[1]);
-  h = HashMix(h ^ lanes[2]);
-  h = HashMix(h ^ lanes[3]);
-  uint64_t t = 0;
-  for (size_t i = 0; i < tail_len; ++i) {
-    t = (t << 8) | tail[i];
-  }
-  h = HashMix(h ^ t);
-  h = HashMix(h ^ static_cast<uint64_t>(total_len));
-  return h;
-}
-
-uint64_t HashBytesScalar(const uint8_t* p, size_t n, uint64_t seed) {
-  uint64_t lanes[4] = {seed ^ 0x9e3779b97f4a7c15ULL, seed + 0x6a09e667f3bcc909ULL,
-                       seed ^ 0xbf58476d1ce4e5b9ULL, seed + 0x94d049bb133111ebULL};
-  size_t blocks = n / 32;
-  for (size_t b = 0; b < blocks; ++b) {
-    const uint8_t* base = p + b * 32;
-    for (int lane = 0; lane < 4; ++lane) {
-      lanes[lane] = HashMix(lanes[lane] ^ LoadLane(base + lane * 8));
-    }
-  }
-  return HashFinish(lanes, p + blocks * 32, n - blocks * 32, n);
-}
-
 #ifdef MINIHIVE_SIMD_AVX2
 
 // ---------------------------------------------------------------------------
@@ -371,30 +340,6 @@ __attribute__((target("avx2"))) void ArithScalarF64Avx2(Arith op,
   }
 }
 
-__attribute__((target("avx2"))) uint64_t HashBytesAvx2(const uint8_t* p,
-                                                       size_t n,
-                                                       uint64_t seed) {
-  alignas(32) uint64_t lanes[4] = {
-      seed ^ 0x9e3779b97f4a7c15ULL, seed + 0x6a09e667f3bcc909ULL,
-      seed ^ 0xbf58476d1ce4e5b9ULL, seed + 0x94d049bb133111ebULL};
-  __m256i state = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
-  const __m256i mul = _mm256_set1_epi64x(
-      static_cast<int64_t>(0xff51afd7ed558ccdULL));
-  size_t blocks = n / 32;
-  for (size_t b = 0; b < blocks; ++b) {
-    __m256i input =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + b * 32));
-    // mix(state ^ input) per lane: xorshift 33, 64-bit mul, xorshift 29.
-    __m256i h = _mm256_xor_si256(state, input);
-    h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 33));
-    h = MulI64(h, mul);
-    h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 29));
-    state = h;
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), state);
-  return HashFinish(lanes, p + blocks * 32, n - blocks * 32, n);
-}
-
 #endif  // MINIHIVE_SIMD_AVX2
 
 }  // namespace
@@ -520,12 +465,32 @@ void ArithColColF64(Arith op, const double* a, const double* b, int n,
   for (int i = 0; i < n; ++i) out[i] = ApplyF64(op, a[i], b[i]);
 }
 
+// 32-byte blocks feed 4 independent 64-bit lanes (lane = mix(lane ^ input)),
+// then the lanes, the tail bytes and the length fold into one value. Scalar
+// only: the compiler keeps the 4 lanes in registers, and an AVX2 arm with
+// its emulated 64-bit multiply measured slower.
 uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-#ifdef MINIHIVE_SIMD_AVX2
-  if (UsingAvx2()) return HashBytesAvx2(p, n, seed);
-#endif
-  return HashBytesScalar(p, n, seed);
+  uint64_t lanes[4] = {seed ^ 0x9e3779b97f4a7c15ULL, seed + 0x6a09e667f3bcc909ULL,
+                       seed ^ 0xbf58476d1ce4e5b9ULL, seed + 0x94d049bb133111ebULL};
+  const size_t blocks = n / 32;
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint8_t* base = p + b * 32;
+    for (int lane = 0; lane < 4; ++lane) {
+      lanes[lane] = HashMix(lanes[lane] ^ LoadLane(base + lane * 8));
+    }
+  }
+  uint64_t h = lanes[0];
+  h = HashMix(h ^ lanes[1]);
+  h = HashMix(h ^ lanes[2]);
+  h = HashMix(h ^ lanes[3]);
+  uint64_t t = 0;
+  for (size_t i = blocks * 32; i < n; ++i) {
+    t = (t << 8) | p[i];
+  }
+  h = HashMix(h ^ t);
+  h = HashMix(h ^ static_cast<uint64_t>(n));
+  return h;
 }
 
 }  // namespace minihive::simd

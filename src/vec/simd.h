@@ -8,17 +8,18 @@
 /// selection-mask compaction, arithmetic, and byte hashing.
 ///
 /// Dispatch rules:
-///  - Every kernel has a scalar implementation and (on x86-64) an AVX2
-///    implementation compiled with a per-function target attribute, so the
-///    binary runs on any CPU and upgrades itself at runtime via cpuid.
+///  - Every kernel except HashBytes has a scalar implementation and (on
+///    x86-64) an AVX2 implementation compiled with a per-function target
+///    attribute, so the binary runs on any CPU and upgrades itself at
+///    runtime via cpuid. HashBytes is scalar only: an AVX2 arm must emulate
+///    the 64-bit multiply and is slower.
 ///  - `SetEnabled(false)` forces the scalar arm process-wide (tests and
 ///    benches toggle it to diff the two arms); `MINIHIVE_DISABLE_SIMD`
 ///    compiles the AVX2 arm out entirely (the CI scalar-fallback leg).
 ///  - Both arms are BYTE-IDENTICAL by construction: integer ops wrap the
 ///    same way, double ops use the same IEEE operations in the same order,
-///    division keeps the same divide-by-zero guard, and the hash runs the
-///    same 4-lane algorithm. Callers may switch arms mid-query and results
-///    do not change.
+///    and division keeps the same divide-by-zero guard. Callers may switch
+///    arms mid-query and results do not change.
 namespace minihive::simd {
 
 /// True when the running CPU supports AVX2 (and it was not compiled out).
@@ -66,9 +67,8 @@ void ArithColColI64(Arith op, const int64_t* a, const int64_t* b, int n,
 void ArithColColF64(Arith op, const double* a, const double* b, int n,
                     double* out);
 
-/// 4-lane byte hash (group-by tables / shuffle keys). The lane structure is
-/// part of the definition, so the scalar and AVX2 arms return the same
-/// value for the same bytes.
+/// 4-lane byte hash (group-by tables / shuffle keys). Deterministic: the
+/// same bytes and seed always give the same value.
 uint64_t HashBytes(const void* data, size_t n, uint64_t seed = 0);
 
 }  // namespace minihive::simd

@@ -229,10 +229,9 @@ class VectorHashAggregator {
     }
   }
 
-  /// Group-by keys hash through the SIMD layer: 4-lane mixing (AVX2 when
-  /// available) beats std::hash's byte-at-a-time loop on multi-column keys.
-  /// The hash only places entries in buckets, so either dispatch arm yields
-  /// identical aggregation results.
+  /// Group-by keys hash through the SIMD layer's 4-lane mixing, which beats
+  /// std::hash's byte-at-a-time loop on multi-column keys. The hash only
+  /// places entries in buckets, so it never changes aggregation results.
   struct KeyHash {
     size_t operator()(const std::string& key) const {
       return static_cast<size_t>(

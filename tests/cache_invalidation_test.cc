@@ -1,8 +1,8 @@
 // Generation-keyed cache invalidation: a path that is rewritten (delete +
-// recreate, or renamed over) must never serve stale footer or block bytes
-// from the session caches. The mechanism under test is the per-path
-// generation counter in dfs::FileSystem — every rewrite bumps it, so the
-// old incarnation's cache keys are simply never looked up again.
+// recreate, or renamed over) must never serve a stale tail or stripe
+// metadata from the session metadata cache. The mechanism under test is the
+// per-path generation counter in dfs::FileSystem — every rewrite bumps it,
+// so the old incarnation's cache keys are simply never looked up again.
 
 #include <gtest/gtest.h>
 
@@ -52,15 +52,14 @@ ScanResult Scan(dfs::FileSystem* fs, const std::string& path) {
 
 TEST(CacheInvalidationTest, RewrittenFileNeverServedStale) {
   dfs::FileSystem fs;
-  auto caches = std::make_shared<cache::CacheManager>(/*block_cache_bytes=*/4 << 20,
-                             /*metadata_cache_bytes=*/1 << 20);
+  auto caches =
+      std::make_shared<cache::CacheManager>(/*metadata_cache_bytes=*/1 << 20);
   fs.set_cache_manager(caches);
 
   WriteOrc(&fs, "/t/data", 1000, "old");
 
-  // First scan: cold. Second scan: the tail comes from the metadata cache
-  // and blocks from the block cache — proving the caches are actually hot
-  // before we invalidate them.
+  // First scan: cold. Second scan: the tail comes from the metadata cache —
+  // proving the cache is actually hot before we invalidate it.
   ScanResult cold = Scan(&fs, "/t/data");
   EXPECT_EQ(cold.rows, 1000);
   EXPECT_EQ(cold.first_tag, "old");
@@ -70,11 +69,10 @@ TEST(CacheInvalidationTest, RewrittenFileNeverServedStale) {
   EXPECT_EQ(warm.rows, 1000);
   EXPECT_EQ(warm.first_tag, "old");
   EXPECT_TRUE(warm.tail_cache_hit);
-  EXPECT_GT(caches->block_cache()->stats().hits, 0u);
 
   // Rewrite in place: delete + recreate with different contents (more rows,
-  // different tag). The old tail/blocks are still resident in the caches,
-  // but keyed under the old generation.
+  // different tag). The old tail is still resident in the cache, but keyed
+  // under the old generation.
   ASSERT_TRUE(fs.Delete("/t/data").ok());
   WriteOrc(&fs, "/t/data", 1500, "new");
 
@@ -83,7 +81,7 @@ TEST(CacheInvalidationTest, RewrittenFileNeverServedStale) {
   EXPECT_EQ(after_rewrite.first_tag, "new");
   EXPECT_FALSE(after_rewrite.tail_cache_hit);  // New generation = cold.
 
-  // Rename over: the task-commit pattern. Warm the caches on the current
+  // Rename over: the task-commit pattern. Warm the cache on the current
   // incarnation first, then rename a third file over it.
   ScanResult warm2 = Scan(&fs, "/t/data");
   EXPECT_TRUE(warm2.tail_cache_hit);
@@ -107,7 +105,7 @@ TEST(CacheInvalidationTest, RewrittenFileNeverServedStale) {
 
 TEST(CacheInvalidationTest, UseMetadataCacheKnobBypassesCache) {
   dfs::FileSystem fs;
-  auto caches = std::make_shared<cache::CacheManager>(4 << 20, 1 << 20);
+  auto caches = std::make_shared<cache::CacheManager>(1 << 20);
   fs.set_cache_manager(caches);
   WriteOrc(&fs, "/t/knob", 400, "x");
 
@@ -134,9 +132,9 @@ TEST(CacheInvalidationTest, UseMetadataCacheKnobBypassesCache) {
 TEST(CacheInvalidationTest, ReaderOpenedBeforeRewriteKeepsItsIncarnation) {
   // A reader opened before the rewrite captured the old generation at Open,
   // so its reads keep resolving against the old incarnation's cache keys —
-  // it must not cross-pollinate with the new file's blocks.
+  // it must not cross-pollinate with the new file's metadata.
   dfs::FileSystem fs;
-  auto caches = std::make_shared<cache::CacheManager>(4 << 20, 1 << 20);
+  auto caches = std::make_shared<cache::CacheManager>(1 << 20);
   fs.set_cache_manager(caches);
 
   WriteOrc(&fs, "/t/pinned", 500, "old");

@@ -220,26 +220,23 @@ TEST(KeyBuilderTest, FieldBoundariesNeverCollide) {
   std::string tag_whole = KeyBuilder("t").Add("xy").Take();
   EXPECT_NE(tag_split, tag_whole);
 
-  EXPECT_NE(BlockCacheKey("/f", 1, 2), BlockCacheKey("/f", 2, 1));
-  EXPECT_NE(BlockCacheKey("/f", 1, 2), BlockCacheKey("/f", 1, 3));
+  // (path, generation, offset) keys, the shape of the metadata cache's.
+  auto key = [](uint64_t generation, uint64_t offset) {
+    return KeyBuilder("m").Add("/f").Add(generation).Add(offset).Take();
+  };
+  EXPECT_NE(key(1, 2), key(2, 1));
+  EXPECT_NE(key(1, 2), key(1, 3));
   // Same path, different generation: the invalidation mechanism.
-  EXPECT_NE(BlockCacheKey("/f", 1, 0), BlockCacheKey("/f", 2, 0));
+  EXPECT_NE(key(1, 0), key(2, 0));
 }
 
-TEST(CacheManagerTest, ZeroBudgetDisablesLevel) {
-  CacheManager both(1024, 2048);
-  ASSERT_NE(both.block_cache(), nullptr);
-  ASSERT_NE(both.metadata_cache(), nullptr);
-  EXPECT_EQ(both.block_cache()->capacity(), 1024u);
-  EXPECT_EQ(both.metadata_cache()->capacity(), 2048u);
+TEST(CacheManagerTest, ZeroBudgetDisablesMetadataCache) {
+  CacheManager on(2048);
+  ASSERT_NE(on.metadata_cache(), nullptr);
+  EXPECT_EQ(on.metadata_cache()->capacity(), 2048u);
 
-  CacheManager blocks_only(1024, 0);
-  EXPECT_NE(blocks_only.block_cache(), nullptr);
-  EXPECT_EQ(blocks_only.metadata_cache(), nullptr);
-
-  CacheManager meta_only(0, 1024);
-  EXPECT_EQ(meta_only.block_cache(), nullptr);
-  EXPECT_NE(meta_only.metadata_cache(), nullptr);
+  CacheManager off(0);
+  EXPECT_EQ(off.metadata_cache(), nullptr);
 }
 
 }  // namespace

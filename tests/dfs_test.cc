@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cache.h"
 
 namespace minihive::dfs {
 namespace {
@@ -111,6 +110,15 @@ TEST(FileSystemTest, IoStatsCountBytes) {
   ASSERT_TRUE(r->ReadAt(600, 400, &out).ok());
   EXPECT_EQ(fs.stats().bytes_read.load(), 1000u);
   EXPECT_EQ(fs.stats().read_ops.load(), 2u);
+
+  // A repeat read, and a second reader of the same path, count every byte
+  // and op again: each ReadAt is served from the file's backing contents.
+  ASSERT_TRUE(r->ReadAt(0, 600, &out).ok());
+  auto r2 = std::move(fs.Open("/s")).ValueOrDie();
+  ASSERT_TRUE(r2->ReadAt(200, 50, &out).ok());
+  EXPECT_EQ(out, std::string(50, 'x'));
+  EXPECT_EQ(fs.stats().bytes_read.load(), 1650u);
+  EXPECT_EQ(fs.stats().read_ops.load(), 4u);
 }
 
 TEST(FileSystemTest, BlockPaddingAndAlignment) {
@@ -192,54 +200,6 @@ TEST(FileSystemTest, PathGenerationsBumpOnEveryRewrite) {
   ASSERT_TRUE(fs.Rename("/src", "/g").ok());
   EXPECT_GT(fs.PathGeneration("/g"), g2);
   EXPECT_GT(fs.PathGeneration("/src"), src_gen);
-}
-
-TEST(FileSystemTest, BlockCacheServesRepeatReadsAndSplitsIoStats) {
-  FileSystemOptions options;
-  options.block_size = 100;
-  FileSystem fs(options);
-  auto caches = std::make_shared<cache::CacheManager>(/*block_cache_bytes=*/1 << 20,
-                             /*metadata_cache_bytes=*/0);
-  fs.set_cache_manager(caches);
-
-  WriteFile(&fs, "/c", std::string(250, 'k'));
-  auto r = std::move(fs.Open("/c")).ValueOrDie();
-  std::string out;
-  // Cold read: all physical, populates blocks 0-2.
-  ASSERT_TRUE(r->ReadAt(0, 250, &out).ok());
-  EXPECT_EQ(fs.stats().bytes_read_physical.load(), 250u);
-  EXPECT_EQ(fs.stats().bytes_read_cached.load(), 0u);
-
-  // Warm read of a sub-range: fully served from cached blocks.
-  ASSERT_TRUE(r->ReadAt(50, 150, &out).ok());
-  EXPECT_EQ(out, std::string(150, 'k'));
-  EXPECT_EQ(fs.stats().bytes_read_cached.load(), 150u);
-  EXPECT_EQ(fs.stats().bytes_read_physical.load(), 250u);
-  EXPECT_GT(caches->block_cache()->stats().hits, 0u);
-
-  // The aggregate invariant: physical + cached == bytes_read, always.
-  EXPECT_EQ(fs.stats().bytes_read_physical.load() +
-                fs.stats().bytes_read_cached.load(),
-            fs.stats().bytes_read.load());
-
-  // A second reader of the same path+generation shares the blocks.
-  auto r2 = std::move(fs.Open("/c")).ValueOrDie();
-  ASSERT_TRUE(r2->ReadAt(200, 50, &out).ok());
-  EXPECT_EQ(fs.stats().bytes_read_cached.load(), 200u);
-
-  fs.set_cache_manager(nullptr);
-}
-
-TEST(FileSystemTest, UncachedIoIsAllPhysical) {
-  FileSystem fs;
-  WriteFile(&fs, "/p", std::string(500, 'y'));
-  auto r = std::move(fs.Open("/p")).ValueOrDie();
-  std::string out;
-  ASSERT_TRUE(r->ReadAt(0, 500, &out).ok());
-  ASSERT_TRUE(r->ReadAt(0, 500, &out).ok());
-  EXPECT_EQ(fs.stats().bytes_read.load(), 1000u);
-  EXPECT_EQ(fs.stats().bytes_read_physical.load(), 1000u);
-  EXPECT_EQ(fs.stats().bytes_read_cached.load(), 0u);
 }
 
 TEST(FileSystemTest, RangeReadSpanningBlocksCountsEachBlock) {

@@ -244,7 +244,7 @@ TEST(OrcLateMaterializationTest, NullRowsDropLikeTheEngineFilter) {
 TEST(OrcLateMaterializationTest, MetadataCacheOnAndOffAgree) {
   dfs::FileSystem fs;
   WriteFile(&fs, "/orc/late_cache", /*with_nulls=*/false);
-  auto caches = std::make_shared<cache::CacheManager>(4 * 1024 * 1024, 4 * 1024 * 1024);
+  auto caches = std::make_shared<cache::CacheManager>(4 * 1024 * 1024);
   fs.set_cache_manager(caches);
 
   SearchArgument sarg;

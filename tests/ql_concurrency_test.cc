@@ -142,8 +142,7 @@ TEST_F(ConcurrencyTest, ConcurrentQueriesMatchSerialByteForByte) {
   EXPECT_TRUE(LeakedTempFiles().empty());
   // Every query went through admission and was released again.
   EXPECT_EQ(manager.root_budget()->used(),
-            session_options.block_cache_bytes +
-                session_options.metadata_cache_bytes);
+            session_options.metadata_cache_bytes);
 }
 
 TEST_F(ConcurrencyTest, CancellingOneQueryNeverPerturbsOthers) {
@@ -237,12 +236,11 @@ TEST_F(ConcurrencyTest, DeadlineOfOneQueryIsInvisibleToOthers) {
 TEST_F(ConcurrencyTest, AdmissionRejectionIsTypedLeakFreeAndIsolated) {
   SessionManagerOptions session_options;
   session_options.num_workers = 2;
-  // Caches + exactly one 64 MiB query slice fit; a second query cannot be
-  // admitted, and queueing is disabled so it rejects immediately.
-  session_options.block_cache_bytes = 16ull << 20;
+  // The cache + exactly one 64 MiB query slice fit; a second query cannot
+  // be admitted, and queueing is disabled so it rejects immediately.
   session_options.metadata_cache_bytes = 4ull << 20;
   session_options.per_query_memory_budget_bytes = 64ull << 20;
-  session_options.global_memory_budget_bytes = (16ull + 4 + 64) << 20;
+  session_options.global_memory_budget_bytes = (4ull + 64) << 20;
   session_options.max_queued_queries = 0;
   SessionManager manager(session_options);
   std::unique_ptr<Session> session = manager.NewSession("test");
@@ -271,10 +269,9 @@ TEST_F(ConcurrencyTest, AdmissionRejectionIsTypedLeakFreeAndIsolated) {
 TEST_F(ConcurrencyTest, QueuedQueryRunsAfterBudgetFrees) {
   SessionManagerOptions session_options;
   session_options.num_workers = 2;
-  session_options.block_cache_bytes = 16ull << 20;
   session_options.metadata_cache_bytes = 4ull << 20;
   session_options.per_query_memory_budget_bytes = 64ull << 20;
-  session_options.global_memory_budget_bytes = (16ull + 4 + 64) << 20;
+  session_options.global_memory_budget_bytes = (4ull + 64) << 20;
   session_options.max_queued_queries = 8;
   session_options.admission_queue_timeout_millis = 10000;
   SessionManager manager(session_options);

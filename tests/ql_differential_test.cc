@@ -168,21 +168,19 @@ class DifferentialTest : public ::testing::Test {
     DriverOptions options;
     options.num_workers = 2;
     options.vectorized_execution = vectorized;
-    // Randomize the session caches per (seed, engine): caching is a pure
+    // Randomize the session cache per (seed, engine): caching is a pure
     // performance layer, so any cache state — off, tiny (constant eviction
     // churn), or default — must leave results untouched.
     Random cache_rng(cache_seed * 2 + (vectorized ? 1 : 0));
     switch (cache_rng.Uniform(3)) {
       case 0:
-        options.block_cache_bytes = 0;
         options.metadata_cache_bytes = 0;
         break;
       case 1:
-        options.block_cache_bytes = 16 * 1024;
         options.metadata_cache_bytes = 4 * 1024;
         break;
       default:
-        break;  // Default budgets.
+        break;  // Default budget.
     }
     // Late materialization and SIMD dispatch are pure performance layers
     // too: toggle them per (seed, engine) so the sweep covers two-phase vs

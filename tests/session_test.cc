@@ -14,11 +14,11 @@ namespace {
 SessionManagerOptions SmallOptions() {
   SessionManagerOptions options;
   options.num_workers = 2;
-  // 256 bytes of caches + room for exactly two 256-byte query slices.
+  // 256 bytes of metadata cache + room for exactly two 256-byte query
+  // slices.
   options.global_memory_budget_bytes = 768;
   options.per_query_memory_budget_bytes = 256;
-  options.block_cache_bytes = 128;
-  options.metadata_cache_bytes = 128;
+  options.metadata_cache_bytes = 256;
   options.max_queued_queries = 4;
   options.admission_queue_timeout_millis = 200;
   return options;
@@ -67,6 +67,15 @@ TEST(MemoryBudgetTest, BudgetReservationReleasesOnDestruction) {
     EXPECT_EQ(r.bytes(), 4096u);
   }
   EXPECT_EQ(root.used(), 0u);
+}
+
+TEST(SessionManagerTest, CachesChildCommitsExactlyTheMetadataCacheBudget) {
+  SessionManager manager(SmallOptions());
+  // Before any query: the root holds only the "caches" child, sized to the
+  // one cache the manager owns.
+  EXPECT_EQ(manager.root_budget()->used(), 256u);
+  ASSERT_NE(manager.cache_manager()->metadata_cache(), nullptr);
+  EXPECT_EQ(manager.cache_manager()->metadata_cache()->capacity(), 256u);
 }
 
 TEST(SessionManagerTest, AdmitsWithinTheGlobalBudget) {

@@ -20,15 +20,15 @@ isn't — worth a human look). An invariant metric present in the current run
 but absent from its baseline also fails (the bench emits a counter the
 baseline predates — refresh the baseline so the new counter is gated too).
 
-Refreshing baselines after an intentional behavior change:
+Refreshing baselines after an intentional behavior change (reruns every
+bench that has a baseline, so none is left stale):
 
     cmake --build build -j
-    MINIHIVE_BENCH_SMOKE=1 MINIHIVE_BENCH_OUT_DIR=bench/baseline \
-        ./build/bench/bench_micro_shuffle
-    MINIHIVE_BENCH_SMOKE=1 MINIHIVE_BENCH_OUT_DIR=bench/baseline \
-        ./build/bench/bench_micro_kernels
-    MINIHIVE_BENCH_SMOKE=1 MINIHIVE_BENCH_OUT_DIR=bench/baseline \
-        ./build/bench/bench_fig12_vectorized
+    for f in bench/baseline/BENCH_*.json; do
+      name=$(basename "$f" .json)
+      MINIHIVE_BENCH_SMOKE=1 MINIHIVE_BENCH_OUT_DIR=bench/baseline \
+          "./build/bench/bench_${name#BENCH_}"
+    done
     git add bench/baseline  # and explain the shift in the commit message
 
 Exit status: 0 when all compared metrics pass, 1 on any failure or on a
