@@ -183,20 +183,6 @@ void BM_SimdArithColColF64(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdArithColColF64)->ArgName("simd")->Arg(0)->Arg(1);
 
-void BM_SimdHashBytes(benchmark::State& state) {
-  // Multi-column group-by keys land in the 32-128 byte range.
-  Random rng(7);
-  std::string key = rng.NextString(96);
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    sink += simd::HashBytes(reinterpret_cast<const uint8_t*>(key.data()),
-                            key.size(), 0);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetBytesProcessed(state.iterations() * key.size());
-}
-BENCHMARK(BM_SimdHashBytes);
-
 // ---- ORC integer RLE vs raw varints.
 
 void BM_IntRleEncodeMonotonic(benchmark::State& state) {

@@ -314,7 +314,7 @@ void AggBuffer::Update(const Row& row) {
         double_acc_ += v.AsDouble();
         use_double_ = true;
       } else {
-        int_acc_ += v.AsInt();
+        int_acc_ = WrapAdd(int_acc_, v.AsInt());
       }
       ++count_;
       has_value_ = true;
@@ -344,7 +344,7 @@ void AggBuffer::Merge(const Row& row, int offset) {
           double_acc_ += row[offset].AsDouble();
           use_double_ = true;
         } else {
-          int_acc_ += row[offset].AsInt();
+          int_acc_ = WrapAdd(int_acc_, row[offset].AsInt());
         }
         has_value_ = true;
       }

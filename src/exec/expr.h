@@ -99,6 +99,13 @@ struct AggDesc {
   TypeKind ResultType() const;
 };
 
+/// Integer SUM's addition: two's-complement wraparound, identical in the
+/// row and vectorized engines (signed overflow itself would be undefined).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Streaming aggregation state for one group and one aggregate.
 class AggBuffer {
  public:

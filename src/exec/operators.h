@@ -22,7 +22,9 @@ namespace minihive::exec {
 /// that instantiates the operator (tasks run on worker threads, hence the
 /// atomics). `nanos` is inclusive of children — the push model means a
 /// parent's Process frame contains its children's work, exactly like Hive's
-/// per-operator wall times.
+/// per-operator wall times. Vectorized pipelines time each stage once per
+/// batch instead (see RunVectorizedMapPipeline): scan and filter nanos are
+/// the stage's own time.
 struct OperatorStats {
   std::atomic<uint64_t> rows_in{0};
   std::atomic<uint64_t> rows_out{0};

@@ -1,6 +1,7 @@
 #include "orc/reader.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
 #include "common/cache.h"
@@ -13,6 +14,14 @@
 namespace minihive::orc {
 
 namespace {
+
+/// Process-wide source of dictionary versions (see
+/// vec::BytesColumnVector::dictionary_version): unique across readers, so a
+/// consumer never mistakes one stripe's codes for another's.
+uint64_t NextDictionaryVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 // Process-wide I/O counters (resolved once; registry pointers are stable).
 telemetry::Counter* DataBytesRead() {
@@ -339,6 +348,7 @@ struct ColumnNode {
   // Per-stripe state.
   ColumnEncoding encoding = ColumnEncoding::kDirect;
   std::vector<std::string> dict;
+  uint64_t dict_version = 0;  // NextDictionaryVersion() of `dict`.
   std::unique_ptr<StreamReader> present_stream;
   std::unique_ptr<StreamReader> data_stream;
   std::unique_ptr<StreamReader> length_stream;
@@ -925,6 +935,7 @@ class OrcReader::Impl {
             data_stream->ReadRaw(static_cast<uint64_t>(lengths[i]), &entry));
         node->dict[i] = entry;
       }
+      node->dict_version = NextDictionaryVersion();
     }
     dict_data_tmp_.clear();
     dict_length_tmp_.clear();
@@ -1287,26 +1298,11 @@ class OrcReader::Impl {
       }
       case vec::VectorKind::kBytes: {
         auto* vec = static_cast<vec::BytesColumnVector*>(base);
-        bool dict = node->encoding == ColumnEncoding::kDictionary;
-        // is-repeating detection (paper §6.2): a dictionary column whose
-        // batch references a single entry with no nulls materializes once.
-        if (dict && no_nulls && n > 0) {
-          bool constant = true;
-          int64_t first = node->ints[node->nn_cur];
-          for (int i = 1; i < n; ++i) {
-            if (node->ints[node->nn_cur + i] != first) {
-              constant = false;
-              break;
-            }
-          }
-          if (constant) {
-            vec->SetVal(0, node->dict[static_cast<size_t>(first)]);
-            vec->is_repeating = true;
-            node->nn_cur += n;
-            node->inst_cur += n;
-            return Status::OK();
-          }
+        if (node->encoding == ColumnEncoding::kDictionary) {
+          MINIHIVE_RETURN_IF_ERROR(FillDictionaryCodes(node, vec, n));
+          break;
         }
+        vec->dictionary = nullptr;
         for (int i = 0; i < n; ++i) {
           bool p = no_nulls || node->present[node->inst_cur + i];
           if (!p) {
@@ -1319,18 +1315,47 @@ class OrcReader::Impl {
             vec->SetVal(i, std::string_view());
             continue;
           }
-          if (dict) {
-            vec->SetVal(i, node->dict[static_cast<size_t>(node->ints[j])]);
-          } else {
-            auto [off, len] = node->str_spans[j];
-            vec->SetVal(i,
-                        std::string_view(node->arena).substr(off, len));
-          }
+          auto [off, len] = node->str_spans[j];
+          vec->SetVal(i, std::string_view(node->arena).substr(off, len));
         }
         break;
       }
     }
     node->inst_cur += n;
+    return Status::OK();
+  }
+
+  /// Dictionary-encoded string column: hands the stripe dictionary to the
+  /// vector and writes one code per slot (-1 for NULL) instead of copying
+  /// value bytes, so dead rows cost nothing extra. A batch referencing a
+  /// single entry with no nulls is marked is-repeating (paper §6.2).
+  /// Advances the non-null cursor; the caller advances the instance cursor.
+  Status FillDictionaryCodes(ColumnNode* node, vec::BytesColumnVector* vec,
+                             int n) {
+    const bool no_nulls = node->present.empty();
+    const uint64_t dict_size = node->dict.size();
+    vec->dictionary = &node->dict;
+    vec->dictionary_version = node->dict_version;
+    int32_t* codes = vec->codes.data();
+    const int64_t* ids = node->ints.data() + node->nn_cur;
+    int nonnull = 0;
+    for (int i = 0; i < n; ++i) {
+      if (!no_nulls && !node->present[node->inst_cur + i]) {
+        codes[i] = -1;
+        continue;
+      }
+      int64_t id = ids[nonnull++];
+      if (static_cast<uint64_t>(id) >= dict_size) {
+        return Status::Corruption("dictionary id out of range");
+      }
+      codes[i] = static_cast<int32_t>(id);
+    }
+    if (no_nulls && n > 0 &&
+        std::all_of(codes + 1, codes + n,
+                    [first = codes[0]](int32_t c) { return c == first; })) {
+      vec->is_repeating = true;
+    }
+    node->nn_cur += nonnull;
     return Status::OK();
   }
 

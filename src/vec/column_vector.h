@@ -68,23 +68,32 @@ class DoubleColumnVector : public ColumnVector {
   std::vector<double> vector;
 };
 
-/// Vector of byte sequences. Values live in a per-batch arena and are
-/// addressed by (offset, length); this keeps value bytes contiguous (cache
-/// friendly, no per-value allocation) and avoids dangling-pointer hazards
-/// when the arena grows.
+/// Vector of byte sequences, in one of two representations:
+///  - direct: values live in a per-batch arena and are addressed by
+///    (offset, length); this keeps value bytes contiguous (cache friendly, no
+///    per-value allocation) and avoids dangling-pointer hazards when the
+///    arena grows.
+///  - dictionary: `dictionary` is set and slot i holds `codes[i]`, an index
+///    into it (-1 for a NULL slot). The ORC reader hands its stripe
+///    dictionary through this way instead of copying each value's bytes.
+///    `dictionary_version` names one dictionary incarnation: the same
+///    pointer can hold a different stripe's dictionary in a later batch, so
+///    anything keyed by code must re-key when the version changes.
 class BytesColumnVector : public ColumnVector {
  public:
   explicit BytesColumnVector(int capacity = kDefaultBatchSize)
       : ColumnVector(VectorKind::kBytes, capacity),
         offset(capacity, 0),
-        length(capacity, 0) {}
+        length(capacity, 0),
+        codes(capacity, 0) {}
 
   void Reset() override {
     ColumnVector::Reset();
     arena.clear();
+    dictionary = nullptr;
   }
 
-  /// Copies `value` into the arena and points slot i at it.
+  /// Copies `value` into the arena and points slot i at it (direct mode).
   void SetVal(int i, std::string_view value) {
     offset[i] = arena.size();
     arena.append(value.data(), value.size());
@@ -92,14 +101,24 @@ class BytesColumnVector : public ColumnVector {
   }
 
   std::string_view GetView(int i) const {
+    if (dictionary != nullptr) {
+      int32_t code = codes[i];
+      return code < 0 ? std::string_view()
+                      : std::string_view((*dictionary)[code]);
+    }
     return std::string_view(arena.data() + offset[i],
                             static_cast<size_t>(length[i]));
   }
 
   std::vector<size_t> offset;
   std::vector<int32_t> length;
-  /// Backing storage for the batch's values.
+  /// Backing storage for the batch's values (direct mode).
   std::string arena;
+  /// Dictionary mode: entries the codes index; not owned, valid until the
+  /// producer's next fill of this vector.
+  const std::vector<std::string>* dictionary = nullptr;
+  uint64_t dictionary_version = 0;
+  std::vector<int32_t> codes;
 };
 
 using ColumnVectorPtr = std::unique_ptr<ColumnVector>;

@@ -1,7 +1,6 @@
 #include "vec/simd.h"
 
 #include <atomic>
-#include <cstring>
 
 #if defined(__x86_64__) && !defined(MINIHIVE_DISABLE_SIMD)
 #define MINIHIVE_SIMD_AVX2 1
@@ -81,19 +80,6 @@ inline double ApplyF64(Arith op, double a, double b) {
     case Arith::kDiv: return b == 0 ? 0 : a / b;
   }
   return 0;
-}
-
-uint64_t HashMix(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 29;
-  return h;
-}
-
-uint64_t LoadLane(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
 }
 
 #ifdef MINIHIVE_SIMD_AVX2
@@ -463,34 +449,6 @@ void ArithColColF64(Arith op, const double* a, const double* b, int n,
   }
 #endif
   for (int i = 0; i < n; ++i) out[i] = ApplyF64(op, a[i], b[i]);
-}
-
-// 32-byte blocks feed 4 independent 64-bit lanes (lane = mix(lane ^ input)),
-// then the lanes, the tail bytes and the length fold into one value. Scalar
-// only: the compiler keeps the 4 lanes in registers, and an AVX2 arm with
-// its emulated 64-bit multiply measured slower.
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t lanes[4] = {seed ^ 0x9e3779b97f4a7c15ULL, seed + 0x6a09e667f3bcc909ULL,
-                       seed ^ 0xbf58476d1ce4e5b9ULL, seed + 0x94d049bb133111ebULL};
-  const size_t blocks = n / 32;
-  for (size_t b = 0; b < blocks; ++b) {
-    const uint8_t* base = p + b * 32;
-    for (int lane = 0; lane < 4; ++lane) {
-      lanes[lane] = HashMix(lanes[lane] ^ LoadLane(base + lane * 8));
-    }
-  }
-  uint64_t h = lanes[0];
-  h = HashMix(h ^ lanes[1]);
-  h = HashMix(h ^ lanes[2]);
-  h = HashMix(h ^ lanes[3]);
-  uint64_t t = 0;
-  for (size_t i = blocks * 32; i < n; ++i) {
-    t = (t << 8) | p[i];
-  }
-  h = HashMix(h ^ t);
-  h = HashMix(h ^ static_cast<uint64_t>(n));
-  return h;
 }
 
 }  // namespace minihive::simd

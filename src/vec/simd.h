@@ -5,14 +5,16 @@
 #include <cstdint>
 
 /// Explicit-SIMD kernels for the vectorized hot paths: batch comparisons,
-/// selection-mask compaction, arithmetic, and byte hashing.
+/// selection-mask compaction and arithmetic. Group-by keys are not hashed
+/// here: the vectorized aggregator maps them to dense ids instead (see
+/// vectorized_pipeline.cc). The CRC-32's PCLMULQDQ arm dispatches on its own
+/// (common/crc32.cc): it follows cpuid and `MINIHIVE_DISABLE_SIMD`, not
+/// `SetEnabled`.
 ///
 /// Dispatch rules:
-///  - Every kernel except HashBytes has a scalar implementation and (on
-///    x86-64) an AVX2 implementation compiled with a per-function target
-///    attribute, so the binary runs on any CPU and upgrades itself at
-///    runtime via cpuid. HashBytes is scalar only: an AVX2 arm must emulate
-///    the 64-bit multiply and is slower.
+///  - Every kernel has a scalar implementation and (on x86-64) an AVX2
+///    implementation compiled with a per-function target attribute, so the
+///    binary runs on any CPU and upgrades itself at runtime via cpuid.
 ///  - `SetEnabled(false)` forces the scalar arm process-wide (tests and
 ///    benches toggle it to diff the two arms); `MINIHIVE_DISABLE_SIMD`
 ///    compiles the AVX2 arm out entirely (the CI scalar-fallback leg).
@@ -66,10 +68,6 @@ void ArithColColI64(Arith op, const int64_t* a, const int64_t* b, int n,
                     int64_t* out);
 void ArithColColF64(Arith op, const double* a, const double* b, int n,
                     double* out);
-
-/// 4-lane byte hash (group-by tables / shuffle keys). Deterministic: the
-/// same bytes and seed always give the same value.
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed = 0);
 
 }  // namespace minihive::simd
 

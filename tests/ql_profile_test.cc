@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/json.h"
 #include "common/random.h"
 #include "datagen/loader.h"
@@ -159,6 +161,59 @@ TEST_F(ProfileTest, EnableProfilingOptionWithoutExplain) {
   EXPECT_EQ(result.plan_text.find("query:"), std::string::npos);
   EXPECT_NE(result.profile->FindDescendant("execute"), nullptr);
   EXPECT_EQ(driver.LastProfile(), result.profile);
+}
+
+
+// Vectorized stages time themselves once per batch: EXPLAIN PROFILE of a
+// vectorized Q1-shaped query reports nonzero scan, filter and group-by time.
+TEST_F(ProfileTest, VectorizedStagesAreTimed) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 20000; ++i) {
+    rows.push_back({Value::Int(i % 500), Value::String(i % 3 ? "A" : "N"),
+                    Value::Double(i * 0.25)});
+  }
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "items",
+                  *TypeDescription::Parse(
+                      "struct<i_day:bigint,i_flag:string,i_price:double>"),
+                  formats::FormatKind::kOrcFile,
+                  codec::CompressionKind::kNone, rows, 2)
+                  .ok());
+  DriverOptions options;
+  options.vectorized_execution = true;
+  Driver driver(fs_.get(), catalog_.get(), options);
+  QueryResult result = MustExecute(
+      &driver,
+      "EXPLAIN PROFILE SELECT i_flag, SUM(i_price) AS s, COUNT(*) AS c "
+      "FROM items WHERE i_day <= 400 GROUP BY i_flag");
+  ASSERT_EQ(result.rows.size(), 2u);
+  ASSERT_NE(result.profile, nullptr);
+  const telemetry::Span* execute = result.profile->FindDescendant("execute");
+  ASSERT_NE(execute, nullptr);
+  const telemetry::Span* map_job = nullptr;
+  for (const telemetry::Span* job : execute->children()) {
+    if (job->name().rfind("job:", 0) == 0) {
+      map_job = job;
+      break;
+    }
+  }
+  ASSERT_NE(map_job, nullptr);
+  std::map<std::string, int64_t> nanos;  // First span of each kind.
+  for (const telemetry::Span* op : map_job->children()) {
+    if (op->name().rfind("op:", 0) != 0) continue;
+    std::string kind = op->name().substr(3, op->name().find('#') - 3);
+    nanos.emplace(kind, op->duration_nanos());
+    if (kind == "TS") {
+      // Only vectorized pipelines count batches: no row-mode fallback.
+      json::Writer w;
+      op->WriteJson(&w, /*include_timing=*/false);
+      EXPECT_NE(w.str().find("\"batches\""), std::string::npos) << w.str();
+    }
+  }
+  for (const char* kind : {"TS", "FIL", "GBY"}) {
+    ASSERT_TRUE(nanos.count(kind)) << kind << " span missing";
+    EXPECT_GT(nanos[kind], 0) << kind << " reported no time";
+  }
 }
 
 }  // namespace
