@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "common/bytes.h"
@@ -30,7 +31,9 @@ std::string SerializeKey(const Row& key) {
     } else if (v.is_double()) {
       double d = v.AsDouble();
       // Integral doubles serialize like ints so 3 == 3.0 joins correctly.
-      if (d == static_cast<int64_t>(d)) {
+      // The range check comes first: casting a double outside int64 (or
+      // NaN/inf) is undefined behaviour. Such keys keep their double bits.
+      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
         out.push_back(1);
         PutVarintSigned64(&out, static_cast<int64_t>(d));
       } else {

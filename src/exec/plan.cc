@@ -21,6 +21,18 @@ const char* OpKindName(OpKind kind) {
   return "?";
 }
 
+void OpDesc::InsertAbove(OpDesc* child, const OpDescPtr& op) {
+  OpDesc* parent = child->parents[0];
+  for (OpDescPtr& edge : parent->children) {
+    if (edge.get() != child) continue;
+    op->children.push_back(edge);
+    op->parents.push_back(parent);
+    child->parents[0] = op.get();
+    edge = op;
+    return;
+  }
+}
+
 OpDescPtr MakeOp(OpKind kind) {
   static std::atomic<int> next_id{0};
   auto op = std::make_shared<OpDesc>();
@@ -59,7 +71,12 @@ std::string OpDesc::DebugString(int indent) const {
       s += " inputs=" + std::to_string(join_num_inputs);
       break;
     case OpKind::kMapJoin:
-      s += " small_sides=" + std::to_string(mapjoin_small_sides.size());
+      for (const MapJoinSmallSide& side : mapjoin_small_sides) {
+        s += " small=" + side.table_name;
+        if (side.build_filter != nullptr) {
+          s += " build_filter=" + side.build_filter->ToString();
+        }
+      }
       break;
     case OpKind::kFileSink:
       s += " path=" + sink_path_prefix;

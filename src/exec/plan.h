@@ -162,6 +162,8 @@ struct OpDesc {
     parent->children.push_back(child);
     child->parents.push_back(parent.get());
   }
+  /// Splices `op` into `child`'s single input edge: parent -> op -> child.
+  static void InsertAbove(OpDesc* child, const OpDescPtr& op);
 
   std::string DebugString(int indent = 0) const;
 };

@@ -309,24 +309,12 @@ Result<SubPlan> QueryPlanner::PlanJoin(SubPlan left, const AstJoin& join) {
         OpDescPtr filter = MakeOp(OpKind::kFilter);
         filter->predicate = *right_only;
         filter->output_width = right.width();
-        OpDesc* rs_parent = rs_right->parents[0];
-        filter->parents.push_back(rs_parent);
-        for (OpDescPtr& child : rs_parent->children) {
-          if (child == rs_right) child = filter;
-        }
-        rs_right->parents[0] = filter.get();
-        filter->children.push_back(rs_right);
+        OpDesc::InsertAbove(rs_right.get(), filter);
       } else if (left_only.ok() && !join.left_outer) {
         OpDescPtr filter = MakeOp(OpKind::kFilter);
         filter->predicate = *left_only;
         filter->output_width = left.width();
-        OpDesc* rs_parent = rs_left->parents[0];
-        filter->parents.push_back(rs_parent);
-        for (OpDescPtr& child : rs_parent->children) {
-          if (child == rs_left) child = filter;
-        }
-        rs_left->parents[0] = filter.get();
-        filter->children.push_back(rs_left);
+        OpDesc::InsertAbove(rs_left.get(), filter);
       } else {
         if (join.left_outer) {
           return Status::NotImplemented(

@@ -19,7 +19,10 @@ namespace minihive::ql {
 /// Session-level switches — each maps to one of the paper's advancements so
 /// the benchmarks can toggle them independently.
 struct DriverOptions {
-  /// Column pruning + SARG pushdown into scans (ORC PPD, §4.2).
+  /// Predicate pushdown (ORC PPD, §4.2, hive.optimize.ppd): WHERE
+  /// conjuncts move below joins onto the input they reference, and scan
+  /// chains' filters become SARGs. Off leaves the WHERE Filter above the
+  /// last join and scans without SARGs; column pruning runs either way.
   bool predicate_pushdown = true;
   /// Reduce-Join -> Map-Join conversion with its per-join Map-only job.
   bool mapjoin_conversion = true;

@@ -166,11 +166,125 @@ void CollectConjunctExprs(const ExprPtr& e, std::vector<ExprPtr>* out) {
   }
 }
 
+ExprPtr AndOf(const std::vector<ExprPtr>& conjuncts) {
+  ExprPtr out;
+  for (const ExprPtr& c : conjuncts) {
+    out = out == nullptr ? c : Expr::Binary(ExprKind::kAnd, out, c);
+  }
+  return out;
+}
+
+/// Removes a single-parent, single-child Filter from the plan.
+void SpliceOutFilter(const OpDescPtr& filter) {
+  OpDesc* parent = filter->parents[0];
+  OpDescPtr child = filter->children[0];
+  ReplaceChildEdge(parent, filter.get(), child);
+  DropParentEdge(child.get(), filter.get());
+}
+
+/// Moves the conjuncts of the Filter chain directly above `join` (a
+/// two-input Join fed by tagged ReduceSinks) onto the join input whose value
+/// columns they reference: each lands in a new Filter just above that
+/// input's ReduceSink, remapped through the sink's column values. Tag 0 is
+/// an inner or the preserved side; tag 1 qualifies only for inner joins.
+/// Cross-side and constant conjuncts stay. Returns true if anything moved.
+bool PushFiltersBelowJoin(OpDesc* join) {
+  OpDesc* rs_by_tag[2] = {nullptr, nullptr};
+  for (OpDesc* parent : join->parents) {
+    if (parent->kind == OpKind::kReduceSink && parent->sink_tag >= 0 &&
+        parent->sink_tag < 2 && parent->parents.size() == 1 &&
+        parent->children.size() == 1) {
+      rs_by_tag[parent->sink_tag] = parent;
+    }
+  }
+  if (join->join_value_widths.size() != 2 || join->join_sides.size() != 2) {
+    return false;
+  }
+  // mapping[t][c]: join output column c -> input column of tag t, or -1.
+  std::vector<int> mapping[2];
+  int offset = join->join_key_width;
+  for (int t = 0; t < 2; ++t) {
+    mapping[t].assign(join->output_width, -1);
+    const OpDesc* rs = rs_by_tag[t];
+    bool eligible = rs != nullptr && (t == 0 || join->join_sides[1] ==
+                                                    exec::JoinSideKind::kInner);
+    int width = join->join_value_widths[t];
+    for (int v = 0; eligible && v < width; ++v) {
+      if (v < static_cast<int>(rs->sink_values.size()) &&
+          rs->sink_values[v]->kind() == ExprKind::kColumn &&
+          offset + v < join->output_width) {
+        mapping[t][offset + v] = rs->sink_values[v]->column_index();
+      }
+    }
+    offset += width;
+  }
+
+  bool moved = false;
+  std::vector<ExprPtr> pushed[2];
+  OpDesc* cur = join;
+  while (cur->children.size() == 1 &&
+         cur->children[0]->kind == OpKind::kFilter &&
+         cur->children[0]->parents.size() == 1) {
+    OpDescPtr filter = cur->children[0];
+    std::vector<ExprPtr> conjuncts, kept;
+    CollectConjunctExprs(filter->predicate, &conjuncts);
+    for (const ExprPtr& c : conjuncts) {
+      std::vector<int> columns;
+      c->CollectColumns(&columns);
+      int target = -1;
+      for (int t = 0; t < 2 && target < 0 && !columns.empty(); ++t) {
+        bool all_mapped = true;
+        for (int col : columns) {
+          if (col < 0 || col >= join->output_width || mapping[t][col] < 0) {
+            all_mapped = false;
+          }
+        }
+        if (all_mapped) target = t;
+      }
+      if (target < 0) {
+        kept.push_back(c);
+      } else {
+        pushed[target].push_back(c->RemapColumns(mapping[target]));
+      }
+    }
+    if (kept.size() == conjuncts.size()) {
+      cur = filter.get();
+      continue;
+    }
+    moved = true;
+    if (kept.empty()) {
+      SpliceOutFilter(filter);  // `cur` keeps its place in the chain.
+    } else {
+      filter->predicate = AndOf(kept);
+      cur = filter.get();
+    }
+  }
+  for (int t = 0; t < 2; ++t) {
+    if (pushed[t].empty()) continue;
+    OpDescPtr filter = MakeOp(OpKind::kFilter);
+    filter->predicate = AndOf(pushed[t]);
+    filter->output_width = rs_by_tag[t]->parents[0]->output_width;
+    OpDesc::InsertAbove(rs_by_tag[t], filter);
+  }
+  return moved;
+}
+
 }  // namespace
 
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs) {
-  std::vector<OpDescPtr> ops;
-  CollectOps(plan->roots, &ops);
+  // Predicate pushdown through joins first, so the scan walk below sees
+  // every conjunct that can reach a scan's chain.
+  for (bool moved = attach_sargs; moved;) {
+    moved = false;
+    std::vector<OpDescPtr> ops;
+    CollectOps(plan->roots, &ops);
+    for (const OpDescPtr& op : ops) {
+      if (op->kind == OpKind::kJoin && op->join_num_inputs == 2 &&
+          op->parents.size() == 2) {
+        moved = PushFiltersBelowJoin(op.get()) || moved;
+      }
+    }
+  }
   for (const OpDescPtr& scan : plan->roots) {
     if (scan->kind != OpKind::kTableScan || !scan->scan_temp_prefix.empty()) {
       continue;

@@ -6,13 +6,21 @@
 
 namespace minihive::ql {
 
-/// Column pruning + predicate pushdown into scans: sets each TableScan's
-/// projection to the columns its pipeline actually uses, and converts
-/// SARG-able filter conjuncts (col op literal) into a SearchArgument the
-/// ORC reader evaluates against its statistics (paper §4.2).
-/// `attach_sargs` controls predicate pushdown only; column pruning always
-/// runs (it is baseline Hive behaviour, not one of the paper's
-/// advancements).
+/// Predicate pushdown + column pruning into scans (paper §4.2).
+///  1. Conjuncts of the Filters directly above a two-input Join move to a
+///     Filter just above the ReduceSink of the input whose value columns
+///     they reference (either side of an inner join; only the preserved
+///     tag-0 side of a LEFT OUTER join), repeated until nothing moves.
+///     Cross-side and constant conjuncts stay; emptied Filters are removed;
+///     nothing moves through Select, GroupBy or Limit. A dimension's
+///     conjuncts thus reach its TS <- Filter* chain, which ConvertMapJoins
+///     folds into the map join's build_filter.
+///  2. Each TableScan's projection becomes the columns its pipeline uses,
+///     and SARG-able conjuncts (col op literal) on its Filter chain become a
+///     SearchArgument the ORC reader evaluates against its statistics.
+/// `attach_sargs` (DriverOptions::predicate_pushdown) gates step 1 and the
+/// SARGs; column pruning always runs (it is baseline Hive behaviour, not
+/// one of the paper's advancements).
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs);
 
 /// Converts eligible Reduce Joins into Map Joins (paper §5.1): a join side

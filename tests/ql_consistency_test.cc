@@ -77,7 +77,7 @@ class ConsistencyTest
     auto sales_schema = *TypeDescription::Parse(
         "struct<sale_id:bigint,cust:bigint,item:bigint,qty:bigint,"
         "price:double,note:string>");
-    std::vector<Row> sales;
+    std::vector<Row>& sales = sales_;
     for (int i = 0; i < 4000; ++i) {
       sales.push_back(
           {Value::Int(i), Value::Int(rng.Range(0, 49)),
@@ -91,7 +91,7 @@ class ConsistencyTest
                     .ok());
     auto items_schema = *TypeDescription::Parse(
         "struct<item_id:bigint,category:string,cost:double>");
-    std::vector<Row> items;
+    std::vector<Row>& items = items_;
     for (int i = 0; i < 20; ++i) {
       items.push_back({Value::Int(i),
                        Value::String(i % 2 == 0 ? "widget" : "gadget"),
@@ -99,6 +99,21 @@ class ConsistencyTest
     }
     ASSERT_TRUE(datagen::CreateAndLoad(catalog_.get(), "items", items_schema,
                                        format, codec, items)
+                    .ok());
+    // Customers 0..39 only: sales of customers 40..49 have no match (the
+    // anti-join rows). One row has a NULL key and some tiers are NULL.
+    static const char* const kRegions[] = {"north", "south", "east", "west"};
+    for (int i = 0; i < 40; ++i) {
+      custs_.push_back({Value::Int(i), Value::String(kRegions[i % 4]),
+                        i % 5 == 0 ? Value::Null() : Value::Int(i % 3)});
+    }
+    custs_.push_back(
+        {Value::Null(), Value::String("north"), Value::Int(1)});
+    ASSERT_TRUE(datagen::CreateAndLoad(
+                    catalog_.get(), "custs",
+                    *TypeDescription::Parse(
+                        "struct<cust_id:bigint,region:string,tier:bigint>"),
+                    format, codec, custs_)
                     .ok());
   }
 
@@ -145,6 +160,7 @@ class ConsistencyTest
 
   std::unique_ptr<dfs::FileSystem> fs_;
   std::unique_ptr<Catalog> catalog_;
+  std::vector<Row> sales_, items_, custs_;
 };
 
 TEST_P(ConsistencyTest, FilterProjection) {
@@ -195,6 +211,96 @@ TEST_P(ConsistencyTest, OrderByDescWithLimit) {
   ExpectConsistent(
       "SELECT sale_id, price FROM sales WHERE price IS NOT NULL "
       "ORDER BY price DESC, sale_id ASC LIMIT 25");
+}
+
+TEST_P(ConsistencyTest, StarJoinDimensionOnlyWhere) {
+  ExpectConsistent(
+      "SELECT category, region, SUM(qty) AS q, COUNT(*) AS n FROM sales "
+      "JOIN items ON sales.item = items.item_id "
+      "JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE category = 'widget' AND region = 'north' AND tier = 1 "
+      "GROUP BY category, region");
+}
+
+TEST_P(ConsistencyTest, CrossSideWhere) {
+  ExpectConsistent(
+      "SELECT sale_id, cost FROM sales "
+      "JOIN items ON sales.item = items.item_id "
+      "WHERE price > cost * 4.0 AND qty + item_id > 12");
+}
+
+TEST_P(ConsistencyTest, AntiJoinWhereRhsKeyIsNull) {
+  ExpectConsistent(
+      "SELECT sale_id, cust FROM sales "
+      "LEFT JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE custs.cust_id IS NULL");
+}
+
+TEST_P(ConsistencyTest, LeftJoinPreservedSideWhere) {
+  ExpectConsistent(
+      "SELECT sale_id, region, tier FROM sales "
+      "LEFT JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE qty >= 8 AND note = 'note-3' AND tier IS NULL");
+}
+
+// Star-join and anti-join answers computed with plain loops over the
+// generated rows (no parser, planner or engine involved), checked across
+// pushdown x map-join x vectorized.
+TEST_P(ConsistencyTest, JoinPushdownMatchesLoopOracle) {
+  auto find = [](const std::vector<Row>& table, const Value& key) {
+    for (const Row& row : table) {
+      if (!row[0].is_null() && !key.is_null() &&
+          row[0].AsInt() == key.AsInt()) {
+        return &row;
+      }
+    }
+    return static_cast<const Row*>(nullptr);
+  };
+  const std::string star_sql =
+      "SELECT sale_id, category, region FROM sales "
+      "JOIN items ON sales.item = items.item_id "
+      "JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE category = 'gadget' AND region = 'east' AND qty > 3";
+  const std::string anti_sql =
+      "SELECT sale_id, qty FROM sales "
+      "LEFT JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE custs.cust_id IS NULL AND qty >= 5";
+  std::vector<std::string> star_expected, anti_expected;
+  for (const Row& sale : sales_) {
+    const Row* item = find(items_, sale[2]);
+    const Row* cust = find(custs_, sale[1]);
+    if (item != nullptr && cust != nullptr &&
+        (*item)[1].AsString() == "gadget" &&
+        (*cust)[1].AsString() == "east" && sale[3].AsInt() > 3) {
+      star_expected.push_back(sale[0].ToString() + "|gadget|east|");
+    }
+    if (cust == nullptr && sale[3].AsInt() >= 5) {
+      anti_expected.push_back(sale[0].ToString() + "|" + sale[3].ToString() +
+                              "|");
+    }
+  }
+  std::sort(star_expected.begin(), star_expected.end());
+  std::sort(anti_expected.begin(), anti_expected.end());
+  ASSERT_FALSE(star_expected.empty());
+  ASSERT_FALSE(anti_expected.empty());
+
+  for (int mask = 0; mask < 8; ++mask) {
+    DriverOptions o;
+    o.predicate_pushdown = (mask & 1) != 0;
+    o.mapjoin_conversion = (mask & 2) != 0;
+    o.vectorized_execution = (mask & 4) != 0;
+    Driver driver(fs_.get(), catalog_.get(), o);
+    for (const auto& [sql, expected] :
+         {std::pair(star_sql, &star_expected),
+          std::pair(anti_sql, &anti_expected)}) {
+      auto result = driver.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n" << sql;
+      EXPECT_EQ(Canonical(*result), *expected)
+          << sql << "\n  pushdown=" << o.predicate_pushdown
+          << " mapjoin=" << o.mapjoin_conversion
+          << " vectorized=" << o.vectorized_execution;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,8 @@
 
 #include "datagen/loader.h"
 #include "ql/driver.h"
+#include "ql/optimizer.h"
+#include "ql/parser.h"
 
 namespace minihive::ql {
 namespace {
@@ -42,6 +44,48 @@ class PlanShapeTest : public ::testing::Test {
     auto result = driver.Explain(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(result).ValueOrDie() : QueryResult();
+  }
+
+  /// Analyzes `sql` and runs only the scan/predicate pushdown pass, so the
+  /// operator DAG can be inspected before map-join conversion.
+  PlannedQuery Pushdown(const std::string& sql, bool predicate_pushdown) {
+    auto ast = ParseQuery(sql);
+    EXPECT_TRUE(ast.ok()) << ast.status().ToString();
+    auto plan = Analyzer(catalog_.get()).Analyze(**ast, "/tmp/shape-result");
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    PlannedQuery out = std::move(plan).ValueOrDie();
+    EXPECT_TRUE(PushdownIntoScans(&out, predicate_pushdown).ok());
+    return out;
+  }
+
+  static const exec::OpDesc* ScanOf(const PlannedQuery& plan,
+                                    const std::string& table) {
+    for (const exec::OpDescPtr& root : plan.roots) {
+      if (root->table_name == table) return root.get();
+    }
+    return nullptr;
+  }
+
+  /// The (single) reduce Join below `scan`, following first children.
+  static const exec::OpDesc* JoinBelow(const exec::OpDesc* scan) {
+    const exec::OpDesc* cur = scan;
+    while (cur != nullptr && cur->kind != exec::OpKind::kJoin) {
+      cur = cur->children.empty() ? nullptr : cur->children[0].get();
+    }
+    return cur;
+  }
+
+  /// Concatenated predicates of the Filters on the chain from `scan` to its
+  /// first non-Filter consumer.
+  static std::string ScanChainPredicates(const exec::OpDesc* scan) {
+    std::string out;
+    const exec::OpDesc* cur = scan;
+    while (cur->children.size() == 1 &&
+           cur->children[0]->kind == exec::OpKind::kFilter) {
+      cur = cur->children[0].get();
+      out += cur->predicate->ToString() + ";";
+    }
+    return out;
   }
 
   std::unique_ptr<dfs::FileSystem> fs_;
@@ -170,6 +214,100 @@ TEST_F(PlanShapeTest, PushdownPrunesScanColumns) {
   // text shows the table scan. (Indirect check: the query still plans to
   // one map-only job; pruning specifics are covered by the ORC I/O tests.)
   EXPECT_EQ(plan.num_jobs, 1);
+}
+
+TEST_F(PlanShapeTest, DimensionConjunctBecomesMapJoinBuildFilter) {
+  QueryResult plan = Plan(
+      "SELECT fact.v, dim.name FROM fact JOIN dim ON fact.k = dim.k "
+      "WHERE dim.name = 'd5'",
+      DriverOptions());
+  const std::string& text = plan.plan_text;
+  size_t mapjoin = text.find("MAPJOIN_");
+  ASSERT_NE(mapjoin, std::string::npos) << text;
+  std::string line = text.substr(mapjoin, text.find('\n', mapjoin) - mapjoin);
+  // The WHERE conjunct over dim's columns now filters the hash-table build.
+  EXPECT_NE(line.find("small=dim build_filter="), std::string::npos) << line;
+  EXPECT_NE(line.find("(c1 = d5)"), std::string::npos) << line;
+  // Nothing is left to filter above (downstream of) the map join.
+  EXPECT_EQ(text.find("FIL_", mapjoin), std::string::npos) << text;
+}
+
+TEST_F(PlanShapeTest, FactConjunctLandsOnScanChainAndSarg) {
+  PlannedQuery plan = Pushdown(
+      "SELECT fact.v, dim.name FROM fact JOIN dim ON fact.k = dim.k "
+      "WHERE fact.v > 100.0",
+      true);
+  const exec::OpDesc* fact = ScanOf(plan, "fact");
+  ASSERT_NE(fact, nullptr);
+  EXPECT_NE(ScanChainPredicates(fact).find("(c1 > 100"), std::string::npos)
+      << plan.DebugString();
+  ASSERT_NE(fact->sarg, nullptr);
+  bool has_leaf = false;
+  for (const orc::LeafPredicate& leaf : fact->sarg->leaves()) {
+    if (leaf.column == 1 && leaf.op == orc::PredicateOp::kGreaterThan) {
+      has_leaf = true;
+    }
+  }
+  EXPECT_TRUE(has_leaf);
+  // The WHERE Filter above the join was emptied and spliced out.
+  const exec::OpDesc* join = JoinBelow(fact);
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(join->children.size(), 1u);
+  EXPECT_NE(join->children[0]->kind, exec::OpKind::kFilter)
+      << plan.DebugString();
+  // The dimension's chain is untouched apart from its NOT NULL key filter.
+  EXPECT_EQ(ScanChainPredicates(ScanOf(plan, "dim")), "c0 IS NOT NULL;");
+}
+
+TEST_F(PlanShapeTest, AntiJoinIsNullStaysAboveLeftJoin) {
+  PlannedQuery plan = Pushdown(
+      "SELECT fact.k FROM fact LEFT JOIN dim ON fact.k = dim.k "
+      "WHERE dim.name IS NULL AND fact.v > 10.0",
+      true);
+  const exec::OpDesc* join = JoinBelow(ScanOf(plan, "fact"));
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(join->children.size(), 1u);
+  const exec::OpDesc* above = join->children[0].get();
+  ASSERT_EQ(above->kind, exec::OpKind::kFilter) << plan.DebugString();
+  // Null-supplying side: stays. Preserved side: moves to the fact scan.
+  EXPECT_NE(above->predicate->ToString().find("IS NULL"), std::string::npos);
+  EXPECT_EQ(above->predicate->ToString().find(">"), std::string::npos);
+  EXPECT_NE(ScanChainPredicates(ScanOf(plan, "fact")).find("(c1 > 10"),
+            std::string::npos)
+      << plan.DebugString();
+}
+
+TEST_F(PlanShapeTest, CrossSideConjunctStaysAboveJoin) {
+  PlannedQuery plan = Pushdown(
+      "SELECT fact.k FROM fact JOIN dim ON fact.k = dim.k "
+      "WHERE fact.v > dim.k",
+      true);
+  const exec::OpDesc* join = JoinBelow(ScanOf(plan, "fact"));
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(join->children.size(), 1u);
+  EXPECT_EQ(join->children[0]->kind, exec::OpKind::kFilter)
+      << plan.DebugString();
+  EXPECT_EQ(ScanChainPredicates(ScanOf(plan, "fact")), "c0 IS NOT NULL;");
+  EXPECT_EQ(ScanChainPredicates(ScanOf(plan, "dim")), "c0 IS NOT NULL;");
+}
+
+TEST_F(PlanShapeTest, PushdownOffLeavesJoinFilterInPlace) {
+  const std::string sql =
+      "SELECT fact.v FROM fact JOIN dim ON fact.k = dim.k "
+      "WHERE dim.name = 'd5' AND fact.v > 100.0";
+  auto ast = ParseQuery(sql);
+  ASSERT_TRUE(ast.ok());
+  auto analyzed = Analyzer(catalog_.get()).Analyze(**ast, "/tmp/shape-result");
+  ASSERT_TRUE(analyzed.ok());
+  std::string before = analyzed->DebugString();
+  ASSERT_TRUE(PushdownIntoScans(&*analyzed, false).ok());
+  EXPECT_EQ(analyzed->DebugString(), before);
+  for (const exec::OpDescPtr& root : analyzed->roots) {
+    EXPECT_EQ(root->sarg, nullptr);
+  }
+  const exec::OpDesc* join = JoinBelow(ScanOf(*analyzed, "fact"));
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(join->children[0]->kind, exec::OpKind::kFilter);
 }
 
 }  // namespace
