@@ -65,12 +65,14 @@ class ReadableFileImpl : public ReadableFile {
  public:
   ReadableFileImpl(FileSystem* fs, std::string path,
                    std::shared_ptr<const FileSystem::FileData> data,
-                   uint64_t block_size, uint64_t generation)
+                   uint64_t block_size, uint64_t generation,
+                   std::atomic<uint64_t>* bytes_read)
       : fs_(fs),
         path_(std::move(path)),
         data_(std::move(data)),
         block_size_(block_size),
-        generation_(generation) {}
+        generation_(generation),
+        bytes_read_(bytes_read) {}
 
   uint64_t Size() const override { return data_->contents.size(); }
   uint64_t Generation() const override { return generation_; }
@@ -92,6 +94,7 @@ class ReadableFileImpl : public ReadableFile {
     IoStats& stats = fs_->stats();
     stats.bytes_read += length;
     stats.read_ops += 1;
+    if (bytes_read_ != nullptr) *bytes_read_ += length;
     if (length > 0) {
       uint64_t first_block = offset / block_size_;
       uint64_t last_block = (offset + length - 1) / block_size_;
@@ -136,6 +139,7 @@ class ReadableFileImpl : public ReadableFile {
   std::shared_ptr<const FileSystem::FileData> data_;
   uint64_t block_size_;
   uint64_t generation_;
+  std::atomic<uint64_t>* bytes_read_;
 };
 
 }  // namespace
@@ -169,7 +173,8 @@ Result<std::unique_ptr<WritableFile>> FileSystem::Create(
       new WritableFileImpl(this, path, data, options_.block_size));
 }
 
-Result<std::shared_ptr<ReadableFile>> FileSystem::Open(const std::string& path) {
+Result<std::shared_ptr<ReadableFile>> FileSystem::Open(
+    const std::string& path, std::atomic<uint64_t>* bytes_read) {
   if (FaultInjector* faults = fault_injector()) {
     MINIHIVE_RETURN_IF_ERROR(faults->MaybeError(FaultSite::kOpen, path));
   }
@@ -193,7 +198,7 @@ Result<std::shared_ptr<ReadableFile>> FileSystem::Open(const std::string& path) 
     if (gen_it != generations_.end()) generation = gen_it->second;
   }
   return std::shared_ptr<ReadableFile>(new ReadableFileImpl(
-      this, path, data, options_.block_size, generation));
+      this, path, data, options_.block_size, generation, bytes_read));
 }
 
 Status FileSystem::Delete(const std::string& path) {

@@ -111,8 +111,11 @@ class FileSystem {
   /// Creates a file for writing; fails with AlreadyExists if present.
   Result<std::unique_ptr<WritableFile>> Create(const std::string& path);
 
-  /// Opens a closed file for reading.
-  Result<std::shared_ptr<ReadableFile>> Open(const std::string& path);
+  /// Opens a closed file for reading. When `bytes_read` is set, every
+  /// ReadAt on the handle also adds its length there: the per-task-attempt
+  /// count a query's profile reports, beside the cluster-wide IoStats.
+  Result<std::shared_ptr<ReadableFile>> Open(
+      const std::string& path, std::atomic<uint64_t>* bytes_read = nullptr);
 
   Status Delete(const std::string& path);
   /// Atomically renames a closed file (task output promotion). Fails with

@@ -795,7 +795,8 @@ Result<Operator*> BuildOperatorTree(
 
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query, uint64_t memory_budget_bytes) {
+    const QueryContext* query, uint64_t memory_budget_bytes,
+    mr::JobCounters* counters) {
   auto tables = std::make_shared<MapJoinTables>();
   uint64_t total_bytes = 0;
   uint64_t rows_scanned = 0;
@@ -808,6 +809,7 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
       formats::ReadOptions options;
       options.projected_columns = side.projection;
       options.delete_bitmap = FindDeleteBitmap(&source.delete_bitmaps, path);
+      options.counters = counters;
       MINIHIVE_ASSIGN_OR_RETURN(
           std::unique_ptr<formats::RowReader> reader,
           format->OpenReader(fs, path, source.schema, options));

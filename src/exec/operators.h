@@ -103,15 +103,13 @@ struct TaskContext {
   /// the per-row cost is then a single predictable branch.
   PipelineProfile* profile = nullptr;
   /// Attempt-local job counters; the pipeline that reads the split reports
-  /// input records here (the engine cannot see them otherwise).
+  /// input records here (the engine cannot see them otherwise), and its
+  /// readers count their bytes and scan work here.
   mr::JobCounters* counters = nullptr;
   /// Lifecycle governor for this task attempt (cancellation + deadlines).
   /// The pipeline driver polls it at row/batch boundaries; readers check it
   /// per index group. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
-  /// Let ORC readers use the session metadata cache (when one is installed
-  /// on the filesystem). Off = every task re-parses file tails.
-  bool use_metadata_cache = true;
   /// Two-phase late-materialized vectorized ORC scans (filter columns
   /// first, lazy columns only for surviving groups).
   bool enable_late_materialization = true;
@@ -214,9 +212,12 @@ using TableResolver =
 /// build with a typed ResourceExhausted, the signal the driver uses to fall
 /// back to the reduce-join backup plan instead of retrying. `query` (may be
 /// null) is polled while scanning so a cancelled query stops the build.
+/// The small-table readers count their work into `counters` (the local
+/// task attempt's; may be null).
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query = nullptr, uint64_t memory_budget_bytes = 0);
+    const QueryContext* query = nullptr, uint64_t memory_budget_bytes = 0,
+    mr::JobCounters* counters = nullptr);
 
 }  // namespace minihive::exec
 

@@ -4,6 +4,7 @@
 #include "formats/rcfile.h"
 #include "formats/seqfile.h"
 #include "formats/textfile.h"
+#include "mr/engine.h"
 
 namespace minihive::formats {
 
@@ -37,6 +38,13 @@ const FileFormat* GetFileFormat(FormatKind kind) {
       return orc;
   }
   return nullptr;
+}
+
+Result<std::shared_ptr<dfs::ReadableFile>> OpenCounted(
+    dfs::FileSystem* fs, const std::string& path, const ReadOptions& options) {
+  return fs->Open(path, options.counters != nullptr
+                            ? &options.counters->bytes_read
+                            : nullptr);
 }
 
 }  // namespace minihive::formats

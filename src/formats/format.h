@@ -20,6 +20,10 @@ namespace minihive::orc {
 class SearchArgument;  // Defined in orc/sarg.h; only ORC honours it.
 }  // namespace minihive::orc
 
+namespace minihive::mr {
+struct JobCounters;  // Defined in mr/engine.h.
+}  // namespace minihive::mr
+
 namespace minihive::formats {
 
 /// Identifies a storage format in the catalog and the task runtime.
@@ -50,13 +54,9 @@ struct ReadOptions {
   /// group) stops a long scan when the query is cancelled or a deadline
   /// passes. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
-  /// Serve/populate the session ORC metadata cache (no-op for formats
-  /// without cached metadata, and when the filesystem has no cache).
-  bool use_metadata_cache = true;
-  /// Two-phase late-materialized vectorized scans (ORC only): evaluate
-  /// row-evaluable pushed-down predicates first, decode remaining projected
-  /// columns only for surviving groups. Ignored by row-mode readers.
-  bool enable_late_materialization = true;
+  /// The reading task attempt's counters: every reader counts the DFS bytes
+  /// it reads there (ORC also its scan counts). Null = uncounted.
+  mr::JobCounters* counters = nullptr;
   /// Merge-on-read deletion marks for this file (mutable unique-key
   /// tables). Only ORC applies it — managed mutable tables are ORC-only —
   /// and the bitmap must outlive the reader. Null = no deletions.
@@ -94,6 +94,11 @@ class FileFormat {
 
 /// Returns the singleton implementation for `kind`.
 const FileFormat* GetFileFormat(FormatKind kind);
+
+/// Opens `path` for a reader, counting the bytes it reads into
+/// `options.counters` when set.
+Result<std::shared_ptr<dfs::ReadableFile>> OpenCounted(
+    dfs::FileSystem* fs, const std::string& path, const ReadOptions& options);
 
 }  // namespace minihive::formats
 

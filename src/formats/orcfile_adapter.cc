@@ -47,14 +47,11 @@ Result<std::unique_ptr<RowReader>> OrcFileFormatAdapter::OpenReader(
   orc::OrcReadOptions read_options;
   read_options.projected_fields = options.projected_columns;
   read_options.sarg = options.sarg;
-  read_options.use_index = options.sarg != nullptr;
   read_options.split_offset = options.split_offset;
   read_options.split_length = options.split_length;
   read_options.reader_host = options.reader_host;
   read_options.governor = options.governor;
-  read_options.use_metadata_cache = options.use_metadata_cache;
-  read_options.enable_late_materialization =
-      options.enable_late_materialization;
+  read_options.counters = options.counters;
   read_options.delete_bitmap = options.delete_bitmap;
   MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<orc::OrcReader> reader,
                             orc::OrcReader::Open(fs, path, read_options));

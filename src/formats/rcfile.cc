@@ -377,7 +377,7 @@ Result<std::unique_ptr<RowReader>> RcFileFormat::OpenReader(
     dfs::FileSystem* fs, const std::string& path, TypePtr schema,
     const ReadOptions& options) const {
   MINIHIVE_ASSIGN_OR_RETURN(std::shared_ptr<dfs::ReadableFile> file,
-                            fs->Open(path));
+                            OpenCounted(fs, path, options));
   return std::unique_ptr<RowReader>(new RcFileReader(
       std::move(file), std::move(schema), MakeSyncMarker(path), options));
 }

@@ -301,7 +301,7 @@ Result<std::unique_ptr<RowReader>> SequenceFileFormat::OpenReader(
     dfs::FileSystem* fs, const std::string& path, TypePtr schema,
     const ReadOptions& options) const {
   MINIHIVE_ASSIGN_OR_RETURN(std::shared_ptr<dfs::ReadableFile> file,
-                            fs->Open(path));
+                            OpenCounted(fs, path, options));
   return std::unique_ptr<RowReader>(
       new SeqFileReader(std::move(file), std::move(schema), options));
 }

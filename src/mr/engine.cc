@@ -424,6 +424,7 @@ class DispatchedJob {
     counters->transport_dispatches += outcome.dispatches;
     counters->transport_retries += outcome.retries;
     counters->speculative_launches += outcome.speculative_launches;
+    counters->speculative_losses += outcome.speculative_losses;
     if (outcome.speculative_won) counters->speculative_wins += 1;
     if (outcome.ran_local_fallback) counters->transport_fallbacks += 1;
     (kind == TaskKind::kMap ? counters->map_task_failures

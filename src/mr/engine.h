@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/query_context.h"
@@ -87,6 +88,22 @@ struct JobCounters {
   std::atomic<uint64_t> speculative_launches{0};
   std::atomic<uint64_t> speculative_wins{0};
   std::atomic<uint64_t> transport_fallbacks{0};
+  /// Speculative duplicates that lost to another launch of their task.
+  std::atomic<uint64_t> speculative_losses{0};
+  /// Scan work, counted where it happens: every DFS byte a reader of this
+  /// attempt read (ORC data, index and tail alike, plus row-format files),
+  /// and each ORC reader's stripe/index-group selection, late-
+  /// materialization skips and metadata-cache lookups, folded in once when
+  /// the reader closes.
+  std::atomic<uint64_t> bytes_read{0};
+  std::atomic<uint64_t> stripes_read{0};
+  std::atomic<uint64_t> stripes_skipped{0};
+  std::atomic<uint64_t> groups_read{0};
+  std::atomic<uint64_t> groups_skipped{0};
+  std::atomic<uint64_t> rows_late_skipped{0};
+  std::atomic<uint64_t> lazy_decodes_avoided{0};
+  std::atomic<uint64_t> metadata_cache_hits{0};
+  std::atomic<uint64_t> metadata_cache_misses{0};
   /// Wall time burnt in failed attempts (the retry tax), summed over tasks.
   std::atomic<int64_t> retried_task_nanos{0};
   /// Wall time of the map-join local task (all attempts).
@@ -103,7 +120,7 @@ struct JobCounters {
     T JobCounters::*member;
   };
 
-  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 17>
+  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 27>
   atomic_u64_fields() {
     return {{{"map_input_records", &JobCounters::map_input_records},
              {"map_output_records", &JobCounters::map_output_records},
@@ -121,7 +138,17 @@ struct JobCounters {
              {"transport_retries", &JobCounters::transport_retries},
              {"speculative_launches", &JobCounters::speculative_launches},
              {"speculative_wins", &JobCounters::speculative_wins},
-             {"transport_fallbacks", &JobCounters::transport_fallbacks}}};
+             {"transport_fallbacks", &JobCounters::transport_fallbacks},
+             {"speculative_losses", &JobCounters::speculative_losses},
+             {"bytes_read", &JobCounters::bytes_read},
+             {"stripes_read", &JobCounters::stripes_read},
+             {"stripes_skipped", &JobCounters::stripes_skipped},
+             {"groups_read", &JobCounters::groups_read},
+             {"groups_skipped", &JobCounters::groups_skipped},
+             {"rows_late_skipped", &JobCounters::rows_late_skipped},
+             {"lazy_decodes_avoided", &JobCounters::lazy_decodes_avoided},
+             {"metadata_cache_hits", &JobCounters::metadata_cache_hits},
+             {"metadata_cache_misses", &JobCounters::metadata_cache_misses}}};
   }
 
   static constexpr std::array<NamedField<std::atomic<int64_t>>, 4>
@@ -202,6 +229,20 @@ struct JobCounters {
       span->SetAttr(f.name, this->*f.member);
     }
   }
+
+  /// Adds the atomic counters into the process-wide registry as
+  /// `<prefix><name>`, so registry totals are sums of per-query scopes.
+  void AddToRegistry(std::string_view prefix) const {
+    telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
+    for (const auto& f : atomic_u64_fields()) {
+      registry.GetCounter(std::string(prefix) + f.name)
+          ->Add((this->*f.member).load());
+    }
+    for (const auto& f : atomic_i64_fields()) {
+      registry.GetCounter(std::string(prefix) + f.name)
+          ->Add(static_cast<uint64_t>((this->*f.member).load()));
+    }
+  }
 };
 
 // Trips when a field is added to JobCounters without a field-table entry
@@ -209,7 +250,7 @@ struct JobCounters {
 // the matching *_fields() table above, then adjust the expected size.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
-                      8 * (17 + 4) +  // atomic u64/i64 fields
+                      8 * (27 + 4) +  // atomic u64/i64 fields
                           2 * sizeof(int) + 2 * sizeof(double),
               "JobCounters changed: update the field tables in engine.h");
 

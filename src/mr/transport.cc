@@ -508,19 +508,7 @@ struct DispatchCoordinator::Launch {
 
 DispatchCoordinator::DispatchCoordinator(SimulatedRemoteTransport* transport,
                                          WorkerManager* manager)
-    : transport_(transport), manager_(manager) {
-  auto& registry = telemetry::MetricsRegistry::Global();
-  dispatches_counter_ = registry.GetCounter("mr.transport.dispatches");
-  retries_counter_ = registry.GetCounter("mr.transport.retries");
-  timeouts_counter_ = registry.GetCounter("mr.transport.rpc_timeouts");
-  speculative_launches_counter_ =
-      registry.GetCounter("mr.transport.speculative_launches");
-  speculative_wins_counter_ =
-      registry.GetCounter("mr.transport.speculative_wins");
-  speculative_losses_counter_ =
-      registry.GetCounter("mr.transport.speculative_losses");
-  fallbacks_counter_ = registry.GetCounter("mr.transport.local_fallbacks");
-}
+    : transport_(transport), manager_(manager) {}
 
 void DispatchCoordinator::StartJob(uint64_t job_id, TaskExecutor executor) {
   {
@@ -583,16 +571,12 @@ DispatchOutcome DispatchCoordinator::RunTask(
       // Graceful degradation: every worker dead or blacklisted — run the
       // attempt on the caller's own pool instead of failing the query.
       out.ran_local_fallback = true;
-      fallbacks_counter_->Increment();
     }
     out.dispatches += 1;
-    dispatches_counter_->Increment();
     if (speculative) {
       out.speculative_launches += 1;
-      speculative_launches_counter_->Increment();
     } else if (launch->attempt > 0) {
       out.retries += 1;
-      retries_counter_->Increment();
     }
 
     TaskRequest request;
@@ -644,7 +628,7 @@ DispatchOutcome DispatchCoordinator::RunTask(
     }
     for (auto& launch : launches) {
       if (launch->speculative && launch->attempt != winning_attempt) {
-        speculative_losses_counter_->Increment();
+        out.speculative_losses += 1;
       }
     }
     out.status = std::move(final_status);
@@ -684,10 +668,7 @@ DispatchOutcome DispatchCoordinator::RunTask(
 
     if (completed != nullptr) {
       if (completed->result.ok()) {
-        if (completed->speculative) {
-          out.speculative_won = true;
-          speculative_wins_counter_->Increment();
-        }
+        if (completed->speculative) out.speculative_won = true;
         manager_->RecordTaskDurationMillis(
             static_cast<int64_t>(completed->duration_millis));
         return finish(Status::OK(), completed->attempt);
@@ -702,7 +683,6 @@ DispatchOutcome DispatchCoordinator::RunTask(
           static_cast<int64_t>(completed->duration_millis * 1e6);
       if (completed->result.code() == StatusCode::kDeadlineExceeded) {
         out.timeouts += 1;
-        timeouts_counter_->Increment();
       }
       continue;  // Another launch may still be pending and win.
     }

@@ -17,7 +17,6 @@
 #include "common/fault.h"
 #include "common/query_context.h"
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "common/worker_manager.h"
 #include "mr/engine.h"
 
@@ -222,6 +221,7 @@ struct DispatchOutcome {
   int dispatches = 0;         // Physical launches, total.
   int retries = 0;            // Launches after the first.
   int speculative_launches = 0;
+  int speculative_losses = 0;    // Speculative duplicates that lost.
   bool speculative_won = false;  // A speculative duplicate beat the original.
   bool ran_local_fallback = false;
   int64_t retried_nanos = 0;  // Wall time burnt by failed launches.
@@ -273,16 +273,6 @@ class DispatchCoordinator {
 
   std::mutex jobs_mu_;
   std::map<uint64_t, TaskExecutor> jobs_;
-
-  // Registry metrics (process-wide; per-query deltas come from snapshots
-  // in the driver's EXPLAIN PROFILE path).
-  telemetry::Counter* dispatches_counter_;
-  telemetry::Counter* retries_counter_;
-  telemetry::Counter* timeouts_counter_;
-  telemetry::Counter* speculative_launches_counter_;
-  telemetry::Counter* speculative_wins_counter_;
-  telemetry::Counter* speculative_losses_counter_;
-  telemetry::Counter* fallbacks_counter_;
 };
 
 }  // namespace minihive::mr

@@ -7,7 +7,7 @@
 #include "common/cache.h"
 #include "common/crc32.h"
 #include "common/fault.h"
-#include "common/telemetry.h"
+#include "mr/engine.h"
 #include "orc/stream_encoding.h"
 #include "vec/simd.h"
 
@@ -21,43 +21,6 @@ namespace {
 uint64_t NextDictionaryVersion() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Process-wide I/O counters (resolved once; registry pointers are stable).
-telemetry::Counter* DataBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.data_bytes_read");
-  return c;
-}
-telemetry::Counter* IndexBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.index_bytes_read");
-  return c;
-}
-telemetry::Counter* TailBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.tail_bytes_read");
-  return c;
-}
-telemetry::Counter* FooterParsesAvoided() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.footer_parses_avoided");
-  return c;
-}
-telemetry::Counter* IndexDecodesAvoided() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.index_decodes_avoided");
-  return c;
-}
-telemetry::Counter* RowsLateSkippedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.rows_late_skipped");
-  return c;
-}
-telemetry::Counter* LazyDecodesAvoidedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.lazy_decodes_avoided");
-  return c;
 }
 
 /// Watches the fault injector across a parse's reads: if any read in the
@@ -184,7 +147,6 @@ class StreamReader {
     std::string stored;
     if (length > 0) {
       MINIHIVE_RETURN_IF_ERROR(file->ReadAt(file_start, length, &stored, host));
-      DataBytesRead()->Add(length);
     }
     if (verify) {
       MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, expected_crc, "stream"));
@@ -305,7 +267,6 @@ class StreamReader {
     if (end > start) {
       MINIHIVE_RETURN_IF_ERROR(
           file_->ReadAt(file_start_ + start, end - start, &run_buf_, host_));
-      DataBytesRead()->Add(end - start);
     }
     run_base_ = start;
     run_first_ = run->first;
@@ -407,6 +368,23 @@ class OrcReader::Impl {
     }
   }
 
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+
+  // Folds this reader's scan counts into its task attempt's counters, once.
+  ~Impl() {
+    mr::JobCounters* c = options_.counters;
+    if (c == nullptr) return;
+    c->stripes_read += stripes_read_;
+    c->stripes_skipped += stripes_skipped_;
+    c->groups_read += groups_read_;
+    c->groups_skipped += groups_skipped_;
+    c->rows_late_skipped += rows_late_skipped_;
+    c->lazy_decodes_avoided += lazy_decodes_avoided_;
+    c->metadata_cache_hits += metadata_cache_hits_;
+    c->metadata_cache_misses += metadata_cache_misses_;
+  }
+
   Status Open() {
     MINIHIVE_RETURN_IF_ERROR(ReadTail());
     root_.Build(tail_->schema.get());
@@ -432,8 +410,7 @@ class OrcReader::Impl {
     uint64_t split_end = options_.split_length == 0
                              ? UINT64_MAX
                              : options_.split_offset + options_.split_length;
-    bool sarg_active = options_.use_index && options_.sarg != nullptr &&
-                       !options_.sarg->empty();
+    bool sarg_active = options_.sarg != nullptr && !options_.sarg->empty();
     // Late-materialization setup: pushed-down leaves that can be evaluated
     // row-by-row with exact engine semantics, restricted to projected
     // primitive columns (filter columns are always projected by the planner;
@@ -486,9 +463,6 @@ class OrcReader::Impl {
       if (sarg_active &&
           options_.sarg->CanSkip(TopLevelStats(tail_->stripe_stats[s]))) {
         ++stripes_skipped_;
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("orc.reader.stripes_skipped")
-            ->Increment();
         continue;
       }
       selected_stripes_.push_back(s);
@@ -581,13 +555,20 @@ class OrcReader::Impl {
         .Take();
   }
 
+  /// Looks `key` up in the metadata cache, counting the hit or miss.
+  cache::Cache::Handle* LookupMeta(const std::string& key) {
+    cache::Cache::Handle* handle = mcache_->Lookup(key);
+    ++(handle != nullptr ? metadata_cache_hits_ : metadata_cache_misses_);
+    return handle;
+  }
+
   /// Reads postscript, footer and metadata from the file tail — or serves
   /// the whole parsed tail from the metadata cache, skipping every tail
   /// read, CRC check, decompression, and deserialization.
   Status ReadTail() {
     if (mcache_ != nullptr) {
       std::string key = MetaKey("orc.tail", 0);
-      if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+      if (cache::Cache::Handle* handle = LookupMeta(key)) {
         // Pin for the reader's lifetime: the open file's metadata can't be
         // evicted out from under a long scan (and the pin exercises the
         // cache's pinned-entry protection under pressure).
@@ -595,7 +576,6 @@ class OrcReader::Impl {
         tail_ = cache::Cache::value<FileTail>(handle);
         codec_ = codec::GetCodec(tail_->compression);
         tail_cache_hit_ = true;
-        FooterParsesAvoided()->Increment();
         return Status::OK();
       }
     }
@@ -608,7 +588,6 @@ class OrcReader::Impl {
     std::string tail_bytes;
     MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(size - probe, probe, &tail_bytes,
                                            options_.reader_host));
-    TailBytesRead()->Add(probe);
     uint8_t ps_len = static_cast<uint8_t>(tail_bytes.back());
     if (ps_len + 1 > static_cast<int>(tail_bytes.size())) {
       return Status::Corruption("postscript larger than probe");
@@ -648,7 +627,6 @@ class OrcReader::Impl {
     MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(footer_off, footer_len,
                                            &footer_stored,
                                            options_.reader_host));
-    TailBytesRead()->Add(footer_len);
     if (options_.verify_checksums) {
       MINIHIVE_RETURN_IF_ERROR(
           VerifyCrc(footer_stored, tail->footer_crc, "file footer"));
@@ -663,7 +641,6 @@ class OrcReader::Impl {
     MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(metadata_off, metadata_len,
                                            &metadata_stored,
                                            options_.reader_host));
-    TailBytesRead()->Add(metadata_len);
     if (options_.verify_checksums) {
       MINIHIVE_RETURN_IF_ERROR(
           VerifyCrc(metadata_stored, tail->metadata_crc, "file metadata"));
@@ -728,18 +705,14 @@ class OrcReader::Impl {
   Status LoadStripe(size_t stripe_index) {
     const StripeInformation& info = tail_->stripes[stripe_index];
     ++stripes_read_;
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.reader.stripes_read")
-        ->Increment();
     // Stripe footer: cached parse, or fetch + verify + decompress + parse.
     sf_handle_.reset();
     stripe_footer_ = nullptr;
     if (mcache_ != nullptr) {
       std::string key = MetaKey("orc.sf", info.offset);
-      if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+      if (cache::Cache::Handle* handle = LookupMeta(key)) {
         sf_handle_.reset(mcache_, handle);
         stripe_footer_ = cache::Cache::value<StripeFooter>(handle);
-        FooterParsesAvoided()->Increment();
       }
     }
     if (stripe_footer_ == nullptr) {
@@ -749,7 +722,6 @@ class OrcReader::Impl {
           file_->ReadAt(info.offset + info.index_length + info.data_length,
                         info.footer_length, &footer_stored,
                         options_.reader_host));
-      TailBytesRead()->Add(info.footer_length);
       if (options_.verify_checksums) {
         MINIHIVE_RETURN_IF_ERROR(
             VerifyCrc(footer_stored, info.footer_crc, "stripe footer"));
@@ -773,8 +745,7 @@ class OrcReader::Impl {
       }
     }
 
-    bool sarg_active = options_.use_index && options_.sarg != nullptr &&
-                       !options_.sarg->empty();
+    bool sarg_active = options_.sarg != nullptr && !options_.sarg->empty();
     ppd_mode_ = sarg_active;
     // Two-phase decode needs independently decodable groups (ppd mode) and
     // at least one row-evaluable leaf; NextRow() keeps the eager path.
@@ -792,10 +763,9 @@ class OrcReader::Impl {
       // pass, and the whole position-pointer/statistics decode.
       if (mcache_ != nullptr) {
         std::string key = MetaKey("orc.si", info.offset);
-        if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+        if (cache::Cache::Handle* handle = LookupMeta(key)) {
           si_handle_.reset(mcache_, handle);
           stripe_index_ = cache::Cache::value<StripeIndex>(handle);
-          IndexDecodesAvoided()->Increment();
         }
       }
       if (stripe_index_ == nullptr) {
@@ -804,7 +774,6 @@ class OrcReader::Impl {
         MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(info.offset, info.index_length,
                                                &index_stored,
                                                options_.reader_host));
-        IndexBytesRead()->Add(info.index_length);
         if (options_.verify_checksums) {
           MINIHIVE_RETURN_IF_ERROR(
               VerifyCrc(index_stored, info.index_crc, "stripe index"));
@@ -835,9 +804,6 @@ class OrcReader::Impl {
         }
         if (options_.sarg->CanSkip(field_stats)) {
           ++groups_skipped_;
-          telemetry::MetricsRegistry::Global()
-              .GetCounter("orc.reader.groups_skipped")
-              ->Increment();
         } else {
           selected_groups_.push_back(g);
         }
@@ -858,9 +824,6 @@ class OrcReader::Impl {
       }
     }
     groups_read_ += selected_groups_.size();
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.reader.groups_read")
-        ->Add(selected_groups_.size());
 
     // Wire up stream readers for needed columns.
     std::vector<ColumnNode*> nodes;
@@ -1029,13 +992,11 @@ class OrcReader::Impl {
     const uint64_t dead = instances - survivors;
     if (dead > 0) {
       rows_late_skipped_ += dead;
-      RowsLateSkippedCounter()->Add(dead);
     }
     if (survivors == 0) {
       // The group is fully dead: skip every lazy decode and hand control
       // back to EnsureGroup (zero rows => it advances to the next group).
       lazy_decodes_avoided_ += lazy_nodes_.size();
-      LazyDecodesAvoidedCounter()->Add(lazy_nodes_.size());
       group_sel_active_ = false;
       current_group_rows_ = 0;
       rows_in_group_cursor_ = 0;
@@ -1427,6 +1388,8 @@ class OrcReader::Impl {
   uint64_t rows_late_skipped_ = 0;
   uint64_t lazy_decodes_avoided_ = 0;
   uint64_t rows_deleted_skipped_ = 0;
+  uint64_t metadata_cache_hits_ = 0;
+  uint64_t metadata_cache_misses_ = 0;
 };
 
 OrcReader::OrcReader(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -1435,8 +1398,10 @@ OrcReader::~OrcReader() = default;
 Result<std::unique_ptr<OrcReader>> OrcReader::Open(dfs::FileSystem* fs,
                                                    const std::string& path,
                                                    OrcReadOptions options) {
-  MINIHIVE_ASSIGN_OR_RETURN(std::shared_ptr<dfs::ReadableFile> file,
-                            fs->Open(path));
+  MINIHIVE_ASSIGN_OR_RETURN(
+      std::shared_ptr<dfs::ReadableFile> file,
+      fs->Open(path, options.counters != nullptr ? &options.counters->bytes_read
+                                                 : nullptr));
   auto impl =
       std::make_unique<Impl>(fs, path, std::move(file), std::move(options));
   MINIHIVE_RETURN_IF_ERROR(impl->Open());

@@ -15,17 +15,19 @@
 #include "orc/sarg.h"
 #include "vec/vectorized_row_batch.h"
 
+namespace minihive::mr {
+struct JobCounters;  // Defined in mr/engine.h.
+}  // namespace minihive::mr
+
 namespace minihive::orc {
 
 struct OrcReadOptions {
   /// Top-level field indexes to materialize; empty = all fields.
   std::vector<int> projected_fields;
   /// Conjunctive predicate pushed down to the reader; evaluated against
-  /// stripe- and index-group-level statistics.
+  /// stripe- and index-group-level statistics. Null = the paper's "No PPD"
+  /// configuration: no index data is read and whole stripes are scanned.
   const SearchArgument* sarg = nullptr;
-  /// When false, the reader ignores indexes entirely (the paper's "No PPD"
-  /// configuration): it never reads index data and scans whole stripes.
-  bool use_index = true;
   /// Stripes whose starting offset falls in [split_offset,
   /// split_offset+split_length) belong to this reader; 0 length = all.
   uint64_t split_offset = 0;
@@ -49,6 +51,10 @@ struct OrcReadOptions {
   /// cancelled or out-of-time query stops a scan mid-stripe. Null =
   /// ungoverned.
   const TaskGovernor* governor = nullptr;
+  /// The task attempt's counters: DFS bytes as they are read, and the
+  /// reader's stripe/group/late-skip/metadata-cache counts once it closes.
+  /// Null = uncounted. Must outlive the reader.
+  mr::JobCounters* counters = nullptr;
   /// Two-phase (PREWHERE-style) vectorized reads: row-evaluable pushed-down
   /// leaves are first evaluated on just the columns they reference, then the
   /// remaining projected columns are decoded only for groups with surviving

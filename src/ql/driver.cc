@@ -215,7 +215,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
 
 void Driver::CleanupTemps(const std::string& scratch,
                           const std::vector<std::string>& temp_dirs) {
-  if (options_.keep_temps) return;
   // Best-effort: on the error paths some files were already aborted away.
   for (const std::string& path : fs_->List(scratch + "/")) {
     fs_->Delete(path).ok();
@@ -235,13 +234,6 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   Stopwatch watch;
   bool profiling = explain_profile || options_.enable_profiling;
   MINIHIVE_RETURN_IF_ERROR(query_ctx.CheckAlive());
-  // Session-level kernel dispatch: both arms are byte-identical, so a
-  // mid-session flip never changes results, only the instruction mix.
-  // Only write the process-wide flag when it actually changes — concurrent
-  // drivers with the same setting must not ping the cache line per query.
-  if (simd::Enabled() != options_.enable_simd) {
-    simd::SetEnabled(options_.enable_simd);
-  }
   // Process-wide id: several Driver instances may share one DFS.
   static std::atomic<int> global_query_counter{0};
   int query_id = global_query_counter.fetch_add(1);
@@ -256,81 +248,16 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
         "query:" + std::to_string(query_id));
     plan_span = query_span->StartChild("plan");
   }
-  // Per-query cache deltas for the profile: instance stats are monotonic,
-  // so start-of-query snapshots make the attrs this query's own hits/misses
-  // even across many queries on one session.
-  cache::CacheManager* cache_manager =
-      options_.session != nullptr
-          ? options_.session->manager()->cache_manager()
-          : caches_.get();
-  cache::Cache* meta_cache =
-      cache_manager != nullptr ? cache_manager->metadata_cache() : nullptr;
-  cache::Cache::StatsSnapshot meta_before;
-  if (meta_cache != nullptr) meta_before = meta_cache->stats();
-  // Late-materialization observability: per-query deltas of the reader's
-  // process-wide skip counters plus the DFS bytes read, so
-  // EXPLAIN PROFILE shows both the rows pruned before lazy decode and the
-  // I/O the pruning saved.
-  telemetry::Counter* late_rows_counter =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.reader.rows_late_skipped");
-  telemetry::Counter* lazy_decodes_counter =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.reader.lazy_decodes_avoided");
-  const uint64_t late_rows_before = late_rows_counter->value();
-  const uint64_t lazy_decodes_before = lazy_decodes_counter->value();
-  const uint64_t bytes_before = fs_->stats().bytes_read.load();
-  // Dispatch-layer observability: the mr.transport.* registry counters are
-  // process-wide and monotonic, so per-query deltas come from start-of-run
-  // snapshots — EXPLAIN PROFILE then shows this query's own dispatches,
-  // retries, speculation and fallbacks.
-  static const char* const kTransportMetrics[] = {
-      "mr.transport.dispatches",          "mr.transport.retries",
-      "mr.transport.rpc_timeouts",        "mr.transport.speculative_launches",
-      "mr.transport.speculative_wins",    "mr.transport.speculative_losses",
-      "mr.transport.local_fallbacks",     "session.workers_heartbeats_missed",
-      "session.workers_deaths",           "session.workers_blacklists",
-  };
-  constexpr size_t kNumTransportMetrics =
-      sizeof(kTransportMetrics) / sizeof(kTransportMetrics[0]);
-  telemetry::Counter* transport_counters[kNumTransportMetrics] = {};
-  uint64_t transport_before[kNumTransportMetrics] = {};
-  if (dispatcher_ != nullptr) {
-    for (size_t i = 0; i < kNumTransportMetrics; ++i) {
-      transport_counters[i] =
-          telemetry::MetricsRegistry::Global().GetCounter(
-              kTransportMetrics[i]);
-      transport_before[i] = transport_counters[i]->value();
-    }
-  }
-  // Scheduler stats are cumulative per queue; snapshot so the profile
-  // shows this run's own tasks and queue wait.
-  TaskScheduler::QueueStats sched_before;
-  if (active_queue_ != nullptr) {
-    sched_before = options_.session->manager()->scheduler()->GetQueueStats(
-        active_queue_);
-  }
-  auto finish_profile = [&](QueryResult* result) {
+  // Every per-query count in the profile comes from result->counters: the
+  // winning task attempts' own counters, so concurrent queries never see
+  // each other's work. The registry's ql.query.* totals are their sum.
+  auto finish = [&](QueryResult* result) {
+    result->counters.AddToRegistry("ql.query.");
     if (query_span == nullptr) return;
     query_span->SetAttr("num_jobs", static_cast<int64_t>(result->num_jobs));
     query_span->SetAttr("result_rows",
                         static_cast<uint64_t>(result->rows.size()));
-    if (mapjoin_fallbacks > 0) {
-      query_span->SetAttr("mapjoin_fallbacks",
-                          static_cast<uint64_t>(mapjoin_fallbacks));
-    }
-    if (meta_cache != nullptr) {
-      cache::Cache::StatsSnapshot now = meta_cache->stats();
-      query_span->SetAttr("metadata_cache_hits", now.hits - meta_before.hits);
-      query_span->SetAttr("metadata_cache_misses",
-                          now.misses - meta_before.misses);
-    }
-    query_span->SetAttr("rows_late_skipped",
-                        late_rows_counter->value() - late_rows_before);
-    query_span->SetAttr("lazy_decodes_avoided",
-                        lazy_decodes_counter->value() - lazy_decodes_before);
-    query_span->SetAttr("bytes_read",
-                        fs_->stats().bytes_read.load() - bytes_before);
+    result->counters.ExportToSpan(query_span.get());
     if (active_admission_ != nullptr) {
       query_span->SetAttr(
           "admission_queue_wait_millis",
@@ -341,25 +268,18 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
                           active_admission_->budget()->peak_used());
     }
     if (active_queue_ != nullptr) {
-      TaskScheduler::QueueStats now =
+      // The queue is registered per statement, so its stats are this
+      // statement's own.
+      TaskScheduler::QueueStats stats =
           options_.session->manager()->scheduler()->GetQueueStats(
               active_queue_);
-      query_span->SetAttr("sched_tasks_run",
-                          now.tasks_run - sched_before.tasks_run);
-      query_span->SetAttr(
-          "sched_queue_wait_millis",
-          (now.queue_wait_nanos - sched_before.queue_wait_nanos) / 1000000);
+      query_span->SetAttr("sched_tasks_run", stats.tasks_run);
+      query_span->SetAttr("sched_queue_wait_millis",
+                          stats.queue_wait_nanos / 1000000);
     }
     if (dispatcher_ != nullptr) {
       query_span->SetAttr("dispatch_transport",
                           std::string_view(dispatcher_->transport()->name()));
-      for (size_t i = 0; i < kNumTransportMetrics; ++i) {
-        // Attr name: drop the "mr."/"session." prefix, keep the rest.
-        std::string_view name = kTransportMetrics[i];
-        name.remove_prefix(name.find('.') + 1);
-        query_span->SetAttr(
-            name, transport_counters[i]->value() - transport_before[i]);
-      }
     }
     query_span->SetAttr("simd_dispatch", std::string_view(simd::DispatchName()));
     query_span->End();
@@ -381,7 +301,8 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
     bool answered = false;
     QueryResult stats_result;
     MINIHIVE_RETURN_IF_ERROR(TryAnswerFromStatistics(
-        plan, catalog_, &answered, &stats_result.rows));
+        plan, catalog_, &answered, &stats_result.rows,
+        &stats_result.counters));
     if (answered) {
       stats_result.column_names = plan.result_names;
       stats_result.num_jobs = 0;
@@ -390,7 +311,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
         plan_span->SetAttr("answered_from", "orc-statistics");
         plan_span->End();
       }
-      finish_profile(&stats_result);
+      finish(&stats_result);
       stats_result.elapsed_millis = watch.ElapsedMillis();
       return stats_result;
     }
@@ -427,7 +348,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
     plan_span->End();
   }
   if (!execute) {
-    finish_profile(&result);
+    finish(&result);
     result.elapsed_millis = watch.ElapsedMillis();
     return result;
   }
@@ -440,7 +361,6 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   exec_options.vectorized = options_.vectorized_execution;
   exec_options.enable_late_materialization =
       options_.enable_late_materialization;
-  exec_options.apply_delete_bitmaps = options_.apply_delete_bitmaps;
   exec_options.use_combiner = options_.shuffle_combiner;
   exec_options.max_task_attempts = options_.max_task_attempts;
   exec_options.query_ctx = &query_ctx;
@@ -485,8 +405,10 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
       last = query_ctx.CheckAlive();
       if (!last.ok()) break;
       std::vector<Row> file_rows;
-      auto reader =
-          format->OpenReader(fs_, path, nullptr, formats::ReadOptions());
+      mr::JobCounters fetch_counters;  // This attempt's; kept on success.
+      formats::ReadOptions read_options;
+      read_options.counters = &fetch_counters;
+      auto reader = format->OpenReader(fs_, path, nullptr, read_options);
       last = reader.status();
       if (!last.ok()) continue;
       Row row;
@@ -497,6 +419,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
         file_rows.push_back(row);
       }
       if (!last.ok()) continue;
+      fetch_counters.AccumulateTaskLocalInto(&result.counters);
       for (Row& r : file_rows) {
         result.rows.push_back(std::move(r));
         if (plan.limit >= 0 && !plan.order_ascending.empty() &&
@@ -525,7 +448,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   }
 
   CleanupTemps(scratch, plan.temp_dirs);
-  finish_profile(&result);
+  finish(&result);
   result.elapsed_millis = watch.ElapsedMillis();
   return result;
 }

@@ -39,17 +39,9 @@ struct DriverOptions {
   /// groups with surviving rows. Needs predicate_pushdown + vectorized
   /// execution to have any effect.
   bool enable_late_materialization = true;
-  /// Runtime-dispatched AVX2 kernels for vectorized comparisons,
-  /// arithmetic, and hashing (scalar fallback off-AVX2 hardware or when
-  /// off). Results are byte-identical either way.
-  bool enable_simd = true;
   /// §4.2: answer simple aggregations over unfiltered ORC tables directly
   /// from file statistics (no scan, no MapReduce job).
   bool stats_aggregation = true;
-  /// Merge-on-read for managed tables: apply per-file delete bitmaps inside
-  /// scans (row and vectorized). Off is a debugging mode that exposes
-  /// physically present rows, including deleted ones.
-  bool apply_delete_bitmaps = true;
   /// Map-side combiner over sorted shuffle runs for GROUP BY jobs with
   /// decomposable aggregates (COUNT/SUM/MIN/MAX). Cuts shuffled_bytes
   /// whenever a map task emits several partials for one key (bounded-memory
@@ -86,8 +78,6 @@ struct DriverOptions {
   /// stripe indexes, keyed by (path, generation). Strict budget in bytes;
   /// 0 disables. Metadata is small but expensive to re-parse and re-verify.
   uint64_t metadata_cache_bytes = 16ULL * 1024 * 1024;
-  /// Keep intermediate files after the query (debugging).
-  bool keep_temps = false;
   /// Collect a trace-span profile (driver phases, per-job spans and task
   /// attempts, per-operator row counts) for every query. EXPLAIN PROFILE
   /// turns this on for its one query regardless of the setting.

@@ -621,7 +621,8 @@ Status MergeMapOnlyJobs(PlannedQuery* plan, uint64_t threshold_bytes) {
 
 Status TryAnswerFromStatistics(const PlannedQuery& plan,
                                const Catalog* catalog, bool* answered,
-                               std::vector<Row>* rows) {
+                               std::vector<Row>* rows,
+                               mr::JobCounters* counters) {
   *answered = false;
   // Pattern: TS(orc table, no filter) -> GBY(hash, keyless) -> RS ->
   // GBY(merge) -> Select -> FileSink.
@@ -674,8 +675,10 @@ Status TryAnswerFromStatistics(const PlannedQuery& plan,
   uint64_t total_rows = 0;
   std::vector<orc::ColumnStatistics> stats(
       table->schema->ColumnCount());
+  orc::OrcReadOptions read_options;
+  read_options.counters = counters;
   for (const std::string& path : catalog->TableFiles(*table)) {
-    auto reader = orc::OrcReader::Open(catalog->fs(), path);
+    auto reader = orc::OrcReader::Open(catalog->fs(), path, read_options);
     if (!reader.ok()) return Status::OK();  // Fall back to scanning.
     const orc::FileTail& tail = (*reader)->tail();
     total_rows += tail.num_rows;

@@ -42,10 +42,11 @@ Status MergeMapOnlyJobs(PlannedQuery* plan, uint64_t threshold_bytes);
 /// §4.2: answers a simple aggregation query (COUNT/MIN/MAX/SUM/AVG over an
 /// unfiltered ORC table) directly from the files' statistics, without
 /// scanning any data. On success fills *rows and sets *answered; leaves the
-/// plan untouched otherwise.
+/// plan untouched otherwise. The tail reads count into `counters` when set.
 Status TryAnswerFromStatistics(const PlannedQuery& plan,
                                const Catalog* catalog, bool* answered,
-                               std::vector<Row>* rows);
+                               std::vector<Row>* rows,
+                               mr::JobCounters* counters = nullptr);
 
 /// §5.2: the Correlation Optimizer (YSmart-based). Detects input
 /// correlations and job-flow correlations among ReduceSinkOperators,

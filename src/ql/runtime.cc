@@ -95,13 +95,12 @@ class RowMapTask : public mr::MapTask {
   RowMapTask(dfs::FileSystem* fs, const std::vector<SourceRuntime>* sources,
              const std::unordered_map<int, std::shared_ptr<exec::MapJoinTables>>*
                  mapjoin_tables,
-             bool vectorized, bool use_metadata_cache,
-             bool enable_late_materialization, exec::PipelineProfile* profile)
+             bool vectorized, bool enable_late_materialization,
+             exec::PipelineProfile* profile)
       : fs_(fs),
         sources_(sources),
         mapjoin_tables_(mapjoin_tables),
         vectorized_(vectorized),
-        use_metadata_cache_(use_metadata_cache),
         enable_late_materialization_(enable_late_materialization),
         profile_(profile) {}
 
@@ -123,7 +122,6 @@ class RowMapTask : public mr::MapTask {
     ctx.profile = profile_;
     ctx.counters = attempt_counters();
     ctx.governor = governor();
-    ctx.use_metadata_cache = use_metadata_cache_;
     ctx.enable_late_materialization = enable_late_materialization_;
     ctx.delete_bitmaps = &source.delete_bitmaps;
 
@@ -152,8 +150,7 @@ class RowMapTask : public mr::MapTask {
     read_options.split_length = split.length;
     read_options.reader_host = split.locality_host;
     read_options.governor = governor();
-    read_options.use_metadata_cache = use_metadata_cache_;
-    read_options.enable_late_materialization = enable_late_materialization_;
+    read_options.counters = attempt_counters();
     read_options.delete_bitmap =
         FindDeleteBitmap(&source.delete_bitmaps, split.path);
     MINIHIVE_ASSIGN_OR_RETURN(
@@ -182,7 +179,6 @@ class RowMapTask : public mr::MapTask {
   const std::unordered_map<int, std::shared_ptr<exec::MapJoinTables>>*
       mapjoin_tables_;
   bool vectorized_;
-  bool use_metadata_cache_;
   bool enable_late_materialization_;
   exec::PipelineProfile* profile_;
 };
@@ -342,8 +338,7 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
             continue;
           }
           source.paths.push_back(file.path);
-          if (options_.apply_delete_bitmaps && file.delete_bitmap != nullptr &&
-              !file.delete_bitmap->empty()) {
+          if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
             source.delete_bitmaps[file.path] = file.delete_bitmap;
           }
         }
@@ -374,8 +369,7 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
           catalog_->Snapshot(*table);
       for (const TableFile& file : snapshot->files) {
         source.paths.push_back(file.path);
-        if (options_.apply_delete_bitmaps && file.delete_bitmap != nullptr &&
-            !file.delete_bitmap->empty()) {
+        if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
           source.delete_bitmaps[file.path] = file.delete_bitmap;
         }
       }
@@ -396,7 +390,8 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
   // The local task reads the small tables outside the engine's task retry
   // loop, so it gets its own bounded retries against transient read faults.
   // Its attempts and wall time are accounted separately from engine tasks
-  // (local_task_failures / local_task_nanos).
+  // (local_task_failures / local_task_nanos); like an engine task, only
+  // the winning attempt's scan counts reach the job.
   const int max_attempts = std::max(1, options_.max_task_attempts);
   for (const OpDesc* mj : mapjoins) {
     Stopwatch local_watch;
@@ -410,10 +405,12 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
           break;
         }
       }
+      mr::JobCounters local;
       auto tables = exec::BuildMapJoinTables(
           fs_, *mj, resolver, options_.query_ctx,
-          options_.mapjoin_memory_budget_bytes);
+          options_.mapjoin_memory_budget_bytes, &local);
       if (tables.ok()) {
+        local.AccumulateTaskLocalInto(counters);
         (*mapjoin_tables)[mj->id] = std::move(*tables);
         last = Status::OK();
         break;
@@ -462,14 +459,13 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
   if (options_.profile) config.parent_span = options_.query_span;
 
   bool vectorized = options_.vectorized;
-  bool use_metadata_cache = options_.use_metadata_cache;
   bool late_materialization = options_.enable_late_materialization;
   dfs::FileSystem* fs = fs_;
   config.map_factory = [fs, sources, mapjoin_tables, vectorized,
-                        use_metadata_cache, late_materialization, profile]() {
-    return std::make_unique<RowMapTask>(
-        fs, sources.get(), mapjoin_tables.get(), vectorized,
-        use_metadata_cache, late_materialization, profile);
+                        late_materialization, profile]() {
+    return std::make_unique<RowMapTask>(fs, sources.get(),
+                                        mapjoin_tables.get(), vectorized,
+                                        late_materialization, profile);
   };
   if (job.num_reducers > 0) {
     const OpDesc* reduce_root = job.reduce_root.get();

@@ -45,14 +45,8 @@ struct ExecutionOptions {
   /// failure), which the driver turns into a reduce-join fallback.
   /// 0 = unlimited.
   uint64_t mapjoin_memory_budget_bytes = 0;
-  /// Let scan tasks use the session ORC metadata cache.
-  bool use_metadata_cache = true;
   /// Two-phase late-materialized vectorized ORC scans.
   bool enable_late_materialization = true;
-  /// Merge-on-read: apply managed tables' delete bitmaps inside scans. Off
-  /// is a debugging/bench mode that surfaces physically present rows,
-  /// deleted or not.
-  bool apply_delete_bitmaps = true;
   /// When both set, engine task fan-outs run on this shared scheduler
   /// queue (the session's worker pool) instead of per-query threads.
   TaskScheduler* scheduler = nullptr;

@@ -639,12 +639,11 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   orc::OrcReadOptions read_options;
   read_options.projected_fields = projected;
   read_options.sarg = scan_root->sarg.get();
-  read_options.use_index = scan_root->sarg != nullptr;
   read_options.split_offset = split.offset;
   read_options.split_length = split.length;
   read_options.reader_host = split.locality_host;
   read_options.governor = ctx->governor;
-  read_options.use_metadata_cache = ctx->use_metadata_cache;
+  read_options.counters = ctx->counters;
   read_options.enable_late_materialization = ctx->enable_late_materialization;
   read_options.delete_bitmap =
       FindDeleteBitmap(ctx->delete_bitmaps, split.path);

@@ -120,6 +120,15 @@ class FaultSweepTest : public ::testing::Test {
                             result->counters.reduce_task_failures.load();
       EXPECT_EQ(Canonicalize(result->rows), want)
           << "seed " << seed << ": run succeeded with WRONG rows";
+      // Only winning attempts count: failed attempts' scan work never
+      // reaches the query's counters.
+      for (auto field : {&mr::JobCounters::map_input_records,
+                         &mr::JobCounters::stripes_read,
+                         &mr::JobCounters::groups_read}) {
+        EXPECT_EQ((result->counters.*field).load(),
+                  (golden->counters.*field).load())
+            << "seed " << seed << ": failed attempts were counted";
+      }
     }
 
     // The sweep is only meaningful if faults actually fired and retries

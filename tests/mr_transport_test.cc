@@ -654,7 +654,7 @@ TEST_F(DispatchQueryTest, ExplainProfileSurfacesTransportDeltas) {
   ql::Driver driver(fs_.get(), catalog_.get(), options);
   auto result = driver.Execute("EXPLAIN PROFILE " + kSql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result->plan_text.find("transport.dispatches"),
+  EXPECT_NE(result->plan_text.find("transport_dispatches"),
             std::string::npos)
       << result->plan_text;
   EXPECT_NE(result->plan_text.find("dispatch_transport"), std::string::npos);

@@ -8,15 +8,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/query_context.h"
 #include "common/session.h"
 #include "datagen/loader.h"
 #include "ql/driver.h"
+#include "vec/simd.h"
 
 namespace minihive::ql {
 namespace {
@@ -116,17 +119,25 @@ TEST_F(ConcurrencyTest, ConcurrentQueriesMatchSerialByteForByte) {
   std::unique_ptr<Session> session = manager.NewSession("test");
   std::vector<std::string> got(kThreads);
   std::vector<Status> statuses(kThreads);
+  // SIMD dispatch is process-wide: flip it from a background thread while
+  // the queries run. The arms are byte-identical by construction, so
+  // switching kernels mid-query must not change any result.
+  std::atomic<bool> done{false};
+  std::thread toggler([&done] {
+    for (bool on = false; !done.load(); on = !on) {
+      simd::SetEnabled(on);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    simd::SetEnabled(true);
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       DriverOptions options;
       options.session = session.get();
-      // Half the drivers run vectorized+SIMD, half row-mode scalar: the
-      // arms are byte-identical by construction, and concurrent mixing
-      // must not change that.
+      // Half the drivers run vectorized, half row-mode.
       options.vectorized_execution = t % 2 == 0;
-      options.enable_simd = t % 2 == 0;
       Driver driver(fs_.get(), catalog_.get(), options);
       auto result = driver.Execute(QueryForThread(t));
       statuses[t] = result.status();
@@ -134,6 +145,8 @@ TEST_F(ConcurrencyTest, ConcurrentQueriesMatchSerialByteForByte) {
     });
   }
   for (std::thread& t : threads) t.join();
+  done = true;
+  toggler.join();
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(statuses[t].ok()) << "thread " << t << ": "
                                   << statuses[t].ToString();
@@ -143,6 +156,106 @@ TEST_F(ConcurrencyTest, ConcurrentQueriesMatchSerialByteForByte) {
   // Every query went through admission and was released again.
   EXPECT_EQ(manager.root_budget()->used(),
             session_options.metadata_cache_bytes);
+}
+
+/// One attr of the profile's root (query) span, from its JSON: the text
+/// before the first "children" key holds only the root's own attrs.
+uint64_t QueryAttr(const telemetry::Span& profile, const std::string& key) {
+  json::Writer writer;
+  profile.WriteJson(&writer, /*include_timing=*/false);
+  const std::string text = writer.str();
+  const std::string root = text.substr(0, text.find("\"children\""));
+  const std::string needle = "\"" + key + "\": ";
+  const size_t pos = root.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key << " missing in " << root;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(root.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+TEST_F(ConcurrencyTest, ProfileCountsOnlyTheQuerysOwnScanWork) {
+  // Big enough that scans, not planning, fill each query's wall time, so
+  // the crowded run's reads overlap other queries' reads.
+  std::vector<Row> rows;
+  for (int i = 0; i < 40000; ++i) {
+    rows.push_back({Value::Int(i), Value::Int(i % 128),
+                    Value::Double((i % 97) * 2.25),
+                    Value::String(i % 3 == 0 ? "open" : "done")});
+  }
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "big_orders",
+                  *TypeDescription::Parse("struct<o_id:bigint,"
+                                          "o_custkey:bigint,o_amount:double,"
+                                          "o_status:string>"),
+                  formats::FormatKind::kOrcFile,
+                  codec::CompressionKind::kNone, rows, 4)
+                  .ok());
+  SessionManagerOptions session_options;
+  session_options.num_workers = 4;
+  SessionManager manager(session_options);
+  std::unique_ptr<Session> session = manager.NewSession("test");
+  DriverOptions options;
+  options.session = session.get();
+  options.vectorized_execution = true;
+  Driver driver(fs_.get(), catalog_.get(), options);
+  const std::string sql =
+      "EXPLAIN PROFILE SELECT o_id, o_amount FROM big_orders "
+      "WHERE o_amount > 200.0";
+  ASSERT_TRUE(driver.Execute(sql).ok());  // Warm the metadata cache.
+  auto alone = driver.Execute(sql);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+
+  // The same query again, while 8 other queries scan the same files on the
+  // same session without pause.
+  constexpr int kOthers = 8;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<Status> statuses(kOthers);
+  std::vector<std::thread> others;
+  for (int t = 0; t < kOthers; ++t) {
+    others.emplace_back([&, t] {
+      DriverOptions other_options;
+      other_options.session = session.get();
+      other_options.vectorized_execution = t % 2 == 0;
+      Driver other(fs_.get(), catalog_.get(), other_options);
+      const std::string other_sql =
+          t % 3 == 0
+              ? "SELECT o_custkey, COUNT(*), SUM(o_amount) FROM big_orders "
+                "GROUP BY o_custkey"
+              : "SELECT o_id, o_amount FROM big_orders "
+                "WHERE o_amount > 100.0 AND o_status = 'open'";
+      started.fetch_add(1);
+      do {
+        auto result = other.Execute(other_sql);
+        if (!result.ok()) statuses[t] = result.status();
+      } while (!stop.load());
+    });
+  }
+  while (started.load() < kOthers) std::this_thread::yield();
+  auto crowded = driver.Execute(sql);
+  stop = true;
+  for (std::thread& t : others) t.join();
+  ASSERT_TRUE(crowded.ok()) << crowded.status().ToString();
+  for (int t = 0; t < kOthers; ++t) {
+    EXPECT_TRUE(statuses[t].ok()) << "query " << t << ": "
+                                  << statuses[t].ToString();
+  }
+
+  ASSERT_NE(alone->profile, nullptr);
+  ASSERT_NE(crowded->profile, nullptr);
+  for (const char* attr :
+       {"rows_late_skipped", "lazy_decodes_avoided", "bytes_read",
+        "stripes_read", "groups_read", "metadata_cache_hits",
+        "metadata_cache_misses"}) {
+    EXPECT_EQ(QueryAttr(*crowded->profile, attr),
+              QueryAttr(*alone->profile, attr))
+        << attr << " soaked up other queries' work";
+  }
+  // Not vacuous: the query scans, skips rows late and hits the cache.
+  EXPECT_GT(QueryAttr(*alone->profile, "bytes_read"), 0u);
+  EXPECT_GT(QueryAttr(*alone->profile, "stripes_read"), 0u);
+  EXPECT_GT(QueryAttr(*alone->profile, "rows_late_skipped"), 0u);
+  EXPECT_GT(QueryAttr(*alone->profile, "metadata_cache_hits"), 0u);
+  EXPECT_EQ(Canonical(crowded->rows), Canonical(alone->rows));
 }
 
 TEST_F(ConcurrencyTest, CancellingOneQueryNeverPerturbsOthers) {

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "datagen/loader.h"
 #include "ql/driver.h"
+#include "vec/simd.h"
 
 namespace minihive::ql {
 namespace {
@@ -163,6 +164,8 @@ class DifferentialTest : public ::testing::Test {
                     .ok());
   }
 
+  void TearDown() override { simd::SetEnabled(true); }
+
   Result<QueryResult> Execute(const std::string& sql, bool vectorized,
                               uint64_t cache_seed = 0) {
     DriverOptions options;
@@ -185,8 +188,9 @@ class DifferentialTest : public ::testing::Test {
     // Late materialization and SIMD dispatch are pure performance layers
     // too: toggle them per (seed, engine) so the sweep covers two-phase vs
     // eager ORC reads and AVX2 vs scalar kernels in every combination.
+    // SIMD dispatch is process-wide, so it is set here, once per run.
     options.enable_late_materialization = cache_rng.Uniform(2) == 0;
-    options.enable_simd = cache_rng.Uniform(2) == 0;
+    simd::SetEnabled(cache_rng.Uniform(2) == 0);
     Driver driver(fs_.get(), catalog_.get(), options);
     return driver.Execute(sql);
   }
