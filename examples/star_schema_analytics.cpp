@@ -1,7 +1,8 @@
 // Star-schema analytics: the workload the paper's planner advancements
 // target. Loads a TPC-DS-shaped warehouse and runs the same business
 // question under four planner configurations, printing the job DAGs so the
-// effect of each optimization is visible.
+// effect of each optimization is visible. Per-job lines come from the
+// query's profile: one "job:<name>" span per job under "execute".
 
 #include <cstdio>
 
@@ -49,6 +50,7 @@ int Run() {
     options.mapjoin_threshold_bytes = 1 << 20;
     options.merge_maponly_jobs = config.merge;
     options.correlation_optimizer = config.correlation;
+    options.enable_profiling = true;
     ql::Driver driver(&fs, &catalog, options);
     auto result = driver.Execute(kStarQuery);
     if (!result.ok()) {
@@ -61,10 +63,13 @@ int Run() {
                 result->num_jobs, result->num_map_only_jobs,
                 result->elapsed_millis,
                 result->counters.shuffled_bytes.load() / (1024.0 * 1024.0));
-    for (const auto& job : result->jobs) {
-      std::printf("  %-18s %6.0f ms  (%d map / %d reduce tasks)\n",
-                  job.name.c_str(), job.elapsed_millis, job.map_tasks,
-                  job.reduce_tasks);
+    const telemetry::Span* execute =
+        result->profile->FindDescendant("execute");
+    for (const telemetry::Span* job : execute->children()) {
+      std::printf("  %-18s %6.0f ms  (%s map / %s reduce tasks)\n",
+                  job->name().substr(4).c_str(), job->duration_nanos() / 1e6,
+                  job->FindAttr("map_tasks")->ToDisplayString().c_str(),
+                  job->FindAttr("reduce_tasks")->ToDisplayString().c_str());
     }
     if (&config == &configs[3]) {
       std::printf("\nresults:\n");

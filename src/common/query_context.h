@@ -29,7 +29,7 @@ class CancellationToken {
 
 /// Query-wide governance state threaded from the ql::Driver through the
 /// engine, operator pipelines, shuffle loops and readers: a cancellation
-/// token, a wall-clock deadline, and a per-query map-join memory budget.
+/// token, a wall-clock deadline and the query's memory-accounting node.
 /// The context is owned by the driver and outlives every task of the query;
 /// execution code holds const pointers and only ever polls it.
 class QueryContext {
@@ -50,14 +50,6 @@ class QueryContext {
   }
   bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
-
-  void set_mapjoin_memory_budget_bytes(uint64_t bytes) {
-    mapjoin_memory_budget_bytes_ = bytes;
-  }
-  /// 0 = unlimited.
-  uint64_t mapjoin_memory_budget_bytes() const {
-    return mapjoin_memory_budget_bytes_;
-  }
 
   /// The query's node in the unified memory accounting tree (see
   /// common/budget.h), or nullptr when the query runs outside a session.
@@ -85,7 +77,6 @@ class QueryContext {
   std::shared_ptr<CancellationToken> token_;
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
-  uint64_t mapjoin_memory_budget_bytes_ = 0;
   MemoryBudget* memory_budget_ = nullptr;
 };
 

@@ -225,6 +225,14 @@ void Span::SetAttr(std::string_view key, std::string_view value) {
   attrs_.emplace_back(std::string(key), std::move(v));
 }
 
+std::optional<AttrValue> Span::FindAttr(std::string_view key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = attrs_.rbegin(); it != attrs_.rend(); ++it) {
+    if (it->first == key) return it->second;
+  }
+  return std::nullopt;
+}
+
 Span* Span::LastChild() {
   std::lock_guard<std::mutex> lock(mu_);
   return children_.empty() ? nullptr : children_.back().get();

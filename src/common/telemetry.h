@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,6 +147,8 @@ class Span {
   void SetAttr(std::string_view key, uint64_t value);
   void SetAttr(std::string_view key, double value);
   void SetAttr(std::string_view key, std::string_view value);
+  /// The value last set for `key`, or nullopt if it was never set.
+  std::optional<AttrValue> FindAttr(std::string_view key) const;
 
   const std::string& name() const { return name_; }
   int64_t start_nanos() const { return start_nanos_; }

@@ -1,6 +1,7 @@
 #include "exec/plan.h"
 
 #include <atomic>
+#include <unordered_set>
 
 namespace minihive::exec {
 
@@ -39,6 +40,27 @@ OpDescPtr MakeOp(OpKind kind) {
   op->kind = kind;
   op->id = next_id.fetch_add(1);
   return op;
+}
+
+void WalkOps(const std::vector<OpDescPtr>& roots, bool stop_at_reduce_sink,
+             const std::function<void(const OpDescPtr&)>& visit) {
+  std::unordered_set<const OpDesc*> seen;
+  std::vector<OpDescPtr> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    OpDescPtr op = std::move(stack.back());
+    stack.pop_back();
+    if (!seen.insert(op.get()).second) continue;
+    visit(op);
+    if (stop_at_reduce_sink && op->kind == OpKind::kReduceSink) continue;
+    for (const OpDescPtr& child : op->children) stack.push_back(child);
+  }
+}
+
+std::vector<OpDescPtr> CollectOps(const std::vector<OpDescPtr>& roots) {
+  std::vector<OpDescPtr> ops;
+  WalkOps(roots, /*stop_at_reduce_sink=*/false,
+          [&ops](const OpDescPtr& op) { ops.push_back(op); });
+  return ops;
 }
 
 std::string OpDesc::DebugString(int indent) const {

@@ -1,6 +1,7 @@
 #ifndef MINIHIVE_EXEC_PLAN_H_
 #define MINIHIVE_EXEC_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,6 +171,16 @@ struct OpDesc {
 
 /// Creates a node with the next id.
 OpDescPtr MakeOp(OpKind kind);
+
+/// Visits every descriptor reachable from `roots` along child edges, each
+/// exactly once, depth first. With `stop_at_reduce_sink`, a ReduceSink is
+/// visited but the walk does not continue below it, so it stays inside the
+/// map or reduce region it started in.
+void WalkOps(const std::vector<OpDescPtr>& roots, bool stop_at_reduce_sink,
+             const std::function<void(const OpDescPtr&)>& visit);
+
+/// Every descriptor reachable from `roots`, in WalkOps order.
+std::vector<OpDescPtr> CollectOps(const std::vector<OpDescPtr>& roots);
 
 }  // namespace minihive::exec
 

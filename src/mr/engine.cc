@@ -329,57 +329,62 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
                     span);
 }
 
-/// The plain path's retry loop: runs attempts of one task on the calling
-/// thread until one wins, the query dies, or max_task_attempts attempts
-/// have failed (counted in `*failures`). Only the winning attempt's
-/// counters reach `counters`, so a retry never double-counts records.
+/// The error of a unit of work that used up its attempts, keeping the last
+/// attempt's code.
+Status FailedAfterAttempts(std::string_view unit, int attempts,
+                           const Status& last) {
+  return Status(last.code(), std::string(unit) + " failed after " +
+                                 std::to_string(attempts) +
+                                 " attempts: " + last.message());
+}
+
+/// "map task 3", "reduce task 0": how errors name a logical task.
+std::string TaskName(TaskKind kind, int index) {
+  return std::string(kind == TaskKind::kMap ? "map" : "reduce") + " task " +
+         std::to_string(index);
+}
+
+/// The plain path: runs the attempts of one task on the calling thread
+/// through RunAttempts, counting each failed attempt as a map or reduce
+/// task failure (plus a straggler kill when its deadline fired) and its
+/// wall time as retried_task_nanos.
 Status RetryTask(const JobConfig& job, telemetry::Span* job_span,
                  TaskKind kind, int index, std::vector<MapRuns>* map_runs,
-                 JobCounters* counters, int* failures) {
-  const int max_attempts = std::max(1, job.max_task_attempts);
-  Status s;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    // Fast exit: a task picked up (or retried) after the query died must
-    // not start another attempt.
-    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
-    Stopwatch attempt_watch;
-    TaskGovernor governor = AttemptGovernor(job, /*cancel=*/nullptr);
-    JobCounters local;
-    ThreadCpuTimer cpu;
-    s = kind == TaskKind::kMap
-            ? RunMapAttempt(job, job_span, index, attempt, governor, &local,
-                            &(*map_runs)[index])
-            : RunReduceAttempt(job, job_span, *map_runs, index, attempt,
-                               governor, &local);
-    if (s.ok()) {
-      // Only a winning attempt's CPU counts; a failed attempt's time goes
-      // to retried_task_nanos below.
-      local.cpu_nanos += cpu.ElapsedNanos();
-      local.AccumulateTaskLocalInto(counters);
-      if (kind == TaskKind::kReduce) {
-        // Release this partition's runs only after a successful attempt (a
-        // retry merges them again); the job may hold many partitions.
-        for (MapRuns& runs : *map_runs) {
-          if (!runs) continue;
-          auto& run = runs->partitions()[index];
-          run.clear();
-          run.shrink_to_fit();
-        }
-      }
-      return s;
+                 JobCounters* counters) {
+  bool timed_out = false;  // Whether the latest attempt hit its deadline.
+  Status status = RunAttempts(
+      TaskName(kind, index), job.max_task_attempts, job.query_ctx, counters,
+      [&](int attempt, JobCounters* local) {
+        TaskGovernor governor = AttemptGovernor(job, /*cancel=*/nullptr);
+        ThreadCpuTimer cpu;
+        Status s = kind == TaskKind::kMap
+                       ? RunMapAttempt(job, job_span, index, attempt, governor,
+                                       local, &(*map_runs)[index])
+                       : RunReduceAttempt(job, job_span, *map_runs, index,
+                                          attempt, governor, local);
+        timed_out = governor.AttemptTimedOut();
+        // Only a winning attempt's CPU counts; a failed attempt's time goes
+        // to retried_task_nanos.
+        if (s.ok()) local->cpu_nanos += cpu.ElapsedNanos();
+        return s;
+      },
+      [&](int64_t attempt_nanos) {
+        (kind == TaskKind::kMap ? counters->map_task_failures
+                                : counters->reduce_task_failures) += 1;
+        if (timed_out) counters->tasks_timed_out += 1;
+        counters->retried_task_nanos += attempt_nanos;
+      });
+  if (status.ok() && kind == TaskKind::kReduce) {
+    // Release this partition's runs only after a successful attempt (a
+    // retry merges them again); the job may hold many partitions.
+    for (MapRuns& runs : *map_runs) {
+      if (!runs) continue;
+      auto& run = runs->partitions()[index];
+      run.clear();
+      run.shrink_to_fit();
     }
-    // Classify the failure. Dead query: stop, not a task failure and never
-    // retried. Attempt timeout (straggler kill): counted, then retried like
-    // any failure.
-    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
-    *failures += 1;
-    (kind == TaskKind::kMap ? counters->map_task_failures
-                            : counters->reduce_task_failures) += 1;
-    if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
-    counters->retried_task_nanos +=
-        static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
   }
-  return s;
+  return status;
 }
 
 /// The dispatched path's half of a job: registers the attempt executor with
@@ -415,8 +420,7 @@ class DispatchedJob {
 
   /// Dispatches one logical task, folds the dispatch bookkeeping into
   /// `counters`, and merges the winning attempt's product.
-  Status RunTask(TaskKind kind, int index, JobCounters* counters,
-                 int* failures) {
+  Status RunTask(TaskKind kind, int index, JobCounters* counters) {
     DispatchOutcome outcome = dispatcher_->RunTask(
         job_id_, job_.name, kind, index,
         kind == TaskKind::kMap ? job_.splits[index] : InputSplit(),
@@ -432,8 +436,11 @@ class DispatchedJob {
         outcome.failures;
     counters->tasks_timed_out += outcome.timeouts;
     counters->retried_task_nanos += outcome.retried_nanos;
-    *failures = outcome.failures;
-    if (!outcome.status.ok()) return outcome.status;
+    if (!outcome.status.ok()) {
+      MINIHIVE_RETURN_IF_ERROR(QueryAlive(job_));
+      return FailedAfterAttempts(TaskName(kind, index), outcome.failures,
+                                 outcome.status);
+    }
 
     std::lock_guard<std::mutex> lock(mu_);
     auto it = products_.find({kind, index, outcome.winning_attempt});
@@ -550,20 +557,10 @@ Status Engine::RunPhases(const JobConfig& job, JobCounters* counters,
     dispatched.emplace(options_.dispatcher, job, job_span, &map_runs);
   }
 
-  // Runs one logical task to completion. A failure that is not the query's
-  // own death names the task and how many attempts it burnt.
   auto run_task = [&](TaskKind kind, int index) -> Status {
-    int failures = 0;
-    Status s = dispatched.has_value()
-                   ? dispatched->RunTask(kind, index, counters, &failures)
-                   : RetryTask(job, job_span, kind, index, &map_runs,
-                               counters, &failures);
-    if (s.ok()) return s;
-    MINIHIVE_RETURN_IF_ERROR(QueryAlive(job));
-    return Status(s.code(),
-                  std::string(kind == TaskKind::kMap ? "map" : "reduce") +
-                      " task " + std::to_string(index) + " failed after " +
-                      std::to_string(failures) + " attempts: " + s.message());
+    return dispatched.has_value()
+               ? dispatched->RunTask(kind, index, counters)
+               : RetryTask(job, job_span, kind, index, &map_runs, counters);
   };
   auto run_phase = [&](TaskKind kind, int count, double* millis) -> Status {
     Stopwatch watch;
@@ -581,6 +578,36 @@ Status Engine::RunPhases(const JobConfig& job, JobCounters* counters,
   // Shuffle + reduce phase: starts after the whole map phase.
   return run_phase(TaskKind::kReduce, job.num_reducers,
                    &counters->reduce_phase_millis);
+}
+
+Status RunAttempts(
+    std::string_view unit, int max_attempts, const QueryContext* query_ctx,
+    JobCounters* counters,
+    const std::function<Status(int attempt, JobCounters* local)>& body,
+    const std::function<void(int64_t attempt_nanos)>& on_failure) {
+  auto alive = [query_ctx] {
+    return query_ctx != nullptr ? query_ctx->CheckAlive() : Status::OK();
+  };
+  max_attempts = std::max(1, max_attempts);
+  Status last;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    MINIHIVE_RETURN_IF_ERROR(alive());
+    Stopwatch watch;
+    JobCounters local;
+    last = body(attempt, &local);
+    if (last.ok()) {
+      local.AccumulateTaskLocalInto(counters);
+      return last;
+    }
+    // A dead query is not the unit's failure; an exhausted budget would
+    // only be exhausted again.
+    MINIHIVE_RETURN_IF_ERROR(alive());
+    if (last.IsResourceExhausted()) return last;
+    if (on_failure) {
+      on_failure(static_cast<int64_t>(watch.ElapsedMillis() * 1e6));
+    }
+  }
+  return FailedAfterAttempts(unit, max_attempts, last);
 }
 
 Result<std::vector<InputSplit>> ComputeSplits(

@@ -417,15 +417,34 @@ class Engine {
   Status RunTasks(int count, const std::function<Status(int)>& fn);
 
   /// RunJob's body inside the job span: the map phase, then the shuffle +
-  /// reduce phase. Each logical task runs its attempts through the plain
-  /// retry loop, or through `options_.dispatcher` when one is set; both
-  /// paths share the same map and reduce attempt bodies.
+  /// reduce phase. Each logical task runs its attempts through RunAttempts,
+  /// or through `options_.dispatcher` when one is set; both paths share the
+  /// same map and reduce attempt bodies.
   Status RunPhases(const JobConfig& job, JobCounters* counters,
                    telemetry::Span* job_span);
 
   dfs::FileSystem* fs_;
   EngineOptions options_;
 };
+
+/// The one bounded attempt loop for work that runs outside the dispatch
+/// layer: engine tasks on the plain pool, the map-join local task and the
+/// driver's result fetch. Runs `body(attempt, local)` until an attempt
+/// succeeds:
+/// - the query (`query_ctx`, may be null) must be alive before each attempt;
+/// - each attempt fills fresh counters `local`, merged into `counters` only
+///   when it succeeds, so a retry never double-counts;
+/// - a dead query or a ResourceExhausted failure (determinate: a retry
+///   repeats it) ends the loop at once with that status, unwrapped;
+/// - any other failure calls `on_failure` (may be empty) with the attempt's
+///   wall time and retries. After `max_attempts` failures the last error
+///   comes back, code kept, as "<unit> failed after N attempts: <msg>".
+/// The caller does its own failure accounting in `on_failure`.
+Status RunAttempts(
+    std::string_view unit, int max_attempts, const QueryContext* query_ctx,
+    JobCounters* counters,
+    const std::function<Status(int attempt, JobCounters* local)>& body,
+    const std::function<void(int64_t attempt_nanos)>& on_failure = {});
 
 /// Computes input splits for a set of files: one split per `split_size`
 /// bytes, with locality set to the first block's first replica. Fails if

@@ -1,6 +1,5 @@
 #include "ql/driver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 
@@ -161,8 +160,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
   QueryContext query_ctx;
   query_ctx.set_token(token_);
   query_ctx.set_timeout_millis(options_.query_timeout_millis);
-  query_ctx.set_mapjoin_memory_budget_bytes(
-      options_.mapjoin_memory_budget_bytes);
 
   // Session mode: pass admission control first, then open the query's
   // fair-share scheduler queue. Admission failure is pre-plan, so it can
@@ -174,8 +171,7 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
     manager = options_.session->manager();
     std::string query_name =
         options_.session->name() + "#" + std::to_string(query_counter_ + 1);
-    auto admitted =
-        manager->Admit(query_name, &query_ctx, options_.query_memory_bytes);
+    auto admitted = manager->Admit(query_name, &query_ctx);
     if (!admitted.ok()) return admitted.status();
     admission = std::move(admitted).ValueOrDie();
     query_ctx.set_memory_budget(admission->budget());
@@ -353,33 +349,11 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
     return result;
   }
 
-  ExecutionOptions exec_options;
-  exec_options.default_reducers = options_.default_reducers;
-  exec_options.split_size = options_.split_size;
-  exec_options.num_workers = options_.num_workers;
-  exec_options.job_startup_ms = options_.job_startup_ms;
-  exec_options.vectorized = options_.vectorized_execution;
-  exec_options.enable_late_materialization =
-      options_.enable_late_materialization;
-  exec_options.use_combiner = options_.shuffle_combiner;
-  exec_options.max_task_attempts = options_.max_task_attempts;
-  exec_options.query_ctx = &query_ctx;
-  exec_options.task_timeout_millis = options_.task_timeout_millis;
-  exec_options.mapjoin_memory_budget_bytes =
-      options_.mapjoin_memory_budget_bytes;
-  if (options_.session != nullptr && active_queue_ != nullptr) {
-    exec_options.scheduler = options_.session->manager()->scheduler();
-    exec_options.scheduler_queue = active_queue_;
-  }
-  exec_options.dispatcher = dispatcher_.get();
-  telemetry::Span* exec_span = nullptr;
-  if (query_span != nullptr) {
-    exec_span = query_span->StartChild("execute");
-    exec_options.profile = true;
-    exec_options.query_span = exec_span;
-  }
-  PlanExecutor executor(fs_, catalog_, exec_options);
-  Status exec_status = executor.Run(compiled, &result.counters, &result.jobs);
+  telemetry::Span* exec_span =
+      query_span != nullptr ? query_span->StartChild("execute") : nullptr;
+  PlanExecutor executor(fs_, catalog_, options_, query_ctx, exec_span,
+                        active_queue_, dispatcher_.get());
+  Status exec_status = executor.Run(compiled, &result.counters);
   if (exec_span != nullptr) exec_span->End();
   if (!exec_status.ok()) {
     // A failed (or cancelled) query must not leak its scratch or attempt
@@ -391,50 +365,41 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
 
   // Fetch: read the result files back (variant-coded SequenceFile rows).
   // Only committed task outputs ("part-*") are fetched — a straggler's
-  // attempt file must never leak into the result. Each file gets the same
-  // bounded retry as a task, so a transient read fault doesn't fail the
+  // attempt file must never leak into the result. Each file goes through
+  // the shared attempt loop, so a transient read fault doesn't fail the
   // whole query after its jobs already succeeded.
   const formats::FileFormat* format =
       formats::GetFileFormat(formats::FormatKind::kSequenceFile);
   telemetry::Span* fetch_span =
       query_span != nullptr ? query_span->StartChild("fetch") : nullptr;
-  const int max_fetch_attempts = std::max(1, options_.max_task_attempts);
   for (const std::string& path : fs_->List(result_path + "/part-")) {
-    Status last;
-    for (int attempt = 0; attempt < max_fetch_attempts; ++attempt) {
-      last = query_ctx.CheckAlive();
-      if (!last.ok()) break;
-      std::vector<Row> file_rows;
-      mr::JobCounters fetch_counters;  // This attempt's; kept on success.
-      formats::ReadOptions read_options;
-      read_options.counters = &fetch_counters;
-      auto reader = format->OpenReader(fs_, path, nullptr, read_options);
-      last = reader.status();
-      if (!last.ok()) continue;
-      Row row;
-      while (true) {
-        Result<bool> more = (*reader)->Next(&row);
-        last = more.status();
-        if (!last.ok() || !*more) break;
-        file_rows.push_back(row);
-      }
-      if (!last.ok()) continue;
-      fetch_counters.AccumulateTaskLocalInto(&result.counters);
-      for (Row& r : file_rows) {
-        result.rows.push_back(std::move(r));
-        if (plan.limit >= 0 && !plan.order_ascending.empty() &&
-            static_cast<int64_t>(result.rows.size()) >= plan.limit) {
-          break;
-        }
-      }
-      break;
-    }
-    if (!last.ok()) {
+    std::vector<Row> file_rows;
+    Status fetched = mr::RunAttempts(
+        "result fetch of " + path, options_.max_task_attempts, &query_ctx,
+        &result.counters, [&](int, mr::JobCounters* local) -> Status {
+          file_rows.clear();
+          formats::ReadOptions read_options;
+          read_options.counters = local;
+          MINIHIVE_ASSIGN_OR_RETURN(
+              std::unique_ptr<formats::RowReader> reader,
+              format->OpenReader(fs_, path, nullptr, read_options));
+          Row row;
+          while (true) {
+            MINIHIVE_ASSIGN_OR_RETURN(bool more, reader->Next(&row));
+            if (!more) return Status::OK();
+            file_rows.push_back(row);
+          }
+        });
+    if (!fetched.ok()) {
       CleanupTemps(scratch, plan.temp_dirs);
-      if (last.IsCancelled() || last.IsDeadlineExceeded()) return last;
-      return Status(last.code(), "result fetch of " + path + " failed after " +
-                                     std::to_string(max_fetch_attempts) +
-                                     " attempts: " + last.message());
+      return fetched;
+    }
+    for (Row& r : file_rows) {
+      result.rows.push_back(std::move(r));
+      if (plan.limit >= 0 && !plan.order_ascending.empty() &&
+          static_cast<int64_t>(result.rows.size()) >= plan.limit) {
+        break;
+      }
     }
   }
   // LIMIT without a global sort is enforced per task; trim the union.

@@ -10,6 +10,7 @@ namespace minihive::ql {
 
 namespace {
 
+using exec::CollectOps;
 using exec::Expr;
 using exec::ExprKind;
 using exec::ExprPtr;
@@ -17,19 +18,6 @@ using exec::MakeOp;
 using exec::OpDesc;
 using exec::OpDescPtr;
 using exec::OpKind;
-
-void CollectOps(const std::vector<OpDescPtr>& roots,
-                std::vector<OpDescPtr>* out) {
-  std::set<const OpDesc*> seen;
-  std::vector<OpDescPtr> stack(roots.begin(), roots.end());
-  while (!stack.empty()) {
-    OpDescPtr op = stack.back();
-    stack.pop_back();
-    if (!seen.insert(op.get()).second) continue;
-    out->push_back(op);
-    for (const OpDescPtr& child : op->children) stack.push_back(child);
-  }
-}
 
 Result<OpDescPtr> SharedPtrOf(OpDesc* raw, const std::vector<OpDescPtr>& ops) {
   for (const OpDescPtr& op : ops) {
@@ -276,8 +264,7 @@ Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs) {
   // every conjunct that can reach a scan's chain.
   for (bool moved = attach_sargs; moved;) {
     moved = false;
-    std::vector<OpDescPtr> ops;
-    CollectOps(plan->roots, &ops);
+    std::vector<OpDescPtr> ops = CollectOps(plan->roots);
     for (const OpDescPtr& op : ops) {
       if (op->kind == OpKind::kJoin && op->join_num_inputs == 2 &&
           op->parents.size() == 2) {
@@ -398,8 +385,7 @@ Status ConvertMapJoins(PlannedQuery* plan, const Catalog* catalog,
   int tmp_index = 0;
   while (changed) {
     changed = false;
-    std::vector<OpDescPtr> ops;
-    CollectOps(plan->roots, &ops);
+    std::vector<OpDescPtr> ops = CollectOps(plan->roots);
     for (const OpDescPtr& op : ops) {
       if (op->kind != OpKind::kJoin || op->join_num_inputs != 2) continue;
       if (op->parents.size() != 2) continue;
@@ -531,32 +517,23 @@ const OpDesc* MapOnlyProducer(const OpDesc* fs) {
 /// True when everything downstream of `ts` reaches FileSinks without any
 /// ReduceSink (the consuming job is map-only).
 bool ConsumerIsMapOnly(const OpDesc* ts) {
-  std::vector<const OpDesc*> stack = {ts};
-  std::set<const OpDesc*> seen;
-  while (!stack.empty()) {
-    const OpDesc* cur = stack.back();
-    stack.pop_back();
-    if (!seen.insert(cur).second) continue;
-    if (cur->kind == OpKind::kReduceSink) return false;
-    for (const OpDescPtr& child : cur->children) stack.push_back(child.get());
-  }
-  return true;
+  bool map_only = true;
+  exec::WalkOps(ts->children, /*stop_at_reduce_sink=*/true,
+                [&map_only](const OpDescPtr& op) {
+                  if (op->kind == OpKind::kReduceSink) map_only = false;
+                });
+  return map_only;
 }
 
-uint64_t SumHashTableBytes(const OpDesc* from) {
+/// Hash-table bytes of the map joins in the region below `scan`.
+uint64_t SumHashTableBytes(const OpDesc* scan) {
   uint64_t total = 0;
-  std::vector<const OpDesc*> stack = {from};
-  std::set<const OpDesc*> seen;
-  while (!stack.empty()) {
-    const OpDesc* cur = stack.back();
-    stack.pop_back();
-    if (!seen.insert(cur).second) continue;
-    if (cur->kind == OpKind::kMapJoin) {
-      total += cur->mapjoin_hash_table_bytes;
-    }
-    if (cur->kind == OpKind::kReduceSink) continue;
-    for (const OpDescPtr& child : cur->children) stack.push_back(child.get());
-  }
+  exec::WalkOps(scan->children, /*stop_at_reduce_sink=*/true,
+                [&total](const OpDescPtr& op) {
+                  if (op->kind == OpKind::kMapJoin) {
+                    total += op->mapjoin_hash_table_bytes;
+                  }
+                });
   return total;
 }
 
@@ -566,8 +543,7 @@ Status MergeMapOnlyJobs(PlannedQuery* plan, uint64_t threshold_bytes) {
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<OpDescPtr> ops;
-    CollectOps(plan->roots, &ops);
+    std::vector<OpDescPtr> ops = CollectOps(plan->roots);
     // Map temp prefix -> consuming temp TableScan.
     std::map<std::string, OpDescPtr> temp_scans;
     for (const OpDescPtr& op : ops) {
@@ -956,8 +932,7 @@ std::string PipelineSignature(const OpDesc* rs) {
 }  // namespace
 
 Status ApplyCorrelationOptimizer(PlannedQuery* plan) {
-  std::vector<OpDescPtr> ops;
-  CollectOps(plan->roots, &ops);
+  std::vector<OpDescPtr> ops = CollectOps(plan->roots);
 
   // Candidate ReduceSinks: exclude the ORDER BY boundary (custom sort) and
   // anything with an explicit reducer count.

@@ -1,7 +1,5 @@
 #include "ql/runtime.h"
 
-#include <set>
-
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "orc/sarg.h"
@@ -60,34 +58,6 @@ bool PartitionPrunes(const std::vector<int>& part_idx, const TableFile& file,
     }
   }
   return false;
-}
-
-/// Collects the MapJoin descriptors of a map region (TS .. RS/FS).
-void CollectMapJoins(const OpDescPtr& root, std::vector<const OpDesc*>* out) {
-  std::vector<const OpDesc*> stack = {root.get()};
-  std::set<const OpDesc*> seen;
-  while (!stack.empty()) {
-    const OpDesc* cur = stack.back();
-    stack.pop_back();
-    if (!seen.insert(cur).second) continue;
-    if (cur->kind == OpKind::kMapJoin) out->push_back(cur);
-    if (cur->kind == OpKind::kReduceSink) continue;
-    for (const OpDescPtr& child : cur->children) stack.push_back(child.get());
-  }
-}
-
-/// Collects the FileSink path prefixes of a pipeline (for attempt-output
-/// promotion).
-void CollectFileSinks(const OpDesc* root, std::vector<std::string>* out) {
-  std::vector<const OpDesc*> stack = {root};
-  std::set<const OpDesc*> seen;
-  while (!stack.empty()) {
-    const OpDesc* cur = stack.back();
-    stack.pop_back();
-    if (!seen.insert(cur).second) continue;
-    if (cur->kind == OpKind::kFileSink) out->push_back(cur->sink_path_prefix);
-    for (const OpDescPtr& child : cur->children) stack.push_back(child.get());
-  }
 }
 
 class RowMapTask : public mr::MapTask {
@@ -257,50 +227,41 @@ class RowReduceTask : public mr::ReduceTask {
 }  // namespace
 
 PlanExecutor::PlanExecutor(dfs::FileSystem* fs, const Catalog* catalog,
-                           ExecutionOptions options)
+                           const DriverOptions& options,
+                           const QueryContext& query_ctx,
+                           telemetry::Span* execute_span,
+                           TaskScheduler::Queue* scheduler_queue,
+                           mr::DispatchCoordinator* dispatcher)
     : fs_(fs),
       catalog_(catalog),
       options_(options),
-      engine_(fs, mr::EngineOptions{options.num_workers,
-                                     options.job_startup_ms,
-                                     options.scheduler,
-                                     options.scheduler_queue,
-                                     options.dispatcher}) {}
+      query_ctx_(query_ctx),
+      execute_span_(execute_span),
+      engine_(fs, mr::EngineOptions{
+                      options.num_workers, options.job_startup_ms,
+                      scheduler_queue != nullptr
+                          ? options.session->manager()->scheduler()
+                          : nullptr,
+                      scheduler_queue, dispatcher}) {}
 
-Status PlanExecutor::Run(const CompiledPlan& plan, mr::JobCounters* totals,
-                         std::vector<JobReport>* reports) {
+Status PlanExecutor::Run(const CompiledPlan& plan, mr::JobCounters* totals) {
   for (const MapRedJob& job : plan.jobs) {
-    if (options_.query_ctx != nullptr) {
-      MINIHIVE_RETURN_IF_ERROR(options_.query_ctx->CheckAlive());
-    }
-    Stopwatch watch;
+    MINIHIVE_RETURN_IF_ERROR(query_ctx_.CheckAlive());
     mr::JobCounters counters;
     std::unique_ptr<exec::PipelineProfile> profile;
-    if (options_.profile) profile = std::make_unique<exec::PipelineProfile>();
+    if (execute_span_ != nullptr) {
+      profile = std::make_unique<exec::PipelineProfile>();
+    }
     Status job_status = RunJob(job, &counters, profile.get());
-    // Jobs run sequentially, so the last child of the query span is this
+    // Jobs run sequentially, so the last child of the execute span is this
     // job's span (the engine added it); hang the operator stats off it.
-    if (profile != nullptr && options_.query_span != nullptr) {
-      if (telemetry::Span* job_span = options_.query_span->LastChild()) {
+    if (profile != nullptr) {
+      if (telemetry::Span* job_span = execute_span_->LastChild()) {
         profile->AttachToSpan(job_span);
       }
     }
     MINIHIVE_RETURN_IF_ERROR(job_status);
     counters.AccumulateInto(totals);
-    if (reports != nullptr) {
-      JobReport report;
-      report.name = job.name;
-      report.elapsed_millis = watch.ElapsedMillis();
-      report.map_tasks = counters.map_tasks;
-      report.reduce_tasks = counters.reduce_tasks;
-      report.map_task_failures = counters.map_task_failures.load();
-      report.reduce_task_failures = counters.reduce_task_failures.load();
-      report.retried_task_millis = counters.retried_task_millis();
-      report.tasks_timed_out = counters.tasks_timed_out.load();
-      report.local_task_failures = counters.local_task_failures.load();
-      report.local_task_millis = counters.local_task_millis();
-      reports->push_back(report);
-    }
   }
   return Status::OK();
 }
@@ -378,87 +339,60 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
     }
     return source;
   };
+  // The pipelines' entries. Map joins sit in the map pipelines, and can
+  // also sit in the reduce pipeline (a converted join whose streamed side
+  // is another join's output).
+  std::vector<OpDescPtr> map_roots;
+  for (const auto& source : *sources) map_roots.push_back(source.root);
+  std::vector<OpDescPtr> reduce_roots;
+  if (job.reduce_root != nullptr) reduce_roots.push_back(job.reduce_root);
   std::vector<const OpDesc*> mapjoins;
-  for (const auto& source : *sources) {
-    CollectMapJoins(source.root, &mapjoins);
-  }
-  if (job.reduce_root != nullptr) {
-    // Map joins can also sit in a reduce pipeline (a converted join whose
-    // streamed side is another join's output).
-    CollectMapJoins(job.reduce_root, &mapjoins);
-  }
-  // The local task reads the small tables outside the engine's task retry
-  // loop, so it gets its own bounded retries against transient read faults.
-  // Its attempts and wall time are accounted separately from engine tasks
-  // (local_task_failures / local_task_nanos); like an engine task, only
-  // the winning attempt's scan counts reach the job.
-  const int max_attempts = std::max(1, options_.max_task_attempts);
+  auto collect_mapjoin = [&mapjoins](const OpDescPtr& op) {
+    if (op->kind == OpKind::kMapJoin) mapjoins.push_back(op.get());
+  };
+  exec::WalkOps(map_roots, /*stop_at_reduce_sink=*/true, collect_mapjoin);
+  exec::WalkOps(reduce_roots, /*stop_at_reduce_sink=*/true, collect_mapjoin);
+  // The local task reads the small tables outside the engine, so it runs
+  // through the shared attempt loop on its own. Its failed attempts and wall
+  // time are counted apart from engine tasks (local_task_failures /
+  // local_task_nanos); only the winning attempt's scan counts reach the job.
   for (const OpDesc* mj : mapjoins) {
     Stopwatch local_watch;
-    Status last;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      if (options_.query_ctx != nullptr) {
-        Status alive = options_.query_ctx->CheckAlive();
-        if (!alive.ok()) {
-          counters->queries_cancelled += 1;
-          last = alive;
-          break;
-        }
-      }
-      mr::JobCounters local;
-      auto tables = exec::BuildMapJoinTables(
-          fs_, *mj, resolver, options_.query_ctx,
-          options_.mapjoin_memory_budget_bytes, &local);
-      if (tables.ok()) {
-        local.AccumulateTaskLocalInto(counters);
-        (*mapjoin_tables)[mj->id] = std::move(*tables);
-        last = Status::OK();
-        break;
-      }
-      last = tables.status();
-      // A blown memory budget is determinate: retrying rebuilds the same
-      // oversized table. Fail straight through so the driver can fall back
-      // to the reduce-join backup plan. Same for a dead query.
-      if (last.IsResourceExhausted() || last.IsCancelled() ||
-          last.IsDeadlineExceeded()) {
-        break;
-      }
-      counters->local_task_failures += 1;
-    }
+    Status built = mr::RunAttempts(
+        "map-join local task", options_.max_task_attempts, &query_ctx_,
+        counters,
+        [&](int, mr::JobCounters* local) -> Status {
+          MINIHIVE_ASSIGN_OR_RETURN(
+              (*mapjoin_tables)[mj->id],
+              exec::BuildMapJoinTables(fs_, *mj, resolver, &query_ctx_,
+                                       options_.mapjoin_memory_budget_bytes,
+                                       local));
+          return Status::OK();
+        },
+        [&](int64_t) { counters->local_task_failures += 1; });
     counters->local_task_nanos +=
         static_cast<int64_t>(local_watch.ElapsedMillis() * 1e6);
-    if (!last.ok()) {
-      if (last.IsResourceExhausted() || last.IsCancelled() ||
-          last.IsDeadlineExceeded()) {
-        return last;
-      }
-      return Status(last.code(), "map-join local task failed after " +
-                                     std::to_string(max_attempts) +
-                                     " attempts: " + last.message());
-    }
+    MINIHIVE_RETURN_IF_ERROR(built);
   }
 
   // Splits.
   mr::JobConfig config;
   config.name = job.name;
-  uint64_t split_size =
-      options_.split_size > 0 ? options_.split_size : fs_->block_size();
   for (size_t i = 0; i < sources->size(); ++i) {
     MINIHIVE_ASSIGN_OR_RETURN(
         std::vector<mr::InputSplit> splits,
-        mr::ComputeSplits(fs_, (*sources)[i].paths, split_size,
+        mr::ComputeSplits(fs_, (*sources)[i].paths, fs_->block_size(),
                           static_cast<int>(i)));
     config.splits.insert(config.splits.end(), splits.begin(), splits.end());
   }
   config.num_reducers = job.num_reducers;
   config.sort_ascending = job.sort_ascending;
   config.max_task_attempts = options_.max_task_attempts;
-  config.query_ctx = options_.query_ctx;
+  config.query_ctx = &query_ctx_;
   config.task_timeout_millis = options_.task_timeout_millis;
+  config.parent_span = execute_span_;
 
-  if (options_.profile) config.parent_span = options_.query_span;
-
-  bool vectorized = options_.vectorized;
+  bool vectorized = options_.vectorized_execution;
   bool late_materialization = options_.enable_late_materialization;
   dfs::FileSystem* fs = fs_;
   config.map_factory = [fs, sources, mapjoin_tables, vectorized,
@@ -475,7 +409,7 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
                                              mapjoin_tables.get(), partition,
                                              attempt, nullptr, profile);
     };
-    if (options_.use_combiner && job.combine_root != nullptr) {
+    if (options_.shuffle_combiner && job.combine_root != nullptr) {
       const OpDesc* combine_root = job.combine_root.get();
       config.combiner_factory =
           [fs, combine_root, mapjoin_tables,
@@ -491,14 +425,18 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
   // Attempt-output promotion: a successful attempt's sink files are renamed
   // into place; a failed attempt's are deleted. Sinks live in the map
   // pipelines for map-only jobs and in the reduce pipeline otherwise.
-  auto map_sinks = std::make_shared<std::vector<std::string>>();
-  for (const auto& source : *sources) {
-    CollectFileSinks(source.root.get(), map_sinks.get());
-  }
-  auto reduce_sinks = std::make_shared<std::vector<std::string>>();
-  if (job.reduce_root != nullptr) {
-    CollectFileSinks(job.reduce_root.get(), reduce_sinks.get());
-  }
+  auto sink_prefixes = [](const std::vector<OpDescPtr>& roots) {
+    auto prefixes = std::make_shared<std::vector<std::string>>();
+    exec::WalkOps(roots, /*stop_at_reduce_sink=*/false,
+                  [&prefixes](const OpDescPtr& op) {
+                    if (op->kind == OpKind::kFileSink) {
+                      prefixes->push_back(op->sink_path_prefix);
+                    }
+                  });
+    return prefixes;
+  };
+  auto map_sinks = sink_prefixes(map_roots);
+  auto reduce_sinks = sink_prefixes(reduce_roots);
   config.commit_task = [fs, map_sinks, reduce_sinks](
                            mr::TaskKind kind, int index,
                            int attempt) -> Status {

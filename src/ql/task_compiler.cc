@@ -13,38 +13,17 @@ using exec::OpDesc;
 using exec::OpDescPtr;
 using exec::OpKind;
 
-/// All reachable descriptors from the roots (children direction).
-void CollectOps(const std::vector<OpDescPtr>& roots,
-                std::vector<OpDescPtr>* out) {
-  std::set<const OpDesc*> seen;
-  std::vector<OpDescPtr> stack(roots.begin(), roots.end());
-  while (!stack.empty()) {
-    OpDescPtr op = stack.back();
-    stack.pop_back();
-    if (!seen.insert(op.get()).second) continue;
-    out->push_back(op);
-    for (const OpDescPtr& child : op->children) stack.push_back(child);
-  }
-}
-
 /// Marks every op that executes in some reduce phase: children of RS ops
 /// and their downstream closure, stopping at (but including) nested RS ops.
 void MarkReduceResident(const std::vector<OpDescPtr>& ops,
                         std::set<const OpDesc*>* resident) {
+  std::vector<OpDescPtr> entries;
   for (const OpDescPtr& op : ops) {
     if (op->kind != OpKind::kReduceSink) continue;
-    std::vector<const OpDesc*> stack;
-    for (const OpDescPtr& child : op->children) stack.push_back(child.get());
-    while (!stack.empty()) {
-      const OpDesc* cur = stack.back();
-      stack.pop_back();
-      if (!resident->insert(cur).second) continue;
-      if (cur->kind == OpKind::kReduceSink) continue;  // Next stage.
-      for (const OpDescPtr& child : cur->children) {
-        stack.push_back(child.get());
-      }
-    }
+    entries.insert(entries.end(), op->children.begin(), op->children.end());
   }
+  exec::WalkOps(entries, /*stop_at_reduce_sink=*/true,
+                [resident](const OpDescPtr& op) { resident->insert(op.get()); });
 }
 
 /// Follows single-parent chains up to the TableScan feeding a pipeline.
@@ -140,8 +119,7 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
 
   // ---- Step 1: surgery — materialize between consecutive shuffles.
   {
-    std::vector<OpDescPtr> ops;
-    CollectOps(plan->roots, &ops);
+    std::vector<OpDescPtr> ops = exec::CollectOps(plan->roots);
     std::set<const OpDesc*> resident;
     MarkReduceResident(ops, &resident);
     int tmp_index = 0;
@@ -180,8 +158,7 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
   }
 
   // ---- Step 2: group RS boundaries into jobs by their reduce entry.
-  std::vector<OpDescPtr> ops;
-  CollectOps(plan->roots, &ops);
+  std::vector<OpDescPtr> ops = exec::CollectOps(plan->roots);
 
   // Bound map-side hash aggregation memory. Flush-per-group GroupBys (the
   // Correlation Optimizer's) already bound their footprint to one group.
@@ -210,20 +187,12 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
 
   auto record_sinks = [&](const OpDescPtr& start, int job_index) {
     // Record every FileSink reachable from `start` without crossing an RS.
-    std::vector<const OpDesc*> stack = {start.get()};
-    std::set<const OpDesc*> seen;
-    while (!stack.empty()) {
-      const OpDesc* cur = stack.back();
-      stack.pop_back();
-      if (!seen.insert(cur).second) continue;
-      if (cur->kind == OpKind::kFileSink) {
-        producer_of[cur->sink_path_prefix] = job_index;
-      }
-      if (cur->kind == OpKind::kReduceSink) continue;
-      for (const OpDescPtr& child : cur->children) {
-        stack.push_back(child.get());
-      }
-    }
+    exec::WalkOps({start}, /*stop_at_reduce_sink=*/true,
+                  [&](const OpDescPtr& op) {
+                    if (op->kind == OpKind::kFileSink) {
+                      producer_of[op->sink_path_prefix] = job_index;
+                    }
+                  });
   };
 
   for (auto& [entry, rs_list] : reduce_groups) {
@@ -267,22 +236,10 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
   for (const OpDescPtr& root : plan->roots) {
     if (root->kind != OpKind::kTableScan) continue;
     bool has_rs = false;
-    {
-      std::vector<const OpDesc*> stack = {root.get()};
-      std::set<const OpDesc*> seen;
-      while (!stack.empty()) {
-        const OpDesc* cur = stack.back();
-        stack.pop_back();
-        if (!seen.insert(cur).second) continue;
-        if (cur->kind == OpKind::kReduceSink) {
-          has_rs = true;
-          break;
-        }
-        for (const OpDescPtr& child : cur->children) {
-          stack.push_back(child.get());
-        }
-      }
-    }
+    exec::WalkOps({root}, /*stop_at_reduce_sink=*/true,
+                  [&has_rs](const OpDescPtr& op) {
+                    if (op->kind == OpKind::kReduceSink) has_rs = true;
+                  });
     if (has_rs) continue;
     MapRedJob job;
     job.name = "job-" + std::to_string(jobs.size()) + "-maponly";

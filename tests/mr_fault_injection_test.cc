@@ -349,6 +349,56 @@ TEST_F(FaultSweepTest, DispatchedWorkerLossSweep) {
                std::to_string(transport_faults) + " transport faults");
 }
 
+TEST_F(FaultSweepTest, ResultFetchRetriesReadErrors) {
+  // Read errors only on committed result files: the jobs run clean and only
+  // the driver's result fetch sees faults. Its attempt loop must absorb them
+  // or fail with a typed error, and only the winning attempt of each file
+  // may count, so a recovered run reports the fault-free bytes_read. One
+  // worker keeps the metadata-cache hits, and so bytes_read, deterministic.
+  const std::string sql =
+      "SELECT o_custkey, COUNT(*) AS cnt, SUM(o_amount) AS total "
+      "FROM orders GROUP BY o_custkey";
+  DriverOptions options;
+  options.num_workers = 1;
+  auto execute = [&] {
+    Driver driver(fs_.get(), catalog_.get(), options);
+    return driver.Execute(sql);
+  };
+  auto golden = execute();
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  std::vector<std::string> want = Canonicalize(golden->rows);
+
+  int recovered = 0;
+  uint64_t read_errors = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    FaultConfig config;
+    config.seed = 7000 + seed;
+    config.read_error_probability = 0.3;
+    config.path_filter = "/result/part-";
+    FaultInjector injector(config);
+    fs_->set_fault_injector(&injector);
+    auto result = execute();
+    fs_->set_fault_injector(nullptr);
+    const uint64_t seed_errors = injector.stats().read_errors.load();
+    read_errors += seed_errors;
+    EXPECT_TRUE(fs_->List("/tmp/").empty())
+        << "seed " << seed << " leaked temp files";
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsIoError())
+          << "seed " << seed << ": " << result.status().ToString();
+      continue;
+    }
+    if (seed_errors > 0) ++recovered;
+    EXPECT_EQ(Canonicalize(result->rows), want)
+        << "seed " << seed << ": run succeeded with WRONG rows";
+    EXPECT_EQ(result->counters.bytes_read.load(),
+              golden->counters.bytes_read.load())
+        << "seed " << seed << ": failed fetch attempts were counted";
+  }
+  EXPECT_GT(read_errors, 0u) << "no fetch read ever failed; test is vacuous";
+  EXPECT_GT(recovered, 0) << "no run recovered from a failed fetch attempt";
+}
+
 TEST_F(FaultSweepTest, WriteFaultsAreRetriedOrTyped) {
   // Append/close failures hit the shuffle spill and sink writers; a failed
   // write attempt must be retried from scratch, never half-committed.

@@ -126,10 +126,10 @@ TEST_F(MapJoinFallbackTest, GenerousBudgetDoesNotFallBack) {
   EXPECT_FALSE(got->rows.empty());
 }
 
-TEST_F(MapJoinFallbackTest, LocalTaskRetriesAreCountedInJobReport) {
+TEST_F(MapJoinFallbackTest, LocalTaskRetriesAreCounted) {
   // Read errors targeted at the small table make the map-join local task
   // (hash build) fail and retry; those attempts and their wall time must be
-  // visible in the JobReport, separately from engine task failures.
+  // visible in the query's counters, separately from engine task failures.
   bool saw_recovered_local_failure = false;
   for (int seed = 0; seed < 20 && !saw_recovered_local_failure; ++seed) {
     FaultConfig faults;
@@ -144,16 +144,9 @@ TEST_F(MapJoinFallbackTest, LocalTaskRetriesAreCountedInJobReport) {
     fs_->set_fault_injector(nullptr);
     if (!got.ok()) continue;  // Retries exhausted: acceptable, try next seed.
 
-    uint64_t local_failures = 0;
-    double local_millis = 0;
-    for (const JobReport& report : got->jobs) {
-      local_failures += report.local_task_failures;
-      local_millis += report.local_task_millis;
-    }
-    EXPECT_EQ(local_failures, got->counters.local_task_failures.load());
-    if (local_failures > 0) {
+    if (got->counters.local_task_failures.load() > 0) {
       saw_recovered_local_failure = true;
-      EXPECT_GT(local_millis, 0.0);
+      EXPECT_GT(got->counters.local_task_millis(), 0.0);
     }
   }
   EXPECT_TRUE(saw_recovered_local_failure)
