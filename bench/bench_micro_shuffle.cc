@@ -191,7 +191,10 @@ class SumCombineTask : public mr::ReduceTask {
 
 mr::JobCounters RunEngineJob(bool use_combiner) {
   dfs::FileSystem fs;
-  mr::Engine engine(&fs, mr::EngineOptions{4, 0});
+  // Three scheduler workers plus this thread: four task slots.
+  TaskScheduler scheduler(SchedulerOptions{3});
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue("bench");
+  mr::Engine engine(&fs, mr::EngineOptions{0, &scheduler, queue});
   mr::JobConfig job;
   job.name = use_combiner ? "skew-sum-combined" : "skew-sum";
   for (int s = 0; s < kRuns; ++s) {
@@ -210,6 +213,7 @@ mr::JobCounters RunEngineJob(bool use_combiner) {
   }
   mr::JobCounters counters;
   bench::Check(engine.RunJob(job, &counters), job.name.c_str());
+  scheduler.UnregisterQueue(queue);
   return counters;
 }
 

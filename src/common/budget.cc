@@ -101,8 +101,10 @@ Status BudgetReservation::CoverAtLeast(MemoryBudget* budget,
   if (total_bytes <= bytes_) return Status::OK();
   uint64_t deficit = total_bytes - bytes_;
   // Round the growth up to whole chunks so per-row callers hit the atomic
-  // only every `chunk_bytes` of growth.
+  // only every `chunk_bytes` of growth, but never past what the node has
+  // left: only a cover that itself exceeds the limit may fail.
   uint64_t grow = ((deficit + chunk_bytes - 1) / chunk_bytes) * chunk_bytes;
+  grow = std::max(deficit, std::min(grow, budget->available()));
   return Reserve(budget, grow);
 }
 

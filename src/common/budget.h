@@ -16,8 +16,7 @@ namespace minihive {
 /// One node of the unified memory accounting tree. The root carries the
 /// process/server-wide budget; children *commit* a fixed slice of their
 /// parent at construction (all-or-nothing) and then account their own
-/// consumers — map-join hash tables, ORC writer stripes, cache budgets —
-/// against that slice with TryReserve/Release.
+/// consumers — map-join hash tables, cache budgets — against that slice with TryReserve/Release.
 ///
 /// Commitment semantics make admission control compositional: once a child
 /// is created, its whole slice is charged to the parent, so the parent's
@@ -85,7 +84,7 @@ class MemoryBudget {
 /// RAII accumulator over one budget node: consumers reserve in coarse chunks
 /// as they grow (amortizing the CAS) and everything is released exactly once
 /// when the holder dies. Movable so it can live inside the object whose
-/// memory it accounts (a map-join hash table, a writer).
+/// memory it accounts (a map-join hash table).
 class BudgetReservation {
  public:
   BudgetReservation() = default;
@@ -114,8 +113,10 @@ class BudgetReservation {
   Status Reserve(MemoryBudget* budget, uint64_t bytes);
 
   /// Grows the held reservation until it covers `total_bytes`, reserving in
-  /// `chunk_bytes` steps (hot loops call this per row with a running total;
-  /// most calls return immediately without touching the atomic).
+  /// `chunk_bytes` steps clamped to what the node has left (hot loops call
+  /// this per row with a running total; most calls return immediately
+  /// without touching the atomic). Fails only when `total_bytes` itself
+  /// does not fit.
   Status CoverAtLeast(MemoryBudget* budget, uint64_t total_bytes,
                       uint64_t chunk_bytes = 256 * 1024);
 

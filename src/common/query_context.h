@@ -52,9 +52,10 @@ class QueryContext {
   Clock::time_point deadline() const { return deadline_; }
 
   /// The query's node in the unified memory accounting tree (see
-  /// common/budget.h), or nullptr when the query runs outside a session.
-  /// Consumers (map-join builds, ORC writers) charge reservations against
-  /// it; the node is owned by the admission handle and outlives the query.
+  /// common/budget.h); the Driver sets it from the query's admission, and
+  /// it is null only for work run outside a Driver. Map-join builds charge
+  /// reservations against it; the node is owned by the admission handle and
+  /// outlives the query.
   void set_memory_budget(MemoryBudget* budget) { memory_budget_ = budget; }
   MemoryBudget* memory_budget() const { return memory_budget_; }
 

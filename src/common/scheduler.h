@@ -28,9 +28,10 @@ struct SchedulerOptions {
 };
 
 /// A fixed worker pool shared by every concurrently running query.
-/// `mr::Engine` submits its map/reduce/fetch attempt fan-outs here instead
-/// of spawning its own threads, so N concurrent queries share one pool
-/// instead of multiplying threads.
+/// `mr::Engine` runs all of its map/reduce fan-outs here and spawns no
+/// threads of its own, so N concurrent queries on one SessionManager share
+/// one pool instead of multiplying threads (a Driver without a session
+/// runs on its own manager's pool).
 ///
 /// Scheduling model:
 ///  - Each query registers a Queue (with a priority tier). A queue holds the

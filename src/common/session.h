@@ -24,9 +24,10 @@ struct SessionManagerOptions {
   /// Root of the memory accounting tree; everything — caches, admitted
   /// queries — commits against this. 0 = unlimited (admission never queues).
   uint64_t global_memory_budget_bytes = 1ull << 30;  // 1 GiB
-  /// Slice committed per admitted query (its map-join builds and ORC
-  /// writers charge within it). Must fit under the global budget after the
-  /// caches take their share.
+  /// Slice committed per admitted query; its map-join builds charge within
+  /// it, and a build that does not fit fails with ResourceExhausted (the
+  /// driver then re-runs the query on reduce joins). 0 = unlimited. Must fit
+  /// under the global budget after the caches take their share.
   uint64_t per_query_memory_budget_bytes = 64ull << 20;  // 64 MiB
   /// Shared ORC metadata cache budget, committed against the global budget
   /// up front.
@@ -75,23 +76,14 @@ class QueryAdmission {
   int64_t queue_wait_millis_ = 0;
 };
 
-/// A lightweight per-client handle from a SessionManager: names the client,
-/// carries its priority tier, and hands out per-query contexts wired with a
-/// fresh cancellation token. Sessions are cheap; a server would create one
-/// per connection.
+/// A lightweight per-client handle from a SessionManager: names the client
+/// and carries its priority tier. Sessions are cheap; a server would create
+/// one per connection.
 class Session {
  public:
   const std::string& name() const { return name_; }
   int priority() const { return priority_; }
   SessionManager* manager() const { return manager_; }
-
-  /// A new context for one query: fresh cancellation token, session
-  /// defaults for deadline/budget applied by the driver.
-  std::unique_ptr<QueryContext> NewQueryContext() const {
-    auto ctx = std::make_unique<QueryContext>();
-    ctx->set_token(std::make_shared<CancellationToken>());
-    return ctx;
-  }
 
  private:
   friend class SessionManager;
@@ -136,11 +128,10 @@ class SessionManager {
       uint64_t requested_bytes = 0);
 
   TaskScheduler* scheduler() { return scheduler_.get(); }
-  cache::CacheManager* cache_manager() { return cache_manager_.get(); }
   /// Shared handle for installing into a FileSystem — readers pin it, so
   /// the cache outlives any in-flight scan even if the manager dies first
   /// (FileSystem::set_cache_manager's ownership contract).
-  std::shared_ptr<cache::CacheManager> shared_cache_manager() {
+  std::shared_ptr<cache::CacheManager> cache_manager() {
     return cache_manager_;
   }
   /// Shared dispatch-worker liveness/blacklist tracker; null unless

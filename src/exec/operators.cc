@@ -795,10 +795,8 @@ Result<Operator*> BuildOperatorTree(
 
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query, uint64_t memory_budget_bytes,
-    mr::JobCounters* counters) {
+    const QueryContext* query, mr::JobCounters* counters) {
   auto tables = std::make_shared<MapJoinTables>();
-  uint64_t total_bytes = 0;
   uint64_t rows_scanned = 0;
   for (const auto& side : desc.mapjoin_small_sides) {
     MINIHIVE_ASSIGN_OR_RETURN(SmallTableSource source,
@@ -832,23 +830,11 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
         for (const ExprPtr& e : side.build_values) {
           value.push_back(e->Eval(row));
         }
-        uint64_t row_bytes = mr::EstimateRowBytes(key) +
-                             mr::EstimateRowBytes(value) + 32;
-        table->approx_bytes += row_bytes;
-        total_bytes += row_bytes;
-        // Enforced while building, not after: the guard exists precisely so
-        // an oversized build side cannot balloon memory before being caught.
-        if (memory_budget_bytes > 0 && total_bytes > memory_budget_bytes) {
-          return Status::ResourceExhausted(
-              "map-join hash table for " + side.table_name + " exceeds the " +
-              std::to_string(memory_budget_bytes) +
-              "-byte memory budget (build aborted at " +
-              std::to_string(total_bytes) + " bytes)");
-        }
-        // Session mode: the build also charges the query's slice of the
-        // unified accounting tree, in chunks (one CAS per ~256 KiB grown).
-        // Exhaustion is the same determinate ResourceExhausted as above, so
-        // the driver's reduce-join fallback handles both uniformly.
+        table->approx_bytes += mr::EstimateRowBytes(key) +
+                               mr::EstimateRowBytes(value) + 32;
+        // Charged while building, not after, so an oversized build side
+        // cannot balloon memory before being caught; in chunks (one CAS per
+        // ~256 KiB grown). Exhaustion is a determinate ResourceExhausted.
         if (query != nullptr && query->memory_budget() != nullptr) {
           MINIHIVE_RETURN_IF_ERROR(table->reservation.CoverAtLeast(
               query->memory_budget(), table->approx_bytes));

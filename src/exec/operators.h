@@ -64,8 +64,8 @@ class PipelineProfile {
 struct MapJoinHashTable {
   std::unordered_map<std::string, std::vector<Row>> rows;
   uint64_t approx_bytes = 0;
-  /// Charge against the query's node of the memory accounting tree (session
-  /// mode). Held for the table's lifetime; released when the table dies.
+  /// Charge against the query's node of the memory accounting tree. Held
+  /// for the table's lifetime; released when the table dies.
   BudgetReservation reservation;
 };
 
@@ -207,17 +207,17 @@ struct SmallTableSource {
 using TableResolver =
     std::function<Result<SmallTableSource>(const std::string&)>;
 
-/// `memory_budget_bytes` caps the cumulative approximate size of all hash
-/// tables built for the operator (0 = unlimited): exceeding it fails the
-/// build with a typed ResourceExhausted, the signal the driver uses to fall
-/// back to the reduce-join backup plan instead of retrying. `query` (may be
-/// null) is polled while scanning so a cancelled query stops the build.
-/// The small-table readers count their work into `counters` (the local
-/// task attempt's; may be null).
+/// Each table charges its approximate size to the query's MemoryBudget
+/// slice while it grows (when `query` carries one), so the slice bounds all
+/// of a job's live builds together: a build that does not fit fails with a
+/// typed ResourceExhausted, the signal the driver uses to fall back to the
+/// reduce-join backup plan instead of retrying. `query` (may be null) is
+/// also polled while scanning so a cancelled query stops the build. The
+/// small-table readers count their work into `counters` (the local task
+/// attempt's; may be null).
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query = nullptr, uint64_t memory_budget_bytes = 0,
-    mr::JobCounters* counters = nullptr);
+    const QueryContext* query = nullptr, mr::JobCounters* counters = nullptr);
 
 }  // namespace minihive::exec
 

@@ -162,35 +162,6 @@ Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
   return Status::OK();
 }
 
-/// Runs `count` tasks on up to `workers` threads; collects the first error.
-Status RunParallel(int count, int workers,
-                   const std::function<Status(int)>& task) {
-  if (count == 0) return Status::OK();
-  workers = std::max(1, std::min(workers, count));
-  std::atomic<int> next{0};
-  std::mutex error_mutex;
-  Status first_error;
-  auto worker = [&]() {
-    while (true) {
-      int index = next.fetch_add(1);
-      if (index >= count) return;
-      Status status = task(index);
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.ok()) first_error = status;
-      }
-    }
-  };
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    for (int i = 0; i < workers; ++i) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  return first_error;
-}
-
 /// Cancelled/DeadlineExceeded once the job's query has died.
 Status QueryAlive(const JobConfig& job) {
   return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
@@ -504,14 +475,6 @@ class DispatchedJob {
 Engine::Engine(dfs::FileSystem* fs, EngineOptions options)
     : fs_(fs), options_(options) {}
 
-Status Engine::RunTasks(int count, const std::function<Status(int)>& fn) {
-  if (options_.scheduler != nullptr && options_.scheduler_queue != nullptr) {
-    return options_.scheduler->RunParallel(options_.scheduler_queue, count,
-                                           fn);
-  }
-  return RunParallel(count, options_.num_workers, fn);
-}
-
 Status Engine::RunJob(const JobConfig& job, JobCounters* counters) {
   // Tracing: one span per job, one per task attempt. Spans are opened from
   // worker threads (StartChild is thread-safe); the job's counters fold
@@ -547,6 +510,9 @@ Status Engine::RunPhases(const JobConfig& job, JobCounters* counters,
   if (job.num_reducers > 0 && !job.reduce_factory) {
     return Status::InvalidArgument("job has reducers but no reduce factory");
   }
+  if (options_.scheduler == nullptr || options_.scheduler_queue == nullptr) {
+    return Status::InvalidArgument("engine has no scheduler queue");
+  }
 
   std::vector<MapRuns> map_runs(job.splits.size());
   // Distributed mode: every task attempt routes through the dispatch layer.
@@ -564,8 +530,9 @@ Status Engine::RunPhases(const JobConfig& job, JobCounters* counters,
   };
   auto run_phase = [&](TaskKind kind, int count, double* millis) -> Status {
     Stopwatch watch;
-    MINIHIVE_RETURN_IF_ERROR(count_if_dead(
-        RunTasks(count, [&](int index) { return run_task(kind, index); })));
+    MINIHIVE_RETURN_IF_ERROR(count_if_dead(options_.scheduler->RunParallel(
+        options_.scheduler_queue, count,
+        [&](int index) { return run_task(kind, index); })));
     *millis = watch.ElapsedMillis();
     return Status::OK();
   };

@@ -77,7 +77,7 @@ struct JobCounters {
   /// Map-join builds that blew the memory budget and were re-run through
   /// the backup reduce-join plan (Hive's backup-task protocol).
   std::atomic<uint64_t> mapjoin_fallbacks{0};
-  /// Distributed dispatch (zero on the plain engine pool): physical task
+  /// Distributed dispatch (zero without a dispatcher): physical task
   /// launches shipped to the SimulatedRemoteTransport, launches after a
   /// task's first (retries), speculative straggler duplicates, logical
   /// tasks whose speculative duplicate beat the original, and logical
@@ -376,16 +376,15 @@ struct JobConfig {
 };
 
 struct EngineOptions {
-  /// Concurrent task slots (the paper's cluster ran 3 per node).
-  int num_workers = 2;
   /// Simulated per-job startup latency (Hadoop job scheduling + JVM launch;
   /// tens of seconds on the paper's cluster). 0 disables it; benches that
   /// compare job counts set a scaled-down value.
   int job_startup_ms = 0;
-  /// When both are set, map/reduce task fan-outs are submitted to this
-  /// shared scheduler queue (the session's worker pool) instead of the
-  /// engine spawning `num_workers` threads per phase. The queue is the
-  /// query's fair-share lane; both pointers must outlive the engine's jobs.
+  /// Required: every map/reduce task fan-out runs on this scheduler through
+  /// this queue, the query's fair-share lane. The engine spawns no threads:
+  /// a phase runs on the scheduler's workers plus the calling thread, which
+  /// works its own batch, so a scheduler of N - 1 workers gives N task
+  /// slots. Both pointers must outlive the engine's jobs.
   TaskScheduler* scheduler = nullptr;
   TaskScheduler::Queue* scheduler_queue = nullptr;
   /// When set, every task attempt routes through the dispatch layer
@@ -412,10 +411,6 @@ class Engine {
   dfs::FileSystem* fs() { return fs_; }
 
  private:
-  /// Fans `fn(0..count-1)` out across the configured scheduler queue when
-  /// one is set, else across an engine-private thread pool.
-  Status RunTasks(int count, const std::function<Status(int)>& fn);
-
   /// RunJob's body inside the job span: the map phase, then the shuffle +
   /// reduce phase. Each logical task runs its attempts through RunAttempts,
   /// or through `options_.dispatcher` when one is set; both paths share the
@@ -428,8 +423,8 @@ class Engine {
 };
 
 /// The one bounded attempt loop for work that runs outside the dispatch
-/// layer: engine tasks on the plain pool, the map-join local task and the
-/// driver's result fetch. Runs `body(attempt, local)` until an attempt
+/// layer: engine tasks without a dispatcher, the map-join local task and
+/// the driver's result fetch. Runs `body(attempt, local)` until an attempt
 /// succeeds:
 /// - the query (`query_ctx`, may be null) must be alive before each attempt;
 /// - each attempt fills fresh counters `local`, merged into `counters` only

@@ -5,8 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "common/budget.h"
-
 namespace minihive::orc {
 
 /// Bounds the aggregate memory footprint of concurrent ORC writers inside
@@ -24,29 +22,15 @@ class MemoryManager {
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
 
-  /// Links writer memory into the unified accounting tree (session mode):
-  /// each registered writer's stripe size is reserved against `budget`,
-  /// best-effort — a failed reservation does not fail the writer, because
-  /// Scale() is the degradation mechanism (writers shrink stripes rather
-  /// than error). `budget` must outlive all writers.
-  void set_budget(MemoryBudget* budget) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget_ = budget;
-  }
-
   /// Registers a writer identified by an opaque pointer.
   void AddWriter(const void* writer, uint64_t stripe_size) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = writers_.emplace(writer, stripe_size);
     if (!inserted) {
       total_ -= it->second;
-      ReleaseCharge(writer);
       it->second = stripe_size;
     }
     total_ += stripe_size;
-    if (budget_ != nullptr && budget_->TryReserve(stripe_size).ok()) {
-      charged_[writer] = stripe_size;
-    }
   }
 
   void RemoveWriter(const void* writer) {
@@ -54,7 +38,6 @@ class MemoryManager {
     auto it = writers_.find(writer);
     if (it == writers_.end()) return;
     total_ -= it->second;
-    ReleaseCharge(writer);
     writers_.erase(it);
   }
 
@@ -74,21 +57,10 @@ class MemoryManager {
   uint64_t threshold() const { return threshold_; }
 
  private:
-  /// Caller holds mutex_. Refunds the budget charge of one writer, if any.
-  void ReleaseCharge(const void* writer) {
-    auto it = charged_.find(writer);
-    if (it == charged_.end()) return;
-    if (budget_ != nullptr) budget_->Release(it->second);
-    charged_.erase(it);
-  }
-
   const uint64_t threshold_;
   mutable std::mutex mutex_;
   std::map<const void*, uint64_t> writers_;
   uint64_t total_ = 0;
-  MemoryBudget* budget_ = nullptr;
-  /// Writers whose stripe size is charged to budget_ (best-effort subset).
-  std::map<const void*, uint64_t> charged_;
 };
 
 }  // namespace minihive::orc

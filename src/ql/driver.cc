@@ -1,5 +1,6 @@
 #include "ql/driver.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 
@@ -71,39 +72,43 @@ bool IsTableStatement(std::string_view sql) {
 }  // namespace
 
 Driver::Driver(dfs::FileSystem* fs, Catalog* catalog, DriverOptions options)
-    : fs_(fs), catalog_(catalog), options_(options) {
-  if (options_.session != nullptr) {
-    // Session mode: every driver on the manager shares one CacheManager.
-    // Installing the same handle is idempotent across drivers; it stays
-    // installed for the manager's lifetime (the manager outlives us).
-    fs_->set_cache_manager(options_.session->manager()->shared_cache_manager());
-  } else if (options_.metadata_cache_bytes > 0) {
-    caches_ =
-        std::make_shared<cache::CacheManager>(options_.metadata_cache_bytes);
-    fs_->set_cache_manager(caches_);
+    : fs_(fs),
+      catalog_(catalog),
+      options_(options),
+      session_(options.session) {
+  if (session_ == nullptr) {
+    // Standalone: a private manager from the driver's own settings. The
+    // query thread works its own task batches, so num_workers - 1 scheduler
+    // workers give exactly num_workers task slots; without a global budget
+    // admission never queues, and the per-query slice caps map-join builds.
+    SessionManagerOptions manager_options;
+    manager_options.num_workers = std::max(0, options_.num_workers - 1);
+    manager_options.metadata_cache_bytes = options_.metadata_cache_bytes;
+    manager_options.global_memory_budget_bytes = 0;
+    manager_options.per_query_memory_budget_bytes =
+        options_.mapjoin_memory_budget_bytes;
+    manager_options.workers = options_.workers;
+    own_manager_ = std::make_unique<SessionManager>(manager_options);
+    own_session_ = own_manager_->NewSession("driver");
+    session_ = own_session_.get();
   }
-  if (options_.workers.num_workers > 0) {
-    transport_ =
-        std::make_unique<mr::SimulatedRemoteTransport>(options_.workers);
-    // Prefer the session's shared health tracker so a worker blacklisted by
-    // one driver stays blacklisted for the session's others — but only when
-    // the pool sizes agree (a mismatched shared manager could pick worker
-    // indices this transport doesn't have).
-    WorkerManager* shared =
-        options_.session != nullptr
-            ? options_.session->manager()->worker_manager()
-            : nullptr;
-    if (shared != nullptr &&
-        shared->num_workers() == transport_->num_workers()) {
-      worker_manager_ = shared;
-    } else {
-      own_worker_manager_ =
-          std::make_unique<WorkerManager>(options_.workers);
-      worker_manager_ = own_worker_manager_.get();
-    }
+  SessionManager* manager = session_->manager();
+  // Every driver on a manager shares its CacheManager; installing the same
+  // handle again is idempotent. Installation is last-wins like the fault
+  // injector: with several managers on one filesystem the most recent
+  // driver's cache serves everyone. A manager without a metadata cache
+  // installs nothing.
+  if (manager->options().metadata_cache_bytes > 0) {
+    fs_->set_cache_manager(manager->cache_manager());
+  }
+  if (WorkerManager* worker_manager = manager->worker_manager()) {
+    // The manager's health tracker is shared, so a worker blacklisted by
+    // one driver stays blacklisted for the session's others.
+    transport_ = std::make_unique<mr::SimulatedRemoteTransport>(
+        manager->options().workers);
     dispatcher_ = std::make_unique<mr::DispatchCoordinator>(transport_.get(),
-                                                            worker_manager_);
-    started_monitor_ = worker_manager_->StartMonitor(
+                                                            worker_manager);
+    started_monitor_ = worker_manager->StartMonitor(
         [t = transport_.get()](int worker) { return t->Heartbeat(worker); });
   }
 }
@@ -114,13 +119,15 @@ Driver::~Driver() {
   // started the thread stops it (a session-shared manager may be serving
   // other drivers, but their probes would dangle — safety first; dispatch
   // results still update liveness for them).
-  if (started_monitor_) worker_manager_->StopMonitor();
-  // Uninstall only if still the installed manager — a later Driver on the
-  // same filesystem may have replaced us (last-wins, like fault injectors).
-  // Concurrent users that captured the handle keep it alive past us: the
-  // installation is shared_ptr-based precisely so this destructor cannot
-  // pull the cache out from under an open ORC reader.
-  if (caches_ != nullptr && fs_->cache_manager() == caches_) {
+  if (started_monitor_) worker_manager()->StopMonitor();
+  // A private manager's cache is uninstalled only if still the installed
+  // one — a later Driver on the same filesystem may have replaced it
+  // (last-wins). Concurrent users that captured the handle keep it alive
+  // past us: the installation is shared_ptr-based precisely so this
+  // destructor cannot pull the cache out from under an open ORC reader. A
+  // shared manager's cache stays installed for the manager's lifetime.
+  if (own_manager_ != nullptr &&
+      fs_->cache_manager() == own_manager_->cache_manager()) {
     fs_->set_cache_manager(nullptr);
   }
 }
@@ -161,23 +168,22 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
   query_ctx.set_token(token_);
   query_ctx.set_timeout_millis(options_.query_timeout_millis);
 
-  // Session mode: pass admission control first, then open the query's
+  // An executed query passes admission control first, then opens its
   // fair-share scheduler queue. Admission failure is pre-plan, so it can
   // never be mistaken for a map-join budget failure (no fallback run) and
   // never perturbs queries already executing.
   std::unique_ptr<QueryAdmission> admission;
-  SessionManager* manager = nullptr;
-  if (options_.session != nullptr && execute) {
-    manager = options_.session->manager();
+  SessionManager* manager = session_->manager();
+  if (execute) {
     std::string query_name =
-        options_.session->name() + "#" + std::to_string(query_counter_ + 1);
+        session_->name() + "#" + std::to_string(query_counter_ + 1);
     auto admitted = manager->Admit(query_name, &query_ctx);
     if (!admitted.ok()) return admitted.status();
     admission = std::move(admitted).ValueOrDie();
     query_ctx.set_memory_budget(admission->budget());
     active_admission_ = admission.get();
-    active_queue_ = manager->scheduler()->RegisterQueue(
-        query_name, options_.session->priority());
+    active_queue_ =
+        manager->scheduler()->RegisterQueue(query_name, session_->priority());
   }
 
   Result<QueryResult> result = RunOnce(sql, execute, explain_profile,
@@ -267,8 +273,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
       // The queue is registered per statement, so its stats are this
       // statement's own.
       TaskScheduler::QueueStats stats =
-          options_.session->manager()->scheduler()->GetQueueStats(
-              active_queue_);
+          session_->manager()->scheduler()->GetQueueStats(active_queue_);
       query_span->SetAttr("sched_tasks_run", stats.tasks_run);
       query_span->SetAttr("sched_queue_wait_millis",
                           stats.queue_wait_nanos / 1000000);
@@ -352,7 +357,8 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   telemetry::Span* exec_span =
       query_span != nullptr ? query_span->StartChild("execute") : nullptr;
   PlanExecutor executor(fs_, catalog_, options_, query_ctx, exec_span,
-                        active_queue_, dispatcher_.get());
+                        session_->manager()->scheduler(), active_queue_,
+                        dispatcher_.get());
   Status exec_status = executor.Run(compiled, &result.counters);
   if (exec_span != nullptr) exec_span->End();
   if (!exec_status.ok()) {

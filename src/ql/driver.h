@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/cache.h"
 #include "common/session.h"
 #include "common/worker_manager.h"
 #include "mr/engine.h"
@@ -33,7 +32,9 @@ struct QueryResult {
 };
 
 /// The session facade: parse -> analyze -> optimize -> compile -> execute ->
-/// fetch, mirroring Hive's Driver (paper §2).
+/// fetch, mirroring Hive's Driver (paper §2). Every query runs in a
+/// Session: `DriverOptions::session`, or one on a private SessionManager the
+/// driver builds when that is null, so there is one execution path.
 class Driver {
  public:
   Driver(dfs::FileSystem* fs, Catalog* catalog,
@@ -56,12 +57,14 @@ class Driver {
   Catalog* catalog() { return catalog_; }
   DriverOptions& options() { return options_; }
 
-  /// The dispatch transport, when workers are configured (null otherwise).
-  /// Tests install fault injectors on it.
+  /// The dispatch transport, when the manager's workers are configured
+  /// (null otherwise). Tests install fault injectors on it.
   mr::SimulatedRemoteTransport* transport() { return transport_.get(); }
-  /// The worker health tracker backing dispatch (session-shared or owned);
-  /// null when workers are not configured.
-  WorkerManager* worker_manager() { return worker_manager_; }
+  /// The manager's worker health tracker backing dispatch; null when its
+  /// workers are not configured.
+  WorkerManager* worker_manager() {
+    return session_->manager()->worker_manager();
+  }
 
   /// Installs the token every subsequent query checks at its cancellation
   /// points. Cancel() from any thread makes the running query fail with a
@@ -88,24 +91,25 @@ class Driver {
   dfs::FileSystem* fs_;
   Catalog* catalog_;
   DriverOptions options_;
-  /// Session ORC metadata cache, installed on fs_ for this
-  /// driver's lifetime. Installation is last-wins like the fault injector:
-  /// with several Drivers on one filesystem the most recent construction's
-  /// caches serve everyone, and the destructor only uninstalls itself.
-  std::shared_ptr<cache::CacheManager> caches_;
-  /// Dispatch layer (workers.num_workers > 0 only). Destruction order
-  /// matters: the coordinator references manager and transport, and the
-  /// monitor probe references the transport — ~Driver stops the monitor
-  /// (when this driver started it) before any of these die.
+  /// The private manager and session, built when options.session is null.
+  /// Declared before the dispatch layer, which references the manager's
+  /// WorkerManager, so they outlive it.
+  std::unique_ptr<SessionManager> own_manager_;
+  std::unique_ptr<Session> own_session_;
+  /// The session every query runs in: options.session or own_session_.
+  Session* session_;
+  /// Dispatch layer (the manager's workers.num_workers > 0 only).
+  /// Destruction order matters: the coordinator references the worker
+  /// manager and transport, and the monitor probe references the transport
+  /// — ~Driver stops the monitor (when this driver started it) before any
+  /// of these die.
   std::unique_ptr<mr::SimulatedRemoteTransport> transport_;
-  std::unique_ptr<WorkerManager> own_worker_manager_;
-  WorkerManager* worker_manager_ = nullptr;
   std::unique_ptr<mr::DispatchCoordinator> dispatcher_;
   bool started_monitor_ = false;
   int query_counter_ = 0;
   std::shared_ptr<telemetry::Span> last_profile_;
   std::shared_ptr<CancellationToken> token_;
-  /// Session mode, set for the duration of one Run(): the admission ticket
+  /// Set for the duration of one executed Run(): the admission ticket
   /// (budget slice + queue wait) and the query's scheduler queue. A Driver
   /// runs one query at a time; concurrent queries use separate Drivers
   /// sharing one Session/SessionManager.

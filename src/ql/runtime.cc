@@ -60,6 +60,39 @@ bool PartitionPrunes(const std::vector<int>& part_idx, const TableFile& file,
   return false;
 }
 
+/// The files a job reads from `table`, with their delete bitmaps. A managed
+/// table is read at one snapshot: its manifest (files + bitmaps) is
+/// captured once, so concurrent INSERT/DELETE/compaction commits cannot
+/// perturb the job's input set. With a `sarg` (may be null), files whose
+/// partition values it rules out never reach the splitter.
+void CollectTableFiles(const Catalog& catalog, const TableDesc& table,
+                       const orc::SearchArgument* sarg,
+                       std::vector<std::string>* paths,
+                       DeleteBitmapMap* delete_bitmaps) {
+  if (!table.managed()) {
+    *paths = catalog.TableFiles(table);
+    return;
+  }
+  std::shared_ptr<const TableSnapshot> snapshot = catalog.Snapshot(table);
+  const std::vector<int> part_idx = table.PartitionIndexes();
+  uint64_t pruned = 0;
+  for (const TableFile& file : snapshot->files) {
+    if (PartitionPrunes(part_idx, file, sarg)) {
+      ++pruned;
+      continue;
+    }
+    paths->push_back(file.path);
+    if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
+      (*delete_bitmaps)[file.path] = file.delete_bitmap;
+    }
+  }
+  if (pruned > 0) {
+    telemetry::MetricsRegistry::Global()
+        .GetCounter("ql.partition_files_pruned")
+        ->Add(pruned);
+  }
+}
+
 class RowMapTask : public mr::MapTask {
  public:
   RowMapTask(dfs::FileSystem* fs, const std::vector<SourceRuntime>* sources,
@@ -230,6 +263,7 @@ PlanExecutor::PlanExecutor(dfs::FileSystem* fs, const Catalog* catalog,
                            const DriverOptions& options,
                            const QueryContext& query_ctx,
                            telemetry::Span* execute_span,
+                           TaskScheduler* scheduler,
                            TaskScheduler::Queue* scheduler_queue,
                            mr::DispatchCoordinator* dispatcher)
     : fs_(fs),
@@ -237,12 +271,8 @@ PlanExecutor::PlanExecutor(dfs::FileSystem* fs, const Catalog* catalog,
       options_(options),
       query_ctx_(query_ctx),
       execute_span_(execute_span),
-      engine_(fs, mr::EngineOptions{
-                      options.num_workers, options.job_startup_ms,
-                      scheduler_queue != nullptr
-                          ? options.session->manager()->scheduler()
-                          : nullptr,
-                      scheduler_queue, dispatcher}) {}
+      engine_(fs, mr::EngineOptions{options.job_startup_ms, scheduler,
+                                    scheduler_queue, dispatcher}) {}
 
 Status PlanExecutor::Run(const CompiledPlan& plan, mr::JobCounters* totals) {
   for (const MapRedJob& job : plan.jobs) {
@@ -285,32 +315,8 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
           catalog_->GetTable(map_source.root->table_name));
       source.format = table->format;
       source.schema = table->schema;
-      if (table->managed()) {
-        // Snapshot isolation: capture the manifest (files + bitmaps) once;
-        // concurrent INSERT/DELETE/compaction commits cannot perturb this
-        // job's input set. Partition-pruned files never reach the splitter.
-        std::shared_ptr<const TableSnapshot> snapshot =
-            catalog_->Snapshot(*table);
-        const std::vector<int> part_idx = table->PartitionIndexes();
-        uint64_t pruned = 0;
-        for (const TableFile& file : snapshot->files) {
-          if (PartitionPrunes(part_idx, file, map_source.root->sarg.get())) {
-            ++pruned;
-            continue;
-          }
-          source.paths.push_back(file.path);
-          if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
-            source.delete_bitmaps[file.path] = file.delete_bitmap;
-          }
-        }
-        if (pruned > 0) {
-          telemetry::MetricsRegistry::Global()
-              .GetCounter("ql.partition_files_pruned")
-              ->Add(pruned);
-        }
-      } else {
-        source.paths = catalog_->TableFiles(*table);
-      }
+      CollectTableFiles(*catalog_, *table, map_source.root->sarg.get(),
+                        &source.paths, &source.delete_bitmaps);
     }
     sources->push_back(std::move(source));
   }
@@ -325,18 +331,8 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
     exec::SmallTableSource source;
     source.format = table->format;
     source.schema = table->schema;
-    if (table->managed()) {
-      std::shared_ptr<const TableSnapshot> snapshot =
-          catalog_->Snapshot(*table);
-      for (const TableFile& file : snapshot->files) {
-        source.paths.push_back(file.path);
-        if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
-          source.delete_bitmaps[file.path] = file.delete_bitmap;
-        }
-      }
-    } else {
-      source.paths = catalog_->TableFiles(*table);
-    }
+    CollectTableFiles(*catalog_, *table, /*sarg=*/nullptr, &source.paths,
+                      &source.delete_bitmaps);
     return source;
   };
   // The pipelines' entries. Map joins sit in the map pipelines, and can
@@ -365,7 +361,6 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
           MINIHIVE_ASSIGN_OR_RETURN(
               (*mapjoin_tables)[mj->id],
               exec::BuildMapJoinTables(fs_, *mj, resolver, &query_ctx_,
-                                       options_.mapjoin_memory_budget_bytes,
                                        local));
           return Status::OK();
         },

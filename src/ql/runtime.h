@@ -16,6 +16,12 @@ namespace minihive::ql {
 /// Session-level switches — each maps to one of the paper's advancements so
 /// the benchmarks can toggle them independently. Declared beside the
 /// PlanExecutor, which reads them directly; ql/driver.h includes this.
+///
+/// Every query runs through a SessionManager. Without `session` the Driver
+/// builds a private one at construction from `num_workers`,
+/// `metadata_cache_bytes`, `mapjoin_memory_budget_bytes` and `workers`;
+/// those four are read only then, and only for that private manager (with
+/// `session` set, the manager's own options govern instead).
 struct DriverOptions {
   /// Predicate pushdown (ORC PPD, §4.2, hive.optimize.ppd): WHERE
   /// conjuncts move below joins onto the input they reference, and scan
@@ -50,6 +56,9 @@ struct DriverOptions {
   /// re-merges the duplicate partials flushing creates.
   int map_aggr_flush_entries = 64 * 1024;
   int default_reducers = 4;
+  /// Concurrent task slots of the private manager: its scheduler gets
+  /// num_workers - 1 workers, and the query's own thread fills the last
+  /// slot (it works its own batches).
   int num_workers = 2;
   /// Simulated per-job startup latency (Hadoop scheduling/JVM costs).
   int job_startup_ms = 0;
@@ -65,42 +74,43 @@ struct DriverOptions {
   /// is cooperatively killed and retried under max_task_attempts, counted
   /// in tasks_timed_out. 0 disables.
   int task_timeout_millis = 0;
-  /// Byte cap on each map-join operator's hash tables (like
-  /// hive.mapjoin.localtask.max.memory.usage). A build that exceeds it
-  /// fails with ResourceExhausted and the driver transparently re-executes
-  /// the query with map-join conversion disabled (the reduce-join backup
-  /// plan), counted in mapjoin_fallbacks. 0 = unlimited.
+  /// The private manager's per-query MemoryBudget slice, the one cap on a
+  /// job's live map-join hash tables together (like
+  /// hive.mapjoin.localtask.max.memory.usage for the whole local task). A
+  /// build that does not fit fails with ResourceExhausted and the driver
+  /// transparently re-executes the query with map-join conversion disabled
+  /// (the reduce-join backup plan), counted in mapjoin_fallbacks.
+  /// 0 = unlimited.
   uint64_t mapjoin_memory_budget_bytes = 0;
-  /// Session ORC metadata cache: parsed file tails, stripe footers and
-  /// stripe indexes, keyed by (path, generation). Strict budget in bytes;
-  /// 0 disables. Metadata is small but expensive to re-parse and re-verify.
+  /// The private manager's ORC metadata cache: parsed file tails, stripe
+  /// footers and stripe indexes, keyed by (path, generation). Strict budget
+  /// in bytes; 0 disables it and installs no cache on the filesystem.
+  /// Metadata is small but expensive to re-parse and re-verify.
   uint64_t metadata_cache_bytes = 16ULL * 1024 * 1024;
   /// Collect a trace-span profile (driver phases, per-job spans and task
   /// attempts, per-operator row counts) for every query. EXPLAIN PROFILE
   /// turns this on for its one query regardless of the setting.
   bool enable_profiling = false;
-  /// Multi-query mode: attach this driver to a SessionManager session. The
-  /// driver then (a) uses the manager's shared cache instead of creating
-  /// its own (metadata_cache_bytes is ignored), (b) runs its engine
-  /// task fan-outs on the manager's shared worker pool through a per-query
-  /// fair-share queue at the session's priority, and (c) passes every query
-  /// through admission control first — a query is queued or rejected with a
-  /// typed ResourceExhausted when the global memory budget is committed.
-  /// The Session (and its SessionManager) must outlive the driver and any
-  /// filesystem reads that may hit the shared cache. Null = standalone
-  /// single-query mode, exactly as before.
+  /// The session every query of this driver runs in; null = a private
+  /// SessionManager and Session built at construction (see above). Either
+  /// way each executed query (a) passes admission control first — queued or
+  /// rejected with a typed ResourceExhausted when the global memory budget
+  /// is committed (a private manager has no global budget, so it never
+  /// queues) — and charges its map-join builds to its admitted slice,
+  /// (b) runs its engine task fan-outs on the manager's worker pool through
+  /// a per-query fair-share queue at the session's priority, and (c) reads
+  /// through the manager's metadata cache. A given Session (and its
+  /// SessionManager) must outlive the driver and any filesystem reads that
+  /// may hit the shared cache.
   Session* session = nullptr;
-  /// Distributed dispatch: when `workers.num_workers > 0` the driver builds
-  /// a SimulatedRemoteTransport (worker threads, real wire encoding, fault
-  /// hooks), tracks worker health
-  /// (heartbeats, blacklists, straggler stats) and routes every engine task
-  /// attempt through the dispatch coordinator — retries with capped
-  /// exponential backoff, speculative duplicates for stragglers, and local
-  /// fallback when every worker is out. 0 (default) keeps the engine's
-  /// plain in-process pool: zero new threads, identical behaviour to
-  /// before. In session mode the SessionManager's shared WorkerManager is
-  /// used when its pool size matches, so blacklists persist across the
-  /// session's drivers.
+  /// The private manager's dispatch worker pool. When the manager's
+  /// `workers.num_workers > 0` the driver builds a SimulatedRemoteTransport
+  /// of that size (worker threads, real wire encoding, fault hooks) over the
+  /// manager's WorkerManager (heartbeats, blacklists, straggler stats) and
+  /// routes every engine task attempt through the dispatch coordinator —
+  /// retries with capped exponential backoff, speculative duplicates for
+  /// stragglers, and local fallback when every worker is out. 0 (default)
+  /// runs attempts in process on the scheduler's threads.
   WorkerPoolOptions workers;
 };
 
@@ -109,14 +119,14 @@ struct DriverOptions {
 /// computes splits, and instantiates operator pipelines per task. Settings
 /// come from `options`; the other arguments are the query's own handles:
 /// its lifecycle context, the span per-job spans hang off (null = no
-/// profiling), its fair-share queue on the session's worker pool (null =
-/// engine-private threads) and the dispatch layer (null = in-process
-/// attempts). All of them must outlive the executor.
+/// profiling), the session's scheduler and the query's fair-share queue on
+/// it (both required) and the dispatch layer (null = in-process attempts).
+/// All of them must outlive the executor.
 class PlanExecutor {
  public:
   PlanExecutor(dfs::FileSystem* fs, const Catalog* catalog,
                const DriverOptions& options, const QueryContext& query_ctx,
-               telemetry::Span* execute_span,
+               telemetry::Span* execute_span, TaskScheduler* scheduler,
                TaskScheduler::Queue* scheduler_queue,
                mr::DispatchCoordinator* dispatcher);
 

@@ -11,6 +11,26 @@
 namespace minihive::mr {
 namespace {
 
+/// An Engine on its own TaskScheduler with `slots` concurrent task slots:
+/// slots - 1 workers plus the calling thread, which works its own batches.
+class TestEngine {
+ public:
+  TestEngine(dfs::FileSystem* fs, int slots)
+      : scheduler_(SchedulerOptions{slots - 1}),
+        queue_(scheduler_.RegisterQueue("test")),
+        engine_(fs, EngineOptions{0, &scheduler_, queue_}) {}
+  ~TestEngine() { scheduler_.UnregisterQueue(queue_); }
+
+  Status RunJob(const JobConfig& job, JobCounters* counters) {
+    return engine_.RunJob(job, counters);
+  }
+
+ private:
+  TaskScheduler scheduler_;
+  TaskScheduler::Queue* queue_;
+  Engine engine_;
+};
+
 /// Map task: emits (value % buckets, value) for each of its assigned
 /// synthetic records (the split length doubles as a record count).
 class ModuloMapTask : public MapTask {
@@ -81,7 +101,7 @@ class CollectingReduceTask : public ReduceTask {
 
 TEST(EngineTest, GroupSignalsAndPartitioning) {
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{4, 0});
+  TestEngine engine(&fs, 4);
   JobConfig job;
   job.name = "wordcount-ish";
   // 10 splits of 1000 synthetic records each.
@@ -124,7 +144,7 @@ TEST(EngineTest, SortOrderWithinPartition) {
   // Keys within a reduce partition must arrive in sorted order, honouring
   // per-column direction.
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{1, 0});
+  TestEngine engine(&fs, 1);
   JobConfig job;
   job.splits.push_back({"", 0, 500, -1, 0});
   job.num_reducers = 1;
@@ -151,13 +171,27 @@ TEST(EngineTest, MapErrorPropagates) {
     }
   };
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{2, 0});
+  TestEngine engine(&fs, 2);
   JobConfig job;
   job.splits.push_back({"", 0, 10, -1, 0});
   job.map_factory = [] { return std::make_unique<FailingMapTask>(); };
   JobCounters counters;
   Status status = engine.RunJob(job, &counters);
   EXPECT_TRUE(status.IsIoError()) << status.ToString();
+}
+
+TEST(EngineTest, RequiresASchedulerQueue) {
+  // The engine spawns no threads: without a scheduler queue to fan out on,
+  // a job fails up front instead of running.
+  dfs::FileSystem fs;
+  Engine engine(&fs, EngineOptions{});
+  JobConfig job;
+  job.splits.push_back({"", 0, 10, -1, 0});
+  job.map_factory = [] { return std::make_unique<ModuloMapTask>(7); };
+  JobCounters counters;
+  Status status = engine.RunJob(job, &counters);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(counters.map_output_records.load(), 0u);
 }
 
 TEST(EngineTest, MapOnlyJobSkipsShuffle) {
@@ -171,7 +205,7 @@ TEST(EngineTest, MapOnlyJobSkipsShuffle) {
     std::atomic<int>* runs_;
   };
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{2, 0});
+  TestEngine engine(&fs, 2);
   std::atomic<int> runs{0};
   JobConfig job;
   for (int i = 0; i < 5; ++i) job.splits.push_back({"", 0, 1, -1, 0});
@@ -282,7 +316,7 @@ TEST(EngineTest, CombinerPreservesOutputAndCutsShuffledBytes) {
   JobCounters counters[2];
   for (int use_combiner = 0; use_combiner < 2; ++use_combiner) {
     dfs::FileSystem fs;
-    Engine engine(&fs, EngineOptions{4, 0});
+    TestEngine engine(&fs, 4);
     JobConfig job;
     job.name = "combined-sum";
     for (int s = 0; s < 8; ++s) {
@@ -400,7 +434,7 @@ TEST(EngineTest, KWayMergeMatchesFullSortOrdering) {
     const uint64_t kRecordsPerSplit = 200;
 
     dfs::FileSystem fs;
-    Engine engine(&fs, EngineOptions{4, 0});
+    TestEngine engine(&fs, 4);
     JobConfig job;
     job.name = "merge-property";
     for (int s = 0; s < kSplits; ++s) {
@@ -488,7 +522,7 @@ class FlakyMapTask : public MapTask {
 
 TEST(EngineTest, FlakyMapTaskSucceedsOnRetryWithExactCounters) {
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{4, 0});
+  TestEngine engine(&fs, 4);
   JobConfig job;
   job.name = "flaky-maps";
   for (int s = 0; s < 6; ++s) {
@@ -524,7 +558,7 @@ TEST(EngineTest, MapAttemptsExhaustedFailsWithLastError) {
     }
   };
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{1, 0});
+  TestEngine engine(&fs, 1);
   JobConfig job;
   job.splits.push_back({"", 0, 10, -1, 0});
   job.num_reducers = 1;
@@ -573,7 +607,7 @@ TEST(EngineTest, FlakyReduceTaskRetriesAgainstIntactRuns) {
     int attempt_;
   };
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{2, 0});
+  TestEngine engine(&fs, 2);
   JobConfig job;
   for (int s = 0; s < 4; ++s) {
     job.splits.push_back({"", static_cast<uint64_t>(s) * 500, 500, -1, 0});
@@ -606,7 +640,7 @@ TEST(EngineTest, CommitAndAbortHooksFirePerAttempt) {
   std::mutex mutex;
   std::vector<Event> events;
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{2, 0});
+  TestEngine engine(&fs, 2);
   JobConfig job;
   for (int s = 0; s < 3; ++s) {
     job.splits.push_back({"", static_cast<uint64_t>(s) * 100, 100, -1, 0});
@@ -655,7 +689,7 @@ TEST(EngineTest, FailingCommitHookFailsTheAttempt) {
   // (and be retried like any other failure).
   std::atomic<int> commit_calls{0};
   dfs::FileSystem fs;
-  Engine engine(&fs, EngineOptions{1, 0});
+  TestEngine engine(&fs, 1);
   JobConfig job;
   job.splits.push_back({"", 0, 10, -1, 0});
   job.num_reducers = 0;

@@ -441,27 +441,6 @@ TEST(OrcMemoryManagerTest, ScalesConcurrentWriters) {
   manager.RemoveWriter(&w3);  // Idempotent.
 }
 
-TEST(OrcMemoryManagerTest, ChargesWriterStripesAgainstASessionBudget) {
-  MemoryBudget budget("query", 1000);
-  MemoryManager manager(10000);
-  manager.set_budget(&budget);
-  int w1, w2;
-  manager.AddWriter(&w1, 600);
-  EXPECT_EQ(budget.used(), 600u);
-  // The second writer's stripe doesn't fit the budget: the reservation is
-  // best-effort, so the writer still registers (Scale() keeps governing it)
-  // and the budget is simply not charged.
-  manager.AddWriter(&w2, 600);
-  EXPECT_EQ(budget.used(), 600u);
-  EXPECT_EQ(manager.total_registered(), 1200u);
-  // Re-registering with a smaller stripe swaps the charge.
-  manager.AddWriter(&w1, 300);
-  EXPECT_EQ(budget.used(), 300u);
-  manager.RemoveWriter(&w1);
-  manager.RemoveWriter(&w2);
-  EXPECT_EQ(budget.used(), 0u);
-}
-
 TEST(OrcMemoryManagerTest, WritersFlushSmallerStripesUnderPressure) {
   dfs::FileSystem fs;
   MemoryManager manager(256 * 1024);

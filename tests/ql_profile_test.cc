@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "common/random.h"
@@ -214,6 +217,81 @@ TEST_F(ProfileTest, VectorizedStagesAreTimed) {
     ASSERT_TRUE(nanos.count(kind)) << kind << " span missing";
     EXPECT_GT(nanos[kind], 0) << kind << " reported no time";
   }
+}
+
+// A Driver without a session runs its queries in one on a private
+// SessionManager: the profile carries the admission and scheduler
+// attributes, and the scheduler ran exactly the query's engine tasks.
+TEST_F(ProfileTest, StandaloneDriverReportsAdmissionAndSchedulerWork) {
+  Driver driver(fs_.get(), catalog_.get());
+  QueryResult result = MustExecute(
+      &driver,
+      "EXPLAIN PROFILE SELECT o_custkey, SUM(o_amount) AS total FROM orders "
+      "GROUP BY o_custkey ORDER BY o_custkey");
+  ASSERT_GE(result.num_jobs, 2);
+  ASSERT_NE(result.profile, nullptr);
+  EXPECT_TRUE(result.profile->FindAttr("admitted_bytes").has_value());
+  EXPECT_TRUE(
+      result.profile->FindAttr("admission_queue_wait_millis").has_value());
+  EXPECT_TRUE(result.profile->FindAttr("query_budget_peak_bytes").has_value());
+  EXPECT_TRUE(result.profile->FindAttr("sched_queue_wait_millis").has_value());
+  std::optional<telemetry::AttrValue> tasks_run =
+      result.profile->FindAttr("sched_tasks_run");
+  ASSERT_TRUE(tasks_run.has_value());
+  EXPECT_EQ(tasks_run->u,
+            static_cast<uint64_t>(result.counters.map_tasks +
+                                  result.counters.reduce_tasks));
+}
+
+// num_workers is the private manager's task-slot count: its scheduler has
+// num_workers - 1 workers and the query thread fills the last slot, so no
+// more than num_workers task attempts ever run at once.
+TEST_F(ProfileTest, StandaloneDriverRunsAtMostNumWorkersTasksAtOnce) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back({Value::Int(i % 40), Value::Int(i)});
+  }
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "events",
+                  *TypeDescription::Parse("struct<e_kind:bigint,e_id:bigint>"),
+                  formats::FormatKind::kTextFile,
+                  codec::CompressionKind::kNone, rows, 8)
+                  .ok());
+  DriverOptions options;
+  options.num_workers = 2;
+  Driver driver(fs_.get(), catalog_.get(), options);
+  QueryResult result = MustExecute(
+      &driver,
+      "EXPLAIN PROFILE SELECT e_kind, COUNT(*) AS cnt FROM events "
+      "GROUP BY e_kind");
+  ASSERT_EQ(result.rows.size(), 40u);
+  ASSERT_GE(result.counters.map_tasks, 4);
+  const telemetry::Span* execute = result.profile->FindDescendant("execute");
+  ASSERT_NE(execute, nullptr);
+  // +1 at each attempt's start, -1 at its end; an end sorts before a start
+  // at the same instant.
+  std::vector<std::pair<int64_t, int>> events;
+  for (const telemetry::Span* job : execute->children()) {
+    for (const telemetry::Span* attempt : job->children()) {
+      const std::string& name = attempt->name();
+      if (name.rfind("map[", 0) != 0 && name.rfind("reduce[", 0) != 0) {
+        continue;
+      }
+      ASSERT_TRUE(attempt->ended()) << name;
+      events.push_back({attempt->start_nanos(), +1});
+      events.push_back({attempt->end_nanos(), -1});
+    }
+  }
+  ASSERT_GE(events.size(), 2u * result.counters.map_tasks);
+  std::sort(events.begin(), events.end());
+  int running = 0;
+  int peak = 0;
+  for (const auto& [nanos, delta] : events) {
+    running += delta;
+    peak = std::max(peak, running);
+  }
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, 2);
 }
 
 }  // namespace

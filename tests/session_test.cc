@@ -69,6 +69,24 @@ TEST(MemoryBudgetTest, BudgetReservationReleasesOnDestruction) {
   EXPECT_EQ(root.used(), 0u);
 }
 
+TEST(MemoryBudgetTest, CoverAtLeastNeverRoundsPastTheLimit) {
+  // The default 256 KiB chunk is larger than this whole budget: a cover
+  // that fits must still succeed, so the limit is the exact cap.
+  MemoryBudget budget("query", 100 * 1024);
+  BudgetReservation r;
+  Status fits = r.CoverAtLeast(&budget, 90 * 1024);
+  ASSERT_TRUE(fits.ok()) << fits.ToString();
+  EXPECT_GE(r.bytes(), 90u * 1024);
+  EXPECT_LE(budget.used(), budget.limit());
+  // Growth up to the limit is then free; one byte past it is refused and
+  // charges nothing more.
+  EXPECT_TRUE(r.CoverAtLeast(&budget, 100 * 1024).ok());
+  Status over = r.CoverAtLeast(&budget, 100 * 1024 + 1);
+  EXPECT_TRUE(over.IsResourceExhausted()) << over.ToString();
+  EXPECT_EQ(budget.used(), r.bytes());
+  EXPECT_EQ(budget.used(), 100u * 1024);
+}
+
 TEST(SessionManagerTest, CachesChildCommitsExactlyTheMetadataCacheBudget) {
   SessionManager manager(SmallOptions());
   // Before any query: the root holds only the "caches" child, sized to the
@@ -198,20 +216,6 @@ TEST(SessionManagerTest, ConcurrentAdmissionNeverOvercommits) {
   // its limit, and everything was released at the end.
   EXPECT_LE(max_used.load(), manager.root_budget()->limit());
   EXPECT_EQ(manager.root_budget()->used(), 256u);  // caches only
-}
-
-TEST(SessionManagerTest, SessionHandsOutFreshQueryContexts) {
-  SessionManager manager(SmallOptions());
-  std::unique_ptr<Session> session = manager.NewSession("cli", kPriorityHigh);
-  EXPECT_EQ(session->name(), "cli");
-  EXPECT_EQ(session->priority(), kPriorityHigh);
-  auto ctx1 = session->NewQueryContext();
-  auto ctx2 = session->NewQueryContext();
-  ASSERT_NE(ctx1->token(), nullptr);
-  EXPECT_NE(ctx1->token(), ctx2->token());
-  ctx1->token()->Cancel();
-  EXPECT_TRUE(ctx1->CheckAlive().IsCancelled());
-  EXPECT_TRUE(ctx2->CheckAlive().ok());
 }
 
 }  // namespace
