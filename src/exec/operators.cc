@@ -795,7 +795,8 @@ Result<Operator*> BuildOperatorTree(
 
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query, mr::JobCounters* counters) {
+    bool late_materialization, const QueryContext* query,
+    mr::JobCounters* counters) {
   auto tables = std::make_shared<MapJoinTables>();
   uint64_t rows_scanned = 0;
   for (const auto& side : desc.mapjoin_small_sides) {
@@ -806,6 +807,8 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     for (const std::string& path : source.paths) {
       formats::ReadOptions options;
       options.projected_columns = side.projection;
+      options.sarg = side.sarg.get();
+      options.enable_late_materialization = late_materialization;
       options.delete_bitmap = FindDeleteBitmap(&source.delete_bitmaps, path);
       options.counters = counters;
       MINIHIVE_ASSIGN_OR_RETURN(

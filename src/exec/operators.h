@@ -98,7 +98,6 @@ struct TaskContext {
   /// job (Hive's "local task") and shared read-only across tasks.
   const std::unordered_map<int, std::shared_ptr<MapJoinTables>>*
       mapjoin_tables = nullptr;
-  int reader_host = -1;
   /// Per-operator profiling sink (EnableProfiling). Null = profiling off:
   /// the per-row cost is then a single predictable branch.
   PipelineProfile* profile = nullptr;
@@ -110,13 +109,6 @@ struct TaskContext {
   /// The pipeline driver polls it at row/batch boundaries; readers check it
   /// per index group. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
-  /// Two-phase late-materialized vectorized ORC scans (filter columns
-  /// first, lazy columns only for surviving groups).
-  bool enable_late_materialization = true;
-  /// Merge-on-read delete bitmaps of the scanned source, keyed by file
-  /// path (mutable unique-key tables). Readers drop marked rows inside the
-  /// scan; null or no entry = no deletions for that file.
-  const DeleteBitmapMap* delete_bitmaps = nullptr;
 };
 
 /// Base runtime operator. The push-based model from Hive: parents call
@@ -213,11 +205,13 @@ using TableResolver =
 /// typed ResourceExhausted, the signal the driver uses to fall back to the
 /// reduce-join backup plan instead of retrying. `query` (may be null) is
 /// also polled while scanning so a cancelled query stops the build. The
-/// small-table readers count their work into `counters` (the local task
-/// attempt's; may be null).
+/// small-table readers apply each side's SARG (with late materialization
+/// when `late_materialization`) and count their work into `counters` (the
+/// local task attempt's; may be null).
 Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     dfs::FileSystem* fs, const OpDesc& desc, const TableResolver& resolve,
-    const QueryContext* query = nullptr, mr::JobCounters* counters = nullptr);
+    bool late_materialization, const QueryContext* query = nullptr,
+    mr::JobCounters* counters = nullptr);
 
 }  // namespace minihive::exec
 

@@ -117,6 +117,10 @@ struct OpDesc {
     std::string table_name;
     std::vector<int> projection;    // Columns of the small table to load.
     ExprPtr build_filter;           // Optional pre-filter (full-width row).
+    /// The small-side scan's SARG (null without predicate pushdown): the
+    /// build reader skips stripes, groups and rows with it; build_filter
+    /// stays the arbiter.
+    std::shared_ptr<orc::SearchArgument> sarg;
     std::vector<ExprPtr> build_keys;  // Over the full-width small row.
     std::vector<ExprPtr> build_values;  // Columns appended to output.
     JoinSideKind side = JoinSideKind::kInner;

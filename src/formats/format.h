@@ -2,7 +2,9 @@
 #define MINIHIVE_FORMATS_FORMAT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codec/codec.h"
@@ -61,6 +63,10 @@ struct ReadOptions {
   /// tables). Only ORC applies it — managed mutable tables are ORC-only —
   /// and the bitmap must outlive the reader. Null = no deletions.
   const DeleteBitmap* delete_bitmap = nullptr;
+  /// Two-phase (PREWHERE-style) ORC scans with a SARG: rows the pushed-down
+  /// leaves reject are dropped before their remaining columns decode, in
+  /// row and vectorized scans alike. Other formats ignore it.
+  bool enable_late_materialization = true;
 };
 
 /// Appends rows to one file; Close() finalizes the file.
@@ -99,6 +105,24 @@ const FileFormat* GetFileFormat(FormatKind kind);
 /// `options.counters` when set.
 Result<std::shared_ptr<dfs::ReadableFile>> OpenCounted(
     dfs::FileSystem* fs, const std::string& path, const ReadOptions& options);
+
+/// Length of the per-file sync markers SequenceFile and RCFile write
+/// between runs of records (row groups, for RCFile).
+inline constexpr size_t kSyncMarkerLen = 16;
+
+/// A deterministic per-file sync marker derived from `path`; `salt` keeps
+/// one format's markers apart from another's.
+std::string MakeSyncMarker(const std::string& path, uint64_t salt);
+
+/// Split ownership for sync-marked formats: the offset of the first
+/// `marker` starting at or after `from`, or nullopt when none starts
+/// before `split_end`. A marker straddling `from` is deliberately not
+/// matched (it belongs to the prior split).
+Result<std::optional<uint64_t>> FindSyncMarker(dfs::ReadableFile* file,
+                                               std::string_view marker,
+                                               uint64_t from,
+                                               uint64_t split_end,
+                                               int reader_host);
 
 }  // namespace minihive::formats
 

@@ -1,7 +1,5 @@
 #include "formats/orcfile_adapter.h"
 
-#include "orc/reader.h"
-
 namespace minihive::formats {
 
 namespace {
@@ -29,6 +27,21 @@ class OrcFormatReader : public RowReader {
 
 }  // namespace
 
+orc::OrcReadOptions ToOrcReadOptions(const ReadOptions& options) {
+  orc::OrcReadOptions read_options;
+  read_options.projected_fields = options.projected_columns;
+  read_options.sarg = options.sarg;
+  read_options.split_offset = options.split_offset;
+  read_options.split_length = options.split_length;
+  read_options.reader_host = options.reader_host;
+  read_options.governor = options.governor;
+  read_options.counters = options.counters;
+  read_options.enable_late_materialization =
+      options.enable_late_materialization;
+  read_options.delete_bitmap = options.delete_bitmap;
+  return read_options;
+}
+
 Result<std::unique_ptr<FileWriter>> OrcFileFormatAdapter::CreateWriter(
     dfs::FileSystem* fs, const std::string& path, TypePtr schema,
     const WriterOptions& options) const {
@@ -44,17 +57,9 @@ Result<std::unique_ptr<RowReader>> OrcFileFormatAdapter::OpenReader(
     dfs::FileSystem* fs, const std::string& path, TypePtr schema,
     const ReadOptions& options) const {
   (void)schema;  // The file carries its own schema.
-  orc::OrcReadOptions read_options;
-  read_options.projected_fields = options.projected_columns;
-  read_options.sarg = options.sarg;
-  read_options.split_offset = options.split_offset;
-  read_options.split_length = options.split_length;
-  read_options.reader_host = options.reader_host;
-  read_options.governor = options.governor;
-  read_options.counters = options.counters;
-  read_options.delete_bitmap = options.delete_bitmap;
-  MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<orc::OrcReader> reader,
-                            orc::OrcReader::Open(fs, path, read_options));
+  MINIHIVE_ASSIGN_OR_RETURN(
+      std::unique_ptr<orc::OrcReader> reader,
+      orc::OrcReader::Open(fs, path, ToOrcReadOptions(options)));
   return std::unique_ptr<RowReader>(new OrcFormatReader(std::move(reader)));
 }
 

@@ -2,6 +2,7 @@
 #define MINIHIVE_FORMATS_ORCFILE_ADAPTER_H_
 
 #include "formats/format.h"
+#include "orc/reader.h"
 #include "orc/writer.h"
 
 namespace minihive::formats {
@@ -27,6 +28,10 @@ class OrcFileFormatAdapter : public FileFormat {
  private:
   orc::OrcWriterOptions writer_defaults_;
 };
+
+/// The ORC reader's options for a read request: the one mapping, shared by
+/// row scans (OpenReader) and the vectorized pipeline.
+orc::OrcReadOptions ToOrcReadOptions(const ReadOptions& options);
 
 }  // namespace minihive::formats
 

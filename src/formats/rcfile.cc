@@ -12,17 +12,7 @@ namespace {
 
 constexpr char kMagic[] = "MINIRC01";
 constexpr size_t kMagicLen = 8;
-constexpr size_t kSyncMarkerLen = 16;
-
-std::string MakeSyncMarker(const std::string& path) {
-  std::string marker;
-  uint64_t h = (std::hash<std::string>{}(path) ^ 0xda3e39cb94b95bdbULL) | 1;
-  for (size_t i = 0; i < kSyncMarkerLen; ++i) {
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    marker.push_back(static_cast<char>(h >> 56));
-  }
-  return marker;
-}
+constexpr uint64_t kSyncSalt = 0xda3e39cb94b95bdbULL;
 
 /// One column's buffered data within the current row group. Value lengths
 /// are run-length encoded (real RCFile also RLEs its key/length sections,
@@ -214,37 +204,20 @@ class RcFileReader : public RowReader {
     return ScanToSync();
   }
 
-  /// Finds the first sync marker at or after pos_ (group ownership matches
-  /// SequenceFile: marker start must fall inside [split_offset, split_end)).
+  /// Positions the reader at the split's first row group (group ownership
+  /// matches SequenceFile: marker start must fall inside [split_offset,
+  /// split_end)).
   Status ScanToSync() {
-    constexpr uint64_t kScanChunk = 4 << 20;
-    std::string window;
-    uint64_t window_base = pos_;
-    uint64_t scan_pos = pos_;
-    uint64_t file_size = file_->Size();
-    while (scan_pos < file_size) {
-      uint64_t n = std::min<uint64_t>(kScanChunk, file_size - scan_pos);
-      std::string chunk;
-      MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(scan_pos, n, &chunk, reader_host_));
-      scan_pos += n;
-      window += chunk;
-      size_t found = window.find(sync_marker_);
-      if (found != std::string::npos) {
-        uint64_t marker_pos = window_base + found;
-        if (marker_pos >= split_end_) {
-          done_ = true;
-          return Status::OK();
-        }
-        // Rewind to the varint-0 byte announcing the marker.
-        pos_ = marker_pos - 1;
-        return Status::OK();
-      }
-      if (window.size() > kSyncMarkerLen) {
-        window_base += window.size() - kSyncMarkerLen;
-        window.erase(0, window.size() - kSyncMarkerLen);
-      }
+    MINIHIVE_ASSIGN_OR_RETURN(
+        std::optional<uint64_t> marker_pos,
+        FindSyncMarker(file_.get(), sync_marker_, pos_, split_end_,
+                       reader_host_));
+    if (!marker_pos.has_value()) {
+      done_ = true;
+      return Status::OK();
     }
-    done_ = true;
+    // Rewind to the varint-0 byte announcing the marker.
+    pos_ = *marker_pos - 1;
     return Status::OK();
   }
 
@@ -369,7 +342,7 @@ Result<std::unique_ptr<FileWriter>> RcFileFormat::CreateWriter(
   MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<dfs::WritableFile> file,
                             fs->Create(path));
   return std::unique_ptr<FileWriter>(new RcFileWriter(
-      std::move(file), std::move(schema), MakeSyncMarker(path),
+      std::move(file), std::move(schema), MakeSyncMarker(path, kSyncSalt),
       options.compression, options_.row_group_size));
 }
 
@@ -379,7 +352,8 @@ Result<std::unique_ptr<RowReader>> RcFileFormat::OpenReader(
   MINIHIVE_ASSIGN_OR_RETURN(std::shared_ptr<dfs::ReadableFile> file,
                             OpenCounted(fs, path, options));
   return std::unique_ptr<RowReader>(new RcFileReader(
-      std::move(file), std::move(schema), MakeSyncMarker(path), options));
+      std::move(file), std::move(schema), MakeSyncMarker(path, kSyncSalt),
+      options));
 }
 
 }  // namespace minihive::formats

@@ -10,21 +10,11 @@ namespace {
 
 constexpr char kMagic[] = "MINISEQ1";
 constexpr size_t kMagicLen = 8;
-constexpr size_t kSyncMarkerLen = 16;
 constexpr uint64_t kSyncInterval = 64 * 1024;
 constexpr size_t kWriteBufferSize = 1 << 20;
 constexpr uint64_t kReadChunk = 4 << 20;
 
-/// Deterministic per-file sync marker.
-std::string MakeSyncMarker(const std::string& path) {
-  std::string marker;
-  uint64_t h = std::hash<std::string>{}(path) | 1;
-  for (size_t i = 0; i < kSyncMarkerLen; ++i) {
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    marker.push_back(static_cast<char>(h >> 56));
-  }
-  return marker;
-}
+constexpr uint64_t kSyncSalt = 0;
 
 class SeqFileWriter : public FileWriter {
  public:
@@ -179,40 +169,20 @@ class SeqFileReader : public RowReader {
     return Status::OK();
   }
 
-  /// Scans forward from pos_ for the first sync marker whose start is at or
-  /// after pos_; positions the reader just after it. A marker straddling the
-  /// split start is deliberately not matched (it belongs to the prior split).
+  /// Positions the reader just after the split's first sync marker.
   Status ScanToSync() {
-    std::string window;
-    uint64_t window_base = pos_;
-    uint64_t scan_pos = pos_;
-    uint64_t file_size = file_->Size();
-    while (scan_pos < file_size) {
-      uint64_t n = std::min<uint64_t>(kReadChunk, file_size - scan_pos);
-      std::string chunk;
-      MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(scan_pos, n, &chunk, reader_host_));
-      scan_pos += n;
-      window += chunk;
-      size_t found = window.find(sync_marker_);
-      if (found != std::string::npos) {
-        uint64_t marker_pos = window_base + found;
-        if (marker_pos >= split_end_) {
-          done_ = true;
-          return Status::OK();
-        }
-        pos_ = marker_pos + kSyncMarkerLen;
-        chunk_.clear();
-        chunk_pos_ = 0;
-        chunk_offset_ = pos_;
-        return Status::OK();
-      }
-      // Keep a marker-sized tail to catch markers straddling chunk reads.
-      if (window.size() > kSyncMarkerLen) {
-        window_base += window.size() - kSyncMarkerLen;
-        window.erase(0, window.size() - kSyncMarkerLen);
-      }
+    MINIHIVE_ASSIGN_OR_RETURN(
+        std::optional<uint64_t> marker_pos,
+        FindSyncMarker(file_.get(), sync_marker_, pos_, split_end_,
+                       reader_host_));
+    if (!marker_pos.has_value()) {
+      done_ = true;
+      return Status::OK();
     }
-    done_ = true;
+    pos_ = *marker_pos + kSyncMarkerLen;
+    chunk_.clear();
+    chunk_pos_ = 0;
+    chunk_offset_ = pos_;
     return Status::OK();
   }
 
@@ -294,7 +264,7 @@ Result<std::unique_ptr<FileWriter>> SequenceFileFormat::CreateWriter(
   MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<dfs::WritableFile> file,
                             fs->Create(path));
   return std::unique_ptr<FileWriter>(new SeqFileWriter(
-      std::move(file), std::move(schema), MakeSyncMarker(path)));
+      std::move(file), std::move(schema), MakeSyncMarker(path, kSyncSalt)));
 }
 
 Result<std::unique_ptr<RowReader>> SequenceFileFormat::OpenReader(

@@ -104,6 +104,9 @@ struct JobCounters {
   std::atomic<uint64_t> lazy_decodes_avoided{0};
   std::atomic<uint64_t> metadata_cache_hits{0};
   std::atomic<uint64_t> metadata_cache_misses{0};
+  /// Managed-table files the scans' SARGs ruled out from their partition
+  /// values alone, before split planning (never opened).
+  std::atomic<uint64_t> partition_files_pruned{0};
   /// Wall time burnt in failed attempts (the retry tax), summed over tasks.
   std::atomic<int64_t> retried_task_nanos{0};
   /// Wall time of the map-join local task (all attempts).
@@ -120,7 +123,7 @@ struct JobCounters {
     T JobCounters::*member;
   };
 
-  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 27>
+  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 28>
   atomic_u64_fields() {
     return {{{"map_input_records", &JobCounters::map_input_records},
              {"map_output_records", &JobCounters::map_output_records},
@@ -148,7 +151,9 @@ struct JobCounters {
              {"rows_late_skipped", &JobCounters::rows_late_skipped},
              {"lazy_decodes_avoided", &JobCounters::lazy_decodes_avoided},
              {"metadata_cache_hits", &JobCounters::metadata_cache_hits},
-             {"metadata_cache_misses", &JobCounters::metadata_cache_misses}}};
+             {"metadata_cache_misses", &JobCounters::metadata_cache_misses},
+             {"partition_files_pruned",
+              &JobCounters::partition_files_pruned}}};
   }
 
   static constexpr std::array<NamedField<std::atomic<int64_t>>, 4>
@@ -250,7 +255,7 @@ struct JobCounters {
 // the matching *_fields() table above, then adjust the expected size.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
-                      8 * (27 + 4) +  // atomic u64/i64 fields
+                      8 * (28 + 4) +  // atomic u64/i64 fields
                           2 * sizeof(int) + 2 * sizeof(double),
               "JobCounters changed: update the field tables in engine.h");
 

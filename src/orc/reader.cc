@@ -129,32 +129,20 @@ Status VerifyCrc(std::string_view stored, uint32_t expected,
 }
 
 /// Reads one stream of one stripe. Two modes:
-///  - full: the entire stream is fetched and decompressed at init; groups
-///    are decoded strictly in order with persistent decoders (no index data
-///    required — per-group value counts come from the stripe footer);
+///  - full: the entire stream, already read, verified and decompressed as
+///    one section, is handed over at init; groups are decoded strictly in
+///    order with persistent decoders (no index data required — per-group
+///    value counts come from the stripe footer);
 ///  - ppd: group byte ranges come from the row index; runs of consecutive
 ///    selected groups are fetched with one positional read, and each group
 ///    is decompressed and decoded with fresh decoders (encoders restart at
 ///    group boundaries, so a group is independently decodable).
 class StreamReader {
  public:
-  Status InitFull(dfs::ReadableFile* file, uint64_t file_start,
-                  uint64_t length, const codec::Codec* codec, int host,
-                  uint32_t expected_crc, bool verify) {
+  void InitFull(std::string raw) {
     full_mode_ = true;
-    file_start_ = file_start;
-    codec_ = codec;
-    std::string stored;
-    if (length > 0) {
-      MINIHIVE_RETURN_IF_ERROR(file->ReadAt(file_start, length, &stored, host));
-    }
-    if (verify) {
-      MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, expected_crc, "stream"));
-    }
-    raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(codec::DecompressUnits(codec, stored, &raw_));
+    raw_ = std::move(raw);
     ResetDecoders();
-    return Status::OK();
   }
 
   void InitPpd(dfs::ReadableFile* file, uint64_t file_start,
@@ -410,12 +398,15 @@ class OrcReader::Impl {
     uint64_t split_end = options_.split_length == 0
                              ? UINT64_MAX
                              : options_.split_offset + options_.split_length;
-    bool sarg_active = options_.sarg != nullptr && !options_.sarg->empty();
+    // Only a SARG makes index groups independently decodable (ppd mode);
+    // without one, streams are read whole and decoded strictly in order.
+    ppd_mode_ = options_.sarg != nullptr && !options_.sarg->empty();
     // Late-materialization setup: pushed-down leaves that can be evaluated
     // row-by-row with exact engine semantics, restricted to projected
     // primitive columns (filter columns are always projected by the planner;
-    // an unprojected column would force extra stream reads in row mode).
-    if (options_.enable_late_materialization && sarg_active) {
+    // an unprojected column would force extra stream reads). Phase 1 needs
+    // ppd mode: a group it rejects is never decoded further.
+    if (options_.enable_late_materialization && ppd_mode_) {
       for (const LeafPredicate& leaf : options_.sarg->leaves()) {
         if (leaf.column < 0 ||
             static_cast<size_t>(leaf.column) >= root_.children.size()) {
@@ -431,19 +422,21 @@ class OrcReader::Impl {
           continue;
         }
         row_leaves_.push_back({&leaf, node});
-      }
-      for (const RowLeaf& rl : row_leaves_) {
-        if (std::find(filter_nodes_.begin(), filter_nodes_.end(), rl.node) ==
-            filter_nodes_.end()) {
-          filter_nodes_.push_back(rl.node);
-        }
-      }
-      for (int field : projected_) {
-        ColumnNode* node = root_.children[field].get();
         if (std::find(filter_nodes_.begin(), filter_nodes_.end(), node) ==
             filter_nodes_.end()) {
-          lazy_nodes_.push_back(node);
+          filter_nodes_.push_back(node);
         }
+      }
+    }
+    // Eager decode is the same split with no filter nodes: every projected
+    // field is lazy.
+    for (int field : projected_) {
+      ColumnNode* node = root_.children[field].get();
+      if (std::find(filter_nodes_.begin(), filter_nodes_.end(), node) ==
+              filter_nodes_.end() &&
+          std::find(lazy_nodes_.begin(), lazy_nodes_.end(), node) ==
+              lazy_nodes_.end()) {
+        lazy_nodes_.push_back(node);
       }
     }
     // File-absolute first-row ordinal of every stripe, computed over ALL
@@ -460,10 +453,17 @@ class OrcReader::Impl {
       if (stripe.offset < options_.split_offset || stripe.offset >= split_end) {
         continue;
       }
-      if (sarg_active &&
-          options_.sarg->CanSkip(TopLevelStats(tail_->stripe_stats[s]))) {
-        ++stripes_skipped_;
-        continue;
+      if (ppd_mode_) {
+        const std::vector<ColumnStatistics>& by_id = tail_->stripe_stats[s];
+        auto stats_of = [&by_id](int id) -> const ColumnStatistics* {
+          return id >= 0 && static_cast<size_t>(id) < by_id.size()
+                     ? &by_id[id]
+                     : nullptr;
+        };
+        if (options_.sarg->CanSkip(TopLevelStats(stats_of))) {
+          ++stripes_skipped_;
+          continue;
+        }
       }
       selected_stripes_.push_back(s);
     }
@@ -477,19 +477,22 @@ class OrcReader::Impl {
     for (;;) {
       MINIHIVE_RETURN_IF_ERROR(EnsureGroup());
       if (done_) return false;
-      // In row mode the selection mask only ever carries delete-bitmap
-      // verdicts (late materialization is batch-only). A masked row must
-      // still be reconstructed: the per-node value cursors are sequential,
-      // so skipping its decode would desync every later row.
-      const bool deleted =
+      // A dead row (rejected by phase 1 or deleted) is never built: its
+      // values are only stepped over, which keeps the sequential per-node
+      // cursors aligned with the next live row.
+      const bool dead =
           group_sel_active_ && group_sel_[rows_in_group_cursor_] == 0;
+      ++rows_in_group_cursor_;
+      if (dead) {
+        for (int field : projected_) SkipValue(root_.children[field].get());
+        continue;
+      }
       row->assign(root_.children.size(), Value::Null());
       for (int field : projected_) {
         MINIHIVE_RETURN_IF_ERROR(
             ReconstructValue(root_.children[field].get(), &(*row)[field]));
       }
-      ++rows_in_group_cursor_;
-      if (!deleted) return true;
+      return true;
     }
   }
 
@@ -508,7 +511,6 @@ class OrcReader::Impl {
 
   Result<bool> NextBatch(vec::VectorizedRowBatch* batch) {
     batch->Reset();
-    batch_mode_ = true;
     MINIHIVE_RETURN_IF_ERROR(EnsureGroup());
     if (done_) return false;
     uint64_t avail = current_group_rows_ - rows_in_group_cursor_;
@@ -542,8 +544,6 @@ class OrcReader::Impl {
   uint64_t lazy_decodes_avoided() const { return lazy_decodes_avoided_; }
   uint64_t rows_deleted_skipped() const { return rows_deleted_skipped_; }
 
-  const std::vector<int>& projected() const { return projected_; }
-
  private:
   /// Key of one cached metadata object of this file incarnation. The tag
   /// separates entry kinds; `stripe_offset` is 0 for file-level entries.
@@ -555,32 +555,76 @@ class OrcReader::Impl {
         .Take();
   }
 
-  /// Looks `key` up in the metadata cache, counting the hit or miss.
-  cache::Cache::Handle* LookupMeta(const std::string& key) {
-    cache::Cache::Handle* handle = mcache_->Lookup(key);
-    ++(handle != nullptr ? metadata_cache_hits_ : metadata_cache_misses_);
-    return handle;
-  }
-
-  /// Reads postscript, footer and metadata from the file tail — or serves
-  /// the whole parsed tail from the metadata cache, skipping every tail
-  /// read, CRC check, decompression, and deserialization.
-  Status ReadTail() {
+  /// The metadata-cache protocol shared by the tail, stripe footers and
+  /// stripe indexes: a hit (counted) serves the cached parse, skipping its
+  /// reads, CRC checks, decompression and deserialization; a miss runs
+  /// `parse` and populates the cache only from a checksum-verified,
+  /// fault-free parse — a cached entry is served without re-verification,
+  /// so unverified or tainted bytes must never seed it. Either way `*pin`
+  /// keeps the entry resident while this reader uses it. `*hit` (optional)
+  /// reports whether the cache served it.
+  template <typename T, typename Parse>
+  Result<std::shared_ptr<const T>> CachedParse(std::string_view tag,
+                                               uint64_t stripe_offset,
+                                               cache::ScopedHandle* pin,
+                                               Parse parse,
+                                               bool* hit = nullptr) {
+    pin->reset();
+    std::string key;
     if (mcache_ != nullptr) {
-      std::string key = MetaKey("orc.tail", 0);
-      if (cache::Cache::Handle* handle = LookupMeta(key)) {
-        // Pin for the reader's lifetime: the open file's metadata can't be
-        // evicted out from under a long scan (and the pin exercises the
-        // cache's pinned-entry protection under pressure).
-        tail_handle_.reset(mcache_, handle);
-        tail_ = cache::Cache::value<FileTail>(handle);
-        codec_ = codec::GetCodec(tail_->compression);
-        tail_cache_hit_ = true;
-        return Status::OK();
+      key = MetaKey(tag, stripe_offset);
+      cache::Cache::Handle* handle = mcache_->Lookup(key);
+      ++(handle != nullptr ? metadata_cache_hits_ : metadata_cache_misses_);
+      if (handle != nullptr) {
+        pin->reset(mcache_, handle);
+        if (hit != nullptr) *hit = true;
+        return cache::Cache::value<T>(handle);
       }
     }
     TaintWatch taint(fs_->fault_injector());
-    auto tail = std::make_shared<FileTail>();
+    auto parsed = std::make_shared<T>();
+    MINIHIVE_RETURN_IF_ERROR(parse(parsed.get()));
+    if (mcache_ != nullptr && options_.verify_checksums && !taint.tainted()) {
+      size_t charge = ChargeOf(*parsed) + key.size() + cache::kEntryOverhead;
+      if (cache::Cache::Handle* handle = mcache_->Insert(key, parsed, charge)) {
+        pin->reset(mcache_, handle);
+      }
+    }
+    return std::shared_ptr<const T>(std::move(parsed));
+  }
+
+  /// Reads the file section [offset, offset + length), verifies its CRC
+  /// (when checksums are on) and decompresses it into *raw. Every
+  /// whole-section read goes through here: file footer and metadata,
+  /// stripe footers and indexes, and full-mode streams.
+  Status ReadSection(uint64_t offset, uint64_t length, uint32_t crc,
+                     const char* what, std::string* raw) {
+    std::string stored;
+    if (length > 0) {
+      MINIHIVE_RETURN_IF_ERROR(
+          file_->ReadAt(offset, length, &stored, options_.reader_host));
+    }
+    if (options_.verify_checksums) {
+      MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, crc, what));
+    }
+    raw->clear();
+    return codec::DecompressUnits(codec_, stored, raw);
+  }
+
+  /// The parsed tail (postscript, footer, metadata), pinned for the
+  /// reader's lifetime: the open file's metadata can't be evicted out from
+  /// under a long scan.
+  Status ReadTail() {
+    MINIHIVE_ASSIGN_OR_RETURN(
+        tail_, CachedParse<FileTail>(
+                   "orc.tail", 0, &tail_handle_,
+                   [this](FileTail* tail) { return ParseTail(tail); },
+                   &tail_cache_hit_));
+    codec_ = codec::GetCodec(tail_->compression);
+    return Status::OK();
+  }
+
+  Status ParseTail(FileTail* tail) {
     uint64_t size = file_->Size();
     if (size < kOrcMagicLen + 2) return Status::Corruption("file too small");
     // Read a generous tail chunk to cover ps_len + postscript.
@@ -623,59 +667,25 @@ class OrcReader::Impl {
     if (tail->tail_length > size) return Status::Corruption("bad tail length");
 
     uint64_t footer_off = size - 1 - ps_len - footer_len;
-    std::string footer_stored;
-    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(footer_off, footer_len,
-                                           &footer_stored,
-                                           options_.reader_host));
-    if (options_.verify_checksums) {
-      MINIHIVE_RETURN_IF_ERROR(
-          VerifyCrc(footer_stored, tail->footer_crc, "file footer"));
-    }
-    std::string footer_raw;
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, footer_stored, &footer_raw));
-    MINIHIVE_RETURN_IF_ERROR(DeserializeFileFooter(footer_raw, tail.get()));
-
-    uint64_t metadata_off = footer_off - metadata_len;
-    std::string metadata_stored;
-    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(metadata_off, metadata_len,
-                                           &metadata_stored,
-                                           options_.reader_host));
-    if (options_.verify_checksums) {
-      MINIHIVE_RETURN_IF_ERROR(
-          VerifyCrc(metadata_stored, tail->metadata_crc, "file metadata"));
-    }
-    std::string metadata_raw;
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, metadata_stored, &metadata_raw));
-    MINIHIVE_RETURN_IF_ERROR(DeserializeFileMetadata(metadata_raw, tail.get()));
-    tail_ = std::move(tail);
-
-    // Populate only from a checksum-verified, fault-free parse: a cached
-    // tail is served without re-verification, so unverified or tainted
-    // bytes must never seed it.
-    if (mcache_ != nullptr && options_.verify_checksums && !taint.tainted()) {
-      std::string key = MetaKey("orc.tail", 0);
-      size_t charge = ChargeOf(*tail_) + key.size() + cache::kEntryOverhead;
-      if (cache::Cache::Handle* handle = mcache_->Insert(key, tail_, charge)) {
-        tail_handle_.reset(mcache_, handle);
-      }
-    }
-    return Status::OK();
+    std::string raw;
+    MINIHIVE_RETURN_IF_ERROR(ReadSection(footer_off, footer_len,
+                                         tail->footer_crc, "file footer", &raw));
+    MINIHIVE_RETURN_IF_ERROR(DeserializeFileFooter(raw, tail));
+    MINIHIVE_RETURN_IF_ERROR(ReadSection(footer_off - metadata_len,
+                                         metadata_len, tail->metadata_crc,
+                                         "file metadata", &raw));
+    return DeserializeFileMetadata(raw, tail);
   }
 
-  /// Maps per-column-id statistics to per-top-level-field statistics for
-  /// SARG evaluation.
-  std::vector<ColumnStatistics> TopLevelStats(
-      const std::vector<ColumnStatistics>& by_column_id) const {
+  /// Per-top-level-field statistics for SARG evaluation; `stats_of(id)`
+  /// yields a column id's statistics, or null when there are none (an
+  /// unknown column never lets the SARG skip anything).
+  template <typename StatsOf>
+  std::vector<ColumnStatistics> TopLevelStats(StatsOf stats_of) const {
     std::vector<ColumnStatistics> result;
     for (const TypePtr& child : tail_->schema->children()) {
-      int id = child->column_id();
-      if (id >= 0 && static_cast<size_t>(id) < by_column_id.size()) {
-        result.push_back(by_column_id[id]);
-      } else {
-        result.push_back(ColumnStatistics());
-      }
+      const ColumnStatistics* stats = stats_of(child->column_id());
+      result.push_back(stats != nullptr ? *stats : ColumnStatistics());
     }
     return result;
   }
@@ -705,104 +715,48 @@ class OrcReader::Impl {
   Status LoadStripe(size_t stripe_index) {
     const StripeInformation& info = tail_->stripes[stripe_index];
     ++stripes_read_;
-    // Stripe footer: cached parse, or fetch + verify + decompress + parse.
-    sf_handle_.reset();
-    stripe_footer_ = nullptr;
-    if (mcache_ != nullptr) {
-      std::string key = MetaKey("orc.sf", info.offset);
-      if (cache::Cache::Handle* handle = LookupMeta(key)) {
-        sf_handle_.reset(mcache_, handle);
-        stripe_footer_ = cache::Cache::value<StripeFooter>(handle);
-      }
-    }
-    if (stripe_footer_ == nullptr) {
-      TaintWatch taint(fs_->fault_injector());
-      std::string footer_stored;
-      MINIHIVE_RETURN_IF_ERROR(
-          file_->ReadAt(info.offset + info.index_length + info.data_length,
-                        info.footer_length, &footer_stored,
-                        options_.reader_host));
-      if (options_.verify_checksums) {
-        MINIHIVE_RETURN_IF_ERROR(
-            VerifyCrc(footer_stored, info.footer_crc, "stripe footer"));
-      }
-      std::string footer_raw;
-      MINIHIVE_RETURN_IF_ERROR(
-          codec::DecompressUnits(codec_, footer_stored, &footer_raw));
-      auto footer = std::make_shared<StripeFooter>();
-      MINIHIVE_RETURN_IF_ERROR(
-          StripeFooter::Deserialize(footer_raw, footer.get()));
-      stripe_footer_ = std::move(footer);
-      if (mcache_ != nullptr && options_.verify_checksums &&
-          !taint.tainted()) {
-        std::string key = MetaKey("orc.sf", info.offset);
-        size_t charge =
-            ChargeOf(*stripe_footer_) + key.size() + cache::kEntryOverhead;
-        if (cache::Cache::Handle* handle =
-                mcache_->Insert(key, stripe_footer_, charge)) {
-          sf_handle_.reset(mcache_, handle);
-        }
-      }
-    }
-
-    bool sarg_active = options_.sarg != nullptr && !options_.sarg->empty();
-    ppd_mode_ = sarg_active;
-    // Two-phase decode needs independently decodable groups (ppd mode) and
-    // at least one row-evaluable leaf; NextRow() keeps the eager path.
-    late_active_ = ppd_mode_ && !row_leaves_.empty();
-    group_sel_active_ = false;
+    MINIHIVE_ASSIGN_OR_RETURN(
+        stripe_footer_,
+        CachedParse<StripeFooter>(
+            "orc.sf", info.offset, &sf_handle_,
+            [&](StripeFooter* footer) -> Status {
+              std::string raw;
+              MINIHIVE_RETURN_IF_ERROR(ReadSection(
+                  info.offset + info.index_length + info.data_length,
+                  info.footer_length, info.footer_crc, "stripe footer", &raw));
+              return StripeFooter::Deserialize(raw, footer);
+            }));
 
     // Group selection.
+    group_sel_active_ = false;
     selected_groups_.clear();
     group_runs_.clear();
     si_handle_.reset();
     stripe_index_ = nullptr;
-    if (sarg_active) {
-      // Row index: position pointers + per-group statistics. Same cache
-      // protocol as the stripe footer — a hit skips the index read, its CRC
-      // pass, and the whole position-pointer/statistics decode.
-      if (mcache_ != nullptr) {
-        std::string key = MetaKey("orc.si", info.offset);
-        if (cache::Cache::Handle* handle = LookupMeta(key)) {
-          si_handle_.reset(mcache_, handle);
-          stripe_index_ = cache::Cache::value<StripeIndex>(handle);
-        }
-      }
-      if (stripe_index_ == nullptr) {
-        TaintWatch taint(fs_->fault_injector());
-        std::string index_stored;
-        MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(info.offset, info.index_length,
-                                               &index_stored,
-                                               options_.reader_host));
-        if (options_.verify_checksums) {
-          MINIHIVE_RETURN_IF_ERROR(
-              VerifyCrc(index_stored, info.index_crc, "stripe index"));
-        }
-        std::string index_raw;
-        MINIHIVE_RETURN_IF_ERROR(
-            codec::DecompressUnits(codec_, index_stored, &index_raw));
-        auto index = std::make_shared<StripeIndex>();
-        MINIHIVE_RETURN_IF_ERROR(
-            StripeIndex::Deserialize(index_raw, index.get()));
-        stripe_index_ = std::move(index);
-        if (mcache_ != nullptr && options_.verify_checksums &&
-            !taint.tainted()) {
-          std::string key = MetaKey("orc.si", info.offset);
-          size_t charge =
-              ChargeOf(*stripe_index_) + key.size() + cache::kEntryOverhead;
-          if (cache::Cache::Handle* handle =
-                  mcache_->Insert(key, stripe_index_, charge)) {
-            si_handle_.reset(mcache_, handle);
-          }
-        }
-      }
+    if (ppd_mode_) {
+      // Row index: position pointers + per-group statistics.
+      MINIHIVE_ASSIGN_OR_RETURN(
+          stripe_index_,
+          CachedParse<StripeIndex>(
+              "orc.si", info.offset, &si_handle_,
+              [&](StripeIndex* index) -> Status {
+                std::string raw;
+                MINIHIVE_RETURN_IF_ERROR(ReadSection(info.offset,
+                                                     info.index_length,
+                                                     info.index_crc,
+                                                     "stripe index", &raw));
+                return StripeIndex::Deserialize(raw, index);
+              }));
+      const auto& group_stats = stripe_index_->group_stats;
       for (uint32_t g = 0; g < stripe_footer_->num_groups; ++g) {
-        std::vector<ColumnStatistics> field_stats;
-        for (const TypePtr& child : tail_->schema->children()) {
-          field_stats.push_back(
-              stripe_index_->group_stats[child->column_id()][g]);
-        }
-        if (options_.sarg->CanSkip(field_stats)) {
+        auto stats_of = [&](int id) -> const ColumnStatistics* {
+          if (id < 0 || static_cast<size_t>(id) >= group_stats.size() ||
+              g >= group_stats[id].size()) {
+            return nullptr;
+          }
+          return &group_stats[id][g];
+        };
+        if (options_.sarg->CanSkip(TopLevelStats(stats_of))) {
           ++groups_skipped_;
         } else {
           selected_groups_.push_back(g);
@@ -844,12 +798,7 @@ class OrcReader::Impl {
       if (!node->needed) continue;
       node->encoding = stripe_footer_->encodings[s.column];
       auto stream = std::make_unique<StreamReader>();
-      if (IsStripeScoped(s.kind)) {
-        // Dictionary streams are always read whole.
-        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, options_.reader_host, s.crc,
-            options_.verify_checksums));
-      } else if (ppd_mode_) {
+      if (ppd_mode_ && !IsStripeScoped(s.kind)) {
         const std::vector<uint32_t>* crcs =
             si < stripe_index_->segment_crcs.size()
                 ? &stripe_index_->segment_crcs[si]
@@ -858,9 +807,11 @@ class OrcReader::Impl {
                         crcs, &group_runs_, codec_, options_.reader_host,
                         options_.verify_checksums);
       } else {
-        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, options_.reader_host, s.crc,
-            options_.verify_checksums));
+        // Full mode; dictionary streams are read whole in either mode.
+        std::string raw;
+        MINIHIVE_RETURN_IF_ERROR(
+            ReadSection(start, s.length, s.crc, "stream", &raw));
+        stream->InitFull(std::move(raw));
       }
       switch (s.kind) {
         case StreamKind::kPresent:
@@ -939,22 +890,47 @@ class OrcReader::Impl {
     }
   }
 
+  /// Decodes group `g` for rows and batches alike (PREWHERE-style late
+  /// materialization): decode the filter columns, evaluate the row-evaluable
+  /// leaves into the per-row mask (phase 1), decode the lazy columns only
+  /// when some row survived (phase 2), then fold in the delete bitmap. An
+  /// all-dead group costs just its filter-column decode. With no filter
+  /// columns this is the eager decode: every projected field is lazy.
   Status DecodeGroup(uint32_t g) {
-    if (late_active_ && batch_mode_) return DecodeGroupLate(g);
+    const uint64_t instances = stripe_footer_->instance_counts[0][g];
     group_sel_active_ = false;
-    std::vector<ColumnNode*> nodes;
-    root_.Flatten(&nodes);
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      ColumnNode* node = nodes[c];
-      if (!node->needed) continue;
-      MINIHIVE_RETURN_IF_ERROR(DecodeColumnGroup(
-          node, g, stripe_footer_->instance_counts[c][g],
-          stripe_footer_->nonnull_counts[c][g]));
-    }
-    current_group_rows_ = stripe_footer_->instance_counts[0][g];
+    current_group_rows_ = 0;
     rows_in_group_cursor_ = 0;
+    for (ColumnNode* node : filter_nodes_) {
+      MINIHIVE_RETURN_IF_ERROR(DecodeSubtree(node, g));
+    }
+    if (!row_leaves_.empty()) {
+      group_sel_.assign(instances, 1);
+      for (const RowLeaf& rl : row_leaves_) {
+        ColumnSlice slice = MakeSlice(rl.node, static_cast<int>(instances));
+        SearchArgument::EvaluateLeafRows(*rl.leaf, rl.node->type->kind(),
+                                         slice, group_sel_.data(),
+                                         &leaf_scratch_);
+      }
+      uint64_t survivors = 0;
+      for (uint64_t i = 0; i < instances; ++i) survivors += group_sel_[i];
+      rows_late_skipped_ += instances - survivors;
+      if (survivors == 0) {
+        // The group is fully dead: skip every lazy decode and hand control
+        // back to EnsureGroup (zero rows => it advances to the next group).
+        // Only ppd mode has row leaves, so the skipped streams are never
+        // needed in order.
+        lazy_decodes_avoided_ += lazy_nodes_.size();
+        return Status::OK();
+      }
+      group_sel_active_ = survivors < instances;
+    }
+    for (ColumnNode* node : lazy_nodes_) {
+      MINIHIVE_RETURN_IF_ERROR(DecodeSubtree(node, g));
+    }
+    current_group_rows_ = instances;
     group_abs_base_ = stripe_row_base_ + group_row_base_[g];
-    ApplyDeleteBitmap(current_group_rows_);
+    ApplyDeleteBitmap(instances);
     return Status::OK();
   }
 
@@ -969,47 +945,6 @@ class OrcReader::Impl {
           DecodeColumnGroup(n, g, stripe_footer_->instance_counts[c][g],
                             stripe_footer_->nonnull_counts[c][g]));
     }
-    return Status::OK();
-  }
-
-  /// Two-phase decode (PREWHERE-style late materialization). Phase 1
-  /// decodes only the filter columns and evaluates the row-evaluable leaves
-  /// into a per-row mask; phase 2 decodes the lazy columns only when some
-  /// row survived. An all-dead group costs just its filter-column decode.
-  Status DecodeGroupLate(uint32_t g) {
-    for (ColumnNode* node : filter_nodes_) {
-      MINIHIVE_RETURN_IF_ERROR(DecodeSubtree(node, g));
-    }
-    const uint64_t instances = stripe_footer_->instance_counts[0][g];
-    group_sel_.assign(instances, 1);
-    for (const RowLeaf& rl : row_leaves_) {
-      ColumnSlice slice = MakeSlice(rl.node, static_cast<int>(instances));
-      SearchArgument::EvaluateLeafRows(*rl.leaf, rl.node->type->kind(), slice,
-                                       group_sel_.data(), &leaf_scratch_);
-    }
-    uint64_t survivors = 0;
-    for (uint64_t i = 0; i < instances; ++i) survivors += group_sel_[i];
-    const uint64_t dead = instances - survivors;
-    if (dead > 0) {
-      rows_late_skipped_ += dead;
-    }
-    if (survivors == 0) {
-      // The group is fully dead: skip every lazy decode and hand control
-      // back to EnsureGroup (zero rows => it advances to the next group).
-      lazy_decodes_avoided_ += lazy_nodes_.size();
-      group_sel_active_ = false;
-      current_group_rows_ = 0;
-      rows_in_group_cursor_ = 0;
-      return Status::OK();
-    }
-    for (ColumnNode* node : lazy_nodes_) {
-      MINIHIVE_RETURN_IF_ERROR(DecodeSubtree(node, g));
-    }
-    group_sel_active_ = dead > 0;
-    current_group_rows_ = instances;
-    rows_in_group_cursor_ = 0;
-    group_abs_base_ = stripe_row_base_ + group_row_base_[g];
-    ApplyDeleteBitmap(instances);
     return Status::OK();
   }
 
@@ -1140,6 +1075,11 @@ class OrcReader::Impl {
         MINIHIVE_RETURN_IF_ERROR(node->data_stream->StartGroup(g));
         MINIHIVE_RETURN_IF_ERROR(
             node->data_stream->ReadRleBytes(nonnull, &node->bytes));
+        for (uint8_t tag : node->bytes) {
+          if (tag >= node->children.size()) {
+            return Status::Corruption("union tag out of range");
+          }
+        }
         break;
       }
     }
@@ -1221,6 +1161,32 @@ class OrcReader::Impl {
       }
     }
     return Status::Internal("unreachable");
+  }
+
+  /// Steps the cursors of `node` (and its children) over its next value
+  /// without building it: a dead row's values in row mode.
+  void SkipValue(ColumnNode* node) {
+    bool is_present =
+        node->present.empty() || node->present[node->inst_cur] != 0;
+    ++node->inst_cur;
+    if (!is_present) return;
+    size_t j = node->nn_cur++;
+    switch (node->type->kind()) {
+      case TypeKind::kArray:
+      case TypeKind::kMap:
+        for (int64_t i = 0; i < node->ints[j]; ++i) {
+          for (auto& child : node->children) SkipValue(child.get());
+        }
+        return;
+      case TypeKind::kStruct:
+        for (auto& child : node->children) SkipValue(child.get());
+        return;
+      case TypeKind::kUnion:
+        SkipValue(node->children[node->bytes[j]].get());
+        return;
+      default:
+        return;
+    }
   }
 
   /// Copies n rows of a primitive top-level column into a batch vector
@@ -1366,7 +1332,7 @@ class OrcReader::Impl {
   std::map<uint32_t, std::unique_ptr<StreamReader>> dict_data_tmp_;
   std::map<uint32_t, std::unique_ptr<StreamReader>> dict_length_tmp_;
 
-  // Late materialization (batch mode only).
+  // Late materialization: the group-decode split of the projected fields.
   struct RowLeaf {
     const LeafPredicate* leaf;
     ColumnNode* node;
@@ -1374,8 +1340,6 @@ class OrcReader::Impl {
   std::vector<RowLeaf> row_leaves_;
   std::vector<ColumnNode*> filter_nodes_;  // Decoded in phase 1.
   std::vector<ColumnNode*> lazy_nodes_;    // Decoded only if rows survive.
-  bool batch_mode_ = false;
-  bool late_active_ = false;
   bool group_sel_active_ = false;  // Current group has a partial selection.
   std::vector<uint8_t> group_sel_;  // Per-row phase-1 verdicts (group-rel).
   std::vector<uint8_t> leaf_scratch_;

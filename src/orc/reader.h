@@ -55,11 +55,12 @@ struct OrcReadOptions {
   /// reader's stripe/group/late-skip/metadata-cache counts once it closes.
   /// Null = uncounted. Must outlive the reader.
   mr::JobCounters* counters = nullptr;
-  /// Two-phase (PREWHERE-style) vectorized reads: row-evaluable pushed-down
-  /// leaves are first evaluated on just the columns they reference, then the
-  /// remaining projected columns are decoded only for groups with surviving
-  /// rows; the row-level selection is handed to the batch via selected[].
-  /// Only affects NextBatch() with an active SARG; NextRow() stays eager.
+  /// Two-phase (PREWHERE-style) reads: row-evaluable pushed-down leaves are
+  /// first evaluated on just the columns they reference, then the remaining
+  /// projected columns are decoded only for groups with surviving rows.
+  /// NextBatch() hands the row-level selection to the batch via selected[];
+  /// NextRow() never builds a rejected row. Only matters with an active
+  /// SARG.
   bool enable_late_materialization = true;
   /// Merge-on-read deletion marks for this file, keyed by absolute row
   /// ordinal (every physical row, in file order). Deleted rows are dropped

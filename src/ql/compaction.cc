@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -108,16 +107,6 @@ Candidate SelectCandidate(const TableDesc& table, const TableSnapshot& snapshot,
     run.clear();
   }
   return best;
-}
-
-std::string SeqString(uint64_t seq) {
-  // Wide enough for any uint64_t, so lexicographic listing order equals
-  // commit order for the table's whole lifetime (6 digits would silently
-  // break the invariant at sequence 1000000).
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
 }
 
 void Accumulate(CompactionStats* into, const CompactionStats& delta) {

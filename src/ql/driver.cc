@@ -195,9 +195,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
     // memory budget is a determinate failure of the optimistic plan, not of
     // the query. Re-plan from the SQL with map-join conversion disabled —
     // the pre-conversion reduce joins — and re-execute transparently.
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("ql.driver.mapjoin_fallbacks")
-        ->Increment();
     result = RunOnce(sql, execute, explain_profile, query_ctx,
                      /*disable_mapjoin=*/true, /*mapjoin_fallbacks=*/1);
   }

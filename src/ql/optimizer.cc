@@ -432,6 +432,7 @@ Status ConvertMapJoins(PlannedQuery* plan, const Catalog* catalog,
       OpDesc::MapJoinSmallSide side;
       side.table_name = side_scan[small_tag]->table_name;
       side.projection = side_scan[small_tag]->scan_projection;
+      side.sarg = side_scan[small_tag]->sarg;
       side.build_filter = side_filter[small_tag];
       side.build_keys = rs_small->sink_keys;
       side.build_values = rs_small->sink_values;

@@ -64,32 +64,28 @@ bool PartitionPrunes(const std::vector<int>& part_idx, const TableFile& file,
 /// table is read at one snapshot: its manifest (files + bitmaps) is
 /// captured once, so concurrent INSERT/DELETE/compaction commits cannot
 /// perturb the job's input set. With a `sarg` (may be null), files whose
-/// partition values it rules out never reach the splitter.
+/// partition values it rules out never reach the splitter; they are counted
+/// in `counters` (may be null when there is no `sarg`).
 void CollectTableFiles(const Catalog& catalog, const TableDesc& table,
                        const orc::SearchArgument* sarg,
                        std::vector<std::string>* paths,
-                       DeleteBitmapMap* delete_bitmaps) {
+                       DeleteBitmapMap* delete_bitmaps,
+                       mr::JobCounters* counters) {
   if (!table.managed()) {
     *paths = catalog.TableFiles(table);
     return;
   }
   std::shared_ptr<const TableSnapshot> snapshot = catalog.Snapshot(table);
   const std::vector<int> part_idx = table.PartitionIndexes();
-  uint64_t pruned = 0;
   for (const TableFile& file : snapshot->files) {
     if (PartitionPrunes(part_idx, file, sarg)) {
-      ++pruned;
+      counters->partition_files_pruned += 1;
       continue;
     }
     paths->push_back(file.path);
     if (file.delete_bitmap != nullptr && !file.delete_bitmap->empty()) {
       (*delete_bitmaps)[file.path] = file.delete_bitmap;
     }
-  }
-  if (pruned > 0) {
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("ql.partition_files_pruned")
-        ->Add(pruned);
   }
 }
 
@@ -121,31 +117,11 @@ class RowMapTask : public mr::MapTask {
     ctx.attempt = attempt;
     ctx.emitter = emitter;
     ctx.mapjoin_tables = mapjoin_tables_;
-    ctx.reader_host = split.locality_host;
     ctx.profile = profile_;
     ctx.counters = attempt_counters();
     ctx.governor = governor();
-    ctx.enable_late_materialization = enable_late_materialization_;
-    ctx.delete_bitmaps = &source.delete_bitmaps;
 
-    // The vectorized path handles eligible pipelines entirely (paper §6);
-    // it reports NotImplemented when the pipeline does not qualify, in
-    // which case we run the row-mode pipeline below.
-    if (vectorized_) {
-      Status vstatus = vec::RunVectorizedMapPipeline(source.root.get(),
-                                                     source.schema,
-                                                     source.format, split,
-                                                     &ctx);
-      if (!vstatus.IsNotImplemented()) return vstatus;
-    }
-
-    exec::OperatorArena arena;
-    MINIHIVE_ASSIGN_OR_RETURN(exec::Operator * root,
-                              exec::BuildOperatorTree(source.root.get(),
-                                                      &arena));
-    MINIHIVE_RETURN_IF_ERROR(root->Init(&ctx));
-
-    const formats::FileFormat* format = formats::GetFileFormat(source.format);
+    // The one read request for this split, whichever engine runs it.
     formats::ReadOptions read_options;
     read_options.projected_columns = source.root->scan_projection;
     read_options.sarg = source.root->sarg.get();
@@ -156,6 +132,25 @@ class RowMapTask : public mr::MapTask {
     read_options.counters = attempt_counters();
     read_options.delete_bitmap =
         FindDeleteBitmap(&source.delete_bitmaps, split.path);
+    read_options.enable_late_materialization = enable_late_materialization_;
+
+    // The vectorized path handles eligible pipelines entirely (paper §6);
+    // it reports NotImplemented when the pipeline does not qualify, in
+    // which case we run the row-mode pipeline below.
+    if (vectorized_) {
+      Status vstatus = vec::RunVectorizedMapPipeline(
+          source.root.get(), source.schema, source.format, split.path,
+          read_options, &ctx);
+      if (!vstatus.IsNotImplemented()) return vstatus;
+    }
+
+    exec::OperatorArena arena;
+    MINIHIVE_ASSIGN_OR_RETURN(exec::Operator * root,
+                              exec::BuildOperatorTree(source.root.get(),
+                                                      &arena));
+    MINIHIVE_RETURN_IF_ERROR(root->Init(&ctx));
+
+    const formats::FileFormat* format = formats::GetFileFormat(source.format);
     MINIHIVE_ASSIGN_OR_RETURN(
         std::unique_ptr<formats::RowReader> reader,
         format->OpenReader(fs_, split.path, source.schema, read_options));
@@ -316,7 +311,7 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
       source.format = table->format;
       source.schema = table->schema;
       CollectTableFiles(*catalog_, *table, map_source.root->sarg.get(),
-                        &source.paths, &source.delete_bitmaps);
+                        &source.paths, &source.delete_bitmaps, counters);
     }
     sources->push_back(std::move(source));
   }
@@ -332,7 +327,7 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
     source.format = table->format;
     source.schema = table->schema;
     CollectTableFiles(*catalog_, *table, /*sarg=*/nullptr, &source.paths,
-                      &source.delete_bitmaps);
+                      &source.delete_bitmaps, /*counters=*/nullptr);
     return source;
   };
   // The pipelines' entries. Map joins sit in the map pipelines, and can
@@ -360,8 +355,9 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
         [&](int, mr::JobCounters* local) -> Status {
           MINIHIVE_ASSIGN_OR_RETURN(
               (*mapjoin_tables)[mj->id],
-              exec::BuildMapJoinTables(fs_, *mj, resolver, &query_ctx_,
-                                       local));
+              exec::BuildMapJoinTables(
+                  fs_, *mj, resolver, options_.enable_late_materialization,
+                  &query_ctx_, local));
           return Status::OK();
         },
         [&](int64_t) { counters->local_task_failures += 1; });

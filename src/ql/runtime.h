@@ -37,11 +37,12 @@ struct DriverOptions {
   bool correlation_optimizer = false;
   /// §6: vectorized execution for eligible map pipelines.
   bool vectorized_execution = false;
-  /// Two-phase (PREWHERE-style) late materialization in vectorized ORC
-  /// scans: row-evaluable pushed-down predicates run first on just the
-  /// columns they reference; remaining projected columns decode only for
-  /// groups with surviving rows. Needs predicate_pushdown + vectorized
-  /// execution to have any effect.
+  /// Two-phase (PREWHERE-style) late materialization in every ORC scan
+  /// (row-mode, vectorized and map-join builds): row-evaluable pushed-down
+  /// predicates run first on just the columns they reference; remaining
+  /// projected columns decode only for groups with surviving rows, and
+  /// rejected rows are never built. Needs predicate_pushdown to have any
+  /// effect.
   bool enable_late_materialization = true;
   /// §4.2: answer simple aggregations over unfiltered ORC tables directly
   /// from file statistics (no scan, no MapReduce job).

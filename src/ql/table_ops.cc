@@ -71,16 +71,6 @@ Result<Value> CoerceValue(const Value& v, TypeKind kind,
                                  TypeKindName(kind) + ")");
 }
 
-/// Fixed-width commit sequence for file names, so lexicographic and commit
-/// order agree in listings. Wide enough for any uint64_t — a narrower pad
-/// would silently break the ordering invariant once it overflowed.
-std::string SeqString(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
 /// Stages `bitmap` as `<data_path>.del.attempt`. Promotion — the atomic
 /// rename onto `<data_path>.del` — happens only after the statement's
 /// snapshot publishes (PromoteStagedSidecars), so an on-disk sidecar never
@@ -205,6 +195,13 @@ std::string PartitionDirName(const TableDesc& table,
     dir += EncodePartitionComponent(table.partition_cols[i], v);
   }
   return dir;
+}
+
+std::string SeqString(uint64_t seq) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%020llu",
+                static_cast<unsigned long long>(seq));
+  return buf;
 }
 
 Result<uint64_t> TableOps::Execute(const AstStatement& statement) {

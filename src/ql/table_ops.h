@@ -25,6 +25,11 @@ std::string EncodePartitionComponent(const std::string& column,
 std::string PartitionDirName(const TableDesc& table,
                              const std::vector<Value>& partition_values);
 
+/// Fixed-width commit sequence for file names, so lexicographic and commit
+/// order agree in listings. Wide enough for any uint64_t — a narrower pad
+/// would silently break the ordering invariant once it overflowed.
+std::string SeqString(uint64_t seq);
+
 /// Executes the DDL/DML statement forms over managed tables: CREATE TABLE,
 /// DROP TABLE, INSERT INTO (with unique-key upsert), DELETE FROM. SELECT
 /// statements are the Driver's job, not this class's.

@@ -7,7 +7,8 @@
 
 #include "common/telemetry.h"
 #include "exec/plan.h"
-#include "orc/reader.h"
+#include "formats/orcfile_adapter.h"
+#include "mr/engine.h"
 #include "vec/vector_expressions.h"
 
 namespace minihive::vec {
@@ -531,7 +532,8 @@ Status ValidateShape(const OpDesc* scan_root, PipelineShape* shape) {
 Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
                                 const TypePtr& schema,
                                 formats::FormatKind format,
-                                const mr::InputSplit& split,
+                                const std::string& path,
+                                const formats::ReadOptions& read,
                                 exec::TaskContext* ctx) {
   // ---- Validation (the §6.4 vectorization-optimizer check).
   if (format != formats::FormatKind::kOrcFile || schema == nullptr) {
@@ -544,7 +546,7 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   }
 
   // Projected fields and the full-width -> batch position mapping.
-  std::vector<int> projected = scan_root->scan_projection;
+  std::vector<int> projected = read.projected_columns;
   if (projected.empty()) {
     for (int i = 0; i < scan_root->table_width; ++i) projected.push_back(i);
   }
@@ -636,20 +638,9 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   MINIHIVE_RETURN_IF_ERROR(terminal->Init(ctx));
 
   // ---- Read batches through the vectorized ORC reader (§6.5).
-  orc::OrcReadOptions read_options;
-  read_options.projected_fields = projected;
-  read_options.sarg = scan_root->sarg.get();
-  read_options.split_offset = split.offset;
-  read_options.split_length = split.length;
-  read_options.reader_host = split.locality_host;
-  read_options.governor = ctx->governor;
-  read_options.counters = ctx->counters;
-  read_options.enable_late_materialization = ctx->enable_late_materialization;
-  read_options.delete_bitmap =
-      FindDeleteBitmap(ctx->delete_bitmaps, split.path);
   MINIHIVE_ASSIGN_OR_RETURN(
       std::unique_ptr<orc::OrcReader> reader,
-      orc::OrcReader::Open(ctx->fs, split.path, read_options));
+      orc::OrcReader::Open(ctx->fs, path, formats::ToOrcReadOptions(read)));
   std::unique_ptr<VectorizedRowBatch> batch =
       MakeBatchFor(compiler.column_types(), kDefaultBatchSize);
 

@@ -5,7 +5,6 @@
 #include "common/types.h"
 #include "exec/operators.h"
 #include "formats/format.h"
-#include "mr/engine.h"
 
 namespace minihive::vec {
 
@@ -19,10 +18,14 @@ namespace minihive::vec {
 /// format, unsupported operator or expression, complex types); the caller
 /// then falls back to the row-mode pipeline — mirroring the validation step
 /// of Hive's vectorization optimizer (§6.4).
+///
+/// `read` is the map task's one read request for the split of `path` (the
+/// same one the row-mode pipeline would open its reader with).
 Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
                                 const TypePtr& schema,
                                 formats::FormatKind format,
-                                const mr::InputSplit& split,
+                                const std::string& path,
+                                const formats::ReadOptions& read,
                                 exec::TaskContext* ctx);
 
 }  // namespace minihive::vec

@@ -3,13 +3,16 @@
 /// return the exact original rows (the flip landed in dead bytes) or fail
 /// with a typed Corruption/IoError — never silently wrong data. Also
 /// checks locality of damage: corrupting stripe 2 must not stop stripe 1
-/// from being read.
+/// from being read. The sweep also reads each damaged file twice with a
+/// SARG through a metadata cache (stripe indexes, segment CRCs, phase 1),
+/// so a bad parse can never be cached and served to a later read.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/cache.h"
 #include "common/random.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
@@ -57,10 +60,14 @@ void OverwriteFile(dfs::FileSystem* fs, const std::string& path,
   ASSERT_TRUE(writer->Close().ok());
 }
 
-/// Reads every row; returns OK plus the rows, or the first error.
+/// Reads every row (through `sarg` when set); returns OK plus the rows, or
+/// the first error.
 Status ReadAllRows(dfs::FileSystem* fs, const std::string& path,
-                   std::vector<Row>* rows) {
-  auto reader = OrcReader::Open(fs, path);
+                   std::vector<Row>* rows,
+                   const SearchArgument* sarg = nullptr) {
+  OrcReadOptions options;
+  options.sarg = sarg;
+  auto reader = OrcReader::Open(fs, path, options);
   if (!reader.ok()) return reader.status();
   Row row;
   while (true) {
@@ -93,6 +100,15 @@ TEST(OrcCorruptionTest, SingleByteFlipsAreDetectedOrHarmless) {
   std::vector<Row> golden;
   ASSERT_TRUE(ReadAllRows(&fs, "/orc/victim", &golden).ok());
   ASSERT_EQ(golden.size(), static_cast<size_t>(kRows));
+  // A range that skips stripes and groups by statistics and rejects rows
+  // of its edge groups in phase 1.
+  SearchArgument sarg;
+  sarg.AddLeaf({0, PredicateOp::kBetween, Value::Int(2100), Value::Int(9700),
+                {}});
+  std::vector<Row> golden_sarg;
+  ASSERT_TRUE(ReadAllRows(&fs, "/orc/victim", &golden_sarg, &sarg).ok());
+  ASSERT_EQ(golden_sarg.size(), 7601u);
+  auto caches = std::make_shared<cache::CacheManager>(4 * 1024 * 1024);
 
   // Sampled offsets across the whole file, plus the tail region (footer,
   // postscript) which a uniform sample would rarely hit.
@@ -124,6 +140,30 @@ TEST(OrcCorruptionTest, SingleByteFlipsAreDetectedOrHarmless) {
           << "offset " << offset << ": untyped error " << s.ToString();
       ++detected;
     }
+
+    // Twice through the ppd path and the metadata cache: the second read
+    // may hit entries the first populated, and must end exactly as the
+    // first did.
+    fs.set_cache_manager(caches);
+    std::vector<Row> first_rows;
+    std::vector<Row> second_rows;
+    Status first = ReadAllRows(&fs, "/orc/victim", &first_rows, &sarg);
+    Status second = ReadAllRows(&fs, "/orc/victim", &second_rows, &sarg);
+    fs.set_cache_manager(nullptr);
+    for (const Status* read : {&first, &second}) {
+      EXPECT_TRUE(read->ok() || read->IsCorruption() || read->IsIoError())
+          << "offset " << offset << ": untyped error " << read->ToString();
+    }
+    if (first.ok()) {
+      EXPECT_TRUE(SameRows(first_rows, golden_sarg))
+          << "offset " << offset << ": SARG read OK but rows differ";
+    }
+    EXPECT_EQ(first.ok(), second.ok())
+        << "offset " << offset << ": " << first.ToString() << " then "
+        << second.ToString();
+    EXPECT_EQ(first.ToString(), second.ToString()) << "offset " << offset;
+    EXPECT_TRUE(SameRows(first_rows, second_rows))
+        << "offset " << offset << ": the cached read differs";
   }
   OverwriteFile(&fs, "/orc/victim", pristine);
 

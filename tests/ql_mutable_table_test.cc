@@ -106,14 +106,11 @@ TEST_F(MutableTableTest, PartitionPruningSkipsFiles) {
        "(3, 'ap', 3.0)");
   Exec("INSERT INTO sales VALUES (4, 'eu', 4.0), (5, 'us', 5.0)");
 
-  telemetry::Counter* pruned = telemetry::MetricsRegistry::Global().GetCounter(
-      "ql.partition_files_pruned");
-  const uint64_t before = pruned->value();
   QueryResult result =
       Exec("SELECT id, amount FROM sales WHERE region = 'eu'");
   EXPECT_EQ(result.rows.size(), 2u);
   // Three non-eu files (us x2, ap x1) never reached the splitter.
-  EXPECT_EQ(pruned->value() - before, 3u);
+  EXPECT_EQ(result.counters.partition_files_pruned.load(), 3u);
 }
 
 TEST_F(MutableTableTest, UpsertLatestWriteWins) {

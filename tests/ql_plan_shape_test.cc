@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "datagen/loader.h"
+#include "datagen/tpcds.h"
 #include "ql/driver.h"
 #include "ql/optimizer.h"
 #include "ql/parser.h"
@@ -308,6 +312,57 @@ TEST_F(PlanShapeTest, PushdownOffLeavesJoinFilterInPlace) {
   const exec::OpDesc* join = JoinBelow(ScanOf(*analyzed, "fact"));
   ASSERT_NE(join, nullptr);
   EXPECT_EQ(join->children[0]->kind, exec::OpKind::kFilter);
+}
+
+TEST_F(PlanShapeTest, MapJoinBuildKeepsTheDimensionSarg) {
+  datagen::TpcdsOptions tpcds;
+  tpcds.store_sales_rows = 20000;
+  ASSERT_TRUE(datagen::LoadTpcds(catalog_.get(), "tpcds", tpcds).ok());
+  // TPC-DS Q27 (Fig. 11(a)): three conjuncts on customer_demographics.
+  const std::string q27 =
+      "SELECT i_item_id, AVG(ss_quantity) AS agg1 "
+      "FROM tpcds_store_sales "
+      "JOIN tpcds_customer_demographics "
+      "  ON tpcds_store_sales.ss_cdemo_sk = "
+      "     tpcds_customer_demographics.cd_demo_sk "
+      "JOIN tpcds_date_dim ON tpcds_store_sales.ss_sold_date_sk = "
+      "                       tpcds_date_dim.d_date_sk "
+      "JOIN tpcds_item ON tpcds_store_sales.ss_item_sk = tpcds_item.i_item_sk "
+      "WHERE cd_gender = 'M' AND cd_marital_status = 'S' "
+      "  AND cd_education_status = 'College' AND d_year = 2000 "
+      "GROUP BY i_item_id";
+  for (bool pushdown : {true, false}) {
+    SCOPED_TRACE(pushdown);
+    PlannedQuery plan = Pushdown(q27, pushdown);
+    ASSERT_TRUE(ConvertMapJoins(&plan, catalog_.get(), 1 << 20).ok());
+    const exec::OpDesc::MapJoinSmallSide* demographics = nullptr;
+    for (const exec::OpDescPtr& op : exec::CollectOps(plan.roots)) {
+      for (const auto& side : op->mapjoin_small_sides) {
+        if (side.table_name == "tpcds_customer_demographics") {
+          demographics = &side;
+        }
+      }
+    }
+    ASSERT_NE(demographics, nullptr) << plan.DebugString();
+    if (pushdown) {
+      // The three WHERE conjuncts (cd_gender, cd_marital_status,
+      // cd_education_status), beside the join key's IS NOT NULL.
+      ASSERT_NE(demographics->sarg, nullptr);
+      std::vector<int> equality_columns;
+      for (const orc::LeafPredicate& leaf : demographics->sarg->leaves()) {
+        if (leaf.op == orc::PredicateOp::kEquals) {
+          equality_columns.push_back(leaf.column);
+        } else {
+          EXPECT_EQ(leaf.op, orc::PredicateOp::kIsNotNull);
+          EXPECT_EQ(leaf.column, 0);
+        }
+      }
+      std::sort(equality_columns.begin(), equality_columns.end());
+      EXPECT_EQ(equality_columns, (std::vector<int>{1, 2, 3}));
+    } else {
+      EXPECT_EQ(demographics->sarg, nullptr);
+    }
+  }
 }
 
 }  // namespace
