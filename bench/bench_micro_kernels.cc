@@ -119,53 +119,119 @@ void BM_VectorizedFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorizedFilter);
 
-// ---- Explicit SIMD kernels against their scalar fallbacks. Arg(0) = the
-// scalar arm, Arg(1) = the runtime-dispatched (AVX2 when available) arm —
-// the same dispatch layer the vectorized scan, the expression kernels and
-// the group-by hash use. Results are byte-identical across arms; only the
-// rate should differ.
+// ---- SIMD kernels, every dispatched one on both arms. Arg(0) = the scalar
+// arm, Arg(1) = the runtime-dispatched (AVX2 when available) arm: the same
+// loop source built for the two targets (vec/simd.h), which the vectorized
+// filters, the arithmetic expressions and the ORC phase-1 SARG use. Results
+// are byte-identical across arms; only the rate should differ. Inputs mimic
+// the TPC-H Q1/Q6 predicates and expressions the kernels serve.
 
 constexpr int kSimdBenchRows = 4096;
 
-void BM_SimdCompareMaskI64(benchmark::State& state) {
+/// Times `kernel` (one call over kSimdBenchRows rows) on the arm that
+/// state.range(0) selects.
+template <typename Fn>
+void RunOnArm(benchmark::State& state, Fn kernel) {
   simd::SetEnabled(state.range(0) != 0);
-  Random rng(4);
-  std::vector<int64_t> vals(kSimdBenchRows);
-  for (auto& v : vals) v = static_cast<int64_t>(rng.Uniform(100000));
+  for (auto _ : state) kernel();
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+
+/// A compare/between kernel's mask, compacted into selected[] as the
+/// vectorized filters do.
+template <typename T, typename MaskFn>
+void BenchMask(benchmark::State& state, const std::vector<T>& vals,
+               MaskFn mask_fn) {
   std::vector<uint8_t> mask(vals.size());
   std::vector<int> sel(vals.size());
   int64_t sink = 0;
-  for (auto _ : state) {
-    simd::CompareMaskI64(simd::Cmp::kLt, vals.data(), 50000, kSimdBenchRows,
-                         mask.data());
+  RunOnArm(state, [&] {
+    mask_fn(vals.data(), mask.data());
     sink += simd::MaskToSelected(mask.data(), kSimdBenchRows, sel.data());
-  }
+  });
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
-  simd::SetEnabled(true);
+}
+
+std::vector<int64_t> RandomInts(uint64_t seed, uint64_t lo, uint64_t span) {
+  Random rng(seed);
+  std::vector<int64_t> vals(kSimdBenchRows);
+  for (auto& v : vals) v = static_cast<int64_t>(lo + rng.Uniform(span));
+  return vals;
+}
+
+std::vector<double> RandomDoubles(uint64_t seed, double scale) {
+  Random rng(seed);
+  std::vector<double> vals(kSimdBenchRows);
+  for (auto& v : vals) v = rng.NextDouble() * scale;
+  return vals;
+}
+
+void BM_SimdCompareMaskI64(benchmark::State& state) {
+  BenchMask(state, RandomInts(4, 0, 100000), [](const int64_t* in, uint8_t* m) {
+    simd::CompareMask(simd::Cmp::kLt, in, int64_t{50000}, kSimdBenchRows, m);
+  });
 }
 BENCHMARK(BM_SimdCompareMaskI64)->ArgName("simd")->Arg(0)->Arg(1);
 
+// Q6's l_quantity < 24.
+void BM_SimdCompareMaskF64(benchmark::State& state) {
+  BenchMask(state, RandomDoubles(7, 50), [](const double* in, uint8_t* m) {
+    simd::CompareMask(simd::Cmp::kLt, in, 24.0, kSimdBenchRows, m);
+  });
+}
+BENCHMARK(BM_SimdCompareMaskF64)->ArgName("simd")->Arg(0)->Arg(1);
+
+// Q6's shipdate range: days since 1970 in 1992..1998, one year selected.
+void BM_SimdBetweenMaskI64(benchmark::State& state) {
+  BenchMask(state, RandomInts(8, 8035, 2557),
+            [](const int64_t* in, uint8_t* m) {
+              simd::BetweenMask(in, int64_t{8766}, int64_t{9130},
+                                kSimdBenchRows, m);
+            });
+}
+BENCHMARK(BM_SimdBetweenMaskI64)->ArgName("simd")->Arg(0)->Arg(1);
+
 void BM_SimdBetweenMaskF64(benchmark::State& state) {
-  simd::SetEnabled(state.range(0) != 0);
-  Random rng(5);
-  std::vector<double> vals(kSimdBenchRows);
-  for (auto& v : vals) v = rng.NextDouble() * 100;
-  std::vector<uint8_t> mask(vals.size());
-  std::vector<int> sel(vals.size());
-  int64_t sink = 0;
-  for (auto _ : state) {
-    simd::BetweenMaskF64(vals.data(), 25.0, 75.0, kSimdBenchRows, mask.data());
-    sink += simd::MaskToSelected(mask.data(), kSimdBenchRows, sel.data());
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
-  simd::SetEnabled(true);
+  BenchMask(state, RandomDoubles(5, 100), [](const double* in, uint8_t* m) {
+    simd::BetweenMask(in, 25.0, 75.0, kSimdBenchRows, m);
+  });
 }
 BENCHMARK(BM_SimdBetweenMaskF64)->ArgName("simd")->Arg(0)->Arg(1);
 
+// Q1's 1 - l_discount (scalar on the left).
+void BM_SimdArithScalarF64(benchmark::State& state) {
+  std::vector<double> in = RandomDoubles(9, 0.1), out(kSimdBenchRows);
+  RunOnArm(state, [&] {
+    simd::ArithScalar(simd::Arith::kSub, in.data(), 1.0, /*scalar_left=*/true,
+                      kSimdBenchRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+BENCHMARK(BM_SimdArithScalarF64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithScalarI64(benchmark::State& state) {
+  std::vector<int64_t> in = RandomInts(10, 0, 100000), out(kSimdBenchRows);
+  RunOnArm(state, [&] {
+    simd::ArithScalar(simd::Arith::kMul, in.data(), int64_t{100},
+                      /*scalar_left=*/false, kSimdBenchRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+BENCHMARK(BM_SimdArithScalarI64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithColColI64(benchmark::State& state) {
+  std::vector<int64_t> a = RandomInts(11, 0, 100000),
+                       b = RandomInts(12, 0, 100000), out(kSimdBenchRows);
+  RunOnArm(state, [&] {
+    simd::ArithColCol(simd::Arith::kMul, a.data(), b.data(), kSimdBenchRows,
+                      out.data());
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+BENCHMARK(BM_SimdArithColColI64)->ArgName("simd")->Arg(0)->Arg(1);
+
 void BM_SimdArithColColF64(benchmark::State& state) {
-  simd::SetEnabled(state.range(0) != 0);
   Random rng(6);
   std::vector<double> a(kSimdBenchRows), b(kSimdBenchRows),
       out(kSimdBenchRows);
@@ -173,15 +239,24 @@ void BM_SimdArithColColF64(benchmark::State& state) {
     a[i] = rng.NextDouble() * 100;
     b[i] = rng.NextDouble() * 0.1;
   }
-  for (auto _ : state) {
-    simd::ArithColColF64(simd::Arith::kMul, a.data(), b.data(), kSimdBenchRows,
-                         out.data());
+  RunOnArm(state, [&] {
+    simd::ArithColCol(simd::Arith::kMul, a.data(), b.data(), kSimdBenchRows,
+                      out.data());
     benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
-  simd::SetEnabled(true);
+  });
 }
 BENCHMARK(BM_SimdArithColColF64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithColColF64Div(benchmark::State& state) {
+  std::vector<double> a = RandomDoubles(13, 100), b = RandomDoubles(14, 0.1),
+                      out(kSimdBenchRows);
+  RunOnArm(state, [&] {
+    simd::ArithColCol(simd::Arith::kDiv, a.data(), b.data(), kSimdBenchRows,
+                      out.data());
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+BENCHMARK(BM_SimdArithColColF64Div)->ArgName("simd")->Arg(0)->Arg(1);
 
 // ---- ORC integer RLE vs raw varints.
 

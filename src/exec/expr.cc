@@ -99,9 +99,9 @@ Value Expr::Eval(const Row& row) const {
       }
       int64_t x = a.AsInt(), y = b.AsInt();
       switch (kind_) {
-        case ExprKind::kAdd: return Value::Int(x + y);
-        case ExprKind::kSub: return Value::Int(x - y);
-        default: return Value::Int(x * y);
+        case ExprKind::kAdd: return Value::Int(WrapAdd(x, y));
+        case ExprKind::kSub: return Value::Int(WrapSub(x, y));
+        default: return Value::Int(WrapMul(x, y));
       }
     }
     case ExprKind::kEq:

@@ -1,5 +1,7 @@
 #include "orc/sarg.h"
 
+#include <type_traits>
+
 #include "vec/simd.h"
 
 namespace minihive::orc {
@@ -179,6 +181,60 @@ bool CompareRow(PredicateOp op, T value, T literal) {
   }
 }
 
+/// The literal as the column's value type: int64 columns compare as
+/// integers, double columns as doubles (see LeafRowEvaluable).
+template <typename T>
+T LiteralAs(const Value& v) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return v.AsInt();
+  } else {
+    return v.AsDouble();
+  }
+}
+
+/// Phase-1 evaluation of a comparison, BETWEEN or IN leaf over one numeric
+/// column. Null-free slices take the SIMD mask kernels.
+template <typename T>
+void EvaluateNumericRows(const LeafPredicate& leaf, const T* vals,
+                         const ColumnSlice& slice, uint8_t* mask,
+                         std::vector<uint8_t>* scratch) {
+  const int n = slice.rows;
+  if (IsComparisonOp(leaf.op)) {
+    const T lit = LiteralAs<T>(leaf.literal);
+    if (!slice.present) {
+      scratch->resize(static_cast<size_t>(n));
+      simd::CompareMask(ToSimdCmp(leaf.op), vals, lit, n, scratch->data());
+      simd::AndMask(scratch->data(), n, mask);
+    } else {
+      AndNonNullRows(slice, mask, [&](int nn) {
+        return CompareRow<T>(leaf.op, vals[nn], lit);
+      });
+    }
+    return;
+  }
+  if (leaf.op == PredicateOp::kBetween) {
+    const T lo = LiteralAs<T>(leaf.literal);
+    const T hi = LiteralAs<T>(leaf.literal2);
+    if (!slice.present) {
+      scratch->resize(static_cast<size_t>(n));
+      simd::BetweenMask(vals, lo, hi, n, scratch->data());
+      simd::AndMask(scratch->data(), n, mask);
+    } else {
+      AndNonNullRows(slice, mask, [&](int nn) {
+        return vals[nn] >= lo && vals[nn] <= hi;
+      });
+    }
+    return;
+  }
+  // kIn: linear probe — pushed-down lists are short.
+  AndNonNullRows(slice, mask, [&](int nn) {
+    for (const Value& v : leaf.in_list) {
+      if (vals[nn] == LiteralAs<T>(v)) return true;
+    }
+    return false;
+  });
+}
+
 }  // namespace
 
 bool SearchArgument::LeafRowEvaluable(const LeafPredicate& leaf,
@@ -233,81 +289,11 @@ void SearchArgument::EvaluateLeafRows(const LeafPredicate& leaf,
   }
 
   if (IsIntKind(kind)) {
-    const int64_t* vals = slice.longs;
-    if (IsComparisonOp(leaf.op)) {
-      const int64_t lit = leaf.literal.AsInt();
-      if (!slice.present) {
-        scratch->resize(static_cast<size_t>(n));
-        simd::CompareMaskI64(ToSimdCmp(leaf.op), vals, lit, n,
-                             scratch->data());
-        simd::AndMask(scratch->data(), n, mask);
-      } else {
-        AndNonNullRows(slice, mask, [&](int nn) {
-          return CompareRow<int64_t>(leaf.op, vals[nn], lit);
-        });
-      }
-      return;
-    }
-    if (leaf.op == PredicateOp::kBetween) {
-      const int64_t lo = leaf.literal.AsInt();
-      const int64_t hi = leaf.literal2.AsInt();
-      if (!slice.present) {
-        scratch->resize(static_cast<size_t>(n));
-        simd::BetweenMaskI64(vals, lo, hi, n, scratch->data());
-        simd::AndMask(scratch->data(), n, mask);
-      } else {
-        AndNonNullRows(slice, mask, [&](int nn) {
-          return vals[nn] >= lo && vals[nn] <= hi;
-        });
-      }
-      return;
-    }
-    // kIn: linear probe — pushed-down lists are short.
-    AndNonNullRows(slice, mask, [&](int nn) {
-      for (const Value& v : leaf.in_list) {
-        if (vals[nn] == v.AsInt()) return true;
-      }
-      return false;
-    });
+    EvaluateNumericRows(leaf, slice.longs, slice, mask, scratch);
     return;
   }
-
   if (IsDoubleKind(kind)) {
-    const double* vals = slice.doubles;
-    if (IsComparisonOp(leaf.op)) {
-      const double lit = leaf.literal.AsDouble();
-      if (!slice.present) {
-        scratch->resize(static_cast<size_t>(n));
-        simd::CompareMaskF64(ToSimdCmp(leaf.op), vals, lit, n,
-                             scratch->data());
-        simd::AndMask(scratch->data(), n, mask);
-      } else {
-        AndNonNullRows(slice, mask, [&](int nn) {
-          return CompareRow<double>(leaf.op, vals[nn], lit);
-        });
-      }
-      return;
-    }
-    if (leaf.op == PredicateOp::kBetween) {
-      const double lo = leaf.literal.AsDouble();
-      const double hi = leaf.literal2.AsDouble();
-      if (!slice.present) {
-        scratch->resize(static_cast<size_t>(n));
-        simd::BetweenMaskF64(vals, lo, hi, n, scratch->data());
-        simd::AndMask(scratch->data(), n, mask);
-      } else {
-        AndNonNullRows(slice, mask, [&](int nn) {
-          return vals[nn] >= lo && vals[nn] <= hi;
-        });
-      }
-      return;
-    }
-    AndNonNullRows(slice, mask, [&](int nn) {
-      for (const Value& v : leaf.in_list) {
-        if (vals[nn] == v.AsDouble()) return true;
-      }
-      return false;
-    });
+    EvaluateNumericRows(leaf, slice.doubles, slice, mask, scratch);
     return;
   }
 

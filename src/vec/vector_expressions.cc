@@ -15,27 +15,29 @@ using exec::ExprKind;
 // Arithmetic kernel templates (paper §6.3: vectorized expressions are
 // generated from pre-defined templates by type substitution; here the
 // substitution is done by the C++ compiler). Each op carries its simd::
-// tag so the batch kernels below can hand dense, null-free, non-repeating
-// spans to the explicit-SIMD layer.
+// tag so the batch kernels below can hand dense, non-repeating spans to the
+// SIMD layer. int64 ops wrap exactly like the row engine's Expr::Eval.
 
 struct AddOp {
   static constexpr simd::Arith kArith = simd::Arith::kAdd;
-  template <typename T>
-  T operator()(T a, T b) const { return a + b; }
+  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapAdd(a, b); }
+  double operator()(double a, double b) const { return a + b; }
 };
 struct SubOp {
   static constexpr simd::Arith kArith = simd::Arith::kSub;
-  template <typename T>
-  T operator()(T a, T b) const { return a - b; }
+  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapSub(a, b); }
+  double operator()(double a, double b) const { return a - b; }
 };
 struct MulOp {
   static constexpr simd::Arith kArith = simd::Arith::kMul;
-  template <typename T>
-  T operator()(T a, T b) const { return a * b; }
+  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapMul(a, b); }
+  double operator()(double a, double b) const { return a * b; }
 };
+/// Plain IEEE division; a zero divisor's row is marked NULL afterwards, as
+/// the row engine returns NULL for it.
 struct DivOp {
   static constexpr simd::Arith kArith = simd::Arith::kDiv;
-  double operator()(double a, double b) const { return b == 0 ? 0 : a / b; }
+  double operator()(double a, double b) const { return a / b; }
 };
 
 /// True when the column physically stores T (no long->double conversion
@@ -60,39 +62,6 @@ simd::Cmp ToSimdCmp(ExprKind op) {
     case ExprKind::kGt: return simd::Cmp::kGt;
     default: return simd::Cmp::kGe;
   }
-}
-
-inline void SimdCompareMask(simd::Cmp op, const int64_t* in, int64_t s, int n,
-                            uint8_t* mask) {
-  simd::CompareMaskI64(op, in, s, n, mask);
-}
-inline void SimdCompareMask(simd::Cmp op, const double* in, double s, int n,
-                            uint8_t* mask) {
-  simd::CompareMaskF64(op, in, s, n, mask);
-}
-inline void SimdBetweenMask(const int64_t* in, int64_t lo, int64_t hi, int n,
-                            uint8_t* mask) {
-  simd::BetweenMaskI64(in, lo, hi, n, mask);
-}
-inline void SimdBetweenMask(const double* in, double lo, double hi, int n,
-                            uint8_t* mask) {
-  simd::BetweenMaskF64(in, lo, hi, n, mask);
-}
-inline void SimdArithScalar(simd::Arith op, const int64_t* in, int64_t s,
-                            bool scalar_left, int n, int64_t* out) {
-  simd::ArithScalarI64(op, in, s, scalar_left, n, out);
-}
-inline void SimdArithScalar(simd::Arith op, const double* in, double s,
-                            bool scalar_left, int n, double* out) {
-  simd::ArithScalarF64(op, in, s, scalar_left, n, out);
-}
-inline void SimdArithColCol(simd::Arith op, const int64_t* a, const int64_t* b,
-                            int n, int64_t* out) {
-  simd::ArithColColI64(op, a, b, n, out);
-}
-inline void SimdArithColCol(simd::Arith op, const double* a, const double* b,
-                            int n, double* out) {
-  simd::ArithColColF64(op, a, b, n, out);
 }
 
 /// Reads column values as T regardless of the underlying vector kind.
@@ -148,8 +117,36 @@ double* MutableTypedData<double>(ColumnVector* col) {
   return static_cast<DoubleColumnVector*>(col)->vector.data();
 }
 
+/// Writes the output's null flags: row i is NULL unless valid(i). Visits
+/// the active rows only (slot 0 of a repeating output, else selected[] or
+/// 0..size) and sets no_nulls when all of them are valid.
+template <typename Valid>
+void SetNullFlags(const VectorizedRowBatch& batch, ColumnVector* out_col,
+                  Valid valid) {
+  bool all_valid = true;
+  auto mark = [&](int i) {
+    bool ok = valid(i);
+    out_col->not_null[i] = ok;
+    all_valid = all_valid && ok;
+  };
+  if (out_col->is_repeating) {
+    mark(0);
+  } else if (batch.selected_in_use) {
+    for (int j = 0; j < batch.selected_size; ++j) mark(batch.selected[j]);
+  } else {
+    for (int i = 0; i < batch.size; ++i) mark(i);
+  }
+  out_col->no_nulls = all_valid;
+}
+
+/// A division's row is also NULL when its divisor is 0 (or -0.0), as in the
+/// row engine, so division always writes null flags.
+template <typename Op>
+constexpr bool kDivides = Op::kArith == simd::Arith::kDiv;
+
 /// column OP column. The inner loops are branch-free over values; null
-/// handling short-circuits entirely when both inputs carry no nulls.
+/// handling short-circuits entirely when both inputs carry no nulls and the
+/// op is not a division.
 template <typename OutT, typename Op>
 class ArithColCol : public VectorExpression {
  public:
@@ -171,17 +168,10 @@ class ArithColCol : public VectorExpression {
     ColumnVector* out_col = batch->columns[output_column_].get();
     OutT* out = MutableTypedData<OutT>(out_col);
     Op op;
-    if (l.repeating() && r.repeating()) {
+    out_col->is_repeating = l.repeating() && r.repeating();
+    if (out_col->is_repeating) {
       out[0] = op(l[0], r[0]);
-      out_col->is_repeating = true;
-      out_col->no_nulls = l.no_nulls() && r.no_nulls();
-      if (!out_col->no_nulls) {
-        out_col->not_null[0] = l.NotNull(0) && r.NotNull(0);
-      }
-      return;
-    }
-    out_col->is_repeating = false;
-    if (batch->selected_in_use) {
+    } else if (batch->selected_in_use) {
       const int* sel = batch->selected.data();
       for (int j = 0; j < batch->selected_size; ++j) {
         int i = sel[j];
@@ -191,35 +181,25 @@ class ArithColCol : public VectorExpression {
                IsNativeKind<OutT>(batch->columns[left_].get()) &&
                IsNativeKind<OutT>(batch->columns[right_].get())) {
       // SIMD fast path over the dense spans. Like the scalar loop it computes
-      // a value for every row; null rows are overruled by PropagateNulls.
-      SimdArithColCol(Op::kArith, TypedData<OutT>(batch->columns[left_].get()),
-                      TypedData<OutT>(batch->columns[right_].get()),
-                      batch->size, out);
+      // a value for every row; null rows are overruled by the flags below.
+      simd::ArithColCol(Op::kArith,
+                        TypedData<OutT>(batch->columns[left_].get()),
+                        TypedData<OutT>(batch->columns[right_].get()),
+                        batch->size, out);
     } else {
       int n = batch->size;
       for (int i = 0; i < n; ++i) out[i] = op(l[i], r[i]);
     }
-    PropagateNulls(batch, out_col, l, r);
-  }
-
- private:
-  void PropagateNulls(VectorizedRowBatch* batch, ColumnVector* out_col,
-                      const ColReader<OutT>& l, const ColReader<OutT>& r) {
-    if (l.no_nulls() && r.no_nulls()) {
+    if (l.no_nulls() && r.no_nulls() && !kDivides<Op>) {
       out_col->no_nulls = true;
       return;
     }
-    out_col->no_nulls = false;
-    auto mark = [&](int i) {
-      out_col->not_null[i] = l.NotNull(i) && r.NotNull(i);
-    };
-    if (batch->selected_in_use) {
-      for (int j = 0; j < batch->selected_size; ++j) mark(batch->selected[j]);
-    } else {
-      for (int i = 0; i < batch->size; ++i) mark(i);
-    }
+    SetNullFlags(*batch, out_col, [&](int i) {
+      return l.NotNull(i) && r.NotNull(i) && !(kDivides<Op> && r[i] == 0);
+    });
   }
 
+ private:
   int left_, right_;
   std::unique_ptr<VectorExpression> left_child_, right_child_;
 };
@@ -246,17 +226,12 @@ class ArithColScalar : public VectorExpression {
     Op op;
     // is-repeating fast path (paper §6.2): constant time for the whole
     // column vector, extending run-length encoding into execution.
+    out_col->is_repeating = in.repeating();
     if (in.repeating()) {
       out[0] = scalar_left_ ? op(scalar_, in[0]) : op(in[0], scalar_);
-      out_col->is_repeating = true;
-      out_col->no_nulls = in.no_nulls();
-      if (!in.no_nulls()) out_col->not_null[0] = in.NotNull(0);
-      return;
-    }
-    out_col->is_repeating = false;
-    // The iterations are completely independent and free of branches and
-    // method calls, so they pipeline in superscalar CPUs (paper §6.2).
-    if (batch->selected_in_use) {
+    } else if (batch->selected_in_use) {
+      // The iterations are completely independent and free of branches and
+      // method calls, so they pipeline in superscalar CPUs (paper §6.2).
       const int* sel = batch->selected.data();
       if (scalar_left_) {
         for (int j = 0; j < batch->selected_size; ++j) {
@@ -272,9 +247,10 @@ class ArithColScalar : public VectorExpression {
     } else if (IsNativeKind<OutT>(batch->columns[input_].get())) {
       // SIMD fast path over the dense span (no long->double conversion
       // needed). Values at null rows are computed just like the scalar
-      // loops; the propagation block below marks them null.
-      SimdArithScalar(Op::kArith, TypedData<OutT>(batch->columns[input_].get()),
-                      scalar_, scalar_left_, batch->size, out);
+      // loops; the flags below mark them null.
+      simd::ArithScalar(Op::kArith,
+                        TypedData<OutT>(batch->columns[input_].get()), scalar_,
+                        scalar_left_, batch->size, out);
     } else {
       int n = batch->size;
       if (scalar_left_) {
@@ -283,21 +259,14 @@ class ArithColScalar : public VectorExpression {
         for (int i = 0; i < n; ++i) out[i] = op(in[i], scalar_);
       }
     }
-    if (in.no_nulls()) {
+    if (in.no_nulls() && !kDivides<Op>) {
       out_col->no_nulls = true;
-    } else {
-      out_col->no_nulls = false;
-      if (batch->selected_in_use) {
-        for (int j = 0; j < batch->selected_size; ++j) {
-          int i = batch->selected[j];
-          out_col->not_null[i] = in.NotNull(i);
-        }
-      } else {
-        for (int i = 0; i < batch->size; ++i) {
-          out_col->not_null[i] = in.NotNull(i);
-        }
-      }
+      return;
     }
+    SetNullFlags(*batch, out_col, [&](int i) {
+      return in.NotNull(i) &&
+             !(kDivides<Op> && (scalar_left_ ? in[i] : scalar_) == 0);
+    });
   }
 
  private:
@@ -372,8 +341,8 @@ class CompareScalarFilter : public VectorFilter {
     if (!batch->selected_in_use && col->no_nulls && !col->is_repeating &&
         IsNativeKind<T>(col)) {
       mask_.resize(static_cast<size_t>(batch->size));
-      SimdCompareMask(ToSimdCmp(op_), TypedData<T>(col), scalar_, batch->size,
-                      mask_.data());
+      simd::CompareMask(ToSimdCmp(op_), TypedData<T>(col), scalar_,
+                        batch->size, mask_.data());
       batch->selected_size = simd::MaskToSelected(mask_.data(), batch->size,
                                                   batch->selected.data());
       batch->selected_in_use = true;
@@ -424,8 +393,8 @@ class BetweenFilter : public VectorFilter {
     if (!batch->selected_in_use && col->no_nulls && !col->is_repeating &&
         IsNativeKind<T>(col)) {
       mask_.resize(static_cast<size_t>(batch->size));
-      SimdBetweenMask(TypedData<T>(col), low_, high_, batch->size,
-                      mask_.data());
+      simd::BetweenMask(TypedData<T>(col), low_, high_, batch->size,
+                        mask_.data());
       batch->selected_size = simd::MaskToSelected(mask_.data(), batch->size,
                                                   batch->selected.data());
       batch->selected_in_use = true;
@@ -557,17 +526,15 @@ Result<std::unique_ptr<VectorExpression>> BatchCompiler::CompileProjection(
       const Expr& l = *expr.children()[0];
       const Expr& r = *expr.children()[1];
       bool out_double = expr.result_type() == TypeKind::kDouble;
-      // Literal operand -> scalar kernel.
-      auto literal_scalar = [&](const Expr& e, double* out) {
-        if (e.kind() != ExprKind::kLiteral || e.literal().is_null()) {
-          return false;
-        }
-        if (!e.literal().is_int() && !e.literal().is_double()) return false;
-        *out = e.literal().AsDouble();
-        return true;
+      // Literal operand -> scalar kernel. The literal keeps its own type, so
+      // an int64 kernel gets the exact integer, not a rounded double.
+      auto literal_scalar = [](const Expr& e) -> const Value* {
+        if (e.kind() != ExprKind::kLiteral) return nullptr;
+        const Value& v = e.literal();
+        return v.is_int() || v.is_double() ? &v : nullptr;
       };
       auto make_scalar_kernel =
-          [&](const Expr& col_side, double scalar,
+          [&](const Expr& col_side, const Value& literal,
               bool scalar_left) -> Result<std::unique_ptr<VectorExpression>> {
         int input;
         MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<VectorExpression> child,
@@ -584,6 +551,7 @@ Result<std::unique_ptr<VectorExpression>> BatchCompiler::CompileProjection(
         if (out_double) {
           int out = AddScratch(TypeKind::kDouble);
           *output_column = out;
+          double scalar = literal.AsDouble();
           switch (expr.kind()) {
             case ExprKind::kAdd:
               return std::unique_ptr<VectorExpression>(
@@ -605,7 +573,7 @@ Result<std::unique_ptr<VectorExpression>> BatchCompiler::CompileProjection(
         }
         int out = AddScratch(TypeKind::kBigInt);
         *output_column = out;
-        int64_t s = static_cast<int64_t>(scalar);
+        int64_t s = literal.AsInt();
         switch (expr.kind()) {
           case ExprKind::kAdd:
             return std::unique_ptr<VectorExpression>(
@@ -621,12 +589,11 @@ Result<std::unique_ptr<VectorExpression>> BatchCompiler::CompileProjection(
                                                    std::move(keep)));
         }
       };
-      double scalar;
-      if (literal_scalar(r, &scalar)) {
-        return make_scalar_kernel(l, scalar, /*scalar_left=*/false);
+      if (const Value* lit = literal_scalar(r)) {
+        return make_scalar_kernel(l, *lit, /*scalar_left=*/false);
       }
-      if (literal_scalar(l, &scalar)) {
-        return make_scalar_kernel(r, scalar, /*scalar_left=*/true);
+      if (const Value* lit = literal_scalar(l)) {
+        return make_scalar_kernel(r, *lit, /*scalar_left=*/true);
       }
       int left, right;
       MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<VectorExpression> lchild,

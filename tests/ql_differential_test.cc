@@ -77,11 +77,17 @@ class QueryGen {
 
   std::string PickNumericExpr(const std::string& alias) {
     std::string col = PickNumericColumn();
-    switch (rng_.Uniform(3)) {
+    switch (rng_.Uniform(5)) {
       case 0: return col + " AS " + alias;
       case 1:
         return col + " * " + std::to_string(1 + rng_.Uniform(4)) + " AS " +
                alias;
+      // l_discount is 0.00 in about 1/11 of the rows: NULL in both engines.
+      case 2: return "l_extendedprice / l_discount AS " + alias;
+      // 2^62 - 1 has no exact double, and the product wraps for
+      // l_suppkey >= 3: both engines must multiply by the exact literal and
+      // wrap, without signed-overflow UB.
+      case 3: return "l_suppkey * 4611686018427387903 AS " + alias;
       default: return col + " + " + PickNumericColumn() + " AS " + alias;
     }
   }
@@ -135,6 +141,7 @@ class DifferentialTest : public ::testing::Test {
            Value::Double(900.0 + static_cast<double>(rng.Uniform(100000)) / 100.0),
            Value::Double(static_cast<double>(rng.Uniform(11)) / 100.0),
            Value::String(flags[rng.Uniform(5)])});
+      if (lineitem.back()[5].AsDouble() == 0) ++zero_discount_rows_;
     }
     ASSERT_TRUE(
         datagen::CreateAndLoad(
@@ -197,6 +204,7 @@ class DifferentialTest : public ::testing::Test {
 
   std::unique_ptr<dfs::FileSystem> fs_;
   std::unique_ptr<Catalog> catalog_;
+  int zero_discount_rows_ = 0;
 };
 
 /// Orders rows deterministically by Value::Compare so both engines' task
@@ -352,6 +360,22 @@ TEST_F(DifferentialTest, HandWrittenSpotChecks) {
   ASSERT_TRUE(join.ok());
   ASSERT_EQ(join->rows.size(), 1u);
   EXPECT_EQ(join->rows[0][0].AsInt(), 3000);  // Every line has its order.
+
+  // Division by zero is NULL, as in the row engine, not a number: column
+  // by column, scalar by column, column by scalar, and a constant.
+  auto quotients = Execute(
+      "SELECT l_extendedprice / l_discount, 1 / l_discount, l_quantity / 0, "
+      "1.5 / 0 FROM lineitem",
+      true);
+  ASSERT_TRUE(quotients.ok()) << quotients.status().ToString();
+  ASSERT_EQ(quotients->rows.size(), 3000u);
+  std::vector<int> nulls(4, 0);
+  for (const Row& row : quotients->rows) {
+    for (size_t c = 0; c < nulls.size(); ++c) nulls[c] += row[c].is_null();
+  }
+  EXPECT_GT(zero_discount_rows_, 0);
+  EXPECT_EQ(nulls, (std::vector<int>{zero_discount_rows_, zero_discount_rows_,
+                                     3000, 3000}));
 }
 
 }  // namespace

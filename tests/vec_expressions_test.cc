@@ -242,7 +242,8 @@ class SimdIdentityTest : public ::testing::Test {
 
 TEST_F(SimdIdentityTest, CompareAndBetweenMasks) {
   Random rng(41);
-  for (int n : {0, 1, 3, 4, 7, 64, 100}) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (int n : {0, 1, 3, 4, 7, 31, 64, 100, 1027}) {
     std::vector<int64_t> ints;
     std::vector<double> doubles;
     for (int i = 0; i < n; ++i) {
@@ -250,24 +251,35 @@ TEST_F(SimdIdentityTest, CompareAndBetweenMasks) {
       doubles.push_back(static_cast<double>(ints.back()) * 0.25);
     }
     if (n > 2) doubles[n / 2] = std::numeric_limits<double>::quiet_NaN();
+    if (n > 6) {  // Signed zero and infinities.
+      doubles[0] = -0.0;
+      doubles[1] = kInf;
+      doubles[2] = -kInf;
+    }
     for (simd::Cmp cmp : {simd::Cmp::kEq, simd::Cmp::kNe, simd::Cmp::kLt,
                           simd::Cmp::kLe, simd::Cmp::kGt, simd::Cmp::kGe}) {
       auto [s, v] = BothArms([&] {
         std::vector<uint8_t> mask(n);
-        simd::CompareMaskI64(cmp, ints.data(), 17, n, mask.data());
-        std::vector<uint8_t> dmask(n);
-        simd::CompareMaskF64(cmp, doubles.data(), 4.25, n, dmask.data());
-        mask.insert(mask.end(), dmask.begin(), dmask.end());
+        simd::CompareMask(cmp, ints.data(), int64_t{17}, n, mask.data());
+        for (double scalar : {4.25, 0.0, -0.0, kInf, -kInf}) {
+          std::vector<uint8_t> dmask(n);
+          simd::CompareMask(cmp, doubles.data(), scalar, n, dmask.data());
+          mask.insert(mask.end(), dmask.begin(), dmask.end());
+        }
         return mask;
       });
       EXPECT_EQ(s, v) << "cmp " << static_cast<int>(cmp) << " n " << n;
     }
     auto [s, v] = BothArms([&] {
       std::vector<uint8_t> mask(n);
-      simd::BetweenMaskI64(ints.data(), -100, 100, n, mask.data());
-      std::vector<uint8_t> dmask(n);
-      simd::BetweenMaskF64(doubles.data(), -25.0, 25.0, n, dmask.data());
-      mask.insert(mask.end(), dmask.begin(), dmask.end());
+      simd::BetweenMask(ints.data(), int64_t{-100}, int64_t{100}, n,
+                        mask.data());
+      for (auto [lo, hi] : {std::pair(-25.0, 25.0), std::pair(-0.0, kInf),
+                            std::pair(-kInf, 0.0)}) {
+        std::vector<uint8_t> dmask(n);
+        simd::BetweenMask(doubles.data(), lo, hi, n, dmask.data());
+        mask.insert(mask.end(), dmask.begin(), dmask.end());
+      }
       return mask;
     });
     EXPECT_EQ(s, v) << "between n " << n;
@@ -276,50 +288,56 @@ TEST_F(SimdIdentityTest, CompareAndBetweenMasks) {
 
 TEST_F(SimdIdentityTest, ArithmeticIncludingWraparoundAndDivZero) {
   Random rng(43);
-  int n = 100;
-  std::vector<int64_t> a, b;
-  std::vector<double> da, db;
-  for (int i = 0; i < n; ++i) {
-    a.push_back(static_cast<int64_t>(rng.Next()));  // Wraps on mul/add.
-    b.push_back(static_cast<int64_t>(rng.Next()));
-    da.push_back(static_cast<double>(rng.Uniform(100)) - 50);
-    db.push_back(i % 5 == 0 ? 0.0 : da.back() + 1);  // Division by zero.
-  }
-  for (simd::Arith op : {simd::Arith::kAdd, simd::Arith::kSub,
-                         simd::Arith::kMul}) {
-    auto [s, v] = BothArms([&] {
-      std::vector<int64_t> out(n);
-      simd::ArithColColI64(op, a.data(), b.data(), n, out.data());
-      std::vector<int64_t> out2(n);
-      simd::ArithScalarI64(op, a.data(), 7919, /*scalar_left=*/false, n,
-                           out2.data());
-      std::vector<int64_t> out3(n);
-      simd::ArithScalarI64(op, a.data(), 7919, /*scalar_left=*/true, n,
-                           out3.data());
-      out.insert(out.end(), out2.begin(), out2.end());
-      out.insert(out.end(), out3.begin(), out3.end());
-      return out;
-    });
-    EXPECT_EQ(s, v) << "i64 op " << static_cast<int>(op);
-  }
-  for (simd::Arith op : {simd::Arith::kAdd, simd::Arith::kSub,
-                         simd::Arith::kMul, simd::Arith::kDiv}) {
-    auto [s, v] = BothArms([&] {
-      std::vector<double> out(n);
-      simd::ArithColColF64(op, da.data(), db.data(), n, out.data());
-      std::vector<double> out2(n);
-      simd::ArithScalarF64(op, da.data(), 0.0, /*scalar_left=*/true, n,
-                           out2.data());
-      out.insert(out.end(), out2.begin(), out2.end());
-      return out;
-    });
-    // Compare bit patterns so -0.0 vs 0.0 or NaN payloads can't hide.
-    ASSERT_EQ(s.size(), v.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-      uint64_t sb, vb;
-      std::memcpy(&sb, &s[i], 8);
-      std::memcpy(&vb, &v[i], 8);
-      EXPECT_EQ(sb, vb) << "f64 op " << static_cast<int>(op) << " idx " << i;
+  for (int n : {1, 7, 100, 1027}) {
+    std::vector<int64_t> a, b;
+    std::vector<double> da, db;
+    for (int i = 0; i < n; ++i) {
+      a.push_back(static_cast<int64_t>(rng.Next()));  // Wraps on mul/add.
+      b.push_back(static_cast<int64_t>(rng.Next()));
+      da.push_back(static_cast<double>(rng.Uniform(100)) - 50);
+      // Division by zero, by both signed zeros.
+      db.push_back(i % 5 == 0 ? (i % 10 == 0 ? 0.0 : -0.0) : da.back() + 1);
+    }
+    for (simd::Arith op : {simd::Arith::kAdd, simd::Arith::kSub,
+                           simd::Arith::kMul}) {
+      auto [s, v] = BothArms([&] {
+        std::vector<int64_t> out(n);
+        simd::ArithColCol(op, a.data(), b.data(), n, out.data());
+        std::vector<int64_t> out2(n);
+        simd::ArithScalar(op, a.data(), int64_t{7919}, /*scalar_left=*/false,
+                          n, out2.data());
+        std::vector<int64_t> out3(n);
+        simd::ArithScalar(op, a.data(), int64_t{7919}, /*scalar_left=*/true,
+                          n, out3.data());
+        out.insert(out.end(), out2.begin(), out2.end());
+        out.insert(out.end(), out3.begin(), out3.end());
+        return out;
+      });
+      EXPECT_EQ(s, v) << "i64 op " << static_cast<int>(op) << " n " << n;
+    }
+    for (simd::Arith op : {simd::Arith::kAdd, simd::Arith::kSub,
+                           simd::Arith::kMul, simd::Arith::kDiv}) {
+      auto [s, v] = BothArms([&] {
+        std::vector<double> out(n);
+        simd::ArithColCol(op, da.data(), db.data(), n, out.data());
+        for (double scalar : {0.0, -0.0, 2.5}) {
+          for (bool scalar_left : {true, false}) {
+            std::vector<double> out2(n);
+            simd::ArithScalar(op, db.data(), scalar, scalar_left, n,
+                              out2.data());
+            out.insert(out.end(), out2.begin(), out2.end());
+          }
+        }
+        return out;
+      });
+      // Compare bit patterns so -0.0 vs 0.0 or NaN payloads can't hide.
+      ASSERT_EQ(s.size(), v.size());
+      for (size_t i = 0; i < s.size(); ++i) {
+        uint64_t sb, vb;
+        std::memcpy(&sb, &s[i], 8);
+        std::memcpy(&vb, &v[i], 8);
+        EXPECT_EQ(sb, vb) << "f64 op " << static_cast<int>(op) << " idx " << i;
+      }
     }
   }
 }
