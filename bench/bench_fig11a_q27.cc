@@ -55,6 +55,7 @@ int Main() {
   double elapsed[2];
   int jobs[2], map_only[2];
   size_t rows[2];
+  uint64_t shuffled[2], bytes_read[2];
   Config configs[2] = {{"w/ UM (unmerged map-only jobs)", false},
                        {"w/o UM (merged)", true}};
   for (int c = 0; c < 2; ++c) {
@@ -74,10 +75,14 @@ int Main() {
     jobs[c] = result.num_jobs;
     map_only[c] = result.num_map_only_jobs;
     rows[c] = result.rows.size();
+    shuffled[c] = result.counters.shuffled_bytes.load();
+    bytes_read[c] = result.counters.bytes_read.load();
     std::printf("  %-32s elapsed %8.0f ms   jobs=%d (map-only=%d) rows=%zu\n",
                 configs[c].label, elapsed[c], jobs[c], map_only[c], rows[c]);
-    std::printf("  %-32s shuffled %s MB  sort %s ms  combine %llu -> %llu\n",
-                "", bench::Mb(result.counters.shuffled_bytes.load()).c_str(),
+    std::printf("  %-32s read %s MB  shuffled %s MB  sort %s ms  "
+                "combine %llu -> %llu\n",
+                "", bench::Mb(bytes_read[c]).c_str(),
+                bench::Mb(shuffled[c]).c_str(),
                 Fmt(result.counters.shuffle_sort_millis(), 1).c_str(),
                 static_cast<unsigned long long>(
                     result.counters.combine_input_records.load()),
@@ -94,6 +99,10 @@ int Main() {
     reporter.AddMetric(prefix + "map_only_jobs", map_only[c], "count");
     reporter.AddMetric(prefix + "result_rows", static_cast<double>(rows[c]),
                        "rows");
+    reporter.AddMetric(prefix + "shuffled_bytes",
+                       static_cast<double>(shuffled[c]), "bytes");
+    reporter.AddMetric(prefix + "bytes_read",
+                       static_cast<double>(bytes_read[c]), "bytes");
   }
   reporter.Write();
 

@@ -61,6 +61,7 @@ int Main() {
   double elapsed[3];
   int jobs[3];
   size_t rows[3];
+  uint64_t shuffled[3], bytes_read[3];
   for (int c = 0; c < 3; ++c) {
     ql::DriverOptions driver_options;
     driver_options.mapjoin_conversion = true;
@@ -78,11 +79,15 @@ int Main() {
     elapsed[c] = watch.ElapsedMillis();
     jobs[c] = result.num_jobs;
     rows[c] = result.rows.size();
+    shuffled[c] = result.counters.shuffled_bytes.load();
+    bytes_read[c] = result.counters.bytes_read.load();
     std::printf("  %-34s elapsed %8.0f ms   jobs=%d (map-only=%d) rows=%zu\n",
                 configs[c].label, elapsed[c], jobs[c],
                 result.num_map_only_jobs, rows[c]);
-    std::printf("  %-34s shuffled %s MB  sort %s ms  combine %llu -> %llu\n",
-                "", bench::Mb(result.counters.shuffled_bytes.load()).c_str(),
+    std::printf("  %-34s read %s MB  shuffled %s MB  sort %s ms  "
+                "combine %llu -> %llu\n",
+                "", bench::Mb(bytes_read[c]).c_str(),
+                bench::Mb(shuffled[c]).c_str(),
                 bench::Fmt(result.counters.shuffle_sort_millis(), 1).c_str(),
                 static_cast<unsigned long long>(
                     result.counters.combine_input_records.load()),
@@ -98,6 +103,10 @@ int Main() {
     reporter.AddMetric(prefix + "jobs", jobs[c], "count");
     reporter.AddMetric(prefix + "result_rows", static_cast<double>(rows[c]),
                        "rows");
+    reporter.AddMetric(prefix + "shuffled_bytes",
+                       static_cast<double>(shuffled[c]), "bytes");
+    reporter.AddMetric(prefix + "bytes_read",
+                       static_cast<double>(bytes_read[c]), "bytes");
   }
   reporter.Write();
 

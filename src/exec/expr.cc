@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/wrap_arith.h"
+
 namespace minihive::exec {
 
 namespace {

@@ -99,22 +99,6 @@ struct AggDesc {
   TypeKind ResultType() const;
 };
 
-/// int64 `+ - *` for SUM and for arithmetic in both engines and the SIMD
-/// kernels: two's-complement wraparound, identical everywhere (signed
-/// overflow itself would be undefined).
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapMul(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) *
-                              static_cast<uint64_t>(b));
-}
-
 /// Streaming aggregation state for one group and one aggregate.
 class AggBuffer {
  public:

@@ -448,8 +448,10 @@ class MapJoinOperator : public Operator {
     (void)tag;
     // Output layout mirrors the reduce join this operator replaced:
     // keys ++ values(tag 0) ++ values(tag 1) ++ ... with the big side's
-    // values at mapjoin_big_tag. Probe keys are evaluated over the big row;
-    // a NULL probe key never matches (inner) / pads (outer).
+    // values at mapjoin_big_tag. Probe keys are evaluated over the big row
+    // once; every small side is probed before anything is copied, so a
+    // big row an inner side rejects costs no value evaluation. A NULL probe
+    // key never matches (inner) / pads (outer).
     Row out;
     out.reserve(desc_->output_width);
     bool null_key = false;
@@ -457,60 +459,64 @@ class MapJoinOperator : public Operator {
       out.push_back(e->Eval(row));
       if (out.back().is_null()) null_key = true;
     }
-    return Expand(row, /*next_tag=*/0, /*side_index=*/0, null_key, &out);
+    // All sides share the join key tuple of the converted 2-way join.
+    std::string key = null_key ? std::string() : SerializeKey(out);
+    matches_.assign(desc_->mapjoin_small_sides.size(), nullptr);
+    for (size_t s = 0; s < matches_.size(); ++s) {
+      if (!null_key) {
+        const MapJoinHashTable& table = *(*tables_)[s];
+        auto it = table.rows.find(key);
+        if (it != table.rows.end() && !it->second.empty()) {
+          matches_[s] = &it->second;
+        }
+      }
+      if (matches_[s] == nullptr &&
+          desc_->mapjoin_small_sides[s].side == JoinSideKind::kInner) {
+        return Status::OK();
+      }
+    }
+    big_values_.clear();
+    for (const ExprPtr& e : desc_->mapjoin_big_values) {
+      big_values_.push_back(e->Eval(row));
+    }
+    return Expand(/*next_tag=*/0, /*side_index=*/0, &out);
   }
 
  private:
   /// Emits one output row per combination of small-side matches, walking
   /// tag slots in order so the layout matches the original reduce join.
-  Status Expand(const Row& big_row, int next_tag, size_t side_index,
-                bool null_key, Row* out) {
+  Status Expand(int next_tag, size_t side_index, Row* out) {
     int total_tags =
         static_cast<int>(desc_->mapjoin_small_sides.size()) + 1;
     if (next_tag == total_tags) return ForwardRow(*out);
     size_t base = out->size();
     if (next_tag == desc_->mapjoin_big_tag) {
-      for (const ExprPtr& e : desc_->mapjoin_big_values) {
-        out->push_back(e->Eval(big_row));
-      }
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index, null_key, out));
+      out->insert(out->end(), big_values_.begin(), big_values_.end());
+      MINIHIVE_RETURN_IF_ERROR(Expand(next_tag + 1, side_index, out));
       out->resize(base);
       return Status::OK();
     }
-    const auto& side = desc_->mapjoin_small_sides[side_index];
-    const MapJoinHashTable& table = *(*tables_)[side_index];
-    const std::vector<Row>* matches = nullptr;
-    if (!null_key) {
-      Row key;
-      key.reserve(side.build_keys.size());
-      for (size_t k = 0; k < side.build_keys.size(); ++k) {
-        // Probe key k of the shared key tuple (all sides share the join
-        // key columns in a converted 2-way join).
-        key.push_back(desc_->mapjoin_probe_keys[k]->Eval(big_row));
-      }
-      auto it = table.rows.find(SerializeKey(key));
-      if (it != table.rows.end() && !it->second.empty()) {
-        matches = &it->second;
-      }
-    }
-    if (matches == nullptr) {
-      if (side.side == JoinSideKind::kInner) return Status::OK();
-      out->insert(out->end(), side.build_values.size(), Value::Null());
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index + 1, null_key, out));
+    const std::vector<Row>* matches = matches_[side_index];
+    if (matches == nullptr) {  // Unmatched outer side: NULL padding.
+      out->insert(out->end(),
+                  desc_->mapjoin_small_sides[side_index].build_values.size(),
+                  Value::Null());
+      MINIHIVE_RETURN_IF_ERROR(Expand(next_tag + 1, side_index + 1, out));
       out->resize(base);
       return Status::OK();
     }
     for (const Row& match : *matches) {
       out->insert(out->end(), match.begin(), match.end());
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index + 1, null_key, out));
+      MINIHIVE_RETURN_IF_ERROR(Expand(next_tag + 1, side_index + 1, out));
       out->resize(base);
     }
     return Status::OK();
   }
 
+  // Per-row scratch: each small side's matches (null = none) and the big
+  // side's evaluated values.
+  std::vector<const std::vector<Row>*> matches_;
+  Row big_values_;
   const MapJoinTables* tables_ = nullptr;
 };
 

@@ -69,6 +69,15 @@ std::string OpDesc::DebugString(int indent) const {
   switch (kind) {
     case OpKind::kTableScan:
       s += " table=" + table_name;
+      if (!scan_projection.empty()) {
+        const char* sep = " proj=[";
+        for (int column : scan_projection) {
+          s += sep;
+          s += std::to_string(column);
+          sep = ",";
+        }
+        s += "]";
+      }
       break;
     case OpKind::kFilter:
       s += " pred=" + (predicate ? predicate->ToString() : "?");
@@ -87,7 +96,8 @@ std::string OpDesc::DebugString(int indent) const {
       break;
     case OpKind::kReduceSink:
       s += " tag=" + std::to_string(sink_tag) +
-           " keys=" + std::to_string(sink_keys.size());
+           " keys=" + std::to_string(sink_keys.size()) +
+           " values=" + std::to_string(sink_values.size());
       break;
     case OpKind::kJoin:
       s += " inputs=" + std::to_string(join_num_inputs);
@@ -98,7 +108,9 @@ std::string OpDesc::DebugString(int indent) const {
         if (side.build_filter != nullptr) {
           s += " build_filter=" + side.build_filter->ToString();
         }
+        s += " values=" + std::to_string(side.build_values.size());
       }
+      s += " big_values=" + std::to_string(mapjoin_big_values.size());
       break;
     case OpKind::kFileSink:
       s += " path=" + sink_path_prefix;

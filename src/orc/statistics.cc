@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-namespace minihive::orc {
+#include "common/wrap_arith.h"
 
-namespace {
-/// Wrap-defined signed addition: the integer sum is advisory (pruning uses
-/// min/max only) and must not be UB on extreme values.
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-}  // namespace
+namespace minihive::orc {
 
 void ColumnStatistics::UpdateInt(int64_t value) {
   ++num_values_;

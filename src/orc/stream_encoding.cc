@@ -1,5 +1,7 @@
 #include "orc/stream_encoding.h"
 
+#include "common/wrap_arith.h"
+
 namespace minihive::orc {
 
 namespace {
@@ -89,28 +91,9 @@ Status RunLengthByteDecoder::Next(uint8_t* value) {
 // ----------------------------------------------------------------------
 // IntRle
 
-namespace {
-/// Two's-complement subtraction/addition with defined wraparound: extreme
-/// deltas (e.g. INT64_MAX - INT64_MIN) wrap identically in the encoder and
-/// the decoder, so values still round-trip.
-inline int64_t WrapSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapMulAdd(int64_t base, int64_t delta, int64_t n) {
-  return static_cast<int64_t>(static_cast<uint64_t>(base) +
-                              static_cast<uint64_t>(delta) *
-                                  static_cast<uint64_t>(n));
-}
-}  // namespace
-
 void IntRleEncoder::Add(int64_t value) {
   if (in_run_) {
-    int64_t expected = WrapMulAdd(run_base_, run_delta_, run_length_);
+    int64_t expected = WrapAdd(run_base_, WrapMul(run_delta_, run_length_));
     if (value == expected && run_length_ < kMaxRun) {
       ++run_length_;
       return;

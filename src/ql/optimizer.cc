@@ -1,8 +1,10 @@
 #include "ql/optimizer.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "orc/reader.h"
 
@@ -170,6 +172,25 @@ void SpliceOutFilter(const OpDescPtr& filter) {
   DropParentEdge(child.get(), filter.get());
 }
 
+/// The ReduceSink feeding each tag of a reduce Join, or empty when its
+/// inputs are not exactly one tagged ReduceSink per tag.
+std::vector<OpDesc*> JoinInputsByTag(const OpDesc& join) {
+  int n = join.join_num_inputs;
+  std::vector<OpDesc*> by_tag(n, nullptr);
+  if (static_cast<int>(join.parents.size()) != n ||
+      static_cast<int>(join.join_value_widths.size()) != n) {
+    return {};
+  }
+  for (OpDesc* parent : join.parents) {
+    if (parent->kind != OpKind::kReduceSink || parent->sink_tag < 0 ||
+        parent->sink_tag >= n || by_tag[parent->sink_tag] != nullptr) {
+      return {};
+    }
+    by_tag[parent->sink_tag] = parent;
+  }
+  return by_tag;
+}
+
 /// Moves the conjuncts of the Filter chain directly above `join` (a
 /// two-input Join fed by tagged ReduceSinks) onto the join input whose value
 /// columns they reference: each lands in a new Filter just above that
@@ -177,25 +198,16 @@ void SpliceOutFilter(const OpDescPtr& filter) {
 /// an inner or the preserved side; tag 1 qualifies only for inner joins.
 /// Cross-side and constant conjuncts stay. Returns true if anything moved.
 bool PushFiltersBelowJoin(OpDesc* join) {
-  OpDesc* rs_by_tag[2] = {nullptr, nullptr};
-  for (OpDesc* parent : join->parents) {
-    if (parent->kind == OpKind::kReduceSink && parent->sink_tag >= 0 &&
-        parent->sink_tag < 2 && parent->parents.size() == 1 &&
-        parent->children.size() == 1) {
-      rs_by_tag[parent->sink_tag] = parent;
-    }
-  }
-  if (join->join_value_widths.size() != 2 || join->join_sides.size() != 2) {
-    return false;
-  }
+  std::vector<OpDesc*> rs_by_tag = JoinInputsByTag(*join);
+  if (rs_by_tag.size() != 2 || join->join_sides.size() != 2) return false;
   // mapping[t][c]: join output column c -> input column of tag t, or -1.
   std::vector<int> mapping[2];
   int offset = join->join_key_width;
   for (int t = 0; t < 2; ++t) {
     mapping[t].assign(join->output_width, -1);
     const OpDesc* rs = rs_by_tag[t];
-    bool eligible = rs != nullptr && (t == 0 || join->join_sides[1] ==
-                                                    exec::JoinSideKind::kInner);
+    bool eligible =
+        t == 0 || join->join_sides[1] == exec::JoinSideKind::kInner;
     int width = join->join_value_widths[t];
     for (int v = 0; eligible && v < width; ++v) {
       if (v < static_cast<int>(rs->sink_values.size()) &&
@@ -257,89 +269,427 @@ bool PushFiltersBelowJoin(OpDesc* join) {
   return moved;
 }
 
+/// Signature of a bottom map pipeline, for input-correlation dedup.
+std::string PipelineSignature(const OpDesc* rs) {
+  std::string sig;
+  const OpDesc* cur = rs;
+  std::vector<std::string> parts;
+  {
+    std::string rs_part = "RS(keys:";
+    for (const ExprPtr& e : rs->sink_keys) rs_part += e->ToString() + ",";
+    rs_part += " values:";
+    for (const ExprPtr& e : rs->sink_values) rs_part += e->ToString() + ",";
+    rs_part += ")";
+    parts.push_back(rs_part);
+  }
+  while (true) {
+    if (cur->parents.size() != 1) return "";  // Not dedupable.
+    const OpDesc* parent = cur->parents[0];
+    switch (parent->kind) {
+      case OpKind::kFilter:
+        parts.push_back("FIL(" + parent->predicate->ToString() + ")");
+        break;
+      case OpKind::kSelect: {
+        std::string p = "SEL(";
+        for (const ExprPtr& e : parent->projections) p += e->ToString() + ",";
+        parts.push_back(p + ")");
+        break;
+      }
+      case OpKind::kTableScan: {
+        if (!parent->scan_temp_prefix.empty()) return "";
+        std::string p = "TS(" + parent->table_name + " proj:";
+        for (int c : parent->scan_projection) p += std::to_string(c) + ",";
+        parts.push_back(p + ")");
+        for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+          sig += *it + "|";
+        }
+        return sig;
+      }
+      default:
+        return "";  // MapJoins etc. are not deduped.
+    }
+    cur = parent;
+  }
+}
+
+// ---- One Filter per edge
+
+/// Appends the conjuncts of `predicate` whose text is not in `conjuncts`
+/// yet; returns whether any was a repeat.
+bool AddDistinctConjuncts(const ExprPtr& predicate,
+                          std::vector<ExprPtr>* conjuncts) {
+  std::vector<ExprPtr> split;
+  CollectConjunctExprs(predicate, &split);
+  bool repeated = false;
+  for (const ExprPtr& c : split) {
+    std::string text = c->ToString();
+    if (std::any_of(conjuncts->begin(), conjuncts->end(),
+                    [&](const ExprPtr& e) { return e->ToString() == text; })) {
+      repeated = true;
+    } else {
+      conjuncts->push_back(c);
+    }
+  }
+  return repeated;
+}
+
+/// Folds every Filter into a Filter parent it is the only child of, and
+/// drops repeated conjuncts (same text): each row then pays one predicate
+/// evaluation per edge. The upstream Filter's conjuncts come first.
+void MergeAdjacentFilters(const std::vector<OpDescPtr>& ops) {
+  for (const OpDescPtr& op : ops) {
+    if (op->kind != OpKind::kFilter || op->parents.size() != 1 ||
+        op->children.size() != 1) {
+      continue;  // Not a Filter, or already folded away.
+    }
+    OpDesc* parent = op->parents[0];
+    bool fold = parent->kind == OpKind::kFilter && parent->children.size() == 1;
+    std::vector<ExprPtr> conjuncts;
+    if (fold) AddDistinctConjuncts(parent->predicate, &conjuncts);
+    bool repeated = AddDistinctConjuncts(op->predicate, &conjuncts);
+    if (fold) {
+      parent->predicate = AndOf(conjuncts);
+      SpliceOutFilter(op);
+      op->parents.clear();
+      op->children.clear();
+    } else if (repeated) {
+      op->predicate = AndOf(conjuncts);
+    }
+  }
+}
+
+// ---- Column pruning (Hive's ColumnPruner)
+
+/// Per operator: which of its output columns some consumer reads.
+using NeedMap = std::unordered_map<const OpDesc*, std::vector<bool>>;
+/// Per operator: old output column -> new output column, or -1 if pruned.
+using ColumnMaps = std::unordered_map<const OpDesc*, std::vector<int>>;
+
+/// Parents before children (reverse DFS post-order over child edges).
+std::vector<OpDescPtr> TopologicalOrder(const std::vector<OpDescPtr>& roots) {
+  std::vector<OpDescPtr> post;
+  std::set<const OpDesc*> seen;
+  std::function<void(const OpDescPtr&)> visit = [&](const OpDescPtr& op) {
+    if (!seen.insert(op.get()).second) return;
+    for (const OpDescPtr& child : op->children) visit(child);
+    post.push_back(op);
+  };
+  for (const OpDescPtr& root : roots) visit(root);
+  std::reverse(post.begin(), post.end());
+  return post;
+}
+
+void MarkColumns(const Expr& e, std::vector<bool>* need) {
+  std::vector<int> columns;
+  e.CollectColumns(&columns);
+  for (int c : columns) {
+    if (c >= 0 && c < static_cast<int>(need->size())) (*need)[c] = true;
+  }
+}
+
+/// The projections a Select keeps: the needed ones, or its first if none
+/// is, so a row never becomes zero-width.
+std::vector<bool> SelectKeeps(const OpDesc& select,
+                              const std::vector<bool>& out) {
+  std::vector<bool> keep = out;
+  keep.resize(select.projections.size(), false);
+  if (!keep.empty() && std::find(keep.begin(), keep.end(), true) == keep.end()) {
+    keep[0] = true;
+  }
+  return keep;
+}
+
+/// ORs `from` into `*into`; returns whether `*into` grew.
+bool OrInto(const std::vector<bool>& from, std::vector<bool>* into) {
+  bool grew = false;
+  for (size_t i = 0; i < from.size() && i < into->size(); ++i) {
+    if (from[i] && !(*into)[i]) (*into)[i] = grew = true;
+  }
+  return grew;
+}
+
+/// Backward step: ORs into each parent's needs the columns `op` reads of
+/// it, given the columns of `op`'s output that are needed. Returns whether
+/// any parent's needs grew.
+bool PropagateNeeds(const OpDesc& op, NeedMap* needs) {
+  const std::vector<bool> out = needs->at(&op);
+  std::vector<OpDesc*> inputs;
+  if (op.kind == OpKind::kJoin) inputs = JoinInputsByTag(op);
+  if (!inputs.empty()) {
+    // keys | values(tag 0) | values(tag 1) | ...: each RS ships its keys
+    // and the values read downstream or by the residual.
+    std::vector<bool> read = out;
+    if (op.join_residual != nullptr) MarkColumns(*op.join_residual, &read);
+    bool grew = false;
+    int k = op.join_key_width;
+    int offset = k;
+    for (size_t t = 0; t < inputs.size(); ++t) {
+      std::vector<bool> in(inputs[t]->output_width, false);
+      for (int i = 0; i < static_cast<int>(in.size()); ++i) {
+        int col = i < k ? -1 : offset + i - k;
+        in[i] = col < 0 || (col < static_cast<int>(read.size()) && read[col]);
+      }
+      offset += op.join_value_widths[t];
+      grew = OrInto(in, &needs->at(inputs[t])) || grew;
+    }
+    return grew;
+  }
+  if (op.parents.size() != 1) {  // A Mux, or a Join of another shape.
+    bool grew = false;
+    for (const OpDesc* parent : op.parents) {
+      grew = OrInto(std::vector<bool>(parent->output_width, true),
+                    &needs->at(parent)) || grew;
+    }
+    return grew;
+  }
+  const OpDesc* parent = op.parents[0];
+  std::vector<bool> in(parent->output_width, false);
+  switch (op.kind) {
+    case OpKind::kFilter:
+      OrInto(out, &in);
+      MarkColumns(*op.predicate, &in);
+      break;
+    case OpKind::kLimit:
+      OrInto(out, &in);
+      break;
+    case OpKind::kSelect: {
+      std::vector<bool> keep = SelectKeeps(op, out);
+      for (size_t j = 0; j < keep.size(); ++j) {
+        if (keep[j]) MarkColumns(*op.projections[j], &in);
+      }
+      break;
+    }
+    case OpKind::kGroupBy:
+      if (op.group_by_mode == exec::GroupByMode::kMergePartial) {
+        in.assign(in.size(), true);  // Every partial, by offset.
+        break;
+      }
+      for (const ExprPtr& e : op.group_keys) MarkColumns(*e, &in);
+      for (const exec::AggDesc& a : op.aggs) {
+        if (a.arg != nullptr) MarkColumns(*a.arg, &in);
+      }
+      break;
+    case OpKind::kReduceSink: {
+      size_t k = op.sink_keys.size();
+      for (const ExprPtr& e : op.sink_keys) MarkColumns(*e, &in);
+      for (size_t v = 0; v < op.sink_values.size(); ++v) {
+        if (k + v < out.size() && out[k + v]) {
+          MarkColumns(*op.sink_values[v], &in);
+        }
+      }
+      break;
+    }
+    default:  // A FileSink needs its full row; so does anything unmodelled.
+      in.assign(in.size(), true);
+      break;
+  }
+  return OrInto(in, &needs->at(parent));
+}
+
+/// Remaps `e` through `map`, failing if it reads a pruned column.
+Result<ExprPtr> Remapped(const ExprPtr& e, const std::vector<int>& map) {
+  ExprPtr out = e->RemapColumns(map);
+  std::vector<int> columns;
+  out->CollectColumns(&columns);
+  if (!columns.empty() && columns[0] < 0) {
+    return Status::Internal("column pruning dropped a column " +
+                            e->ToString() + " reads");
+  }
+  return out;
+}
+
+Status RemapAll(std::vector<ExprPtr>* exprs, const std::vector<int>& map) {
+  for (ExprPtr& e : *exprs) {
+    MINIHIVE_ASSIGN_OR_RETURN(e, Remapped(e, map));
+  }
+  return Status::OK();
+}
+
+std::vector<int> IdentityMap(int width) {
+  std::vector<int> map(width);
+  for (int i = 0; i < width; ++i) map[i] = i;
+  return map;
+}
+
+/// Forward step: narrows `op`'s output to its needed columns (scan
+/// projection, Select list, ReduceSink values, Join value widths) and
+/// remaps its expressions through its inputs' maps. Returns the old -> new
+/// map of its output.
+Result<std::vector<int>> ApplyNeeds(OpDesc* op, const NeedMap& needs,
+                                    const ColumnMaps& maps) {
+  const std::vector<bool>& out = needs.at(op);
+  if (op->kind == OpKind::kTableScan) {
+    // Scans emit full-width rows (unread columns NULL), so the layout holds.
+    // Empty means every column: all are read, or none is (COUNT(*)).
+    std::vector<int> used;
+    for (int c = 0; c < op->output_width; ++c) {
+      if (out[c]) used.push_back(c);
+    }
+    if (op->scan_temp_prefix.empty()) {
+      op->scan_projection.clear();
+      if (static_cast<int>(used.size()) < op->table_width) {
+        op->scan_projection = used;
+      }
+    }
+    return IdentityMap(op->output_width);
+  }
+  std::vector<OpDesc*> inputs;
+  if (op->kind == OpKind::kJoin) inputs = JoinInputsByTag(*op);
+  if (!inputs.empty()) {
+    int k = op->join_key_width;
+    std::vector<int> map(op->output_width, -1);
+    for (int i = 0; i < k && i < op->output_width; ++i) map[i] = i;
+    int old_offset = k, new_offset = k;
+    for (size_t t = 0; t < inputs.size(); ++t) {
+      const std::vector<int>& in = maps.at(inputs[t]);
+      for (int v = 0; v < op->join_value_widths[t]; ++v) {
+        if (k + v < static_cast<int>(in.size()) && in[k + v] >= 0 &&
+            old_offset + v < op->output_width) {
+          map[old_offset + v] = new_offset + in[k + v] - k;
+        }
+      }
+      old_offset += op->join_value_widths[t];
+      op->join_value_widths[t] = inputs[t]->output_width - k;
+      new_offset += op->join_value_widths[t];
+    }
+    op->output_width = new_offset;
+    if (op->join_residual != nullptr) {
+      MINIHIVE_ASSIGN_OR_RETURN(op->join_residual,
+                                Remapped(op->join_residual, map));
+    }
+    return map;
+  }
+  if (op->parents.size() != 1) return IdentityMap(op->output_width);
+  const OpDesc* parent = op->parents[0];
+  const std::vector<int>& in = maps.at(parent);
+  switch (op->kind) {
+    case OpKind::kFilter: {
+      MINIHIVE_ASSIGN_OR_RETURN(op->predicate, Remapped(op->predicate, in));
+      op->output_width = parent->output_width;
+      return in;
+    }
+    case OpKind::kLimit:
+      op->output_width = parent->output_width;
+      return in;
+    case OpKind::kSelect: {
+      std::vector<bool> keep = SelectKeeps(*op, out);
+      std::vector<int> map(op->projections.size(), -1);
+      std::vector<ExprPtr> kept;
+      for (size_t j = 0; j < keep.size(); ++j) {
+        if (!keep[j]) continue;
+        map[j] = static_cast<int>(kept.size());
+        kept.push_back(op->projections[j]);
+      }
+      MINIHIVE_RETURN_IF_ERROR(RemapAll(&kept, in));
+      op->projections = std::move(kept);
+      op->output_width = static_cast<int>(op->projections.size());
+      return map;
+    }
+    case OpKind::kGroupBy: {
+      // A merge reads partials by offset; its agg args name pre-aggregation
+      // columns of the map side and are not remapped.
+      if (op->group_by_mode == exec::GroupByMode::kMergePartial) {
+        return IdentityMap(op->output_width);
+      }
+      MINIHIVE_RETURN_IF_ERROR(RemapAll(&op->group_keys, in));
+      for (exec::AggDesc& a : op->aggs) {
+        if (a.arg != nullptr) {
+          MINIHIVE_ASSIGN_OR_RETURN(a.arg, Remapped(a.arg, in));
+        }
+      }
+      return IdentityMap(op->output_width);
+    }
+    case OpKind::kReduceSink: {
+      int k = static_cast<int>(op->sink_keys.size());
+      std::vector<int> map(op->output_width, -1);
+      for (int i = 0; i < k; ++i) map[i] = i;
+      std::vector<ExprPtr> kept;
+      for (size_t v = 0; v < op->sink_values.size(); ++v) {
+        if (out[k + v]) {
+          map[k + v] = k + static_cast<int>(kept.size());
+          kept.push_back(op->sink_values[v]);
+        }
+      }
+      MINIHIVE_RETURN_IF_ERROR(RemapAll(&op->sink_keys, in));
+      MINIHIVE_RETURN_IF_ERROR(RemapAll(&kept, in));
+      op->sink_values = std::move(kept);
+      op->output_width = k + static_cast<int>(op->sink_values.size());
+      return map;
+    }
+    default:
+      // Opaque: it read every input column, so its input kept its layout.
+      return IdentityMap(op->output_width);
+  }
+}
+
+/// Hive's ColumnPruner as one pass. Walks from the FileSinks toward the
+/// scans recording the columns each edge needs, then from the scans toward
+/// the sinks narrows every edge to them. ReduceSinks whose map pipelines
+/// are identical before pruning (PipelineSignature) are kept identical, so
+/// the Correlation Optimizer's input-correlation dedup still finds them.
+Status PruneColumns(PlannedQuery* plan) {
+  std::vector<OpDescPtr> order = TopologicalOrder(plan->roots);
+  std::map<std::string, std::vector<const OpDesc*>> twins;
+  for (const OpDescPtr& op : order) {
+    if (op->kind != OpKind::kReduceSink) continue;
+    std::string sig = PipelineSignature(op.get());
+    if (!sig.empty()) twins[sig].push_back(op.get());
+  }
+  NeedMap needs;
+  for (const OpDescPtr& op : order) {
+    needs[op.get()].assign(op->output_width, false);
+  }
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      grew = PropagateNeeds(**it, &needs) || grew;
+    }
+    for (const auto& [sig, members] : twins) {
+      std::vector<bool> all(members[0]->output_width, false);
+      for (const OpDesc* rs : members) OrInto(needs[rs], &all);
+      for (const OpDesc* rs : members) grew = OrInto(all, &needs[rs]) || grew;
+    }
+  }
+  ColumnMaps maps;
+  for (const OpDescPtr& op : order) {
+    MINIHIVE_ASSIGN_OR_RETURN(maps[op.get()],
+                              ApplyNeeds(op.get(), needs, maps));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs) {
-  // Predicate pushdown through joins first, so the scan walk below sees
-  // every conjunct that can reach a scan's chain.
+  // Predicate pushdown through joins first, so every conjunct that can
+  // reach a scan's chain does before the chain's Filters are folded.
   for (bool moved = attach_sargs; moved;) {
     moved = false;
     std::vector<OpDescPtr> ops = CollectOps(plan->roots);
     for (const OpDescPtr& op : ops) {
-      if (op->kind == OpKind::kJoin && op->join_num_inputs == 2 &&
-          op->parents.size() == 2) {
+      if (op->kind == OpKind::kJoin) {
         moved = PushFiltersBelowJoin(op.get()) || moved;
       }
     }
   }
+  MergeAdjacentFilters(CollectOps(plan->roots));
+  MINIHIVE_RETURN_IF_ERROR(PruneColumns(plan));
+  if (!attach_sargs) return Status::OK();
   for (const OpDescPtr& scan : plan->roots) {
-    if (scan->kind != OpKind::kTableScan || !scan->scan_temp_prefix.empty()) {
+    if (scan->kind != OpKind::kTableScan || !scan->scan_temp_prefix.empty() ||
+        scan->children.size() != 1 ||
+        scan->children[0]->kind != OpKind::kFilter) {
       continue;
     }
-    // Walk the width-preserving chain below the scan, collecting referenced
-    // columns and SARG-able filter conjuncts.
-    std::vector<int> used;
+    // The scan's Filter (one per edge by now) holds its SARG-able conjuncts.
     auto sarg = std::make_shared<orc::SearchArgument>();
-    const OpDesc* cur = scan.get();
-    bool prune = true;
-    while (true) {
-      if (cur->children.size() != 1) {
-        prune = false;  // Fan-out or dead end: keep all columns.
-        break;
-      }
-      const OpDesc* next = cur->children[0].get();
-      if (next->kind == OpKind::kFilter) {
-        next->predicate->CollectColumns(&used);
-        std::vector<ExprPtr> conjuncts;
-        CollectConjunctExprs(next->predicate, &conjuncts);
-        for (const ExprPtr& c : conjuncts) {
-          orc::LeafPredicate leaf;
-          if (ToSargLeaf(*c, &leaf)) sarg->AddLeaf(std::move(leaf));
-        }
-        cur = next;
-        continue;
-      }
-      if (next->kind == OpKind::kLimit) {
-        cur = next;
-        continue;
-      }
-      // First layout-changing consumer: take its input expressions.
-      switch (next->kind) {
-        case OpKind::kSelect:
-          for (const ExprPtr& e : next->projections) e->CollectColumns(&used);
-          break;
-        case OpKind::kReduceSink:
-          for (const ExprPtr& e : next->sink_keys) e->CollectColumns(&used);
-          for (const ExprPtr& e : next->sink_values) e->CollectColumns(&used);
-          break;
-        case OpKind::kGroupBy:
-          for (const ExprPtr& e : next->group_keys) e->CollectColumns(&used);
-          for (const exec::AggDesc& a : next->aggs) {
-            if (a.arg != nullptr) a.arg->CollectColumns(&used);
-          }
-          break;
-        case OpKind::kMapJoin:
-          for (const ExprPtr& e : next->mapjoin_probe_keys) {
-            e->CollectColumns(&used);
-          }
-          for (const ExprPtr& e : next->mapjoin_big_values) {
-            e->CollectColumns(&used);
-          }
-          break;
-        default:
-          prune = false;  // FileSink etc.: needs the full row.
-          break;
-      }
-      break;
+    std::vector<ExprPtr> conjuncts;
+    CollectConjunctExprs(scan->children[0]->predicate, &conjuncts);
+    for (const ExprPtr& c : conjuncts) {
+      orc::LeafPredicate leaf;
+      if (ToSargLeaf(*c, &leaf)) sarg->AddLeaf(std::move(leaf));
     }
-    if (prune) {
-      std::sort(used.begin(), used.end());
-      used.erase(std::unique(used.begin(), used.end()), used.end());
-      if (static_cast<int>(used.size()) < scan->table_width) {
-        scan->scan_projection = used;
-      }
-    }
-    if (attach_sargs && !sarg->empty()) scan->sarg = sarg;
+    if (!sarg->empty()) scan->sarg = sarg;
   }
   return Status::OK();
 }
@@ -388,16 +738,8 @@ Status ConvertMapJoins(PlannedQuery* plan, const Catalog* catalog,
     std::vector<OpDescPtr> ops = CollectOps(plan->roots);
     for (const OpDescPtr& op : ops) {
       if (op->kind != OpKind::kJoin || op->join_num_inputs != 2) continue;
-      if (op->parents.size() != 2) continue;
-      // Identify the two RS parents by tag.
-      OpDesc* rs_by_tag[2] = {nullptr, nullptr};
-      for (OpDesc* parent : op->parents) {
-        if (parent->kind != OpKind::kReduceSink) continue;
-        if (parent->sink_tag >= 0 && parent->sink_tag < 2) {
-          rs_by_tag[parent->sink_tag] = parent;
-        }
-      }
-      if (rs_by_tag[0] == nullptr || rs_by_tag[1] == nullptr) continue;
+      std::vector<OpDesc*> rs_by_tag = JoinInputsByTag(*op);
+      if (rs_by_tag.empty()) continue;
 
       // Which sides qualify as small?
       uint64_t side_bytes[2] = {UINT64_MAX, UINT64_MAX};
@@ -884,49 +1226,6 @@ const OpDesc* TraceToReduceProducer(const OpDesc* rs, bool* keys_match) {
       default:
         return nullptr;  // TableScan / MapJoin => bottom-layer pipeline.
     }
-  }
-}
-
-/// Signature of a bottom map pipeline, for input-correlation dedup.
-std::string PipelineSignature(const OpDesc* rs) {
-  std::string sig;
-  const OpDesc* cur = rs;
-  std::vector<std::string> parts;
-  {
-    std::string rs_part = "RS(keys:";
-    for (const ExprPtr& e : rs->sink_keys) rs_part += e->ToString() + ",";
-    rs_part += " values:";
-    for (const ExprPtr& e : rs->sink_values) rs_part += e->ToString() + ",";
-    rs_part += ")";
-    parts.push_back(rs_part);
-  }
-  while (true) {
-    if (cur->parents.size() != 1) return "";  // Not dedupable.
-    const OpDesc* parent = cur->parents[0];
-    switch (parent->kind) {
-      case OpKind::kFilter:
-        parts.push_back("FIL(" + parent->predicate->ToString() + ")");
-        break;
-      case OpKind::kSelect: {
-        std::string p = "SEL(";
-        for (const ExprPtr& e : parent->projections) p += e->ToString() + ",";
-        parts.push_back(p + ")");
-        break;
-      }
-      case OpKind::kTableScan: {
-        if (!parent->scan_temp_prefix.empty()) return "";
-        std::string p = "TS(" + parent->table_name + " proj:";
-        for (int c : parent->scan_projection) p += std::to_string(c) + ",";
-        parts.push_back(p + ")");
-        for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-          sig += *it + "|";
-        }
-        return sig;
-      }
-      default:
-        return "";  // MapJoins etc. are not deduped.
-    }
-    cur = parent;
   }
 }
 

@@ -6,21 +6,27 @@
 
 namespace minihive::ql {
 
-/// Predicate pushdown + column pruning into scans (paper §4.2).
+/// Predicate pushdown + column pruning (paper §4.2, §5).
 ///  1. Conjuncts of the Filters directly above a two-input Join move to a
 ///     Filter just above the ReduceSink of the input whose value columns
 ///     they reference (either side of an inner join; only the preserved
 ///     tag-0 side of a LEFT OUTER join), repeated until nothing moves.
 ///     Cross-side and constant conjuncts stay; emptied Filters are removed;
 ///     nothing moves through Select, GroupBy or Limit. A dimension's
-///     conjuncts thus reach its TS <- Filter* chain, which ConvertMapJoins
+///     conjuncts thus reach its TS <- Filter chain, which ConvertMapJoins
 ///     folds into the map join's build_filter.
-///  2. Each TableScan's projection becomes the columns its pipeline uses,
-///     and SARG-able conjuncts (col op literal) on its Filter chain become a
+///  2. One Filter per edge: adjacent Filters fold into one and repeated
+///     conjuncts (same text) go.
+///  3. Column pruning (Hive's ColumnPruner): one walk from the FileSinks to
+///     the scans records the columns each edge needs; one walk back
+///     narrows scan projections, Select lists, ReduceSink values and Join
+///     value widths to them and remaps every downstream expression. Map
+///     joins converted later inherit the narrowed values.
+///  4. SARG-able conjuncts (col op literal) of each scan's Filter become a
 ///     SearchArgument the ORC reader evaluates against its statistics.
-/// `attach_sargs` (DriverOptions::predicate_pushdown) gates step 1 and the
-/// SARGs; column pruning always runs (it is baseline Hive behaviour, not
-/// one of the paper's advancements).
+/// `attach_sargs` (DriverOptions::predicate_pushdown) gates steps 1 and 4;
+/// steps 2 and 3 always run (column pruning is baseline Hive behaviour,
+/// not one of the paper's advancements).
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs);
 
 /// Converts eligible Reduce Joins into Map Joins (paper §5.1): a join side

@@ -5,7 +5,7 @@
 #include <functional>
 #include <type_traits>
 
-#include "exec/expr.h"
+#include "common/wrap_arith.h"
 
 #if defined(__x86_64__) && !defined(MINIHIVE_DISABLE_SIMD)
 #define MINIHIVE_SIMD_AVX2 1
@@ -61,18 +61,18 @@ template <typename T, typename Op>
   for (int i = 0; i < n; ++i) out[i] = op(a[i], b[i]);
 }
 
-// The element ops. int64 wraps (exec::Wrap*); double is plain IEEE, so a
+// The element ops. int64 wraps (Wrap*); double is plain IEEE, so a
 // zero divisor gives ±inf or NaN and the caller marks the row NULL.
 struct AddOp {
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapAdd(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapAdd(a, b); }
   double operator()(double a, double b) const { return a + b; }
 };
 struct SubOp {
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapSub(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapSub(a, b); }
   double operator()(double a, double b) const { return a - b; }
 };
 struct MulOp {
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapMul(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapMul(a, b); }
   double operator()(double a, double b) const { return a * b; }
 };
 

@@ -21,7 +21,7 @@
 ///    benches toggle it to diff the two arms); `MINIHIVE_DISABLE_SIMD`
 ///    compiles the AVX2 arm out entirely (the CI scalar-fallback leg).
 ///  - Both arms are BYTE-IDENTICAL by construction: they are the same
-///    source, int64 ops wrap (exec::WrapAdd/WrapSub/WrapMul), and double ops
+///    source, int64 ops wrap (WrapAdd/WrapSub/WrapMul), and double ops
 ///    are single IEEE operations. Callers may switch arms mid-query and
 ///    results do not change.
 namespace minihive::simd {

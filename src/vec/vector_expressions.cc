@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/wrap_arith.h"
 #include "vec/simd.h"
 
 namespace minihive::vec {
@@ -20,17 +21,17 @@ using exec::ExprKind;
 
 struct AddOp {
   static constexpr simd::Arith kArith = simd::Arith::kAdd;
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapAdd(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapAdd(a, b); }
   double operator()(double a, double b) const { return a + b; }
 };
 struct SubOp {
   static constexpr simd::Arith kArith = simd::Arith::kSub;
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapSub(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapSub(a, b); }
   double operator()(double a, double b) const { return a - b; }
 };
 struct MulOp {
   static constexpr simd::Arith kArith = simd::Arith::kMul;
-  int64_t operator()(int64_t a, int64_t b) const { return exec::WrapMul(a, b); }
+  int64_t operator()(int64_t a, int64_t b) const { return WrapMul(a, b); }
   double operator()(double a, double b) const { return a * b; }
 };
 /// Plain IEEE division; a zero divisor's row is marked NULL afterwards, as

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/telemetry.h"
+#include "common/wrap_arith.h"
 #include "exec/plan.h"
 #include "formats/orcfile_adapter.h"
 #include "mr/engine.h"
@@ -357,7 +358,7 @@ class VectorHashAggregator {
       case AggKind::kAvg:
         if (!spec.sums_double) {
           Fold(col, a, [longs](AggState& s, size_t, int slot) {
-            s.i = exec::WrapAdd(s.i, longs[slot]);
+            s.i = WrapAdd(s.i, longs[slot]);
             ++s.count;
             s.has_value = true;
           });

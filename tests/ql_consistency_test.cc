@@ -158,6 +158,33 @@ class ConsistencyTest
     }
   }
 
+  /// Same rows under every mix of pushdown, map join, vectorized
+  /// execution and the Correlation Optimizer.
+  void ExpectConsistentAcrossSwitches(const std::string& sql) {
+    std::vector<std::string> reference;
+    for (int mask = 0; mask < 16; ++mask) {
+      DriverOptions o;
+      o.predicate_pushdown = (mask & 1) != 0;
+      o.mapjoin_conversion = (mask & 2) != 0;
+      o.vectorized_execution = (mask & 4) != 0;
+      o.correlation_optimizer = (mask & 8) != 0;
+      Driver driver(fs_.get(), catalog_.get(), o);
+      auto result = driver.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n" << sql;
+      std::vector<std::string> rows = Canonical(*result);
+      if (mask == 0) {
+        reference = std::move(rows);
+        EXPECT_FALSE(reference.empty()) << sql;
+      } else {
+        EXPECT_EQ(rows, reference)
+            << sql << "\n  pushdown=" << o.predicate_pushdown
+            << " mapjoin=" << o.mapjoin_conversion
+            << " vectorized=" << o.vectorized_execution
+            << " co=" << o.correlation_optimizer;
+      }
+    }
+  }
+
   std::unique_ptr<dfs::FileSystem> fs_;
   std::unique_ptr<Catalog> catalog_;
   std::vector<Row> sales_, items_, custs_;
@@ -241,6 +268,37 @@ TEST_P(ConsistencyTest, LeftJoinPreservedSideWhere) {
       "SELECT sale_id, region, tier FROM sales "
       "LEFT JOIN custs ON sales.cust = custs.cust_id "
       "WHERE qty >= 8 AND note = 'note-3' AND tier IS NULL");
+}
+
+// Column pruning: the dimensions contribute no value column (items is read
+// only by a WHERE conjunct, custs by the GROUP BY), and the fact side ships
+// three of its six columns through the joins.
+TEST_P(ConsistencyTest, NarrowProjectionStarJoin) {
+  ExpectConsistentAcrossSwitches(
+      "SELECT region, COUNT(*) AS n, SUM(qty) AS q FROM sales "
+      "JOIN items ON sales.item = items.item_id "
+      "JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE cost > 5.0 GROUP BY region");
+}
+
+// The null-supplying side keeps only the column its IS NULL reads, so the
+// padding row of an unmatched sale is one NULL wide.
+TEST_P(ConsistencyTest, LeftJoinPrunedNullSideReadOnlyInWhere) {
+  ExpectConsistentAcrossSwitches(
+      "SELECT sale_id, qty FROM sales "
+      "LEFT JOIN custs ON sales.cust = custs.cust_id "
+      "WHERE custs.tier IS NULL");
+}
+
+// A join under a FROM-subquery whose Select list the outer query reads
+// only in part (note is dropped).
+TEST_P(ConsistencyTest, JoinUnderSubqueryPrunedSelect) {
+  ExpectConsistentAcrossSwitches(
+      "SELECT j.category, COUNT(*) AS n, MAX(j.amount) AS m FROM "
+      "(SELECT items.category AS category, sales.qty * sales.price AS amount, "
+      "        sales.note AS note "
+      " FROM sales JOIN items ON sales.item = items.item_id) j "
+      "WHERE j.amount > 50.0 GROUP BY j.category");
 }
 
 // Star-join and anti-join answers computed with plain loops over the

@@ -169,6 +169,22 @@ TEST_F(CorrelationTest, RunningExampleAllOptimizerCombinations) {
   EXPECT_EQ(co_result.num_jobs, 1) << co_result.plan_text;
 }
 
+TEST_F(CorrelationTest, InputCorrelationSurvivesColumnPruning) {
+  // The grouped subquery reads big2.key and the outer join big2.value1:
+  // pruning alone would give the two big2 scans different projections.
+  // It keeps them identical, so the optimizer still loads big2 once.
+  DriverOptions options;
+  options.mapjoin_conversion = false;
+  options.correlation_optimizer = true;
+  Driver driver(fs_.get(), catalog_.get(), options);
+  auto plan = driver.Explain(kRunningExample);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string& text = plan->plan_text;
+  size_t first = text.find("table=big2 proj=");
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_EQ(text.find("table=big2", first + 1), std::string::npos) << text;
+}
+
 TEST_F(CorrelationTest, CorrelationDisabledForOrderBy) {
   // ORDER BY's single-reducer shuffle must not be folded into a
   // correlation; results stay sorted.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "datagen/loader.h"
@@ -89,6 +90,27 @@ class PlanShapeTest : public ::testing::Test {
       cur = cur->children[0].get();
       out += cur->predicate->ToString() + ";";
     }
+    return out;
+  }
+
+  static int ConjunctCount(const exec::Expr& e) {
+    return e.kind() == exec::ExprKind::kAnd
+               ? ConjunctCount(*e.children()[0]) +
+                     ConjunctCount(*e.children()[1])
+               : 1;
+  }
+
+  /// A Filter's place in the DAG: its id, its parent's and child's ids,
+  /// and how many conjuncts its predicate has.
+  using FilterPlace = std::array<int, 4>;
+  static std::vector<FilterPlace> FilterPlaces(const PlannedQuery& plan) {
+    std::vector<FilterPlace> out;
+    for (const exec::OpDescPtr& op : exec::CollectOps(plan.roots)) {
+      if (op->kind != exec::OpKind::kFilter) continue;
+      out.push_back({op->id, op->parents.at(0)->id, op->children.at(0)->id,
+                     ConjunctCount(*op->predicate)});
+    }
+    std::sort(out.begin(), out.end());
     return out;
   }
 
@@ -214,10 +236,10 @@ TEST_F(PlanShapeTest, AnalyzerErrors) {
 TEST_F(PlanShapeTest, PushdownPrunesScanColumns) {
   DriverOptions options;
   QueryResult plan = Plan("SELECT k FROM fact WHERE v > 10", options);
-  // Projection should mention only the two used columns; the plan debug
-  // text shows the table scan. (Indirect check: the query still plans to
-  // one map-only job; pruning specifics are covered by the ORC I/O tests.)
   EXPECT_EQ(plan.num_jobs, 1);
+  // k and v are read; s is not.
+  EXPECT_NE(plan.plan_text.find("table=fact proj=[0,1]\n"), std::string::npos)
+      << plan.plan_text;
 }
 
 TEST_F(PlanShapeTest, DimensionConjunctBecomesMapJoinBuildFilter) {
@@ -303,9 +325,12 @@ TEST_F(PlanShapeTest, PushdownOffLeavesJoinFilterInPlace) {
   ASSERT_TRUE(ast.ok());
   auto analyzed = Analyzer(catalog_.get()).Analyze(**ast, "/tmp/shape-result");
   ASSERT_TRUE(analyzed.ok());
-  std::string before = analyzed->DebugString();
+  std::vector<FilterPlace> before = FilterPlaces(*analyzed);
+  ASSERT_EQ(before.size(), 3u);  // Two NOT NULL key filters and the WHERE.
   ASSERT_TRUE(PushdownIntoScans(&*analyzed, false).ok());
-  EXPECT_EQ(analyzed->DebugString(), before);
+  // Column pruning renumbers the WHERE's columns, but no Filter moves and
+  // none gains or loses a conjunct.
+  EXPECT_EQ(FilterPlaces(*analyzed), before) << analyzed->DebugString();
   for (const exec::OpDescPtr& root : analyzed->roots) {
     EXPECT_EQ(root->sarg, nullptr);
   }
@@ -362,6 +387,128 @@ TEST_F(PlanShapeTest, MapJoinBuildKeepsTheDimensionSarg) {
     } else {
       EXPECT_EQ(demographics->sarg, nullptr);
     }
+  }
+}
+
+// The tpcds_join benchmark's three query shapes (TPC-DS Q27, Q95, Q3):
+// column pruning narrows every scan, ReduceSink and map join to the
+// columns the query reads, and each edge carries at most one Filter.
+TEST_F(PlanShapeTest, ColumnPruningNarrowsTpcdsJoins) {
+  datagen::TpcdsOptions tpcds;
+  tpcds.store_sales_rows = 4000;
+  ASSERT_TRUE(datagen::LoadTpcds(catalog_.get(), "tpcds", tpcds).ok());
+  // Dimensions convert to map joins; the fact table does not.
+  uint64_t threshold =
+      catalog_->TableBytes(**catalog_->GetTable("tpcds_store_sales")) - 1;
+  struct Case {
+    std::string sql;
+    /// Projection of each scan, as "table:[cols]" (empty = every column).
+    std::vector<std::string> scans;
+    /// Value count of every ReduceSink before map-join conversion.
+    std::vector<size_t> rs_values;
+    /// Every map join after conversion, as "small:values/big_values".
+    std::vector<std::string> mapjoins;
+  };
+  const Case cases[] = {
+      {"SELECT i_item_id, AVG(ss_quantity) AS agg1, AVG(ss_list_price) AS "
+       "agg2, AVG(ss_coupon_amt) AS agg3, AVG(ss_sales_price) AS agg4 "
+       "FROM tpcds_store_sales "
+       "JOIN tpcds_customer_demographics ON tpcds_store_sales.ss_cdemo_sk = "
+       "  tpcds_customer_demographics.cd_demo_sk "
+       "JOIN tpcds_date_dim ON tpcds_store_sales.ss_sold_date_sk = "
+       "  tpcds_date_dim.d_date_sk "
+       "JOIN tpcds_store ON tpcds_store_sales.ss_store_sk = "
+       "  tpcds_store.s_store_sk "
+       "JOIN tpcds_item ON tpcds_store_sales.ss_item_sk = tpcds_item.i_item_sk "
+       "WHERE cd_gender = 'M' AND cd_marital_status = 'S' "
+       "  AND cd_education_status = 'College' AND d_year = 2000 "
+       "GROUP BY i_item_id",
+       {"tpcds_customer_demographics:[]", "tpcds_date_dim:[0,1]",
+        "tpcds_item:[0,1]", "tpcds_store:[0]",
+        "tpcds_store_sales:[0,1,2,3,5,6,7,8]"},
+       {0, 0, 0, 1, 4, 5, 6, 7, 8},
+       {"tpcds_customer_demographics:0/7", "tpcds_date_dim:0/6",
+        "tpcds_item:1/4", "tpcds_store:0/5"}},
+      {"SELECT ss.ss_store_sk AS store, COUNT(*) AS cnt, "
+       "       SUM(ss.ss_net_profit) AS profit "
+       "FROM tpcds_store_sales ss "
+       "JOIN tpcds_store ON ss.ss_store_sk = tpcds_store.s_store_sk "
+       "JOIN (SELECT s.ss_ticket_number AS tn, AVG(s.ss_net_profit) AS ap "
+       "      FROM tpcds_store_sales s GROUP BY s.ss_ticket_number) agg "
+       "  ON ss.ss_ticket_number = agg.tn "
+       "JOIN tpcds_store_sales ss2 ON agg.tn = ss2.ss_ticket_number "
+       "WHERE ss.ss_net_profit > agg.ap AND ss2.ss_quantity > 97 "
+       "  AND s_state != 'ZZ' "
+       "GROUP BY ss.ss_store_sk",
+       {"tpcds_store:[0,2]", "tpcds_store_sales:[3,4,9]",
+        "tpcds_store_sales:[4,5]", "tpcds_store_sales:[4,9]"},
+       {0, 0, 2, 2, 2, 2, 2, 3},
+       {"tpcds_store:0/3"}},
+      {"SELECT d_year, i_category, SUM(ss_sales_price) AS sum_agg, "
+       "COUNT(*) AS cnt FROM tpcds_store_sales "
+       "JOIN tpcds_date_dim ON tpcds_store_sales.ss_sold_date_sk = "
+       "  tpcds_date_dim.d_date_sk "
+       "JOIN tpcds_item ON tpcds_store_sales.ss_item_sk = tpcds_item.i_item_sk "
+       "WHERE d_moy = 11 AND i_current_price > 50 "
+       "GROUP BY d_year, i_category ORDER BY d_year, i_category",
+       {"tpcds_date_dim:[0,1,2]", "tpcds_item:[0,2,3]",
+        "tpcds_store_sales:[0,1,7]"},
+       {1, 1, 2, 2, 2, 4},
+       {"tpcds_date_dim:1/2", "tpcds_item:1/2"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    PlannedQuery plan = Pushdown(c.sql, true);
+    std::vector<std::string> scans;
+    std::vector<size_t> rs_values;
+    for (const exec::OpDescPtr& op : exec::CollectOps(plan.roots)) {
+      if (op->kind == exec::OpKind::kTableScan) {
+        std::string proj;
+        for (int col : op->scan_projection) {
+          if (!proj.empty()) proj += ",";
+          proj += std::to_string(col);
+        }
+        scans.push_back(op->table_name + ":[" + proj + "]");
+      }
+      if (op->kind == exec::OpKind::kReduceSink) {
+        rs_values.push_back(op->sink_values.size());
+      }
+      // One Filter per edge, without repeated conjuncts.
+      if (op->kind == exec::OpKind::kFilter) {
+        EXPECT_NE(op->children.at(0)->kind, exec::OpKind::kFilter)
+            << plan.DebugString();
+        std::vector<std::string> conjuncts;
+        for (const exec::Expr* e = op->predicate.get();;) {
+          if (e->kind() != exec::ExprKind::kAnd) {
+            conjuncts.push_back(e->ToString());
+            break;
+          }
+          conjuncts.push_back(e->children()[1]->ToString());
+          e = e->children()[0].get();
+        }
+        std::sort(conjuncts.begin(), conjuncts.end());
+        EXPECT_EQ(std::unique(conjuncts.begin(), conjuncts.end()),
+                  conjuncts.end())
+            << op->predicate->ToString();
+      }
+    }
+    std::sort(scans.begin(), scans.end());
+    std::sort(rs_values.begin(), rs_values.end());
+    EXPECT_EQ(scans, c.scans);
+    EXPECT_EQ(rs_values, c.rs_values) << plan.DebugString();
+
+    ASSERT_TRUE(ConvertMapJoins(&plan, catalog_.get(), threshold).ok());
+    std::vector<std::string> mapjoins;
+    for (const exec::OpDescPtr& op : exec::CollectOps(plan.roots)) {
+      if (op->kind != exec::OpKind::kMapJoin) continue;
+      ASSERT_EQ(op->mapjoin_small_sides.size(), 1u);
+      const auto& side = op->mapjoin_small_sides[0];
+      mapjoins.push_back(side.table_name + ":" +
+                         std::to_string(side.build_values.size()) + "/" +
+                         std::to_string(op->mapjoin_big_values.size()));
+    }
+    std::sort(mapjoins.begin(), mapjoins.end());
+    EXPECT_EQ(mapjoins, c.mapjoins) << plan.DebugString();
   }
 }
 
