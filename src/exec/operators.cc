@@ -20,35 +20,113 @@ std::string AttemptPartName(const std::string& prefix,
   return prefix + "/_attempt-" + std::to_string(attempt) + "-" + task_suffix;
 }
 
+void AppendIntKey(std::string* out, int64_t v) {
+  out->push_back(1);
+  PutVarintSigned64(out, v);
+}
+
+void AppendDoubleKey(std::string* out, double d) {
+  // The range check comes first: casting a double outside int64 (or
+  // NaN/inf) is undefined behaviour.
+  if (d == std::floor(d) && std::abs(d) < 9.2e18) {
+    AppendIntKey(out, static_cast<int64_t>(d));
+  } else {
+    out->push_back(2);
+    PutDoubleBits(out, d);
+  }
+}
+
+void AppendStringKey(std::string* out, std::string_view v) {
+  out->push_back(3);
+  PutLengthPrefixed(out, v);
+}
+
+void AppendValueKey(std::string* out, const Value& v) {
+  if (v.is_null()) {
+    out->push_back(0);
+  } else if (v.is_int()) {
+    AppendIntKey(out, v.AsInt());
+  } else if (v.is_double()) {
+    AppendDoubleKey(out, v.AsDouble());
+  } else if (v.is_string()) {
+    AppendStringKey(out, v.AsString());
+  } else {
+    out->push_back(4);
+    PutLengthPrefixed(out, v.ToString());
+  }
+}
+
 std::string SerializeKey(const Row& key) {
   std::string out;
-  for (const Value& v : key) {
-    if (v.is_null()) {
-      out.push_back(0);
-    } else if (v.is_int()) {
-      out.push_back(1);
-      PutVarintSigned64(&out, v.AsInt());
-    } else if (v.is_double()) {
-      double d = v.AsDouble();
-      // Integral doubles serialize like ints so 3 == 3.0 joins correctly.
-      // The range check comes first: casting a double outside int64 (or
-      // NaN/inf) is undefined behaviour. Such keys keep their double bits.
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-        out.push_back(1);
-        PutVarintSigned64(&out, static_cast<int64_t>(d));
-      } else {
-        out.push_back(2);
-        PutDoubleBits(&out, d);
-      }
-    } else if (v.is_string()) {
-      out.push_back(3);
-      PutLengthPrefixed(&out, v.AsString());
-    } else {
-      out.push_back(4);
-      PutLengthPrefixed(&out, v.ToString());
-    }
-  }
+  for (const Value& v : key) AppendValueKey(&out, v);
   return out;
+}
+
+MapJoinColumn::MapJoinColumn(TypeKind type) {
+  if (IsIntegerFamily(type)) {
+    storage = Storage::kLong;
+  } else if (IsFloatingFamily(type)) {
+    storage = Storage::kDouble;
+  } else if (type == TypeKind::kString) {
+    storage = Storage::kBytes;
+  }
+}
+
+Status MapJoinColumn::Append(const Value& v) {
+  const bool fits = v.is_null() || storage == Storage::kBoxed ||
+                    (storage == Storage::kLong && v.is_int()) ||
+                    (storage == Storage::kDouble && v.is_double()) ||
+                    (storage == Storage::kBytes && v.is_string());
+  if (!fits) {
+    return Status::Internal("map-join build value " + v.ToString() +
+                            " does not match its column type");
+  }
+  not_null.push_back(!v.is_null());
+  switch (storage) {
+    case Storage::kLong:
+      longs.push_back(v.is_null() ? 0 : v.AsInt());
+      break;
+    case Storage::kDouble:
+      doubles.push_back(v.is_null() ? 0 : v.AsDouble());
+      break;
+    case Storage::kBytes:
+      bytes.push_back(v.is_null() ? std::string() : v.AsString());
+      break;
+    case Storage::kBoxed:
+      boxed.push_back(v);
+      break;
+  }
+  return Status::OK();
+}
+
+Value MapJoinColumn::Get(uint32_t row) const {
+  if (!not_null[row]) return Value::Null();
+  switch (storage) {
+    case Storage::kLong:
+      return Value::Int(longs[row]);
+    case Storage::kDouble:
+      return Value::Double(doubles[row]);
+    case Storage::kBytes:
+      return Value::String(bytes[row]);
+    case Storage::kBoxed:
+      break;
+  }
+  return boxed[row];
+}
+
+Status MapJoinHashTable::Add(std::string key, const Row& values) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    MINIHIVE_RETURN_IF_ERROR(columns[c].Append(values[c]));
+  }
+  const uint32_t row = static_cast<uint32_t>(next_row.size());
+  next_row.push_back(kNoRow);
+  auto [it, inserted] = index.try_emplace(std::move(key), Chain{row, row});
+  if (!inserted) {
+    next_row[it->second.last] = row;
+    it->second.last = row;
+    unique_keys = false;
+  }
+  return Status::OK();
 }
 
 OperatorStats* PipelineProfile::ForOp(const OpDesc* desc) {
@@ -455,22 +533,18 @@ class MapJoinOperator : public Operator {
     Row out;
     out.reserve(desc_->output_width);
     bool null_key = false;
+    key_.clear();
     for (const ExprPtr& e : desc_->mapjoin_probe_keys) {
       out.push_back(e->Eval(row));
       if (out.back().is_null()) null_key = true;
+      AppendValueKey(&key_, out.back());
     }
     // All sides share the join key tuple of the converted 2-way join.
-    std::string key = null_key ? std::string() : SerializeKey(out);
-    matches_.assign(desc_->mapjoin_small_sides.size(), nullptr);
+    matches_.assign(desc_->mapjoin_small_sides.size(),
+                    MapJoinHashTable::kNoRow);
     for (size_t s = 0; s < matches_.size(); ++s) {
-      if (!null_key) {
-        const MapJoinHashTable& table = *(*tables_)[s];
-        auto it = table.rows.find(key);
-        if (it != table.rows.end() && !it->second.empty()) {
-          matches_[s] = &it->second;
-        }
-      }
-      if (matches_[s] == nullptr &&
+      if (!null_key) matches_[s] = (*tables_)[s]->Find(key_);
+      if (matches_[s] == MapJoinHashTable::kNoRow &&
           desc_->mapjoin_small_sides[s].side == JoinSideKind::kInner) {
         return Status::OK();
       }
@@ -496,8 +570,8 @@ class MapJoinOperator : public Operator {
       out->resize(base);
       return Status::OK();
     }
-    const std::vector<Row>* matches = matches_[side_index];
-    if (matches == nullptr) {  // Unmatched outer side: NULL padding.
+    const uint32_t first = matches_[side_index];
+    if (first == MapJoinHashTable::kNoRow) {  // Unmatched outer side.
       out->insert(out->end(),
                   desc_->mapjoin_small_sides[side_index].build_values.size(),
                   Value::Null());
@@ -505,17 +579,22 @@ class MapJoinOperator : public Operator {
       out->resize(base);
       return Status::OK();
     }
-    for (const Row& match : *matches) {
-      out->insert(out->end(), match.begin(), match.end());
+    const MapJoinHashTable& table = *(*tables_)[side_index];
+    for (uint32_t r = first; r != MapJoinHashTable::kNoRow;
+         r = table.next_row[r]) {
+      for (const MapJoinColumn& column : table.columns) {
+        out->push_back(column.Get(r));
+      }
       MINIHIVE_RETURN_IF_ERROR(Expand(next_tag + 1, side_index + 1, out));
       out->resize(base);
     }
     return Status::OK();
   }
 
-  // Per-row scratch: each small side's matches (null = none) and the big
-  // side's evaluated values.
-  std::vector<const std::vector<Row>*> matches_;
+  // Per-row scratch: the probe key's bytes, each small side's first
+  // matching build row (kNoRow = none) and the big side's evaluated values.
+  std::string key_;
+  std::vector<uint32_t> matches_;
   Row big_values_;
   const MapJoinTables* tables_ = nullptr;
 };
@@ -809,6 +888,9 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
     MINIHIVE_ASSIGN_OR_RETURN(SmallTableSource source,
                               resolve(side.table_name));
     auto table = std::make_shared<MapJoinHashTable>();
+    for (const ExprPtr& e : side.build_values) {
+      table->columns.emplace_back(e->result_type());
+    }
     const formats::FileFormat* format = formats::GetFileFormat(source.format);
     for (const std::string& path : source.paths) {
       formats::ReadOptions options;
@@ -848,7 +930,7 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
           MINIHIVE_RETURN_IF_ERROR(table->reservation.CoverAtLeast(
               query->memory_budget(), table->approx_bytes));
         }
-        table->rows[SerializeKey(key)].push_back(std::move(value));
+        MINIHIVE_RETURN_IF_ERROR(table->Add(SerializeKey(key), value));
       }
     }
     tables->push_back(std::move(table));

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -23,8 +24,8 @@ namespace minihive::exec {
 /// atomics). `nanos` is inclusive of children — the push model means a
 /// parent's Process frame contains its children's work, exactly like Hive's
 /// per-operator wall times. Vectorized pipelines time each stage once per
-/// batch instead (see RunVectorizedMapPipeline): scan and filter nanos are
-/// the stage's own time.
+/// batch instead (see RunVectorizedMapPipeline): a stage's nanos are its own
+/// time, and the last stage's also cover boxing rows for the terminal.
 struct OperatorStats {
   std::atomic<uint64_t> rows_in{0};
   std::atomic<uint64_t> rows_out{0};
@@ -60,9 +61,59 @@ class PipelineProfile {
   std::map<int, std::string> labels_;
 };
 
-/// A built map-join hash table: join key (serialized) -> build-value rows.
+/// One build-value column of a map-join table, stored the way a column
+/// vector stores it: the integer family (booleans and timestamps too) as
+/// int64, floats as doubles, strings as one string per build row. A column
+/// of a complex type keeps its values boxed.
+struct MapJoinColumn {
+  enum class Storage { kLong, kDouble, kBytes, kBoxed };
+
+  explicit MapJoinColumn(TypeKind type);
+  /// Appends the next build row's value (Internal when its shape is not
+  /// the column type's).
+  Status Append(const Value& v);
+  Value Get(uint32_t row) const;
+
+  Storage storage = Storage::kBoxed;
+  std::vector<int64_t> longs;
+  std::vector<double> doubles;
+  std::vector<std::string> bytes;  // "" in NULL rows.
+  std::vector<Value> boxed;
+  std::vector<uint8_t> not_null;
+};
+
+/// A built map-join table in flat form: the serialized join key indexes
+/// build-row numbers, and the build values live in typed columns. The row
+/// MapJoinOperator boxes a match's values out of the columns; the
+/// vectorized probe gathers them straight into batch columns.
 struct MapJoinHashTable {
-  std::unordered_map<std::string, std::vector<Row>> rows;
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  /// Appends one build row under `key` (its values in build-value order).
+  Status Add(std::string key, const Row& values);
+  /// First build row with `key`, or kNoRow.
+  uint32_t Find(std::string_view key) const {
+    auto it = index.find(key);
+    return it == index.end() ? kNoRow : it->second.first;
+  }
+
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>()(key);
+    }
+  };
+  /// The build rows of one key: a chain through next_row, in build order.
+  struct Chain {
+    uint32_t first = kNoRow;
+    uint32_t last = kNoRow;
+  };
+  std::unordered_map<std::string, Chain, KeyHash, std::equal_to<>> index;
+  /// Next build row with the same key (kNoRow ends the chain).
+  std::vector<uint32_t> next_row;
+  std::vector<MapJoinColumn> columns;  // One per build value.
+  /// No key has more than one build row (so a probe never expands a row).
+  bool unique_keys = true;
   uint64_t approx_bytes = 0;
   /// Charge against the query's node of the memory accounting tree. Held
   /// for the table's lifetime; released when the table dies.
@@ -72,8 +123,19 @@ struct MapJoinHashTable {
 /// All small-side tables of one MapJoin operator, in small-side order.
 using MapJoinTables = std::vector<std::shared_ptr<MapJoinHashTable>>;
 
+/// Key encoders: append one key column's value to `out`, type-tagged.
+/// SerializeKey applies AppendValueKey (NULL-safe) to a row; the vectorized
+/// map-join probe applies the typed ones to column-vector slots, so both
+/// agree byte for byte.
+/// An integral double inside int64 range encodes as the int (3 == 3.0);
+/// any other double (a fraction, out of range, NaN, inf) keeps its bits.
+void AppendIntKey(std::string* out, int64_t v);
+void AppendDoubleKey(std::string* out, double d);
+void AppendStringKey(std::string* out, std::string_view v);
+void AppendValueKey(std::string* out, const Value& v);
+
 /// Serializes a key row into a canonical byte string for hash join /
-/// aggregation table keys (NULL-safe and type-tagged).
+/// aggregation table keys.
 std::string SerializeKey(const Row& key);
 
 /// Names a task's committed sink output under a sink path prefix.

@@ -233,6 +233,9 @@ Status RunMapAttempt(const JobConfig& job, telemetry::Span* job_span,
     span->SetAttr("split", job.splits[index].path);
     span->SetAttr("records_in", local->map_input_records.load());
     span->SetAttr("records_out", local->map_output_records.load());
+    if (!task->row_mode_reason().empty()) {
+      span->SetAttr("row_mode", task->row_mode_reason());
+    }
   }
   return EndAttempt(job, TaskKind::kMap, index, attempt, std::move(s), span);
 }

@@ -107,6 +107,9 @@ struct JobCounters {
   /// Managed-table files the scans' SARGs ruled out from their partition
   /// values alone, before split planning (never opened).
   std::atomic<uint64_t> partition_files_pruned{0};
+  /// Map tasks whose whole pipeline ran on batches (paper §6); the rest of
+  /// map_tasks ran row by row.
+  std::atomic<uint64_t> vectorized_map_tasks{0};
   /// Wall time burnt in failed attempts (the retry tax), summed over tasks.
   std::atomic<int64_t> retried_task_nanos{0};
   /// Wall time of the map-join local task (all attempts).
@@ -123,7 +126,7 @@ struct JobCounters {
     T JobCounters::*member;
   };
 
-  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 28>
+  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 29>
   atomic_u64_fields() {
     return {{{"map_input_records", &JobCounters::map_input_records},
              {"map_output_records", &JobCounters::map_output_records},
@@ -153,7 +156,8 @@ struct JobCounters {
              {"metadata_cache_hits", &JobCounters::metadata_cache_hits},
              {"metadata_cache_misses", &JobCounters::metadata_cache_misses},
              {"partition_files_pruned",
-              &JobCounters::partition_files_pruned}}};
+              &JobCounters::partition_files_pruned},
+             {"vectorized_map_tasks", &JobCounters::vectorized_map_tasks}}};
   }
 
   static constexpr std::array<NamedField<std::atomic<int64_t>>, 4>
@@ -255,7 +259,7 @@ struct JobCounters {
 // the matching *_fields() table above, then adjust the expected size.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
-                      8 * (28 + 4) +  // atomic u64/i64 fields
+                      8 * (29 + 4) +  // atomic u64/i64 fields
                           2 * sizeof(int) + 2 * sizeof(double),
               "JobCounters changed: update the field tables in engine.h");
 
@@ -294,7 +298,14 @@ class MapTask {
   /// post-Run deadline check, just later. Null outside the engine.
   void set_governor(const TaskGovernor* governor) { governor_ = governor; }
 
+  /// Why Run processed its split row by row although batch execution was
+  /// asked for; empty otherwise. The engine shows it on the attempt's span.
+  const std::string& row_mode_reason() const { return row_mode_reason_; }
+
  protected:
+  void set_row_mode_reason(std::string reason) {
+    row_mode_reason_ = std::move(reason);
+  }
   void CountInputRecords(uint64_t n) {
     if (attempt_counters_ != nullptr) {
       attempt_counters_->map_input_records += n;
@@ -306,6 +317,7 @@ class MapTask {
  private:
   JobCounters* attempt_counters_ = nullptr;
   const TaskGovernor* governor_ = nullptr;
+  std::string row_mode_reason_;
 };
 
 /// User reduce logic, driven push-style by the engine's Reducer Driver:

@@ -15,14 +15,6 @@ namespace minihive::orc {
 
 namespace {
 
-/// Process-wide source of dictionary versions (see
-/// vec::BytesColumnVector::dictionary_version): unique across readers, so a
-/// consumer never mistakes one stripe's codes for another's.
-uint64_t NextDictionaryVersion() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Watches the fault injector across a parse's reads: if any read in the
 /// watched window was delayed or byte-flipped, the parse is "tainted" and
 /// must not populate the metadata cache — the fault model says those bytes
@@ -297,7 +289,7 @@ struct ColumnNode {
   // Per-stripe state.
   ColumnEncoding encoding = ColumnEncoding::kDirect;
   std::vector<std::string> dict;
-  uint64_t dict_version = 0;  // NextDictionaryVersion() of `dict`.
+  uint64_t dict_version = 0;  // vec::NextDictionaryVersion() of `dict`.
   std::unique_ptr<StreamReader> present_stream;
   std::unique_ptr<StreamReader> data_stream;
   std::unique_ptr<StreamReader> length_stream;
@@ -849,7 +841,7 @@ class OrcReader::Impl {
             data_stream->ReadRaw(static_cast<uint64_t>(lengths[i]), &entry));
         node->dict[i] = entry;
       }
-      node->dict_version = NextDictionaryVersion();
+      node->dict_version = vec::NextDictionaryVersion();
     }
     dict_data_tmp_.clear();
     dict_length_tmp_.clear();

@@ -495,8 +495,21 @@ Result<SubPlan> QueryPlanner::PlanQuery(const AstQuery& query,
     rs->output_width = num_keys + partial_width;
     OpDesc::Connect(gby_hash, rs);
 
+    // The merge reads each aggregate's partial at its own offset of the
+    // shuffled row, so its args name those partial columns, typed so that
+    // ResultType() is the map side's (AVG merges its sum as a double).
     OpDescPtr gby_merge = MakeOp(OpKind::kGroupBy);
-    gby_merge->aggs = aggs;
+    int partial = num_keys;
+    for (const AggDesc& a : aggs) {
+      AggDesc merged = a;
+      if (a.arg != nullptr) {
+        merged.arg = Expr::Column(
+            partial, a.kind == AggKind::kAvg ? TypeKind::kDouble
+                                             : a.ResultType());
+      }
+      gby_merge->aggs.push_back(std::move(merged));
+      partial += a.PartialArity();
+    }
     gby_merge->group_by_mode = exec::GroupByMode::kMergePartial;
     gby_merge->partial_offset = num_keys;
     gby_merge->output_width = num_keys + static_cast<int>(aggs.size());

@@ -586,8 +586,8 @@ Result<std::vector<int>> ApplyNeeds(OpDesc* op, const NeedMap& needs,
       return map;
     }
     case OpKind::kGroupBy: {
-      // A merge reads partials by offset; its agg args name pre-aggregation
-      // columns of the map side and are not remapped.
+      // A merge reads partials by offset and needs every input column (see
+      // PropagateNeeds), so its input keeps its layout: nothing to remap.
       if (op->group_by_mode == exec::GroupByMode::kMergePartial) {
         return IdentityMap(op->output_width);
       }

@@ -135,13 +135,14 @@ class RowMapTask : public mr::MapTask {
     read_options.enable_late_materialization = enable_late_materialization_;
 
     // The vectorized path handles eligible pipelines entirely (paper §6);
-    // it reports NotImplemented when the pipeline does not qualify, in
-    // which case we run the row-mode pipeline below.
+    // it reports NotImplemented, naming the reason, when the pipeline does
+    // not qualify, in which case we run the row-mode pipeline below.
     if (vectorized_) {
       Status vstatus = vec::RunVectorizedMapPipeline(
           source.root.get(), source.schema, source.format, split.path,
           read_options, &ctx);
       if (!vstatus.IsNotImplemented()) return vstatus;
+      set_row_mode_reason(vstatus.message());
     }
 
     exec::OperatorArena arena;

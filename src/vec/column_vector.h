@@ -2,6 +2,7 @@
 #define MINIHIVE_VEC_COLUMN_VECTOR_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -122,6 +123,15 @@ class BytesColumnVector : public ColumnVector {
 };
 
 using ColumnVectorPtr = std::unique_ptr<ColumnVector>;
+
+/// Process-wide source of dictionary versions (see
+/// BytesColumnVector::dictionary_version): unique across every producer of
+/// dictionaries, so a consumer never mistakes one dictionary's codes for
+/// another's.
+inline uint64_t NextDictionaryVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace minihive::vec
 

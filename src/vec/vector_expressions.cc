@@ -457,10 +457,12 @@ class BytesCompareScalarFilter : public VectorFilter {
 
 class IsNullFilter : public VectorFilter {
  public:
-  IsNullFilter(int column, bool want_null)
-      : column_(column), want_null_(want_null) {}
+  IsNullFilter(int column, bool want_null,
+               std::unique_ptr<VectorExpression> child)
+      : column_(column), want_null_(want_null), child_(std::move(child)) {}
 
   void Filter(VectorizedRowBatch* batch) override {
+    if (child_ != nullptr) child_->Evaluate(batch);
     ColumnVector* col = batch->columns[column_].get();
     int* sel = batch->selected.data();
     int new_size = 0;
@@ -486,6 +488,7 @@ class IsNullFilter : public VectorFilter {
  private:
   int column_;
   bool want_null_;
+  std::unique_ptr<VectorExpression> child_;
 };
 
 bool IsLongType(TypeKind kind) { return IsIntegerFamily(kind); }
@@ -763,11 +766,13 @@ Result<std::vector<std::unique_ptr<VectorFilter>>> BatchCompiler::CompileFilter(
       case ExprKind::kIsNull:
       case ExprKind::kIsNotNull: {
         const Expr& v = *e->children()[0];
-        if (v.kind() != ExprKind::kColumn) {
-          return Status::NotImplemented("IS NULL over computed value");
-        }
+        int column;
+        MINIHIVE_ASSIGN_OR_RETURN(std::unique_ptr<VectorExpression> child,
+                                  CompileProjection(v, &column));
+        std::unique_ptr<VectorExpression> keep =
+            v.kind() == ExprKind::kColumn ? nullptr : std::move(child);
         filters.push_back(std::make_unique<IsNullFilter>(
-            v.column_index(), e->kind() == ExprKind::kIsNull));
+            column, e->kind() == ExprKind::kIsNull, std::move(keep)));
         break;
       }
       default:

@@ -57,12 +57,13 @@ class BatchCompiler {
   /// matching columns.
   const std::vector<TypeKind>& column_types() const { return column_types_; }
 
- private:
+  /// Appends a scratch column of `kind`; returns its batch position.
   int AddScratch(TypeKind kind) {
     column_types_.push_back(kind);
     return static_cast<int>(column_types_.size()) - 1;
   }
 
+ private:
   std::vector<TypeKind> column_types_;
 };
 

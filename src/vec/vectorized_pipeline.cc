@@ -479,46 +479,414 @@ class VectorHashAggregator {
   std::vector<uint32_t> key_scratch_;
 };
 
-/// The validated pipeline shape: scan -> filters* -> [select | groupby] ->
-/// (ReduceSink | FileSink).
-struct PipelineShape {
-  std::vector<const OpDesc*> filters;
-  const OpDesc* select = nullptr;
-  const OpDesc* gby = nullptr;
+/// Where a stage's output row lives in the batch: output column i is batch
+/// column columns[i], boxed as types[i]; -1 is always NULL (a table column
+/// the scan does not read).
+struct ColumnMapping {
+  std::vector<int> columns;
+  std::vector<TypeKind> types;
+};
+
+/// One batch stage of a vectorized map pipeline: it fills batch columns for
+/// the batch's selected rows and may narrow selected[].
+class BatchStage {
+ public:
+  virtual ~BatchStage() = default;
+  virtual void Run(VectorizedRowBatch* batch) = 0;
+
+  exec::OperatorStats* stats = nullptr;  // Null when profiling is off.
+};
+
+/// A Filter's conjuncts, applied in order (paper §6.2).
+class FilterStage : public BatchStage {
+ public:
+  void Run(VectorizedRowBatch* batch) override {
+    for (auto& filter : filters) {
+      filter->Filter(batch);
+      if (batch->SelectedCount() == 0) return;
+    }
+  }
+
+  std::vector<std::unique_ptr<VectorFilter>> filters;
+};
+
+/// A Select's projections (and a GroupBy's keys and arguments).
+class ProjectStage : public BatchStage {
+ public:
+  void Run(VectorizedRowBatch* batch) override {
+    for (auto& expression : expressions) expression->Evaluate(batch);
+  }
+
+  std::vector<std::unique_ptr<VectorExpression>> expressions;
+};
+
+/// An inner MapJoin over unique-key build sides. Per batch it evaluates the
+/// probe keys once, looks every selected row up with the key bytes the
+/// tables were built with (the exec:: key encoders, into one reused
+/// buffer), narrows selected[] to the rows every side matched, and only
+/// then evaluates the big side's values and gathers the build values of
+/// the survivors into batch columns. String build values are handed over
+/// as a dictionary (the table's column) plus one code per row, so no bytes
+/// are copied.
+class MapJoinStage : public BatchStage {
+ public:
+  struct Gather {
+    const exec::MapJoinColumn* source = nullptr;
+    int column = -1;  // Batch column written.
+    uint64_t dictionary_version = 0;  // Bytes columns.
+  };
+  struct Side {
+    const exec::MapJoinHashTable* table = nullptr;
+    std::vector<Gather> values;
+    std::vector<uint32_t> matches;  // Build row of the j-th survivor.
+  };
+
+  void Run(VectorizedRowBatch* batch) override {
+    for (auto& expression : key_expressions) expression->Evaluate(batch);
+    Probe(batch);
+    if (batch->selected_size == 0) return;
+    for (auto& expression : value_expressions) expression->Evaluate(batch);
+    for (const Side& side : sides) {
+      for (const Gather& gather : side.values) {
+        GatherColumn(gather, side.matches, batch);
+      }
+    }
+  }
+
+  std::vector<std::unique_ptr<VectorExpression>> key_expressions;
+  std::vector<int> key_columns;
+  std::vector<std::unique_ptr<VectorExpression>> value_expressions;
+  std::vector<Side> sides;
+
+ private:
+  /// Writes row `i`'s key bytes to key_; false when a key column is NULL
+  /// there (a NULL key never matches).
+  bool EncodeKey(const VectorizedRowBatch& batch, int i) {
+    key_.clear();
+    for (int c : key_columns) {
+      const ColumnVector* col = batch.columns[c].get();
+      const int slot = col->is_repeating ? 0 : i;
+      if (!col->no_nulls && !col->not_null[slot]) return false;
+      switch (col->kind()) {
+        case VectorKind::kLong:
+          exec::AppendIntKey(
+              &key_, static_cast<const LongColumnVector*>(col)->vector[slot]);
+          break;
+        case VectorKind::kDouble:
+          exec::AppendDoubleKey(
+              &key_,
+              static_cast<const DoubleColumnVector*>(col)->vector[slot]);
+          break;
+        case VectorKind::kBytes:
+          exec::AppendStringKey(
+              &key_, static_cast<const BytesColumnVector*>(col)->GetView(slot));
+          break;
+      }
+    }
+    return true;
+  }
+
+  /// Records every side's build row for `i` as survivor `out`; false when
+  /// a side has no row for it.
+  bool Lookup(const VectorizedRowBatch& batch, int i, int out) {
+    if (!EncodeKey(batch, i)) return false;
+    for (Side& side : sides) {
+      const uint32_t row = side.table->Find(key_);
+      if (row == exec::MapJoinHashTable::kNoRow) return false;
+      side.matches[out] = row;
+    }
+    return true;
+  }
+
+  void Probe(VectorizedRowBatch* batch) {
+    const int n = batch->SelectedCount();
+    int* sel = batch->selected.data();
+    const bool dense = !batch->selected_in_use;
+    bool repeating = true;
+    for (int c : key_columns) {
+      repeating = repeating && batch->columns[c]->is_repeating;
+    }
+    int out = 0;
+    if (repeating) {
+      // One key for the whole batch: one lookup keeps or drops every row.
+      if (n > 0 && Lookup(*batch, 0, 0)) {
+        for (Side& side : sides) {
+          std::fill(side.matches.begin(), side.matches.begin() + n,
+                    side.matches[0]);
+        }
+        if (dense) {
+          for (int j = 0; j < n; ++j) sel[j] = j;
+        }
+        out = n;
+      }
+    } else {
+      // Survivors compact in place: out <= j, so sel[j] is read first.
+      for (int j = 0; j < n; ++j) {
+        const int i = dense ? j : sel[j];
+        if (Lookup(*batch, i, out)) sel[out++] = i;
+      }
+    }
+    batch->selected_in_use = true;
+    batch->selected_size = out;
+  }
+
+  static void GatherColumn(const Gather& gather,
+                           const std::vector<uint32_t>& matches,
+                           VectorizedRowBatch* batch) {
+    const exec::MapJoinColumn& src = *gather.source;
+    ColumnVector* col = batch->columns[gather.column].get();
+    const int n = batch->selected_size;
+    const int* sel = batch->selected.data();
+    const uint32_t* rows = matches.data();
+    col->is_repeating = false;
+    bool no_nulls = true;
+    auto copy = [&](auto assign) {
+      for (int j = 0; j < n; ++j) {
+        const int i = sel[j];
+        const uint32_t r = rows[j];
+        const bool valid = src.not_null[r] != 0;
+        col->not_null[i] = valid;
+        no_nulls = no_nulls && valid;
+        assign(i, r, valid);
+      }
+    };
+    switch (src.storage) {
+      case exec::MapJoinColumn::Storage::kLong: {
+        int64_t* out = static_cast<LongColumnVector*>(col)->vector.data();
+        copy([&](int i, uint32_t r, bool) { out[i] = src.longs[r]; });
+        break;
+      }
+      case exec::MapJoinColumn::Storage::kDouble: {
+        double* out = static_cast<DoubleColumnVector*>(col)->vector.data();
+        copy([&](int i, uint32_t r, bool) { out[i] = src.doubles[r]; });
+        break;
+      }
+      case exec::MapJoinColumn::Storage::kBytes: {
+        auto* bytes = static_cast<BytesColumnVector*>(col);
+        bytes->dictionary = &src.bytes;
+        bytes->dictionary_version = gather.dictionary_version;
+        int32_t* codes = bytes->codes.data();
+        copy([&](int i, uint32_t r, bool valid) {
+          codes[i] = valid ? static_cast<int32_t>(r) : -1;
+        });
+        break;
+      }
+      case exec::MapJoinColumn::Storage::kBoxed:
+        break;  // Rejected at compile time.
+    }
+    col->no_nulls = no_nulls;
+  }
+
+  std::string key_;  // The current row's key bytes.
+};
+
+/// A map task's compiled pipeline: batch stages in plan order, then either
+/// a hash GroupBy whose partials go to the terminal, or the terminal fed
+/// rows boxed through `out`.
+struct CompiledPipeline {
+  std::vector<std::unique_ptr<BatchStage>> stages;
+  /// Hash GroupBy: key and argument expressions, then the aggregator.
+  std::unique_ptr<ProjectStage> gby_inputs;
+  std::unique_ptr<VectorHashAggregator> aggregator;
+  ColumnMapping out;
   const OpDesc* terminal = nullptr;
 };
 
-Status ValidateShape(const OpDesc* scan_root, PipelineShape* shape) {
+using Stats = exec::OperatorStats;
+
+Stats* StatsFor(exec::TaskContext* ctx, const OpDesc* op) {
+  return ctx->profile != nullptr ? ctx->profile->ForOp(op) : nullptr;
+}
+
+/// Compiles `exprs` against `in`, appending the kernels to `expressions`
+/// and the result columns to `columns`.
+Status CompileProjections(
+    const std::vector<ExprPtr>& exprs, const ColumnMapping& in,
+    BatchCompiler* compiler,
+    std::vector<std::unique_ptr<VectorExpression>>* expressions,
+    std::vector<int>* columns) {
+  for (const ExprPtr& e : exprs) {
+    int out;
+    MINIHIVE_ASSIGN_OR_RETURN(
+        auto compiled,
+        compiler->CompileProjection(*e->RemapColumns(in.columns), &out));
+    expressions->push_back(std::move(compiled));
+    columns->push_back(out);
+  }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<BatchStage>> CompileMapJoin(const OpDesc* op,
+                                                   exec::TaskContext* ctx,
+                                                   BatchCompiler* compiler,
+                                                   ColumnMapping* mapping) {
+  for (const auto& side : op->mapjoin_small_sides) {
+    if (side.side != exec::JoinSideKind::kInner) {
+      return Status::NotImplemented(
+          "vectorized map join: LEFT OUTER side " + side.table_name);
+    }
+  }
+  const exec::MapJoinTables* tables = nullptr;
+  if (ctx->mapjoin_tables != nullptr) {
+    auto it = ctx->mapjoin_tables->find(op->id);
+    if (it != ctx->mapjoin_tables->end()) tables = it->second.get();
+  }
+  if (tables == nullptr ||
+      tables->size() != op->mapjoin_small_sides.size()) {
+    return Status::Internal("map join tables missing for op " +
+                            std::to_string(op->id));
+  }
+  auto stage = std::make_unique<MapJoinStage>();
+  ColumnMapping out;
+  MINIHIVE_RETURN_IF_ERROR(
+      CompileProjections(op->mapjoin_probe_keys, *mapping, compiler,
+                         &stage->key_expressions, &stage->key_columns));
+  for (size_t k = 0; k < op->mapjoin_probe_keys.size(); ++k) {
+    out.columns.push_back(stage->key_columns[k]);
+    out.types.push_back(op->mapjoin_probe_keys[k]->result_type());
+  }
+  std::vector<int> big_columns;
+  MINIHIVE_RETURN_IF_ERROR(
+      CompileProjections(op->mapjoin_big_values, *mapping, compiler,
+                         &stage->value_expressions, &big_columns));
+  const int total_tags = static_cast<int>(tables->size()) + 1;
+  size_t s = 0;
+  for (int tag = 0; tag < total_tags; ++tag) {
+    if (tag == op->mapjoin_big_tag) {
+      for (size_t v = 0; v < big_columns.size(); ++v) {
+        out.columns.push_back(big_columns[v]);
+        out.types.push_back(op->mapjoin_big_values[v]->result_type());
+      }
+      continue;
+    }
+    const auto& desc = op->mapjoin_small_sides[s];
+    const exec::MapJoinHashTable& table = *(*tables)[s++];
+    if (!table.unique_keys) {
+      return Status::NotImplemented(
+          "vectorized map join: duplicate build keys in " + desc.table_name +
+          " need row expansion");
+    }
+    MapJoinStage::Side side;
+    side.table = &table;
+    side.matches.resize(kDefaultBatchSize);
+    for (size_t v = 0; v < table.columns.size(); ++v) {
+      const exec::MapJoinColumn& source = table.columns[v];
+      if (source.storage == exec::MapJoinColumn::Storage::kBoxed) {
+        return Status::NotImplemented(
+            "vectorized map join: non-primitive build value in " +
+            desc.table_name);
+      }
+      const TypeKind type = desc.build_values[v]->result_type();
+      MapJoinStage::Gather gather;
+      gather.source = &source;
+      gather.column = compiler->AddScratch(type);
+      gather.dictionary_version = NextDictionaryVersion();
+      side.values.push_back(gather);
+      out.columns.push_back(gather.column);
+      out.types.push_back(type);
+    }
+    stage->sides.push_back(std::move(side));
+  }
+  *mapping = std::move(out);
+  return std::unique_ptr<BatchStage>(std::move(stage));
+}
+
+Result<std::unique_ptr<VectorHashAggregator>> CompileGroupBy(
+    const OpDesc* op, const ColumnMapping& mapping, BatchCompiler* compiler,
+    ProjectStage* inputs) {
+  std::vector<int> key_columns;
+  std::vector<TypeKind> key_types;
+  MINIHIVE_RETURN_IF_ERROR(CompileProjections(
+      op->group_keys, mapping, compiler, &inputs->expressions, &key_columns));
+  for (const ExprPtr& e : op->group_keys) key_types.push_back(e->result_type());
+  std::vector<VectorHashAggregator::AggSpec> specs;
+  for (const AggDesc& agg : op->aggs) {
+    VectorHashAggregator::AggSpec spec;
+    spec.kind = agg.kind;
+    if (agg.arg != nullptr) {
+      std::vector<int> arg_column;
+      MINIHIVE_RETURN_IF_ERROR(CompileProjections(
+          {agg.arg}, mapping, compiler, &inputs->expressions, &arg_column));
+      spec.arg_column = arg_column[0];
+      spec.arg_type = agg.arg->result_type();
+      spec.sums_double = IsFloatingFamily(agg.arg->result_type()) ||
+                         agg.kind == AggKind::kAvg;
+    } else if (agg.kind != AggKind::kCountStar) {
+      return Status::NotImplemented("aggregate without argument");
+    }
+    specs.push_back(spec);
+  }
+  return std::make_unique<VectorHashAggregator>(
+      std::move(key_columns), std::move(key_types), std::move(specs));
+}
+
+/// The §6.4 validation and compilation in one walk: every operator between
+/// the scan and the terminal (ReduceSink or FileSink) becomes a batch
+/// stage compiled against the column mapping of the stage before it.
+/// Anything that cannot run on batches returns NotImplemented, whose
+/// message names the reason for the row-mode fallback.
+Status CompilePipeline(const OpDesc* scan_root, ColumnMapping mapping,
+                       exec::TaskContext* ctx, BatchCompiler* compiler,
+                       CompiledPipeline* pipeline) {
   const OpDesc* cur = scan_root;
-  while (true) {
+  while (pipeline->terminal == nullptr) {
     if (cur->children.size() != 1) {
       return Status::NotImplemented("vectorization: pipeline fan-out");
     }
     const OpDesc* next = cur->children[0].get();
     switch (next->kind) {
-      case OpKind::kFilter:
-        if (shape->select != nullptr || shape->gby != nullptr) {
-          return Status::NotImplemented("vectorization: late filter");
-        }
-        shape->filters.push_back(next);
+      case OpKind::kFilter: {
+        auto stage = std::make_unique<FilterStage>();
+        MINIHIVE_ASSIGN_OR_RETURN(
+            stage->filters,
+            compiler->CompileFilter(
+                next->predicate->RemapColumns(mapping.columns)));
+        stage->stats = StatsFor(ctx, next);
+        pipeline->stages.push_back(std::move(stage));
         break;
-      case OpKind::kSelect:
-        if (shape->select != nullptr || shape->gby != nullptr) {
-          return Status::NotImplemented("vectorization: multiple selects");
+      }
+      case OpKind::kSelect: {
+        auto stage = std::make_unique<ProjectStage>();
+        ColumnMapping out;
+        MINIHIVE_RETURN_IF_ERROR(
+            CompileProjections(next->projections, mapping, compiler,
+                               &stage->expressions, &out.columns));
+        for (const ExprPtr& e : next->projections) {
+          out.types.push_back(e->result_type());
         }
-        shape->select = next;
+        mapping = std::move(out);
+        stage->stats = StatsFor(ctx, next);
+        pipeline->stages.push_back(std::move(stage));
         break;
-      case OpKind::kGroupBy:
+      }
+      case OpKind::kMapJoin: {
+        MINIHIVE_ASSIGN_OR_RETURN(auto stage,
+                                  CompileMapJoin(next, ctx, compiler, &mapping));
+        stage->stats = StatsFor(ctx, next);
+        pipeline->stages.push_back(std::move(stage));
+        break;
+      }
+      case OpKind::kGroupBy: {
         if (next->group_by_mode != exec::GroupByMode::kHash ||
-            shape->gby != nullptr || shape->select != nullptr) {
-          return Status::NotImplemented("vectorization: group-by shape");
+            next->children.size() != 1 ||
+            next->children[0]->kind != OpKind::kReduceSink) {
+          return Status::NotImplemented(
+              "vectorized group-by must be a hash group-by feeding a "
+              "shuffle");
         }
-        shape->gby = next;
+        pipeline->gby_inputs = std::make_unique<ProjectStage>();
+        pipeline->gby_inputs->stats = StatsFor(ctx, next);
+        MINIHIVE_ASSIGN_OR_RETURN(
+            pipeline->aggregator,
+            CompileGroupBy(next, mapping, compiler,
+                           pipeline->gby_inputs.get()));
+        pipeline->terminal = next->children[0].get();
         break;
+      }
       case OpKind::kReduceSink:
       case OpKind::kFileSink:
-        shape->terminal = next;
-        return Status::OK();
+        pipeline->terminal = next;
+        break;
       default:
         return Status::NotImplemented(
             std::string("vectorization: unsupported operator ") +
@@ -526,6 +894,8 @@ Status ValidateShape(const OpDesc* scan_root, PipelineShape* shape) {
     }
     cur = next;
   }
+  pipeline->out = std::move(mapping);
+  return Status::OK();
 }
 
 }  // namespace
@@ -536,107 +906,44 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
                                 const std::string& path,
                                 const formats::ReadOptions& read,
                                 exec::TaskContext* ctx) {
-  // ---- Validation (the §6.4 vectorization-optimizer check).
+  // ---- Validation and compilation (the §6.4 vectorization-optimizer
+  // check).
   if (format != formats::FormatKind::kOrcFile || schema == nullptr) {
     return Status::NotImplemented("vectorization requires ORC input");
   }
-  PipelineShape shape;
-  MINIHIVE_RETURN_IF_ERROR(ValidateShape(scan_root, &shape));
-  if (shape.gby != nullptr && shape.terminal->kind != OpKind::kReduceSink) {
-    return Status::NotImplemented("vectorized group-by must feed a shuffle");
-  }
-
-  // Projected fields and the full-width -> batch position mapping.
+  // The scan's mapping: full-width table row -> batch position of each
+  // projected field; unread fields are NULL.
   std::vector<int> projected = read.projected_columns;
   if (projected.empty()) {
     for (int i = 0; i < scan_root->table_width; ++i) projected.push_back(i);
   }
   const auto& fields = schema->children();
   std::vector<TypeKind> batch_types;
-  std::vector<int> mapping(fields.size(), -1);
+  ColumnMapping scan_mapping;
+  scan_mapping.columns.assign(fields.size(), -1);
+  for (const TypePtr& field : fields) {
+    scan_mapping.types.push_back(field->kind());
+  }
   for (size_t p = 0; p < projected.size(); ++p) {
     int field = projected[p];
     if (field < 0 || field >= static_cast<int>(fields.size()) ||
         !IsPrimitive(fields[field]->kind())) {
       return Status::NotImplemented("vectorization: non-primitive column");
     }
-    mapping[field] = static_cast<int>(p);
+    scan_mapping.columns[field] = static_cast<int>(p);
     batch_types.push_back(fields[field]->kind());
   }
-
-  // ---- Compile filters, projections, aggregation.
   BatchCompiler compiler(batch_types);
-  // Compiled filters stay grouped per Filter descriptor so profiling can
-  // attribute selectivity to the plan operator they came from.
-  struct CompiledFilterGroup {
-    exec::OperatorStats* stats = nullptr;
-    std::vector<std::unique_ptr<VectorFilter>> filters;
-  };
-  std::vector<CompiledFilterGroup> filter_groups;
-  for (const OpDesc* f : shape.filters) {
-    MINIHIVE_ASSIGN_OR_RETURN(
-        auto compiled,
-        compiler.CompileFilter(f->predicate->RemapColumns(mapping)));
-    CompiledFilterGroup group;
-    if (ctx->profile != nullptr) group.stats = ctx->profile->ForOp(f);
-    for (auto& filter : compiled) group.filters.push_back(std::move(filter));
-    filter_groups.push_back(std::move(group));
-  }
-  std::vector<std::unique_ptr<VectorExpression>> expressions;
-  std::vector<int> select_columns;  // Batch columns of select outputs.
-  std::vector<TypeKind> select_types;
-  std::unique_ptr<VectorHashAggregator> aggregator;
-  if (shape.select != nullptr) {
-    for (const ExprPtr& e : shape.select->projections) {
-      int out;
-      MINIHIVE_ASSIGN_OR_RETURN(
-          auto compiled,
-          compiler.CompileProjection(*e->RemapColumns(mapping), &out));
-      expressions.push_back(std::move(compiled));
-      select_columns.push_back(out);
-      select_types.push_back(e->result_type());
-    }
-  }
-  if (shape.gby != nullptr) {
-    std::vector<int> key_columns;
-    std::vector<TypeKind> key_types;
-    for (const ExprPtr& e : shape.gby->group_keys) {
-      int out;
-      MINIHIVE_ASSIGN_OR_RETURN(
-          auto compiled,
-          compiler.CompileProjection(*e->RemapColumns(mapping), &out));
-      expressions.push_back(std::move(compiled));
-      key_columns.push_back(out);
-      key_types.push_back(e->result_type());
-    }
-    std::vector<VectorHashAggregator::AggSpec> specs;
-    for (const AggDesc& agg : shape.gby->aggs) {
-      VectorHashAggregator::AggSpec spec;
-      spec.kind = agg.kind;
-      if (agg.arg != nullptr) {
-        int out;
-        MINIHIVE_ASSIGN_OR_RETURN(
-            auto compiled,
-            compiler.CompileProjection(*agg.arg->RemapColumns(mapping), &out));
-        expressions.push_back(std::move(compiled));
-        spec.arg_column = out;
-        spec.arg_type = agg.arg->result_type();
-        spec.sums_double = IsFloatingFamily(agg.arg->result_type()) ||
-                           agg.kind == AggKind::kAvg;
-      } else if (agg.kind != AggKind::kCountStar) {
-        return Status::NotImplemented("aggregate without argument");
-      }
-      specs.push_back(spec);
-    }
-    aggregator = std::make_unique<VectorHashAggregator>(
-        std::move(key_columns), std::move(key_types), std::move(specs));
-  }
+  CompiledPipeline pipeline;
+  MINIHIVE_RETURN_IF_ERROR(CompilePipeline(scan_root, std::move(scan_mapping),
+                                           ctx, &compiler, &pipeline));
 
   // ---- Terminal: reuse the row-mode operator (ReduceSink / FileSink).
   exec::OperatorArena arena;
   MINIHIVE_ASSIGN_OR_RETURN(exec::Operator * terminal,
-                            exec::BuildOperatorTree(shape.terminal, &arena));
+                            exec::BuildOperatorTree(pipeline.terminal, &arena));
   MINIHIVE_RETURN_IF_ERROR(terminal->Init(ctx));
+  if (ctx->counters != nullptr) ctx->counters->vectorized_map_tasks += 1;
 
   // ---- Read batches through the vectorized ORC reader (§6.5).
   MINIHIVE_ASSIGN_OR_RETURN(
@@ -645,35 +952,37 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   std::unique_ptr<VectorizedRowBatch> batch =
       MakeBatchFor(compiler.column_types(), kDefaultBatchSize);
 
-  // Per-operator profiling slots (EnableProfiling); null when off.
-  exec::OperatorStats* scan_stats = nullptr;
-  exec::OperatorStats* select_stats = nullptr;
-  exec::OperatorStats* gby_stats = nullptr;
-  if (ctx->profile != nullptr) {
-    scan_stats = ctx->profile->ForOp(scan_root);
-    if (shape.select != nullptr) select_stats = ctx->profile->ForOp(shape.select);
-    if (shape.gby != nullptr) gby_stats = ctx->profile->ForOp(shape.gby);
-  }
+  Stats* scan_stats = StatsFor(ctx, scan_root);
+  Stats* gby_stats =
+      pipeline.gby_inputs != nullptr ? pipeline.gby_inputs->stats : nullptr;
+  // Boxing rows for the terminal is charged to the last stage (the row
+  // engine's times are inclusive of children too).
+  Stats* last_stats =
+      pipeline.stages.empty() ? scan_stats : pipeline.stages.back()->stats;
   constexpr auto kRelaxed = std::memory_order_relaxed;
 
   // Stage timing, once per batch and only when profiling: each stage's
-  // nanos is the time since the previous stage ended. Select and group-by
-  // time include handing rows to the terminal operator (the row engine's
-  // times are inclusive of children too); group-by time includes Emit.
+  // nanos is the time since the previous stage ended. Group-by time
+  // includes Emit.
   const bool profiling = ctx->profile != nullptr;
   int64_t mark = 0;
-  auto lap = [&](exec::OperatorStats* stats) {
+  auto lap = [&](Stats* stats) {
     int64_t now = telemetry::MonotonicNanos();
     if (stats != nullptr) stats->nanos.fetch_add(now - mark, kRelaxed);
     mark = now;
   };
-  exec::OperatorStats* project_stats =
-      aggregator != nullptr ? gby_stats : select_stats;
+  auto count = [&](Stats* stats, int rows_in, bool rows_out) {
+    if (stats == nullptr) return;
+    stats->batches.fetch_add(1, kRelaxed);
+    stats->rows_in.fetch_add(rows_in, kRelaxed);
+    if (rows_out) stats->rows_out.fetch_add(batch->SelectedCount(), kRelaxed);
+  };
 
+  const ColumnMapping& out = pipeline.out;
   Row row;
   while (true) {
     // Batch-boundary cancellation point (the reader also checks per index
-    // group, but filtering/aggregation below runs outside the reader).
+    // group, but the stages below run outside the reader).
     if (ctx->governor != nullptr) {
       MINIHIVE_RETURN_IF_ERROR(ctx->governor->CheckAlive());
     }
@@ -689,62 +998,42 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       scan_stats->rows_in.fetch_add(batch->size, kRelaxed);
       scan_stats->rows_out.fetch_add(batch->size, kRelaxed);
     }
-    for (auto& group : filter_groups) {
-      if (group.stats != nullptr) {
-        group.stats->batches.fetch_add(1, kRelaxed);
-        group.stats->rows_in.fetch_add(batch->SelectedCount(), kRelaxed);
+    bool empty = false;
+    for (auto& stage : pipeline.stages) {
+      const int rows_in = batch->SelectedCount();
+      stage->Run(batch.get());
+      count(stage->stats, rows_in, /*rows_out=*/true);
+      if (profiling) lap(stage->stats);
+      if (batch->SelectedCount() == 0) {
+        empty = true;
+        break;
       }
-      for (auto& filter : group.filters) {
-        filter->Filter(batch.get());
-        if (batch->selected_in_use && batch->selected_size == 0) break;
-      }
-      if (group.stats != nullptr) {
-        group.stats->rows_out.fetch_add(batch->SelectedCount(), kRelaxed);
-      }
-      if (profiling) lap(group.stats);
-      if (batch->selected_in_use && batch->selected_size == 0) break;
     }
-    if (batch->selected_in_use && batch->selected_size == 0) continue;
-    for (auto& expression : expressions) expression->Evaluate(batch.get());
-    if (select_stats != nullptr) {
-      select_stats->batches.fetch_add(1, kRelaxed);
-      select_stats->rows_in.fetch_add(batch->SelectedCount(), kRelaxed);
-      select_stats->rows_out.fetch_add(batch->SelectedCount(), kRelaxed);
-    }
-    if (aggregator != nullptr) {
-      if (gby_stats != nullptr) {
-        gby_stats->batches.fetch_add(1, kRelaxed);
-        gby_stats->rows_in.fetch_add(batch->SelectedCount(), kRelaxed);
-      }
-      aggregator->Update(*batch);
+    if (empty) continue;
+    if (pipeline.aggregator != nullptr) {
+      count(gby_stats, batch->SelectedCount(), /*rows_out=*/false);
+      pipeline.gby_inputs->Run(batch.get());
+      pipeline.aggregator->Update(*batch);
       if (profiling) lap(gby_stats);
       continue;
     }
-    // Materialize surviving rows for the terminal operator.
-    int n = batch->SelectedCount();
+    // Box the surviving rows for the terminal operator.
+    const int n = batch->SelectedCount();
     for (int j = 0; j < n; ++j) {
-      int i = batch->selected_in_use ? batch->selected[j] : j;
+      const int i = batch->selected_in_use ? batch->selected[j] : j;
       row.clear();
-      if (shape.select != nullptr) {
-        for (size_t c = 0; c < select_columns.size(); ++c) {
-          row.push_back(
-              BoxValue(*batch, select_columns[c], i, select_types[c]));
-        }
-      } else {
-        // Full-width row: non-projected fields are NULL.
-        row.assign(fields.size(), Value::Null());
-        for (size_t p = 0; p < projected.size(); ++p) {
-          row[projected[p]] =
-              BoxValue(*batch, static_cast<int>(p), i, batch_types[p]);
-        }
+      for (size_t c = 0; c < out.columns.size(); ++c) {
+        row.push_back(out.columns[c] < 0
+                          ? Value::Null()
+                          : BoxValue(*batch, out.columns[c], i, out.types[c]));
       }
       MINIHIVE_RETURN_IF_ERROR(terminal->Process(row, 0));
     }
-    if (profiling) lap(project_stats);
+    if (profiling) lap(last_stats);
   }
-  if (aggregator != nullptr) {
+  if (pipeline.aggregator != nullptr) {
     if (profiling) mark = telemetry::MonotonicNanos();
-    MINIHIVE_RETURN_IF_ERROR(aggregator->Emit([&](const Row& partial) {
+    MINIHIVE_RETURN_IF_ERROR(pipeline.aggregator->Emit([&](const Row& partial) {
       if (gby_stats != nullptr) gby_stats->rows_out.fetch_add(1, kRelaxed);
       return terminal->Process(partial, 0);
     }));

@@ -9,15 +9,17 @@
 namespace minihive::vec {
 
 /// Runs one map task's pipeline in vectorized mode (paper §6): the ORC
-/// reader produces VectorizedRowBatches, expressions run as tight-loop
-/// kernels over column vectors, and only the (few) rows surviving filters
-/// and aggregation cross back into the row world at the ReduceSink /
-/// FileSink boundary.
+/// reader produces VectorizedRowBatches, every Filter, Select, inner
+/// MapJoin and hash GroupBy below the scan runs as a batch stage of
+/// tight-loop kernels over column vectors, and only the (few) rows
+/// surviving them cross back into the row world at the ReduceSink /
+/// FileSink boundary. `ctx->mapjoin_tables` supplies the map joins' tables.
 ///
-/// Returns NotImplemented when the pipeline is not vectorizable (wrong
-/// format, unsupported operator or expression, complex types); the caller
-/// then falls back to the row-mode pipeline — mirroring the validation step
-/// of Hive's vectorization optimizer (§6.4).
+/// Returns NotImplemented, naming the reason, when the pipeline is not
+/// vectorizable (wrong format, unsupported operator or expression, complex
+/// types, a LEFT OUTER or duplicate-key map-join side) before it reads or
+/// emits anything; the caller then falls back to the row-mode pipeline —
+/// mirroring the validation step of Hive's vectorization optimizer (§6.4).
 ///
 /// `read` is the map task's one read request for the split of `path` (the
 /// same one the row-mode pipeline would open its reader with).

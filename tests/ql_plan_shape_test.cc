@@ -512,5 +512,67 @@ TEST_F(PlanShapeTest, ColumnPruningNarrowsTpcdsJoins) {
   }
 }
 
+// A merge-partial GroupBy reads each aggregate's partial at its own offset
+// of its input row: its aggregates' args name those columns (not the map
+// side's pre-aggregation ones), all below the merge's input width.
+TEST_F(PlanShapeTest, MergePartialArgsNameTheirOwnPartialColumns) {
+  datagen::TpcdsOptions tpcds;
+  tpcds.store_sales_rows = 4000;
+  ASSERT_TRUE(datagen::LoadTpcds(catalog_.get(), "tpcds", tpcds).ok());
+  const char* const queries[] = {
+      // Q27: four AVGs, whose (sum, count) partials are two columns each.
+      "SELECT i_item_id, AVG(ss_quantity) AS agg1, AVG(ss_list_price) AS "
+      "agg2, AVG(ss_coupon_amt) AS agg3, AVG(ss_sales_price) AS agg4 "
+      "FROM tpcds_store_sales "
+      "JOIN tpcds_customer_demographics ON tpcds_store_sales.ss_cdemo_sk = "
+      "  tpcds_customer_demographics.cd_demo_sk "
+      "JOIN tpcds_date_dim ON tpcds_store_sales.ss_sold_date_sk = "
+      "  tpcds_date_dim.d_date_sk "
+      "JOIN tpcds_store ON tpcds_store_sales.ss_store_sk = "
+      "  tpcds_store.s_store_sk "
+      "JOIN tpcds_item ON tpcds_store_sales.ss_item_sk = tpcds_item.i_item_sk "
+      "WHERE cd_gender = 'M' AND cd_marital_status = 'S' "
+      "  AND cd_education_status = 'College' AND d_year = 2000 "
+      "GROUP BY i_item_id",
+      // Q95: an inner and an outer aggregation.
+      "SELECT ss.ss_store_sk AS store, COUNT(*) AS cnt, "
+      "       SUM(ss.ss_net_profit) AS profit "
+      "FROM tpcds_store_sales ss "
+      "JOIN tpcds_store ON ss.ss_store_sk = tpcds_store.s_store_sk "
+      "JOIN (SELECT s.ss_ticket_number AS tn, AVG(s.ss_net_profit) AS ap "
+      "      FROM tpcds_store_sales s GROUP BY s.ss_ticket_number) agg "
+      "  ON ss.ss_ticket_number = agg.tn "
+      "JOIN tpcds_store_sales ss2 ON agg.tn = ss2.ss_ticket_number "
+      "WHERE ss.ss_net_profit > agg.ap AND ss2.ss_quantity > 97 "
+      "  AND s_state != 'ZZ' "
+      "GROUP BY ss.ss_store_sk",
+  };
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    PlannedQuery plan = Pushdown(sql, true);
+    int merges = 0;
+    for (const exec::OpDescPtr& op : exec::CollectOps(plan.roots)) {
+      if (op->kind != exec::OpKind::kGroupBy ||
+          op->group_by_mode != exec::GroupByMode::kMergePartial) {
+        continue;
+      }
+      ++merges;
+      const int input_width = op->parents.at(0)->output_width;
+      int partial = op->partial_offset;
+      for (const exec::AggDesc& agg : op->aggs) {
+        if (agg.arg != nullptr) {
+          std::vector<int> columns;
+          agg.arg->CollectColumns(&columns);
+          for (int c : columns) EXPECT_LT(c, input_width) << op->id;
+          EXPECT_EQ(columns, std::vector<int>{partial}) << op->id;
+        }
+        partial += agg.PartialArity();
+      }
+      EXPECT_EQ(partial, input_width) << plan.DebugString();
+    }
+    EXPECT_GT(merges, 0);
+  }
+}
+
 }  // namespace
 }  // namespace minihive::ql
