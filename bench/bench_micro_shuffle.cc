@@ -23,6 +23,7 @@
 #include "common/stopwatch.h"
 #include "common/value.h"
 #include "mr/engine.h"
+#include "mr/shuffle_record.h"
 
 namespace minihive {
 namespace {
@@ -152,8 +153,9 @@ class SkewMapTask : public mr::MapTask {
                         ? static_cast<int64_t>(rng.Uniform(100))
                         : static_cast<int64_t>(100 + rng.Uniform(100000));
       MINIHIVE_RETURN_IF_ERROR(emitter->Emit(
-          {Value::Int(key)},
-          {Value::Int(static_cast<int64_t>(i)), Value::Int(1)}, 0));
+          mr::EncodeKey({Value::Int(key)}),
+          mr::EncodeValues({Value::Int(static_cast<int64_t>(i)), Value::Int(1)}),
+          0));
     }
     CountInputRecords(split.length);
     return Status::OK();
@@ -166,25 +168,29 @@ class SumCombineTask : public mr::ReduceTask {
  public:
   explicit SumCombineTask(mr::ShuffleEmitter* out) : out_(out) {}
 
-  Status StartGroup(const Row& key) override {
+  Status StartGroup(std::string_view key) override {
     key_ = key;
     sum_ = count_ = 0;
     return Status::OK();
   }
-  Status Reduce(const Row&, const Row& value, int) override {
-    sum_ += value[0].AsInt();
-    count_ += value[1].AsInt();
+  Status Reduce(std::string_view, std::string_view value, int) override {
+    value_.clear();
+    MINIHIVE_RETURN_IF_ERROR(mr::DecodeValues(value, &value_));
+    sum_ += value_[0].AsInt();
+    count_ += value_[1].AsInt();
     return Status::OK();
   }
   Status EndGroup() override {
     if (out_ == nullptr) return Status::OK();
-    return out_->Emit(key_, {Value::Int(sum_), Value::Int(count_)}, 0);
+    return out_->Emit(
+        key_, mr::EncodeValues({Value::Int(sum_), Value::Int(count_)}), 0);
   }
   Status Finish() override { return Status::OK(); }
 
  private:
   mr::ShuffleEmitter* out_;
-  Row key_;
+  std::string key_;
+  Row value_;
   int64_t sum_ = 0;
   int64_t count_ = 0;
 };

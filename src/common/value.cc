@@ -1,31 +1,10 @@
 #include "common/value.h"
 
-#include <cmath>
 #include <cstdlib>
 
 namespace minihive {
 
 namespace {
-
-/// 64-bit finalizer from MurmurHash3; good avalanche for partitioning.
-uint64_t Mix64(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdULL;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ULL;
-  k ^= k >> 33;
-  return k;
-}
-
-uint64_t HashBytes(const std::string& s) {
-  // FNV-1a, then mixed.
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
 
 int CompareDoubles(double a, double b) {
   if (a < b) return -1;
@@ -126,40 +105,6 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
-uint64_t Value::Hash() const {
-  if (is_null()) return 0x9e3779b97f4a7c15ULL;
-  if (is_int()) return Mix64(static_cast<uint64_t>(std::get<int64_t>(data_)));
-  if (is_double()) {
-    double d = std::get<double>(data_);
-    // Hash integral doubles like their integer counterparts so that numeric
-    // equality implies hash equality (Compare() treats 3 == 3.0).
-    if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-      return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-    }
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    return Mix64(bits);
-  }
-  if (is_string()) return HashBytes(AsString());
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  auto combine = [&h](uint64_t v) { h = Mix64(h ^ v); };
-  if (is_array()) {
-    for (const Value& v : AsArray()) combine(v.Hash());
-  } else if (is_map()) {
-    for (const auto& [k, v] : AsMap()) {
-      combine(k.Hash());
-      combine(v.Hash());
-    }
-  } else if (is_struct()) {
-    for (const Value& v : AsStruct()) combine(v.Hash());
-  } else if (is_union()) {
-    combine(static_cast<uint64_t>(AsUnion().tag));
-    combine(AsUnion().value.Hash());
-  }
-  return h;
-}
-
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(std::get<int64_t>(data_));
@@ -206,24 +151,6 @@ int CompareRowsOn(const Row& a, const Row& b, const std::vector<int>& cols) {
     if (c != 0) return c;
   }
   return 0;
-}
-
-uint64_t HashRowOn(const Row& row, const std::vector<int>& cols) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int col : cols) {
-    h = (h ^ row[col].Hash()) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return h;
-}
-
-uint64_t HashRowAllCols(const Row& row) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : row) {
-    h = (h ^ v.Hash()) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return h;
 }
 
 }  // namespace minihive

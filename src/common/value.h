@@ -84,15 +84,13 @@ class Value {
     return *std::get<std::shared_ptr<UnionValue>>(data_);
   }
 
-  /// Total ordering used by the shuffle's sort: NULL first, then by value.
-  /// Numeric kinds compare numerically across int/double.
+  /// Total ordering: NULL first, then by value. Numeric kinds compare
+  /// numerically across int/double. The shuffle's key bytes
+  /// (mr/shuffle_record.h) sort the same way.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
-
-  /// Stable hash used for shuffle partitioning and hash joins/aggregations.
-  uint64_t Hash() const;
 
   /// Hive-CLI-style rendering ("NULL", "3", "1.5", "abc", "[1,2]", ...).
   std::string ToString() const;
@@ -116,13 +114,6 @@ struct Value::UnionValue {
 
 /// Lexicographic row comparison over a subset of column indexes.
 int CompareRowsOn(const Row& a, const Row& b, const std::vector<int>& cols);
-
-/// Combined hash of a subset of columns (for shuffle partitioning).
-uint64_t HashRowOn(const Row& row, const std::vector<int>& cols);
-
-/// Combined hash of every column — the shuffle-partitioning hot path,
-/// avoiding the index-vector allocation of HashRowOn.
-uint64_t HashRowAllCols(const Row& row);
 
 }  // namespace minihive
 

@@ -76,6 +76,12 @@ ExprPtr Expr::In(ExprPtr value, std::vector<ExprPtr> list) {
   return e;
 }
 
+ExprPtr Expr::CastDouble(ExprPtr value) {
+  ExprPtr e(new Expr(ExprKind::kCastDouble, TypeKind::kDouble));
+  e->children_ = {std::move(value)};
+  return e;
+}
+
 Value Expr::Eval(const Row& row) const {
   switch (kind_) {
     case ExprKind::kColumn:
@@ -167,6 +173,10 @@ Value Expr::Eval(const Row& row) const {
         }
       }
       return saw_null ? Value::Null() : Value::Bool(false);
+    }
+    case ExprKind::kCastDouble: {
+      Value v = children_[0]->Eval(row);
+      return v.is_int() ? Value::Double(v.AsDouble()) : v;
     }
   }
   return Value::Null();
@@ -263,6 +273,8 @@ std::string Expr::ToString() const {
       }
       return s + ")";
     }
+    case ExprKind::kCastDouble:
+      return "CAST(" + children_[0]->ToString() + " AS DOUBLE)";
   }
   return "?";
 }

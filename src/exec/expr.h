@@ -31,6 +31,7 @@ enum class ExprKind {
   kIsNotNull,
   kBetween,  // child0 BETWEEN child1 AND child2
   kIn,       // child0 IN (child1..childN literals)
+  kCastDouble,  // child0 widened to double (planner-inserted key coercion)
 };
 
 class Expr;
@@ -52,6 +53,8 @@ class Expr {
   static ExprPtr IsNull(ExprPtr child, bool negated);
   static ExprPtr Between(ExprPtr value, ExprPtr low, ExprPtr high);
   static ExprPtr In(ExprPtr value, std::vector<ExprPtr> list);
+  /// A numeric value as a double; NULL stays NULL.
+  static ExprPtr CastDouble(ExprPtr value);
 
   ExprKind kind() const { return kind_; }
   TypeKind result_type() const { return result_type_; }

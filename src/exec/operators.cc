@@ -5,6 +5,8 @@
 #include <map>
 
 #include "common/bytes.h"
+#include "mr/shuffle_record.h"
+#include "serde/serde.h"
 
 namespace minihive::exec {
 
@@ -613,17 +615,26 @@ class ReduceSinkOperator : public Operator {
     return Status::OK();
   }
 
+  /// Writes the shuffle record's key and value bytes straight from the
+  /// evaluated expressions, each key column by its declared type.
   Status DoProcess(const Row& row, int tag) override {
     (void)tag;
-    Row key;
-    key.reserve(desc_->sink_keys.size());
-    for (const ExprPtr& e : desc_->sink_keys) key.push_back(e->Eval(row));
-    Row value;
-    value.reserve(desc_->sink_values.size());
-    for (const ExprPtr& e : desc_->sink_values) value.push_back(e->Eval(row));
-    return ctx_->emitter->Emit(std::move(key), std::move(value),
-                               desc_->sink_tag);
+    key_.clear();
+    for (size_t k = 0; k < desc_->sink_keys.size(); ++k) {
+      const ExprPtr& e = desc_->sink_keys[k];
+      mr::AppendKeyValue(&key_, e->Eval(row), e->result_type(),
+                         desc_->SinkAscending(k));
+    }
+    value_.clear();
+    for (const ExprPtr& e : desc_->sink_values) {
+      serde::VariantEncodeValue(e->Eval(row), &value_);
+    }
+    return ctx_->emitter->Emit(key_, value_, desc_->sink_tag);
   }
+
+ private:
+  std::string key_;
+  std::string value_;
 };
 
 // ---------------------------------------------------------------- FileSink

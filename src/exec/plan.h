@@ -101,6 +101,9 @@ struct OpDesc {
   /// Per-key sort direction (empty = all ascending). Only the ORDER BY
   /// boundary sets this.
   std::vector<bool> sink_ascending;
+  bool SinkAscending(size_t key) const {
+    return key >= sink_ascending.size() || sink_ascending[key];
+  }
 
   // ---- Join (reduce side) ----
   int join_num_inputs = 2;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -10,70 +11,88 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "mr/shuffle_record.h"
 #include "mr/transport.h"
 
 namespace minihive::mr {
 
 namespace {
 
-struct ShuffleRecord {
-  Row key;
-  Row value;
-  int tag;
+/// One record of a run: where its bytes sit, plus the first 8 key bytes
+/// as a big-endian number, so most comparisons never touch the buffer.
+struct RecordRef {
+  uint64_t prefix;
+  uint32_t offset;  // Key start in ShuffleRun::bytes; the value follows.
+  uint32_t key_size;
+  uint32_t value_size;
+  int32_t tag;
 };
 
-/// Compares by full key (honouring per-column sort direction), breaking
-/// ties by tag so a reduce group sees its sources in deterministic tag
-/// order (as Hive's shuffle does).
-struct ShuffleLess {
-  const std::vector<bool>* ascending;  // May be empty.
-  bool operator()(const ShuffleRecord& a, const ShuffleRecord& b) const {
-    size_t n = std::min(a.key.size(), b.key.size());
-    for (size_t i = 0; i < n; ++i) {
-      int c = a.key[i].Compare(b.key[i]);
-      if (c != 0) {
-        bool asc = i >= ascending->size() || (*ascending)[i];
-        return asc ? c < 0 : c > 0;
-      }
+/// One map task's records for one reduce partition: every record's key and
+/// value bytes back to back in one buffer, and one ref per record. Sorting
+/// moves refs only; freeing the run frees two vectors.
+struct ShuffleRun {
+  std::string bytes;
+  std::vector<RecordRef> refs;
+
+  Status Add(std::string_view key, std::string_view value, int tag) {
+    if (bytes.size() + key.size() + value.size() > UINT32_MAX) {
+      return Status::ResourceExhausted("shuffle run exceeds 4 GiB");
     }
-    if (a.key.size() != b.key.size()) return a.key.size() < b.key.size();
-    return a.tag < b.tag;
+    unsigned char head[8] = {};
+    std::memcpy(head, key.data(), std::min<size_t>(key.size(), 8));
+    uint64_t prefix = 0;
+    for (unsigned char b : head) prefix = (prefix << 8) | b;
+    refs.push_back({prefix, static_cast<uint32_t>(bytes.size()),
+                    static_cast<uint32_t>(key.size()),
+                    static_cast<uint32_t>(value.size()), tag});
+    bytes.append(key);
+    bytes.append(value);
+    return Status::OK();
+  }
+  std::string_view Key(const RecordRef& r) const {
+    return std::string_view(bytes.data() + r.offset, r.key_size);
+  }
+  std::string_view Value(const RecordRef& r) const {
+    return std::string_view(bytes.data() + r.offset + r.key_size,
+                            r.value_size);
   }
 };
 
-bool SameKey(const Row& a, const Row& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
+/// memcmp order of the two records' key bytes.
+int CompareKeys(const ShuffleRun& run_a, const RecordRef& a,
+                const ShuffleRun& run_b, const RecordRef& b) {
+  if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
+  return run_a.Key(a).compare(run_b.Key(b));
 }
 
-/// Collects one map task's shuffle output, hash-partitioned. After the map
-/// task finishes, each partition's records are sorted in place (and
-/// optionally combined) so the reduce side only has to merge.
+/// The shuffle order: key bytes, then tag, so a reduce group sees its
+/// sources in tag order (as Hive's shuffle does).
+bool RecordLess(const ShuffleRun& run_a, const RecordRef& a,
+                const ShuffleRun& run_b, const RecordRef& b) {
+  int c = CompareKeys(run_a, a, run_b, b);
+  return c != 0 ? c < 0 : a.tag < b.tag;
+}
+
+/// Collects one map task's shuffle output, hash-partitioned by key bytes.
+/// After the map task finishes, each partition's records are sorted in
+/// place (and optionally combined) so the reduce side only has to merge.
 class PartitionedEmitter : public ShuffleEmitter {
  public:
   PartitionedEmitter(int num_partitions, JobCounters* counters)
-      : partitions_(num_partitions), counters_(counters) {
-    // Shuffle runs grow record by record; start them off the small-size
-    // doubling treadmill.
-    for (auto& run : partitions_) run.reserve(64);
-  }
+      : partitions_(num_partitions), counters_(counters) {}
 
-  Status Emit(Row key, Row value, int tag) override {
-    uint64_t hash = HashRowAllCols(key);
-    size_t partition = partitions_.empty() ? 0 : hash % partitions_.size();
+  Status Emit(std::string_view key, std::string_view value,
+              int tag) override {
     counters_->map_output_records += 1;
-    partitions_[partition].push_back(
-        {std::move(key), std::move(value), tag});
-    return Status::OK();
+    return partitions_[KeyPartition(key, static_cast<int>(partitions_.size()))]
+        .Add(key, value, tag);
   }
 
-  std::vector<std::vector<ShuffleRecord>>& partitions() { return partitions_; }
+  std::vector<ShuffleRun>& partitions() { return partitions_; }
 
  private:
-  std::vector<std::vector<ShuffleRecord>> partitions_;
+  std::vector<ShuffleRun> partitions_;
   JobCounters* counters_;
 };
 
@@ -81,43 +100,51 @@ class PartitionedEmitter : public ShuffleEmitter {
 /// replace the run being combined.
 class CollectingEmitter : public ShuffleEmitter {
  public:
-  Status Emit(Row key, Row value, int tag) override {
-    records_.push_back({std::move(key), std::move(value), tag});
-    return Status::OK();
+  Status Emit(std::string_view key, std::string_view value,
+              int tag) override {
+    return run_.Add(key, value, tag);
   }
 
-  std::vector<ShuffleRecord>& records() { return records_; }
+  ShuffleRun& run() { return run_; }
 
  private:
-  std::vector<ShuffleRecord> records_;
+  ShuffleRun run_;
+};
+
+/// One record as a reduce-side consumer sees it.
+struct RecordView {
+  std::string_view key;
+  std::string_view value;
+  int tag = 0;
 };
 
 /// Drives `reduce` (a ReduceTask-protocol consumer) over records delivered
-/// in (key, tag) order, inserting group-boundary signals at key changes.
-/// `next` yields the next record or nullptr when exhausted.
+/// in (key, tag) order, inserting group-boundary signals where the key
+/// bytes change. `next(&record)` yields the next record, false when
+/// exhausted; the bytes it points at outlive the drive.
 template <typename NextFn>
 Status DriveGroups(ReduceTask* reduce, NextFn&& next,
                    const TaskGovernor* governor = nullptr) {
   bool group_open = false;
-  Row current_key;
+  std::string_view current_key;
   uint64_t records_seen = 0;
-  for (const ShuffleRecord* record = next(); record != nullptr;
-       record = next()) {
+  RecordView record;
+  while (next(&record)) {
     // Cancellation point: cheap enough to keep per-record cost negligible,
     // frequent enough that a dead query stops within one batch of records.
     if (governor != nullptr && (++records_seen & 511u) == 0) {
       MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
     }
-    if (!group_open || !SameKey(current_key, record->key)) {
+    if (!group_open || record.key != current_key) {
       if (group_open) {
         MINIHIVE_RETURN_IF_ERROR(reduce->EndGroup());
       }
-      MINIHIVE_RETURN_IF_ERROR(reduce->StartGroup(record->key));
+      MINIHIVE_RETURN_IF_ERROR(reduce->StartGroup(record.key));
       group_open = true;
-      current_key = record->key;
+      current_key = record.key;
     }
     MINIHIVE_RETURN_IF_ERROR(
-        reduce->Reduce(record->key, record->value, record->tag));
+        reduce->Reduce(record.key, record.value, record.tag));
   }
   if (group_open) {
     MINIHIVE_RETURN_IF_ERROR(reduce->EndGroup());
@@ -127,35 +154,38 @@ Status DriveGroups(ReduceTask* reduce, NextFn&& next,
 
 /// Map-side run formation: sorts every partition run of one map task's
 /// output, folds each sorted run through the combiner (when configured),
-/// and accounts the post-combine records as the task's shuffled bytes.
+/// and counts the post-combine run bytes as the task's shuffled bytes.
 Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
                           JobCounters* counters,
                           const TaskGovernor* governor = nullptr) {
   Stopwatch sort_watch;
-  ShuffleLess less{&job.sort_ascending};
-  for (auto& run : emitter->partitions()) {
+  for (ShuffleRun& run : emitter->partitions()) {
     if (governor != nullptr) {
       MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
     }
-    if (run.empty()) continue;
-    std::sort(run.begin(), run.end(), less);
+    if (run.refs.empty()) continue;
+    std::sort(run.refs.begin(), run.refs.end(),
+              [&run](const RecordRef& a, const RecordRef& b) {
+                return RecordLess(run, a, run, b);
+              });
     if (job.combiner_factory) {
       CollectingEmitter combined;
       std::unique_ptr<ReduceTask> combiner = job.combiner_factory(&combined);
       size_t pos = 0;
-      MINIHIVE_RETURN_IF_ERROR(
-          DriveGroups(combiner.get(), [&]() -> const ShuffleRecord* {
-            return pos < run.size() ? &run[pos++] : nullptr;
-          }, governor));
-      counters->combine_input_records += run.size();
-      counters->combine_output_records += combined.records().size();
-      run = std::move(combined.records());
+      MINIHIVE_RETURN_IF_ERROR(DriveGroups(
+          combiner.get(),
+          [&](RecordView* record) {
+            if (pos == run.refs.size()) return false;
+            const RecordRef& ref = run.refs[pos++];
+            *record = {run.Key(ref), run.Value(ref), ref.tag};
+            return true;
+          },
+          governor));
+      counters->combine_input_records += run.refs.size();
+      counters->combine_output_records += combined.run().refs.size();
+      run = std::move(combined.run());
     }
-    uint64_t run_bytes = 0;
-    for (const ShuffleRecord& record : run) {
-      run_bytes += EstimateRowBytes(record.key) + EstimateRowBytes(record.value);
-    }
-    counters->shuffled_bytes += run_bytes;
+    counters->shuffled_bytes += run.bytes.size();
   }
   counters->shuffle_sort_nanos += static_cast<int64_t>(
       sort_watch.ElapsedMillis() * 1e6);
@@ -252,17 +282,17 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
   telemetry::Span* span =
       StartAttemptSpan(job_span, "reduce", partition, attempt);
   struct RunCursor {
-    const std::vector<ShuffleRecord>* run;
+    const ShuffleRun* run;
     size_t pos;
     int run_index;  // Map task index: the tie-break, for determinism.
-    const ShuffleRecord& record() const { return (*run)[pos]; }
+    const RecordRef& ref() const { return run->refs[pos]; }
   };
-  ShuffleLess less{&job.sort_ascending};
   // `after(a, b)` == "a merges after b": a min-heap via the inverted
   // comparator of std::make_heap/push_heap (which build max-heaps).
-  auto after = [&less](const RunCursor& a, const RunCursor& b) {
-    if (less(b.record(), a.record())) return true;
-    if (less(a.record(), b.record())) return false;
+  auto after = [](const RunCursor& a, const RunCursor& b) {
+    int c = CompareKeys(*a.run, a.ref(), *b.run, b.ref());
+    if (c != 0) return c > 0;
+    if (a.ref().tag != b.ref().tag) return a.ref().tag > b.ref().tag;
     return b.run_index < a.run_index;
   };
   std::vector<RunCursor> heap;
@@ -270,26 +300,27 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
   size_t total = 0;
   for (size_t m = 0; m < map_runs.size(); ++m) {
     if (!map_runs[m]) continue;
-    const auto& run = map_runs[m]->partitions()[partition];
-    if (run.empty()) continue;
-    total += run.size();
+    const ShuffleRun& run = map_runs[m]->partitions()[partition];
+    if (run.refs.empty()) continue;
+    total += run.refs.size();
     heap.push_back({&run, 0, static_cast<int>(m)});
   }
   std::make_heap(heap.begin(), heap.end(), after);
   local->reduce_input_records += total;
 
   std::unique_ptr<ReduceTask> task = job.reduce_factory(partition, attempt);
-  auto next = [&]() -> const ShuffleRecord* {
-    if (heap.empty()) return nullptr;
+  auto next = [&](RecordView* record) {
+    if (heap.empty()) return false;
     std::pop_heap(heap.begin(), heap.end(), after);
     RunCursor& cursor = heap.back();
-    const ShuffleRecord* record = &cursor.record();
-    if (++cursor.pos < cursor.run->size()) {
+    const RecordRef& ref = cursor.ref();
+    *record = {cursor.run->Key(ref), cursor.run->Value(ref), ref.tag};
+    if (++cursor.pos < cursor.run->refs.size()) {
       std::push_heap(heap.begin(), heap.end(), after);
     } else {
       heap.pop_back();
     }
-    return record;
+    return true;
   };
   Status s = DriveGroups(task.get(), next, &governor);
   if (s.ok()) s = governor.CheckAlive();
@@ -352,10 +383,7 @@ Status RetryTask(const JobConfig& job, telemetry::Span* job_span,
     // Release this partition's runs only after a successful attempt (a
     // retry merges them again); the job may hold many partitions.
     for (MapRuns& runs : *map_runs) {
-      if (!runs) continue;
-      auto& run = runs->partitions()[index];
-      run.clear();
-      run.shrink_to_fit();
+      if (runs) runs->partitions()[index] = ShuffleRun();
     }
   }
   return status;

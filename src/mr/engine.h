@@ -47,6 +47,7 @@ struct JobCounters {
   std::atomic<uint64_t> map_input_records{0};
   std::atomic<uint64_t> map_output_records{0};
   std::atomic<uint64_t> reduce_input_records{0};
+  /// Key and value bytes of the map tasks' final (post-combine) runs.
   std::atomic<uint64_t> shuffled_bytes{0};
   /// Records fed into / emitted by map-side combiners (0 when no combiner
   /// is configured). combine_output <= combine_input; the gap is what the
@@ -263,11 +264,15 @@ static_assert(sizeof(void*) != 8 ||
                           2 * sizeof(int) + 2 * sizeof(double),
               "JobCounters changed: update the field tables in engine.h");
 
-/// Map tasks emit (key, value, tag) triples into the shuffle.
+/// Map tasks emit (key, value, tag) records into the shuffle: `key` is
+/// order-preserving key bytes and `value` packed value bytes, both written
+/// with the encoders of mr/shuffle_record.h. The engine copies them; it
+/// sorts, groups and partitions on the key bytes alone.
 class ShuffleEmitter {
  public:
   virtual ~ShuffleEmitter() = default;
-  virtual Status Emit(Row key, Row value, int tag) = 0;
+  virtual Status Emit(std::string_view key, std::string_view value,
+                      int tag) = 0;
 };
 
 /// User map logic: reads its split (through whatever reader the query layer
@@ -321,14 +326,17 @@ class MapTask {
 };
 
 /// User reduce logic, driven push-style by the engine's Reducer Driver:
-/// rows arrive key-group by key-group, exactly as Hive's push model
+/// records arrive key-group by key-group, exactly as Hive's push model
 /// delivers them (paper §5.2.2 "Operator Coordination" relies on these
-/// signals).
+/// signals). A group is a run of records with equal key bytes. The bytes
+/// are the emitted ones (decode them with mr/shuffle_record.h); a group's
+/// key stays valid until its EndGroup, a value only during its Reduce.
 class ReduceTask {
  public:
   virtual ~ReduceTask() = default;
-  virtual Status StartGroup(const Row& key) = 0;
-  virtual Status Reduce(const Row& key, const Row& value, int tag) = 0;
+  virtual Status StartGroup(std::string_view key) = 0;
+  virtual Status Reduce(std::string_view key, std::string_view value,
+                        int tag) = 0;
   virtual Status EndGroup() = 0;
   /// Called once after the last group (flush output).
   virtual Status Finish() = 0;
@@ -369,8 +377,6 @@ struct JobConfig {
   ReduceTaskFactory reduce_factory;  // Required when num_reducers > 0.
   /// Optional pre-aggregation over each map task's sorted runs.
   CombinerFactory combiner_factory;
-  /// Shuffle sort direction per key column (empty = all ascending).
-  std::vector<bool> sort_ascending;
   /// Maximum attempts per task (Hadoop's mapred.map.max.attempts). The job
   /// fails with the last attempt's error once a task exhausts its attempts.
   int max_task_attempts = 4;
@@ -413,7 +419,8 @@ struct EngineOptions {
 };
 
 /// An in-process MapReduce engine with a sort-merge shuffle: map tasks hash
-/// partition their (key, tag) records, sort each partition run *inside the
+/// partition their records by key bytes into flat runs (one byte buffer
+/// plus one ref per record), sort each run by (key bytes, tag) *inside the
 /// map task* (and optionally fold it through a combiner), and reduce tasks
 /// k-way merge the per-map sorted runs — O(N log M) instead of re-sorting
 /// the whole partition — driving reduce logic push-style with group
@@ -466,7 +473,7 @@ Result<std::vector<InputSplit>> ComputeSplits(
     dfs::FileSystem* fs, const std::vector<std::string>& paths,
     uint64_t split_size, int source_tag);
 
-/// Rough serialized size of a row (shuffle byte accounting).
+/// Rough serialized size of a row (map-join hash table sizing).
 uint64_t EstimateRowBytes(const Row& row);
 
 }  // namespace minihive::mr

@@ -252,6 +252,19 @@ Result<SubPlan> QueryPlanner::PlanJoin(SubPlan left, const AstJoin& join) {
   }
   MINIHIVE_RETURN_IF_ERROR(AddNotNullKeyFilter(&right, right_keys));
 
+  // The shuffle groups by key bytes, which keep 3 and 3.0 apart, so a key
+  // pair mixing the integer and floating-point families compares as double
+  // on both sides (Hive's common comparison type), as Value::Compare does.
+  for (size_t k = 0; k < left_keys.size(); ++k) {
+    const TypeKind l = left_keys[k]->result_type();
+    const TypeKind r = right_keys[k]->result_type();
+    if (IsIntegerFamily(l) && IsFloatingFamily(r)) {
+      left_keys[k] = Expr::CastDouble(left_keys[k]);
+    } else if (IsFloatingFamily(l) && IsIntegerFamily(r)) {
+      right_keys[k] = Expr::CastDouble(right_keys[k]);
+    }
+  }
+
   auto make_rs = [](SubPlan* side, std::vector<ExprPtr> keys, int tag) {
     OpDescPtr rs = MakeOp(OpKind::kReduceSink);
     rs->sink_keys = std::move(keys);

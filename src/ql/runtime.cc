@@ -2,6 +2,7 @@
 
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
+#include "mr/shuffle_record.h"
 #include "orc/sarg.h"
 #include "orc/statistics.h"
 #include "vec/vectorized_pipeline.h"
@@ -202,20 +203,23 @@ class RowReduceTask : public mr::ReduceTask {
         emitter_(emitter),
         profile_(profile) {}
 
-  Status StartGroup(const Row& key) override {
-    (void)key;
+  /// Decodes the group's key once; every record of the group reuses it.
+  Status StartGroup(std::string_view key) override {
     MINIHIVE_RETURN_IF_ERROR(EnsureInit());
+    row_.clear();
+    MINIHIVE_RETURN_IF_ERROR(mr::DecodeKey(key, &row_));
+    key_width_ = row_.size();
     return root_->StartGroup();
   }
 
-  Status Reduce(const Row& key, const Row& value, int tag) override {
+  Status Reduce(std::string_view key, std::string_view value,
+                int tag) override {
+    (void)key;
     // The reduce entry sees the concatenated (key ++ value) layout, like
-    // Hive's reduce-side row reconstruction.
-    Row row;
-    row.reserve(key.size() + value.size());
-    row.insert(row.end(), key.begin(), key.end());
-    row.insert(row.end(), value.begin(), value.end());
-    return root_->Process(row, tag);
+    // Hive's reduce-side row reconstruction, in one reused Row.
+    row_.resize(key_width_);
+    MINIHIVE_RETURN_IF_ERROR(mr::DecodeValues(value, &row_));
+    return root_->Process(row_, tag);
   }
 
   Status EndGroup() override { return root_->EndGroup(); }
@@ -251,6 +255,8 @@ class RowReduceTask : public mr::ReduceTask {
   exec::TaskContext ctx_;
   exec::OperatorArena arena_;
   exec::Operator* root_ = nullptr;
+  Row row_;  // The current group's key, then the current record's values.
+  size_t key_width_ = 0;
 };
 
 }  // namespace
@@ -378,7 +384,6 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
     config.splits.insert(config.splits.end(), splits.begin(), splits.end());
   }
   config.num_reducers = job.num_reducers;
-  config.sort_ascending = job.sort_ascending;
   config.max_task_attempts = options_.max_task_attempts;
   config.query_ctx = &query_ctx_;
   config.task_timeout_millis = options_.task_timeout_millis;

@@ -66,6 +66,32 @@ bool AggsAreDecomposable(const std::vector<exec::AggDesc>& aggs) {
   return true;
 }
 
+/// The shuffle groups a job's records by key bytes, and a key column's
+/// bytes depend on its declared type: an int under a floating-point type is
+/// written as a double. So every ReduceSink feeding one job must declare
+/// each key column in one numeric family, or 3 and 3.0 would land in
+/// different groups. The planner coerces join keys to make it so (and the
+/// Correlation Optimizer merges only sinks whose keys are the same
+/// columns); this is the check that it did.
+Status CheckKeyEncodingsAgree(const std::vector<OpDescPtr>& rs_list) {
+  const OpDesc& first = *rs_list[0];
+  for (const OpDescPtr& rs : rs_list) {
+    for (size_t k = 0;
+         k < rs->sink_keys.size() && k < first.sink_keys.size(); ++k) {
+      const TypeKind a = first.sink_keys[k]->result_type();
+      const TypeKind b = rs->sink_keys[k]->result_type();
+      if ((IsIntegerFamily(a) && IsFloatingFamily(b)) ||
+          (IsFloatingFamily(a) && IsIntegerFamily(b))) {
+        return Status::Internal("shuffle key " + std::to_string(k) +
+                                " is declared " + TypeKindName(a) +
+                                " by one ReduceSink and " + TypeKindName(b) +
+                                " by another");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 /// Attaches a combiner pipeline (GroupBy merge -> ReduceSink) to a GROUP BY
 /// job when its aggregates are decomposable. The combiner reuses the reduce
 /// side's merge semantics: it folds each sorted run's (key ++ partials)
@@ -103,6 +129,7 @@ void MaybeAttachCombiner(MapRedJob* job,
     out->sink_values.push_back(exec::Expr::Column(
         num_keys + static_cast<int>(a), aggs[a].ResultType()));
   }
+  out->sink_ascending = rs.sink_ascending;
   out->sink_tag = rs.sink_tag;
   out->output_width = gby->output_width;
   OpDesc::Connect(gby, out);
@@ -209,10 +236,8 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
       if (rs->sink_num_reducers > 0) {
         explicit_reducers = rs->sink_num_reducers;
       }
-      if (!rs->sink_ascending.empty()) {
-        job.sort_ascending = rs->sink_ascending;
-      }
     }
+    MINIHIVE_RETURN_IF_ERROR(CheckKeyEncodingsAgree(rs_list));
     job.num_reducers =
         explicit_reducers > 0 ? explicit_reducers : default_reducers;
     // The reduce entry descriptor (shared child of all the job's RS ops).

@@ -29,7 +29,6 @@ struct MapRedJob {
   /// engine drives it over each map task's sorted runs.
   exec::OpDescPtr combine_root;
   int num_reducers = 0;
-  std::vector<bool> sort_ascending;
   /// Indexes of jobs that must complete before this one (they produce
   /// temporary files this job scans).
   std::vector<int> deps;

@@ -466,20 +466,32 @@ Status BinarySerDe::DeserializeValue(ByteReader* reader,
   }
 }
 
-namespace {
+void VariantEncodeNull(std::string* out) { out->push_back(0); }
+
+void VariantEncodeInt(int64_t v, std::string* out) {
+  out->push_back(1);
+  PutVarintSigned64(out, v);
+}
+
+void VariantEncodeDouble(double v, std::string* out) {
+  out->push_back(2);
+  PutDoubleBits(out, v);
+}
+
+void VariantEncodeString(std::string_view v, std::string* out) {
+  out->push_back(3);
+  PutLengthPrefixed(out, v);
+}
 
 void VariantEncodeValue(const Value& v, std::string* out) {
   if (v.is_null()) {
-    out->push_back(0);
+    VariantEncodeNull(out);
   } else if (v.is_int()) {
-    out->push_back(1);
-    PutVarintSigned64(out, v.AsInt());
+    VariantEncodeInt(v.AsInt(), out);
   } else if (v.is_double()) {
-    out->push_back(2);
-    PutDoubleBits(out, v.AsDouble());
+    VariantEncodeDouble(v.AsDouble(), out);
   } else if (v.is_string()) {
-    out->push_back(3);
-    PutLengthPrefixed(out, v.AsString());
+    VariantEncodeString(v.AsString(), out);
   } else if (v.is_array()) {
     out->push_back(4);
     PutVarint64(out, v.AsArray().size());
@@ -571,8 +583,6 @@ Status VariantDecodeValue(ByteReader* reader, Value* v) {
       return Status::Corruption("bad variant type tag");
   }
 }
-
-}  // namespace
 
 void VariantEncodeRow(const Row& row, std::string* out) {
   PutVarint64(out, row.size());

@@ -71,9 +71,21 @@ class BinarySerDe {
   TypePtr schema_;
 };
 
-/// Self-describing ("variant") row codec used for intermediate files
-/// between MapReduce jobs, where no table schema exists: each value is
-/// stored with a type tag. Complex values nest recursively.
+/// Self-describing ("variant") value codec: a type tag byte (0 NULL, 1 int,
+/// 2 double, 3 string, 4 array, 5 map, 6 struct, 7 union), then a zigzag
+/// varint, the 8 double bytes, a length-prefixed string, or a varint count
+/// (union: tag) and the nested values. The typed writers let a caller
+/// encode a slot without boxing it.
+void VariantEncodeValue(const Value& v, std::string* out);
+void VariantEncodeNull(std::string* out);
+void VariantEncodeInt(int64_t v, std::string* out);
+void VariantEncodeDouble(double v, std::string* out);
+void VariantEncodeString(std::string_view v, std::string* out);
+Status VariantDecodeValue(ByteReader* reader, Value* v);
+
+/// Row form of the variant codec, used for intermediate files between
+/// MapReduce jobs, where no table schema exists: a varint column count,
+/// then each value.
 void VariantEncodeRow(const Row& row, std::string* out);
 Status VariantDecodeRow(std::string_view data, Row* row);
 

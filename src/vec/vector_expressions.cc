@@ -662,6 +662,27 @@ Result<std::unique_ptr<VectorExpression>> BatchCompiler::CompileProjection(
                                               strip(std::move(rchild))));
       }
     }
+    case ExprKind::kCastDouble: {
+      int input;
+      MINIHIVE_ASSIGN_OR_RETURN(
+          std::unique_ptr<VectorExpression> child,
+          CompileProjection(*expr.children()[0], &input));
+      if (IsDoubleType(column_types_[input])) {
+        *output_column = input;
+        return child;
+      }
+      if (!IsLongType(column_types_[input])) {
+        return Status::NotImplemented("cast of a non-numeric column");
+      }
+      if (dynamic_cast<ColumnRefExpression*>(child.get()) != nullptr) {
+        child = nullptr;
+      }
+      // x * 1.0 in double arithmetic is exactly the widened x.
+      int out = AddScratch(TypeKind::kDouble);
+      *output_column = out;
+      return std::unique_ptr<VectorExpression>(new ArithColScalar<double, MulOp>(
+          input, 1.0, /*scalar_left=*/false, out, std::move(child)));
+    }
     default:
       return Status::NotImplemented("unsupported vectorized projection: " +
                                     expr.ToString());

@@ -10,6 +10,8 @@
 #include "exec/plan.h"
 #include "formats/orcfile_adapter.h"
 #include "mr/engine.h"
+#include "mr/shuffle_record.h"
+#include "serde/serde.h"
 #include "vec/vector_expressions.h"
 
 namespace minihive::vec {
@@ -63,11 +65,16 @@ class VectorHashAggregator {
     bool sums_double = false;  // Matches AggBuffer's partial typing.
   };
 
+  /// `max_entries` is the flush bound (OpDesc::gby_max_hash_entries, 0 =
+  /// unbounded).
   VectorHashAggregator(std::vector<int> key_columns,
                        std::vector<TypeKind> key_types,
-                       std::vector<AggSpec> aggs)
-      : key_columns_(std::move(key_columns)), aggs_(std::move(aggs)) {
-    for (TypeKind type : key_types) {
+                       std::vector<AggSpec> aggs, int max_entries)
+      : key_columns_(std::move(key_columns)),
+        key_types_(std::move(key_types)),
+        aggs_(std::move(aggs)),
+        max_entries_(max_entries) {
+    for (TypeKind type : key_types_) {
       domains_.emplace_back();
       domains_.back().type = type;
     }
@@ -92,6 +99,28 @@ class VectorHashAggregator {
     rows_ = batch.selected_in_use ? batch.selected.data() : identity_.data();
     if (!key_columns_.empty()) ComputeGroupIds(batch);
     for (size_t a = 0; a < aggs_.size(); ++a) UpdateAgg(batch, a);
+  }
+
+  /// Whether the table reached its flush bound, checked after each batch
+  /// as the row engine checks after each row. A keyless aggregate has one
+  /// group and never flushes.
+  bool Full() const {
+    return max_entries_ > 0 && !key_columns_.empty() &&
+           num_groups_ >= static_cast<uint32_t>(max_entries_);
+  }
+
+  /// Empties the table, per-column id maps included, after a flush.
+  void Clear() {
+    num_groups_ = 0;
+    slots_.clear();
+    group_keys_.clear();
+    states_.clear();
+    extremes_.clear();
+    for (size_t k = 0; k < domains_.size(); ++k) {
+      domains_[k] = KeyDomain();
+      domains_[k].type = key_types_[k];
+    }
+    if (key_columns_.empty()) AddGroup();
   }
 
   /// Emits the partial rows ([keys][partials]) through `consume`, in
@@ -461,7 +490,9 @@ class VectorHashAggregator {
   }
 
   std::vector<int> key_columns_;
+  std::vector<TypeKind> key_types_;
   std::vector<AggSpec> aggs_;
+  int max_entries_;
   std::vector<KeyDomain> domains_;
   /// Flat table: slot -> gid (-1 empty); gid -> key tuple in group_keys_.
   std::vector<int32_t> slots_;
@@ -680,14 +711,136 @@ class MapJoinStage : public BatchStage {
   std::string key_;  // The current row's key bytes.
 };
 
-/// A map task's compiled pipeline: batch stages in plan order, then either
-/// a hash GroupBy whose partials go to the terminal, or the terminal fed
-/// rows boxed through `out`.
+/// A ReduceSink terminal on batches: evaluates the sink's key and value
+/// expressions as kernels, then writes every selected row's shuffle key and
+/// value bytes with the shuffle encoders, one column at a time, and emits
+/// them. Nothing is boxed.
+class ShuffleSinkStage {
+ public:
+  struct Field {
+    int column = -1;  // Batch column; -1 is always NULL.
+    TypeKind type = TypeKind::kBigInt;
+    bool ascending = true;  // Keys only.
+  };
+
+  Status Sink(VectorizedRowBatch* batch, mr::ShuffleEmitter* emitter) {
+    for (auto& expression : expressions) expression->Evaluate(batch);
+    const int n = batch->SelectedCount();
+    if (static_cast<int>(keys_.size()) < n) {
+      keys_.resize(n);
+      values_.resize(n);
+    }
+    for (int j = 0; j < n; ++j) {
+      keys_[j].clear();
+      values_[j].clear();
+    }
+    // Keys by their declared type, as mr::AppendKeyValue writes the boxed
+    // value: an int under a floating type is written as a double.
+    for (const Field& f : key_fields) {
+      const bool asc = f.ascending;
+      const bool widen = IsFloatingFamily(f.type);
+      const bool boolean = f.type == TypeKind::kBoolean;
+      AppendColumn(
+          *batch, f, n, &keys_,
+          [&](std::string* out, int64_t v) {
+            if (widen) {
+              mr::AppendKeyDouble(out, static_cast<double>(v), asc);
+            } else {
+              mr::AppendKeyInt(out, boolean ? v != 0 : v, asc);
+            }
+          },
+          [&](std::string* out, double v) { mr::AppendKeyDouble(out, v, asc); },
+          [&](std::string* out, std::string_view v) {
+            mr::AppendKeyString(out, v, asc);
+          },
+          [&](std::string* out) { mr::AppendKeyNull(out, asc); });
+    }
+    for (const Field& f : value_fields) {
+      const bool boolean = f.type == TypeKind::kBoolean;
+      AppendColumn(
+          *batch, f, n, &values_,
+          [&](std::string* out, int64_t v) {
+            serde::VariantEncodeInt(boolean ? v != 0 : v, out);
+          },
+          [](std::string* out, double v) { serde::VariantEncodeDouble(v, out); },
+          [](std::string* out, std::string_view v) {
+            serde::VariantEncodeString(v, out);
+          },
+          [](std::string* out) { serde::VariantEncodeNull(out); });
+    }
+    for (int j = 0; j < n; ++j) {
+      MINIHIVE_RETURN_IF_ERROR(emitter->Emit(keys_[j], values_[j], tag));
+    }
+    return Status::OK();
+  }
+
+  std::vector<std::unique_ptr<VectorExpression>> expressions;
+  std::vector<Field> key_fields;
+  std::vector<Field> value_fields;
+  int tag = 0;
+
+ private:
+  /// Appends field `f` of the n selected rows to out[0..n), one column at
+  /// a time, with the writer for the column's kind (put_null for NULLs).
+  template <typename PutLong, typename PutDouble, typename PutBytes,
+            typename PutNull>
+  static void AppendColumn(const VectorizedRowBatch& batch, const Field& f,
+                           int n, std::vector<std::string>* out,
+                           PutLong put_long, PutDouble put_double,
+                           PutBytes put_bytes, PutNull put_null) {
+    if (f.column < 0) {
+      for (int j = 0; j < n; ++j) put_null(&(*out)[j]);
+      return;
+    }
+    const ColumnVector* col = batch.columns[f.column].get();
+    const int* sel = batch.selected_in_use ? batch.selected.data() : nullptr;
+    auto each = [&](auto put) {
+      for (int j = 0; j < n; ++j) {
+        const int slot =
+            col->is_repeating ? 0 : (sel != nullptr ? sel[j] : j);
+        if (!col->no_nulls && !col->not_null[slot]) {
+          put_null(&(*out)[j]);
+        } else {
+          put(&(*out)[j], slot);
+        }
+      }
+    };
+    switch (col->kind()) {
+      case VectorKind::kLong: {
+        const int64_t* v =
+            static_cast<const LongColumnVector*>(col)->vector.data();
+        each([&](std::string* o, int i) { put_long(o, v[i]); });
+        return;
+      }
+      case VectorKind::kDouble: {
+        const double* v =
+            static_cast<const DoubleColumnVector*>(col)->vector.data();
+        each([&](std::string* o, int i) { put_double(o, v[i]); });
+        return;
+      }
+      case VectorKind::kBytes: {
+        auto* bytes = static_cast<const BytesColumnVector*>(col);
+        each([&](std::string* o, int i) { put_bytes(o, bytes->GetView(i)); });
+        return;
+      }
+    }
+  }
+
+  // Per selected row: its key and value bytes (reused across batches).
+  std::vector<std::string> keys_;
+  std::vector<std::string> values_;
+};
+
+/// A map task's compiled pipeline: batch stages in plan order, then one
+/// of: a hash GroupBy whose partials go to the (row-mode) terminal, a
+/// ReduceSink on batches, or the FileSink terminal fed rows boxed through
+/// `out`.
 struct CompiledPipeline {
   std::vector<std::unique_ptr<BatchStage>> stages;
   /// Hash GroupBy: key and argument expressions, then the aggregator.
   std::unique_ptr<ProjectStage> gby_inputs;
   std::unique_ptr<VectorHashAggregator> aggregator;
+  std::unique_ptr<ShuffleSinkStage> shuffle_sink;
   ColumnMapping out;
   const OpDesc* terminal = nullptr;
 };
@@ -817,7 +970,50 @@ Result<std::unique_ptr<VectorHashAggregator>> CompileGroupBy(
     specs.push_back(spec);
   }
   return std::make_unique<VectorHashAggregator>(
-      std::move(key_columns), std::move(key_types), std::move(specs));
+      std::move(key_columns), std::move(key_types), std::move(specs),
+      op->gby_max_hash_entries);
+}
+
+/// One sink expression as a field: a column reference reads its batch
+/// column directly (-1, an unread column, is NULL); anything else is
+/// compiled into a kernel.
+Status CompileSinkField(const ExprPtr& e, const ColumnMapping& mapping,
+                        BatchCompiler* compiler, ShuffleSinkStage* sink,
+                        ShuffleSinkStage::Field* field) {
+  field->type = e->result_type();
+  if (e->kind() == ExprKind::kColumn) {
+    const int index = e->column_index();
+    if (index < 0 || index >= static_cast<int>(mapping.columns.size())) {
+      return Status::NotImplemented("sink column out of range");
+    }
+    field->column = mapping.columns[index];
+    return Status::OK();
+  }
+  std::vector<int> column;
+  MINIHIVE_RETURN_IF_ERROR(
+      CompileProjections({e}, mapping, compiler, &sink->expressions, &column));
+  field->column = column[0];
+  return Status::OK();
+}
+
+Result<std::unique_ptr<ShuffleSinkStage>> CompileShuffleSink(
+    const OpDesc* rs, const ColumnMapping& mapping, BatchCompiler* compiler) {
+  auto sink = std::make_unique<ShuffleSinkStage>();
+  sink->tag = rs->sink_tag;
+  for (size_t k = 0; k < rs->sink_keys.size(); ++k) {
+    ShuffleSinkStage::Field field;
+    field.ascending = rs->SinkAscending(k);
+    MINIHIVE_RETURN_IF_ERROR(CompileSinkField(rs->sink_keys[k], mapping,
+                                              compiler, sink.get(), &field));
+    sink->key_fields.push_back(field);
+  }
+  for (const ExprPtr& e : rs->sink_values) {
+    ShuffleSinkStage::Field field;
+    MINIHIVE_RETURN_IF_ERROR(
+        CompileSinkField(e, mapping, compiler, sink.get(), &field));
+    sink->value_fields.push_back(field);
+  }
+  return sink;
 }
 
 /// The §6.4 validation and compilation in one walk: every operator between
@@ -883,7 +1079,12 @@ Status CompilePipeline(const OpDesc* scan_root, ColumnMapping mapping,
         pipeline->terminal = next->children[0].get();
         break;
       }
-      case OpKind::kReduceSink:
+      case OpKind::kReduceSink: {
+        MINIHIVE_ASSIGN_OR_RETURN(pipeline->shuffle_sink,
+                                  CompileShuffleSink(next, mapping, compiler));
+        pipeline->terminal = next;
+        break;
+      }
       case OpKind::kFileSink:
         pipeline->terminal = next;
         break;
@@ -938,11 +1139,17 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   MINIHIVE_RETURN_IF_ERROR(CompilePipeline(scan_root, std::move(scan_mapping),
                                            ctx, &compiler, &pipeline));
 
-  // ---- Terminal: reuse the row-mode operator (ReduceSink / FileSink).
+  // ---- Terminal: a ReduceSink fed by batches runs on them; the GroupBy's
+  // partials and a FileSink's rows go through the row-mode operator.
   exec::OperatorArena arena;
-  MINIHIVE_ASSIGN_OR_RETURN(exec::Operator * terminal,
-                            exec::BuildOperatorTree(pipeline.terminal, &arena));
-  MINIHIVE_RETURN_IF_ERROR(terminal->Init(ctx));
+  exec::Operator* terminal = nullptr;
+  if (pipeline.shuffle_sink == nullptr) {
+    MINIHIVE_ASSIGN_OR_RETURN(
+        terminal, exec::BuildOperatorTree(pipeline.terminal, &arena));
+    MINIHIVE_RETURN_IF_ERROR(terminal->Init(ctx));
+  } else if (ctx->emitter == nullptr) {
+    return Status::Internal("ReduceSink without a shuffle emitter");
+  }
   if (ctx->counters != nullptr) ctx->counters->vectorized_map_tasks += 1;
 
   // ---- Read batches through the vectorized ORC reader (§6.5).
@@ -955,7 +1162,10 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   Stats* scan_stats = StatsFor(ctx, scan_root);
   Stats* gby_stats =
       pipeline.gby_inputs != nullptr ? pipeline.gby_inputs->stats : nullptr;
-  // Boxing rows for the terminal is charged to the last stage (the row
+  Stats* sink_stats = pipeline.shuffle_sink != nullptr
+                          ? StatsFor(ctx, pipeline.terminal)
+                          : nullptr;
+  // Boxing rows for a FileSink is charged to the last stage (the row
   // engine's times are inclusive of children too).
   Stats* last_stats =
       pipeline.stages.empty() ? scan_stats : pipeline.stages.back()->stats;
@@ -980,6 +1190,12 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
 
   const ColumnMapping& out = pipeline.out;
   Row row;
+  auto emit_partials = [&] {
+    return pipeline.aggregator->Emit([&](const Row& partial) {
+      if (gby_stats != nullptr) gby_stats->rows_out.fetch_add(1, kRelaxed);
+      return terminal->Process(partial, 0);
+    });
+  };
   while (true) {
     // Batch-boundary cancellation point (the reader also checks per index
     // group, but the stages below run outside the reader).
@@ -1014,10 +1230,23 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       count(gby_stats, batch->SelectedCount(), /*rows_out=*/false);
       pipeline.gby_inputs->Run(batch.get());
       pipeline.aggregator->Update(*batch);
+      if (pipeline.aggregator->Full()) {
+        // Memory-bounded partial aggregation, as in the row engine: the
+        // combiner and the reduce merge re-aggregate the duplicates.
+        MINIHIVE_RETURN_IF_ERROR(emit_partials());
+        pipeline.aggregator->Clear();
+      }
       if (profiling) lap(gby_stats);
       continue;
     }
-    // Box the surviving rows for the terminal operator.
+    if (pipeline.shuffle_sink != nullptr) {
+      count(sink_stats, batch->SelectedCount(), /*rows_out=*/false);
+      MINIHIVE_RETURN_IF_ERROR(
+          pipeline.shuffle_sink->Sink(batch.get(), ctx->emitter));
+      if (profiling) lap(sink_stats);
+      continue;
+    }
+    // Box the surviving rows for the FileSink.
     const int n = batch->SelectedCount();
     for (int j = 0; j < n; ++j) {
       const int i = batch->selected_in_use ? batch->selected[j] : j;
@@ -1031,12 +1260,10 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
     }
     if (profiling) lap(last_stats);
   }
+  if (pipeline.shuffle_sink != nullptr) return Status::OK();
   if (pipeline.aggregator != nullptr) {
     if (profiling) mark = telemetry::MonotonicNanos();
-    MINIHIVE_RETURN_IF_ERROR(pipeline.aggregator->Emit([&](const Row& partial) {
-      if (gby_stats != nullptr) gby_stats->rows_out.fetch_add(1, kRelaxed);
-      return terminal->Process(partial, 0);
-    }));
+    MINIHIVE_RETURN_IF_ERROR(emit_partials());
     if (profiling) lap(gby_stats);
   }
   return terminal->Finish();

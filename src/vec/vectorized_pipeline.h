@@ -11,9 +11,10 @@ namespace minihive::vec {
 /// Runs one map task's pipeline in vectorized mode (paper §6): the ORC
 /// reader produces VectorizedRowBatches, every Filter, Select, inner
 /// MapJoin and hash GroupBy below the scan runs as a batch stage of
-/// tight-loop kernels over column vectors, and only the (few) rows
-/// surviving them cross back into the row world at the ReduceSink /
-/// FileSink boundary. `ctx->mapjoin_tables` supplies the map joins' tables.
+/// tight-loop kernels over column vectors, and a ReduceSink right after
+/// them writes its shuffle records straight from the column vectors. Only
+/// a hash GroupBy's partials and a FileSink's rows cross back into the row
+/// world. `ctx->mapjoin_tables` supplies the map joins' tables.
 ///
 /// Returns NotImplemented, naming the reason, when the pipeline is not
 /// vectorizable (wrong format, unsupported operator or expression, complex

@@ -7,9 +7,22 @@
 #include <mutex>
 
 #include "common/random.h"
+#include "mr/shuffle_record.h"
 
 namespace minihive::mr {
 namespace {
+
+Row KeyRow(std::string_view key) {
+  Row row;
+  EXPECT_TRUE(DecodeKey(key, &row).ok());
+  return row;
+}
+
+Row ValueRow(std::string_view value) {
+  Row row;
+  EXPECT_TRUE(DecodeValues(value, &row).ok());
+  return row;
+}
 
 /// An Engine on its own TaskScheduler with `slots` concurrent task slots:
 /// slots - 1 workers plus the calling thread, which works its own batches.
@@ -32,24 +45,28 @@ class TestEngine {
 };
 
 /// Map task: emits (value % buckets, value) for each of its assigned
-/// synthetic records (the split length doubles as a record count).
+/// synthetic records (the split length doubles as a record count), the key
+/// sorted by `ascending`.
 class ModuloMapTask : public MapTask {
  public:
-  explicit ModuloMapTask(int buckets) : buckets_(buckets) {}
+  explicit ModuloMapTask(int buckets, std::vector<bool> ascending = {})
+      : buckets_(buckets), ascending_(std::move(ascending)) {}
   Status Run(const InputSplit& split, int task_index, int attempt,
              ShuffleEmitter* emitter) override {
     (void)task_index;
     (void)attempt;
     for (uint64_t i = split.offset; i < split.offset + split.length; ++i) {
-      MINIHIVE_RETURN_IF_ERROR(
-          emitter->Emit({Value::Int(static_cast<int64_t>(i % buckets_))},
-                        {Value::Int(static_cast<int64_t>(i))}, 0));
+      MINIHIVE_RETURN_IF_ERROR(emitter->Emit(
+          EncodeKey({Value::Int(static_cast<int64_t>(i % buckets_))},
+                    ascending_),
+          EncodeValues({Value::Int(static_cast<int64_t>(i))}), 0));
     }
     return Status::OK();
   }
 
  private:
   int buckets_;
+  std::vector<bool> ascending_;
 };
 
 /// Reduce task: records group transitions and per-group sums into a shared
@@ -65,19 +82,20 @@ class CollectingReduceTask : public ReduceTask {
   CollectingReduceTask(std::mutex* mutex, std::vector<GroupRecord>* sink)
       : mutex_(mutex), sink_(sink) {}
 
-  Status StartGroup(const Row& key) override {
+  Status StartGroup(std::string_view key) override {
     if (open_) return Status::Internal("nested StartGroup");
     open_ = true;
-    current_ = GroupRecord{key[0].AsInt()};
+    current_ = GroupRecord{KeyRow(key)[0].AsInt()};
     return Status::OK();
   }
-  Status Reduce(const Row& key, const Row& value, int tag) override {
+  Status Reduce(std::string_view key, std::string_view value,
+                int tag) override {
     if (!open_) return Status::Internal("Reduce outside group");
-    if (key[0].AsInt() != current_.key) {
+    if (KeyRow(key)[0].AsInt() != current_.key) {
       return Status::Internal("key changed within group");
     }
     if (tag != 0) return Status::Internal("unexpected tag");
-    current_.sum += value[0].AsInt();
+    current_.sum += ValueRow(value)[0].AsInt();
     ++current_.count;
     return Status::OK();
   }
@@ -148,8 +166,9 @@ TEST(EngineTest, SortOrderWithinPartition) {
   JobConfig job;
   job.splits.push_back({"", 0, 500, -1, 0});
   job.num_reducers = 1;
-  job.sort_ascending = {false};  // Descending.
-  job.map_factory = [] { return std::make_unique<ModuloMapTask>(50); };
+  job.map_factory = [] {
+    return std::make_unique<ModuloMapTask>(50, std::vector<bool>{false});
+  };
   std::mutex mutex;
   std::vector<GroupRecord> groups;
   job.reduce_factory = [&](int, int) {
@@ -255,27 +274,29 @@ class SummingCombiner : public ReduceTask {
  public:
   explicit SummingCombiner(ShuffleEmitter* out) : out_(out) {}
 
-  Status StartGroup(const Row& key) override {
+  Status StartGroup(std::string_view key) override {
     key_ = key;
     sum_ = 0;
     count_ = 0;
     return Status::OK();
   }
-  Status Reduce(const Row&, const Row& value, int) override {
+  Status Reduce(std::string_view, std::string_view value, int) override {
     // Accepts both raw map output ([v]) and already-combined records
     // ([sum, count]).
-    sum_ += value[0].AsInt();
-    count_ += value.size() > 1 ? value[1].AsInt() : 1;
+    Row row = ValueRow(value);
+    sum_ += row[0].AsInt();
+    count_ += row.size() > 1 ? row[1].AsInt() : 1;
     return Status::OK();
   }
   Status EndGroup() override {
-    return out_->Emit(key_, {Value::Int(sum_), Value::Int(count_)}, 0);
+    return out_->Emit(key_, EncodeValues({Value::Int(sum_), Value::Int(count_)}),
+                      0);
   }
   Status Finish() override { return Status::OK(); }
 
  private:
   ShuffleEmitter* out_;
-  Row key_;
+  std::string key_;
   int64_t sum_ = 0;
   int64_t count_ = 0;
 };
@@ -286,13 +307,14 @@ class SummingReduceTask : public ReduceTask {
   SummingReduceTask(std::mutex* mutex, std::vector<GroupRecord>* sink)
       : mutex_(mutex), sink_(sink) {}
 
-  Status StartGroup(const Row& key) override {
-    current_ = GroupRecord{key[0].AsInt()};
+  Status StartGroup(std::string_view key) override {
+    current_ = GroupRecord{KeyRow(key)[0].AsInt()};
     return Status::OK();
   }
-  Status Reduce(const Row&, const Row& value, int) override {
-    current_.sum += value[0].AsInt();
-    current_.count += value.size() > 1 ? value[1].AsInt() : 1;
+  Status Reduce(std::string_view, std::string_view value, int) override {
+    Row row = ValueRow(value);
+    current_.sum += row[0].AsInt();
+    current_.count += row.size() > 1 ? row[1].AsInt() : 1;
     return Status::OK();
   }
   Status EndGroup() override {
@@ -384,15 +406,21 @@ std::vector<PropertyRecord> MakePropertyRecords(uint64_t seed, size_t count) {
 
 class PropertyMapTask : public MapTask {
  public:
+  explicit PropertyMapTask(std::vector<bool> ascending)
+      : ascending_(std::move(ascending)) {}
   Status Run(const InputSplit& split, int, int,
              ShuffleEmitter* emitter) override {
     auto records = MakePropertyRecords(split.offset, split.length);
     for (auto& record : records) {
-      MINIHIVE_RETURN_IF_ERROR(emitter->Emit(
-          std::move(record.key), std::move(record.value), record.tag));
+      MINIHIVE_RETURN_IF_ERROR(emitter->Emit(EncodeKey(record.key, ascending_),
+                                             EncodeValues(record.value),
+                                             record.tag));
     }
     return Status::OK();
   }
+
+ private:
+  std::vector<bool> ascending_;
 };
 
 /// Collects each partition's (key, tag) arrival sequence.
@@ -407,10 +435,10 @@ class SequenceReduceTask : public ReduceTask {
                      std::map<int, std::vector<KeyTag>>* sink, int partition)
       : mutex_(mutex), sink_(sink), partition_(partition) {}
 
-  Status StartGroup(const Row&) override { return Status::OK(); }
-  Status Reduce(const Row& key, const Row&, int tag) override {
+  Status StartGroup(std::string_view) override { return Status::OK(); }
+  Status Reduce(std::string_view key, std::string_view, int tag) override {
     std::lock_guard<std::mutex> lock(*mutex_);
-    (*sink_)[partition_].push_back({key, tag});
+    (*sink_)[partition_].push_back({KeyRow(key), tag});
     return Status::OK();
   }
   Status EndGroup() override { return Status::OK(); }
@@ -442,8 +470,9 @@ TEST(EngineTest, KWayMergeMatchesFullSortOrdering) {
           {"", static_cast<uint64_t>(s + 1) * 7919, kRecordsPerSplit, -1, 0});
     }
     job.num_reducers = kReducers;
-    job.sort_ascending = ascending;
-    job.map_factory = [] { return std::make_unique<PropertyMapTask>(); };
+    job.map_factory = [&ascending] {
+      return std::make_unique<PropertyMapTask>(ascending);
+    };
     std::mutex mutex;
     std::map<int, std::vector<KeyTag>> merged;
     job.reduce_factory = [&](int partition, int) {
@@ -460,7 +489,7 @@ TEST(EngineTest, KWayMergeMatchesFullSortOrdering) {
           static_cast<uint64_t>(s + 1) * 7919, kRecordsPerSplit);
       for (const auto& record : records) {
         int partition =
-            static_cast<int>(HashRowAllCols(record.key) % kReducers);
+            KeyPartition(EncodeKey(record.key, ascending), kReducers);
         reference[partition].push_back({record.key, record.tag});
       }
     }
@@ -507,8 +536,8 @@ class FlakyMapTask : public MapTask {
     if (attempt < failures_) {
       // Emit some records first so the engine must discard the partial
       // attempt's counters and shuffle output.
-      MINIHIVE_RETURN_IF_ERROR(
-          emitter->Emit({Value::Int(0)}, {Value::Int(-1)}, 0));
+      MINIHIVE_RETURN_IF_ERROR(emitter->Emit(
+          EncodeKey({Value::Int(0)}), EncodeValues({Value::Int(-1)}), 0));
       return Status::IoError("injected flake on attempt " +
                              std::to_string(attempt));
     }
@@ -588,10 +617,11 @@ TEST(EngineTest, FlakyReduceTaskRetriesAgainstIntactRuns) {
     FlakyReduceTask(std::mutex* mutex, std::vector<GroupRecord>* sink,
                     int attempt)
         : inner_(mutex, sink), attempt_(attempt) {}
-    Status StartGroup(const Row& key) override {
+    Status StartGroup(std::string_view key) override {
       return attempt_ == 0 ? Status::OK() : inner_.StartGroup(key);
     }
-    Status Reduce(const Row& key, const Row& value, int tag) override {
+    Status Reduce(std::string_view key, std::string_view value,
+                  int tag) override {
       return attempt_ == 0 ? Status::OK() : inner_.Reduce(key, value, tag);
     }
     Status EndGroup() override {

@@ -123,6 +123,8 @@ class FaultSweepTest : public ::testing::Test {
       // Only winning attempts count: failed attempts' scan work never
       // reaches the query's counters.
       for (auto field : {&mr::JobCounters::map_input_records,
+                         &mr::JobCounters::map_output_records,
+                         &mr::JobCounters::shuffled_bytes,
                          &mr::JobCounters::stripes_read,
                          &mr::JobCounters::groups_read}) {
         EXPECT_EQ((result->counters.*field).load(),
@@ -166,6 +168,45 @@ TEST_F(FaultSweepTest, JoinGroupByUnderReadErrorsAndByteFlips) {
       "FROM orders JOIN customers ON o_custkey = c_id "
       "GROUP BY c_segment",
       25, config);
+}
+
+TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
+  // Read errors on the fact table fail map attempts after they emitted
+  // part of their shuffle output. The shuffle's byte count is the run
+  // buffers' size, taken from the winning attempt only, so a run that
+  // recovered reports exactly the fault-free shuffle.
+  const std::string sql =
+      "SELECT c_segment, COUNT(*) AS cnt, SUM(o_amount) AS total "
+      "FROM orders JOIN customers ON o_custkey = c_id GROUP BY c_segment";
+  auto golden = Execute(sql);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  ASSERT_GT(golden->counters.shuffled_bytes.load(), 0u);
+  int recovered = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    FaultConfig config;
+    config.seed = 5000 + seed;
+    config.read_error_probability = 0.02;
+    config.path_filter = "/warehouse/orders";
+    FaultInjector injector(config);
+    fs_->set_fault_injector(&injector);
+    auto result = Execute(sql);
+    fs_->set_fault_injector(nullptr);
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(Canonicalize(result->rows), Canonicalize(golden->rows))
+        << "seed " << seed;
+    if (result->counters.map_task_failures.load() == 0) continue;
+    ++recovered;
+    EXPECT_EQ(result->counters.shuffled_bytes.load(),
+              golden->counters.shuffled_bytes.load())
+        << "seed " << seed;
+    EXPECT_EQ(result->counters.map_output_records.load(),
+              golden->counters.map_output_records.load())
+        << "seed " << seed;
+  }
+  EXPECT_GT(recovered, 0) << "no seed recovered from a failed map attempt";
 }
 
 TEST_F(FaultSweepTest, HighFaultRateNeverProducesWrongRows) {

@@ -224,6 +224,15 @@ class DifferentialTest : public ::testing::Test {
     // SIMD dispatch is process-wide, so it is set here, once per run.
     options.enable_late_materialization = cache_rng.Uniform(2) == 0;
     simd::SetEnabled(cache_rng.Uniform(2) == 0);
+    // Plan shape and map-side aggregation memory must leave results
+    // untouched as well: the sweep covers reduce-side joins (where the
+    // double-key seeds join through the planner's key coercion), the
+    // Correlation Optimizer's merged jobs, and hash flushes down to one
+    // entry.
+    options.mapjoin_conversion = cache_rng.Uniform(2) == 0;
+    options.correlation_optimizer = cache_rng.Uniform(2) == 0;
+    const int flush_entries[] = {1, 100, options.map_aggr_flush_entries};
+    options.map_aggr_flush_entries = flush_entries[cache_rng.Uniform(3)];
     Driver driver(fs_.get(), catalog_.get(), options);
     return driver.Execute(sql);
   }

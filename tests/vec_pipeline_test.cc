@@ -11,6 +11,7 @@
 #include "datagen/tpcds.h"
 #include "datagen/tpch.h"
 #include "exec/operators.h"
+#include "mr/shuffle_record.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "ql/driver.h"
@@ -634,11 +635,12 @@ TEST_F(VecMapJoinTest, OuterAndDuplicateKeySidesFallBack) {
 /// Captures what a ReduceSink emits.
 class CaptureEmitter : public mr::ShuffleEmitter {
  public:
-  Status Emit(Row key, Row value, int tag) override {
+  Status Emit(std::string_view key, std::string_view value,
+              int tag) override {
     (void)key;
     (void)tag;
-    rows.push_back(std::move(value));
-    return Status::OK();
+    rows.emplace_back();
+    return mr::DecodeValues(value, &rows.back());
   }
   std::vector<Row> rows;
 };
@@ -816,6 +818,7 @@ TEST_F(VecAggEdgeTest, TpcdsFactScansVectorizeThroughMapJoins) {
       "WHERE d_moy = 11 AND i_current_price > 50 "
       "GROUP BY d_year, i_category ORDER BY d_year, i_category",
   };
+  size_t batch_sinks = 0;
   for (const char* sql : queries) {
     SCOPED_TRACE(sql);
     // The perfbench tpcds_join configuration, profiled.
@@ -861,12 +864,15 @@ TEST_F(VecAggEdgeTest, TpcdsFactScansVectorizeThroughMapJoins) {
         chain_indent = indent;
       } else if (chain_indent == std::string::npos ||
                  indent != chain_indent + 2 ||
-                 (op.rfind("FIL_", 0) != 0 && op.rfind("MAPJOIN_", 0) != 0)) {
+                 (op.rfind("FIL_", 0) != 0 && op.rfind("MAPJOIN_", 0) != 0 &&
+                  op.rfind("RS_", 0) != 0)) {
         chain_indent = std::string::npos;
         continue;
       } else {
         chain_indent = indent;
         mapjoins += op.rfind("MAPJOIN_", 0) == 0;
+        // A sink straight after the batch stages runs on batches too.
+        batch_sinks += op.rfind("RS_", 0) == 0;
       }
       std::string label = op;
       label[label.find('_')] = '#';
@@ -886,6 +892,45 @@ TEST_F(VecAggEdgeTest, TpcdsFactScansVectorizeThroughMapJoins) {
     ASSERT_TRUE(row_mode.ok()) << row_mode.status().ToString();
     EXPECT_EQ(Exact(*row_mode), Exact(*vec_mode));
   }
+  // Q95's ss branch ends in a ReduceSink right after its map join.
+  EXPECT_GT(batch_sinks, 0u);
+}
+
+// A vectorized map-side hash aggregation flushes its partials at the
+// map_aggr_flush_entries bound, as the row engine does, so its table never
+// holds more groups than the bound; the combiner and the reduce merge
+// re-aggregate the duplicates.
+TEST_F(VecAggEdgeTest, MapAggregationFlushesAtItsBound) {
+  datagen::TpcdsOptions data;
+  data.store_sales_rows = 20000;
+  data.format = formats::FormatKind::kOrcFile;
+  ASSERT_TRUE(datagen::LoadTpcds(catalog_.get(), "tpcds", data).ok());
+  const std::string sql =
+      "SELECT ss_ticket_number, COUNT(*) AS c FROM tpcds_store_sales "
+      "GROUP BY ss_ticket_number";
+  // Row mode and vectorized with the bound, then vectorized without one.
+  QueryResult results[3];
+  for (int run = 0; run < 3; ++run) {
+    DriverOptions options;
+    options.vectorized_execution = run > 0;
+    options.map_aggr_flush_entries = run < 2 ? 100 : 0;
+    Driver driver(fs_.get(), catalog_.get(), options);
+    auto result = driver.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results[run] = std::move(result).ValueOrDie();
+  }
+  const QueryResult& vec_mode = results[1];
+  const uint64_t groups = vec_mode.rows.size();
+  EXPECT_EQ(groups, 6667u);
+  EXPECT_GT(vec_mode.counters.map_output_records.load(), groups);
+  // Each flush re-emits the groups that span it: more partials than the
+  // one per group per task of an unbounded table.
+  EXPECT_GT(vec_mode.counters.map_output_records.load(),
+            results[2].counters.map_output_records.load());
+  EXPECT_GT(vec_mode.counters.map_tasks, 0);
+  EXPECT_EQ(vec_mode.counters.vectorized_map_tasks.load(),
+            static_cast<uint64_t>(vec_mode.counters.map_tasks));
+  EXPECT_EQ(Exact(results[0]), Exact(vec_mode));
 }
 
 }  // namespace
