@@ -9,7 +9,7 @@
 #include "codec/codec.h"
 #include "common/random.h"
 #include "exec/expr.h"
-#include "exec/operators.h"
+#include "mr/shuffle_record.h"
 #include "orc/stream_encoding.h"
 #include "vec/simd.h"
 #include "vec/vector_expressions.h"
@@ -326,15 +326,15 @@ void BM_FastLzDecompress(benchmark::State& state) {
 }
 BENCHMARK(BM_FastLzDecompress);
 
-// ---- Shuffle key serialization (hash join / aggregation hot path).
+// ---- Shuffle key bytes (shuffle, map-join and hash-aggregation keys).
 
-void BM_SerializeKey(benchmark::State& state) {
+void BM_EncodeKey(benchmark::State& state) {
   Row key = {Value::Int(123456), Value::String("group-key-value")};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::SerializeKey(key));
+    benchmark::DoNotOptimize(mr::EncodeKey(key));
   }
 }
-BENCHMARK(BM_SerializeKey);
+BENCHMARK(BM_EncodeKey);
 
 /// Console reporter that also stashes each run for the JSON report.
 class CapturingReporter : public benchmark::ConsoleReporter {

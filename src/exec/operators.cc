@@ -1,10 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
-#include "common/bytes.h"
 #include "mr/shuffle_record.h"
 #include "serde/serde.h"
 
@@ -20,48 +18,6 @@ std::string AttemptPartName(const std::string& prefix,
   // The "_attempt" prefix sorts before "part-" and is deleted on abort, so
   // consumers listing `prefix + "/part-"` only ever see committed output.
   return prefix + "/_attempt-" + std::to_string(attempt) + "-" + task_suffix;
-}
-
-void AppendIntKey(std::string* out, int64_t v) {
-  out->push_back(1);
-  PutVarintSigned64(out, v);
-}
-
-void AppendDoubleKey(std::string* out, double d) {
-  // The range check comes first: casting a double outside int64 (or
-  // NaN/inf) is undefined behaviour.
-  if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-    AppendIntKey(out, static_cast<int64_t>(d));
-  } else {
-    out->push_back(2);
-    PutDoubleBits(out, d);
-  }
-}
-
-void AppendStringKey(std::string* out, std::string_view v) {
-  out->push_back(3);
-  PutLengthPrefixed(out, v);
-}
-
-void AppendValueKey(std::string* out, const Value& v) {
-  if (v.is_null()) {
-    out->push_back(0);
-  } else if (v.is_int()) {
-    AppendIntKey(out, v.AsInt());
-  } else if (v.is_double()) {
-    AppendDoubleKey(out, v.AsDouble());
-  } else if (v.is_string()) {
-    AppendStringKey(out, v.AsString());
-  } else {
-    out->push_back(4);
-    PutLengthPrefixed(out, v.ToString());
-  }
-}
-
-std::string SerializeKey(const Row& key) {
-  std::string out;
-  for (const Value& v : key) AppendValueKey(&out, v);
-  return out;
 }
 
 MapJoinColumn::MapJoinColumn(TypeKind type) {
@@ -282,16 +238,20 @@ class GroupByOperator : public Operator {
     if (desc_->group_by_mode == GroupByMode::kHash) {
       Row key;
       key.reserve(desc_->group_keys.size());
-      for (const ExprPtr& e : desc_->group_keys) key.push_back(e->Eval(row));
-      std::string key_bytes = SerializeKey(key);
-      auto it = hash_.find(key_bytes);
+      key_bytes_.clear();
+      for (const ExprPtr& e : desc_->group_keys) {
+        key.push_back(e->Eval(row));
+        mr::AppendKeyValue(&key_bytes_, key.back(), e->result_type(),
+                           /*ascending=*/true);
+      }
+      auto it = hash_.find(key_bytes_);
       if (it == hash_.end()) {
         HashEntry entry;
         entry.key = std::move(key);
         for (const AggDesc& agg : desc_->aggs) {
           entry.buffers.emplace_back(&agg);
         }
-        it = hash_.emplace(std::move(key_bytes), std::move(entry)).first;
+        it = hash_.emplace(key_bytes_, std::move(entry)).first;
       }
       for (AggBuffer& buffer : it->second.buffers) buffer.Update(row);
       if (desc_->gby_max_hash_entries > 0 &&
@@ -403,7 +363,9 @@ class GroupByOperator : public Operator {
     Row key;
     std::vector<AggBuffer> buffers;
   };
+  /// Keyed on the group key's shuffle key bytes (key_bytes_ is scratch).
   std::unordered_map<std::string, HashEntry> hash_;
+  std::string key_bytes_;
   // Streaming state.
   std::vector<AggBuffer> group_buffers_;
   Row group_key_;
@@ -539,7 +501,8 @@ class MapJoinOperator : public Operator {
     for (const ExprPtr& e : desc_->mapjoin_probe_keys) {
       out.push_back(e->Eval(row));
       if (out.back().is_null()) null_key = true;
-      AppendValueKey(&key_, out.back());
+      mr::AppendKeyValue(&key_, out.back(), e->result_type(),
+                         /*ascending=*/true);
     }
     // All sides share the join key tuple of the converted 2-way join.
     matches_.assign(desc_->mapjoin_small_sides.size(),
@@ -926,7 +889,12 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
         }
         Row key;
         key.reserve(side.build_keys.size());
-        for (const ExprPtr& e : side.build_keys) key.push_back(e->Eval(row));
+        std::string key_bytes;
+        for (const ExprPtr& e : side.build_keys) {
+          key.push_back(e->Eval(row));
+          mr::AppendKeyValue(&key_bytes, key.back(), e->result_type(),
+                             /*ascending=*/true);
+        }
         Row value;
         value.reserve(side.build_values.size());
         for (const ExprPtr& e : side.build_values) {
@@ -941,7 +909,7 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
           MINIHIVE_RETURN_IF_ERROR(table->reservation.CoverAtLeast(
               query->memory_budget(), table->approx_bytes));
         }
-        MINIHIVE_RETURN_IF_ERROR(table->Add(SerializeKey(key), value));
+        MINIHIVE_RETURN_IF_ERROR(table->Add(std::move(key_bytes), value));
       }
     }
     tables->push_back(std::move(table));

@@ -82,10 +82,14 @@ struct MapJoinColumn {
   std::vector<uint8_t> not_null;
 };
 
-/// A built map-join table in flat form: the serialized join key indexes
-/// build-row numbers, and the build values live in typed columns. The row
-/// MapJoinOperator boxes a match's values out of the columns; the
-/// vectorized probe gathers them straight into batch columns.
+/// A built map-join table in flat form: the join key, as the ascending
+/// shuffle key bytes of the build keys' declared types (mr::AppendKeyValue),
+/// indexes build-row numbers, and the build values live in typed columns.
+/// A probe writes its key the same way, so it matches exactly the build
+/// rows the reduce join would group it with (the planner puts both sides of
+/// a key in one numeric family). The row MapJoinOperator boxes a match's
+/// values out of the columns; the vectorized probe gathers them straight
+/// into batch columns.
 struct MapJoinHashTable {
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
@@ -122,21 +126,6 @@ struct MapJoinHashTable {
 
 /// All small-side tables of one MapJoin operator, in small-side order.
 using MapJoinTables = std::vector<std::shared_ptr<MapJoinHashTable>>;
-
-/// Key encoders: append one key column's value to `out`, type-tagged.
-/// SerializeKey applies AppendValueKey (NULL-safe) to a row; the vectorized
-/// map-join probe applies the typed ones to column-vector slots, so both
-/// agree byte for byte.
-/// An integral double inside int64 range encodes as the int (3 == 3.0);
-/// any other double (a fraction, out of range, NaN, inf) keeps its bits.
-void AppendIntKey(std::string* out, int64_t v);
-void AppendDoubleKey(std::string* out, double d);
-void AppendStringKey(std::string* out, std::string_view v);
-void AppendValueKey(std::string* out, const Value& v);
-
-/// Serializes a key row into a canonical byte string for hash join /
-/// aggregation table keys.
-std::string SerializeKey(const Row& key);
 
 /// Names a task's committed sink output under a sink path prefix.
 std::string FinalPartName(const std::string& prefix,

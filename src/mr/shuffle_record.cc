@@ -50,15 +50,17 @@ uint64_t OrderedDoubleBits(double d) {
 
 void AppendStringBody(std::string* out, std::string_view v) {
   out->push_back(static_cast<char>(kString));
-  for (char c : v) {
-    const auto b = static_cast<uint8_t>(c);
+  size_t run = 0;  // Start of the bytes not yet copied.
+  for (size_t i = 0; i < v.size(); ++i) {
+    const auto b = static_cast<uint8_t>(v[i]);
     if (b < 2) {
+      out->append(v.data() + run, i - run);
       out->push_back(1);
       out->push_back(static_cast<char>(b + 1));
-    } else {
-      out->push_back(c);
+      run = i + 1;
     }
   }
+  out->append(v.data() + run, v.size() - run);
   out->push_back(0);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/telemetry.h"
-#include "exec/operators.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "ql/table_ops.h"
@@ -290,9 +289,7 @@ Status CompactionManager::CompactTable(const TableDesc& table,
       if (s.ok() && !*more) break;
       if (s.ok()) {
         if (key_idx >= 0 && !row[key_idx].is_null()) {
-          Row key_row;
-          key_row.push_back(row[key_idx]);
-          rewritten_keys.emplace_back(exec::SerializeKey(key_row), rows_out);
+          rewritten_keys.emplace_back(UniqueKeyBytes(row[key_idx]), rows_out);
         }
         s = (*writer)->AddRow(row);
         ++rows_out;

@@ -13,7 +13,7 @@
 
 #include "common/delete_bitmap.h"
 #include "common/types.h"
-#include "exec/operators.h"
+#include "mr/shuffle_record.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "ql/analyzer.h"
@@ -112,12 +112,6 @@ void PromoteStagedSidecars(
   }
 }
 
-std::string KeyOf(const Value& v) {
-  Row key_row;
-  key_row.push_back(v);
-  return exec::SerializeKey(key_row);
-}
-
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
@@ -203,6 +197,8 @@ std::string SeqString(uint64_t seq) {
                 static_cast<unsigned long long>(seq));
   return buf;
 }
+
+std::string UniqueKeyBytes(const Value& v) { return mr::EncodeKey({v}); }
 
 Result<uint64_t> TableOps::Execute(const AstStatement& statement) {
   switch (statement.kind) {
@@ -301,13 +297,13 @@ Result<uint64_t> TableOps::Insert(const AstInsert& insert) {
   if (key_idx >= 0) {
     std::unordered_map<std::string, size_t> last_of_key;
     for (size_t i = 0; i < rows.size(); ++i) {
-      last_of_key[KeyOf(rows[i][key_idx])] = i;
+      last_of_key[UniqueKeyBytes(rows[i][key_idx])] = i;
     }
     if (last_of_key.size() != rows.size()) {
       std::vector<Row> deduped;
       deduped.reserve(last_of_key.size());
       for (size_t i = 0; i < rows.size(); ++i) {
-        if (last_of_key[KeyOf(rows[i][key_idx])] == i) {
+        if (last_of_key[UniqueKeyBytes(rows[i][key_idx])] == i) {
           deduped.push_back(std::move(rows[i]));
         }
       }
@@ -379,7 +375,7 @@ Result<uint64_t> TableOps::Insert(const AstInsert& insert) {
 
     if (key_idx >= 0) {
       for (size_t i = 0; i < group.rows.size(); ++i) {
-        std::string key = KeyOf(group.rows[i][key_idx]);
+        std::string key = UniqueKeyBytes(group.rows[i][key_idx]);
         auto it = state->key_index.find(key);
         if (it != state->key_index.end()) {
           upsert_marks[it->second.path].push_back(it->second.ordinal);
@@ -490,7 +486,7 @@ Result<uint64_t> TableOps::Delete(const AstDelete& del) {
       }
       if (bm->MarkDeleted(o)) ++deleted;
       if (key_idx >= 0 && !row[key_idx].is_null()) {
-        removed_keys.push_back(KeyOf(row[key_idx]));
+        removed_keys.push_back(UniqueKeyBytes(row[key_idx]));
       }
     }
     if (bm != nullptr) {
@@ -621,7 +617,7 @@ Result<uint64_t> TableOps::RecoverTable(const std::string& name) {
       const uint64_t ordinal = num_rows++;
       if (key_idx >= 0 && !row[key_idx].is_null() &&
           (bitmap == nullptr || !bitmap->IsDeleted(ordinal))) {
-        keys.emplace_back(KeyOf(row[key_idx]), ordinal);
+        keys.emplace_back(UniqueKeyBytes(row[key_idx]), ordinal);
       }
     }
     if (num_rows == 0) continue;  // Nothing to adopt.

@@ -30,6 +30,11 @@ std::string PartitionDirName(const TableDesc& table,
 /// would silently break the ordering invariant once it overflowed.
 std::string SeqString(uint64_t seq);
 
+/// The unique-key index's key for a key column value: its ascending shuffle
+/// key bytes. INSERT coerces a value to its column's kind first, so one
+/// column's values share one encoding (-0.0 and 0.0 are one key).
+std::string UniqueKeyBytes(const Value& v);
+
 /// Executes the DDL/DML statement forms over managed tables: CREATE TABLE,
 /// DROP TABLE, INSERT INTO (with unique-key upsert), DELETE FROM. SELECT
 /// statements are the Driver's job, not this class's.

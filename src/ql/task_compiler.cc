@@ -8,6 +8,7 @@ namespace minihive::ql {
 
 namespace {
 
+using exec::ExprPtr;
 using exec::MakeOp;
 using exec::OpDesc;
 using exec::OpDescPtr;
@@ -66,27 +67,44 @@ bool AggsAreDecomposable(const std::vector<exec::AggDesc>& aggs) {
   return true;
 }
 
-/// The shuffle groups a job's records by key bytes, and a key column's
-/// bytes depend on its declared type: an int under a floating-point type is
-/// written as a double. So every ReduceSink feeding one job must declare
-/// each key column in one numeric family, or 3 and 3.0 would land in
-/// different groups. The planner coerces join keys to make it so (and the
-/// Correlation Optimizer merges only sinks whose keys are the same
-/// columns); this is the check that it did.
+/// Key bytes (mr::AppendKeyValue) depend on a key column's declared type:
+/// under a floating-point type an int is written as a double. So two
+/// writers of keys that must meet declare each key column in one numeric
+/// family, or 3 and 3.0 would differ. The planner coerces join keys to make
+/// it so (and the Correlation Optimizer merges only sinks whose keys are the
+/// same columns); this is the check that it did, for every ReduceSink
+/// feeding one job and for every MapJoin's probe keys against each small
+/// side's build keys (a map-join table is keyed on the build keys' bytes).
+Status CheckKeyFamilies(const std::vector<ExprPtr>& a,
+                        const std::vector<ExprPtr>& b, const char* what) {
+  for (size_t k = 0; k < a.size() && k < b.size(); ++k) {
+    const TypeKind x = a[k]->result_type();
+    const TypeKind y = b[k]->result_type();
+    if ((IsIntegerFamily(x) && IsFloatingFamily(y)) ||
+        (IsFloatingFamily(x) && IsIntegerFamily(y))) {
+      return Status::Internal(std::string(what) + " key " +
+                              std::to_string(k) + " is declared " +
+                              TypeKindName(x) + " on one side and " +
+                              TypeKindName(y) + " on the other");
+    }
+  }
+  return Status::OK();
+}
+
 Status CheckKeyEncodingsAgree(const std::vector<OpDescPtr>& rs_list) {
-  const OpDesc& first = *rs_list[0];
   for (const OpDescPtr& rs : rs_list) {
-    for (size_t k = 0;
-         k < rs->sink_keys.size() && k < first.sink_keys.size(); ++k) {
-      const TypeKind a = first.sink_keys[k]->result_type();
-      const TypeKind b = rs->sink_keys[k]->result_type();
-      if ((IsIntegerFamily(a) && IsFloatingFamily(b)) ||
-          (IsFloatingFamily(a) && IsIntegerFamily(b))) {
-        return Status::Internal("shuffle key " + std::to_string(k) +
-                                " is declared " + TypeKindName(a) +
-                                " by one ReduceSink and " + TypeKindName(b) +
-                                " by another");
-      }
+    MINIHIVE_RETURN_IF_ERROR(CheckKeyFamilies(rs_list[0]->sink_keys,
+                                              rs->sink_keys, "shuffle"));
+  }
+  return Status::OK();
+}
+
+Status CheckMapJoinKeysAgree(const std::vector<OpDescPtr>& ops) {
+  for (const OpDescPtr& op : ops) {
+    if (op->kind != OpKind::kMapJoin) continue;
+    for (const auto& side : op->mapjoin_small_sides) {
+      MINIHIVE_RETURN_IF_ERROR(CheckKeyFamilies(
+          op->mapjoin_probe_keys, side.build_keys, "map-join"));
     }
   }
   return Status::OK();
@@ -186,6 +204,7 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
 
   // ---- Step 2: group RS boundaries into jobs by their reduce entry.
   std::vector<OpDescPtr> ops = exec::CollectOps(plan->roots);
+  MINIHIVE_RETURN_IF_ERROR(CheckMapJoinKeysAgree(ops));
 
   // Bound map-side hash aggregation memory. Flush-per-group GroupBys (the
   // Correlation Optimizer's) already bound their footprint to one group.

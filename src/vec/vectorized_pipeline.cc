@@ -551,14 +551,97 @@ class ProjectStage : public BatchStage {
   std::vector<std::unique_ptr<VectorExpression>> expressions;
 };
 
+/// A batch column that a stage writes shuffle bytes from, with the type its
+/// expression declares.
+struct BatchField {
+  int column = -1;  // Batch column; -1 is always NULL.
+  TypeKind type = TypeKind::kBigInt;
+  bool ascending = true;  // Keys only.
+};
+
+/// Appends field `f` of the n selected rows to out[0..n), one column at a
+/// time, with the writer for the column's kind (put_null for NULLs).
+template <typename PutLong, typename PutDouble, typename PutBytes,
+          typename PutNull>
+void AppendColumn(const VectorizedRowBatch& batch, const BatchField& f, int n,
+                  std::vector<std::string>* out, PutLong put_long,
+                  PutDouble put_double, PutBytes put_bytes, PutNull put_null) {
+  if (f.column < 0) {
+    for (int j = 0; j < n; ++j) put_null(&(*out)[j]);
+    return;
+  }
+  const ColumnVector* col = batch.columns[f.column].get();
+  const int* sel = batch.selected_in_use ? batch.selected.data() : nullptr;
+  auto each = [&](auto put) {
+    for (int j = 0; j < n; ++j) {
+      const int slot = col->is_repeating ? 0 : (sel != nullptr ? sel[j] : j);
+      if (!col->no_nulls && !col->not_null[slot]) {
+        put_null(&(*out)[j]);
+      } else {
+        put(&(*out)[j], slot);
+      }
+    }
+  };
+  switch (col->kind()) {
+    case VectorKind::kLong: {
+      const int64_t* v =
+          static_cast<const LongColumnVector*>(col)->vector.data();
+      each([&](std::string* o, int i) { put_long(o, v[i]); });
+      return;
+    }
+    case VectorKind::kDouble: {
+      const double* v =
+          static_cast<const DoubleColumnVector*>(col)->vector.data();
+      each([&](std::string* o, int i) { put_double(o, v[i]); });
+      return;
+    }
+    case VectorKind::kBytes: {
+      auto* bytes = static_cast<const BytesColumnVector*>(col);
+      each([&](std::string* o, int i) { put_bytes(o, bytes->GetView(i)); });
+      return;
+    }
+  }
+}
+
+/// Writes the shuffle key bytes of the n selected rows to keys[0..n), one
+/// column at a time, each column by its declared type as mr::AppendKeyValue
+/// writes the boxed value: an int under a floating type is written as a
+/// double, a boolean as 0 or 1. The ReduceSink on batches and the map-join
+/// probe both write their keys here, so a probe's bytes are the build
+/// table's and the shuffle's.
+void WriteKeys(const VectorizedRowBatch& batch,
+               const std::vector<BatchField>& fields, int n,
+               std::vector<std::string>* keys) {
+  if (static_cast<int>(keys->size()) < n) keys->resize(n);
+  for (int j = 0; j < n; ++j) (*keys)[j].clear();
+  for (const BatchField& f : fields) {
+    const bool asc = f.ascending;
+    const bool widen = IsFloatingFamily(f.type);
+    const bool boolean = f.type == TypeKind::kBoolean;
+    AppendColumn(
+        batch, f, n, keys,
+        [&](std::string* out, int64_t v) {
+          if (widen) {
+            mr::AppendKeyDouble(out, static_cast<double>(v), asc);
+          } else {
+            mr::AppendKeyInt(out, boolean ? v != 0 : v, asc);
+          }
+        },
+        [&](std::string* out, double v) { mr::AppendKeyDouble(out, v, asc); },
+        [&](std::string* out, std::string_view v) {
+          mr::AppendKeyString(out, v, asc);
+        },
+        [&](std::string* out) { mr::AppendKeyNull(out, asc); });
+  }
+}
+
 /// An inner MapJoin over unique-key build sides. Per batch it evaluates the
-/// probe keys once, looks every selected row up with the key bytes the
-/// tables were built with (the exec:: key encoders, into one reused
-/// buffer), narrows selected[] to the rows every side matched, and only
-/// then evaluates the big side's values and gathers the build values of
-/// the survivors into batch columns. String build values are handed over
-/// as a dictionary (the table's column) plus one code per row, so no bytes
-/// are copied.
+/// probe keys once, writes every selected row's key bytes with WriteKeys
+/// (the bytes the tables were built with), narrows selected[] to the rows
+/// every side matched, and only then evaluates the big side's values and
+/// gathers the build values of the survivors into batch columns. String
+/// build values are handed over as a dictionary (the table's column) plus
+/// one code per row, so no bytes are copied.
 class MapJoinStage : public BatchStage {
  public:
   struct Gather {
@@ -585,44 +668,23 @@ class MapJoinStage : public BatchStage {
   }
 
   std::vector<std::unique_ptr<VectorExpression>> key_expressions;
-  std::vector<int> key_columns;
+  std::vector<BatchField> key_fields;
   std::vector<std::unique_ptr<VectorExpression>> value_expressions;
   std::vector<Side> sides;
 
  private:
-  /// Writes row `i`'s key bytes to key_; false when a key column is NULL
-  /// there (a NULL key never matches).
-  bool EncodeKey(const VectorizedRowBatch& batch, int i) {
-    key_.clear();
-    for (int c : key_columns) {
-      const ColumnVector* col = batch.columns[c].get();
-      const int slot = col->is_repeating ? 0 : i;
-      if (!col->no_nulls && !col->not_null[slot]) return false;
-      switch (col->kind()) {
-        case VectorKind::kLong:
-          exec::AppendIntKey(
-              &key_, static_cast<const LongColumnVector*>(col)->vector[slot]);
-          break;
-        case VectorKind::kDouble:
-          exec::AppendDoubleKey(
-              &key_,
-              static_cast<const DoubleColumnVector*>(col)->vector[slot]);
-          break;
-        case VectorKind::kBytes:
-          exec::AppendStringKey(
-              &key_, static_cast<const BytesColumnVector*>(col)->GetView(slot));
-          break;
+  /// Records every side's build row for row `i`, whose key is keys_[j], as
+  /// survivor `out`; false when a key column is NULL there (a NULL key never
+  /// matches) or a side has no row for it.
+  bool Lookup(const VectorizedRowBatch& batch, int i, int j, int out) {
+    for (const BatchField& f : key_fields) {
+      const ColumnVector* col = batch.columns[f.column].get();
+      if (!col->no_nulls && !col->not_null[col->is_repeating ? 0 : i]) {
+        return false;
       }
     }
-    return true;
-  }
-
-  /// Records every side's build row for `i` as survivor `out`; false when
-  /// a side has no row for it.
-  bool Lookup(const VectorizedRowBatch& batch, int i, int out) {
-    if (!EncodeKey(batch, i)) return false;
     for (Side& side : sides) {
-      const uint32_t row = side.table->Find(key_);
+      const uint32_t row = side.table->Find(keys_[j]);
       if (row == exec::MapJoinHashTable::kNoRow) return false;
       side.matches[out] = row;
     }
@@ -634,13 +696,14 @@ class MapJoinStage : public BatchStage {
     int* sel = batch->selected.data();
     const bool dense = !batch->selected_in_use;
     bool repeating = true;
-    for (int c : key_columns) {
-      repeating = repeating && batch->columns[c]->is_repeating;
+    for (const BatchField& f : key_fields) {
+      repeating = repeating && batch->columns[f.column]->is_repeating;
     }
+    // One key for the whole batch: one lookup keeps or drops every row.
+    WriteKeys(*batch, key_fields, repeating ? std::min(n, 1) : n, &keys_);
     int out = 0;
     if (repeating) {
-      // One key for the whole batch: one lookup keeps or drops every row.
-      if (n > 0 && Lookup(*batch, 0, 0)) {
+      if (n > 0 && Lookup(*batch, 0, 0, 0)) {
         for (Side& side : sides) {
           std::fill(side.matches.begin(), side.matches.begin() + n,
                     side.matches[0]);
@@ -654,7 +717,7 @@ class MapJoinStage : public BatchStage {
       // Survivors compact in place: out <= j, so sel[j] is read first.
       for (int j = 0; j < n; ++j) {
         const int i = dense ? j : sel[j];
-        if (Lookup(*batch, i, out)) sel[out++] = i;
+        if (Lookup(*batch, i, j, out)) sel[out++] = i;
       }
     }
     batch->selected_in_use = true;
@@ -708,7 +771,7 @@ class MapJoinStage : public BatchStage {
     col->no_nulls = no_nulls;
   }
 
-  std::string key_;  // The current row's key bytes.
+  std::vector<std::string> keys_;  // Per selected row (reused).
 };
 
 /// A ReduceSink terminal on batches: evaluates the sink's key and value
@@ -717,45 +780,13 @@ class MapJoinStage : public BatchStage {
 /// them. Nothing is boxed.
 class ShuffleSinkStage {
  public:
-  struct Field {
-    int column = -1;  // Batch column; -1 is always NULL.
-    TypeKind type = TypeKind::kBigInt;
-    bool ascending = true;  // Keys only.
-  };
-
   Status Sink(VectorizedRowBatch* batch, mr::ShuffleEmitter* emitter) {
     for (auto& expression : expressions) expression->Evaluate(batch);
     const int n = batch->SelectedCount();
-    if (static_cast<int>(keys_.size()) < n) {
-      keys_.resize(n);
-      values_.resize(n);
-    }
-    for (int j = 0; j < n; ++j) {
-      keys_[j].clear();
-      values_[j].clear();
-    }
-    // Keys by their declared type, as mr::AppendKeyValue writes the boxed
-    // value: an int under a floating type is written as a double.
-    for (const Field& f : key_fields) {
-      const bool asc = f.ascending;
-      const bool widen = IsFloatingFamily(f.type);
-      const bool boolean = f.type == TypeKind::kBoolean;
-      AppendColumn(
-          *batch, f, n, &keys_,
-          [&](std::string* out, int64_t v) {
-            if (widen) {
-              mr::AppendKeyDouble(out, static_cast<double>(v), asc);
-            } else {
-              mr::AppendKeyInt(out, boolean ? v != 0 : v, asc);
-            }
-          },
-          [&](std::string* out, double v) { mr::AppendKeyDouble(out, v, asc); },
-          [&](std::string* out, std::string_view v) {
-            mr::AppendKeyString(out, v, asc);
-          },
-          [&](std::string* out) { mr::AppendKeyNull(out, asc); });
-    }
-    for (const Field& f : value_fields) {
+    WriteKeys(*batch, key_fields, n, &keys_);
+    if (static_cast<int>(values_.size()) < n) values_.resize(n);
+    for (int j = 0; j < n; ++j) values_[j].clear();
+    for (const BatchField& f : value_fields) {
       const bool boolean = f.type == TypeKind::kBoolean;
       AppendColumn(
           *batch, f, n, &values_,
@@ -775,57 +806,11 @@ class ShuffleSinkStage {
   }
 
   std::vector<std::unique_ptr<VectorExpression>> expressions;
-  std::vector<Field> key_fields;
-  std::vector<Field> value_fields;
+  std::vector<BatchField> key_fields;
+  std::vector<BatchField> value_fields;
   int tag = 0;
 
  private:
-  /// Appends field `f` of the n selected rows to out[0..n), one column at
-  /// a time, with the writer for the column's kind (put_null for NULLs).
-  template <typename PutLong, typename PutDouble, typename PutBytes,
-            typename PutNull>
-  static void AppendColumn(const VectorizedRowBatch& batch, const Field& f,
-                           int n, std::vector<std::string>* out,
-                           PutLong put_long, PutDouble put_double,
-                           PutBytes put_bytes, PutNull put_null) {
-    if (f.column < 0) {
-      for (int j = 0; j < n; ++j) put_null(&(*out)[j]);
-      return;
-    }
-    const ColumnVector* col = batch.columns[f.column].get();
-    const int* sel = batch.selected_in_use ? batch.selected.data() : nullptr;
-    auto each = [&](auto put) {
-      for (int j = 0; j < n; ++j) {
-        const int slot =
-            col->is_repeating ? 0 : (sel != nullptr ? sel[j] : j);
-        if (!col->no_nulls && !col->not_null[slot]) {
-          put_null(&(*out)[j]);
-        } else {
-          put(&(*out)[j], slot);
-        }
-      }
-    };
-    switch (col->kind()) {
-      case VectorKind::kLong: {
-        const int64_t* v =
-            static_cast<const LongColumnVector*>(col)->vector.data();
-        each([&](std::string* o, int i) { put_long(o, v[i]); });
-        return;
-      }
-      case VectorKind::kDouble: {
-        const double* v =
-            static_cast<const DoubleColumnVector*>(col)->vector.data();
-        each([&](std::string* o, int i) { put_double(o, v[i]); });
-        return;
-      }
-      case VectorKind::kBytes: {
-        auto* bytes = static_cast<const BytesColumnVector*>(col);
-        each([&](std::string* o, int i) { put_bytes(o, bytes->GetView(i)); });
-        return;
-      }
-    }
-  }
-
   // Per selected row: its key and value bytes (reused across batches).
   std::vector<std::string> keys_;
   std::vector<std::string> values_;
@@ -893,10 +878,10 @@ Result<std::unique_ptr<BatchStage>> CompileMapJoin(const OpDesc* op,
   ColumnMapping out;
   MINIHIVE_RETURN_IF_ERROR(
       CompileProjections(op->mapjoin_probe_keys, *mapping, compiler,
-                         &stage->key_expressions, &stage->key_columns));
+                         &stage->key_expressions, &out.columns));
   for (size_t k = 0; k < op->mapjoin_probe_keys.size(); ++k) {
-    out.columns.push_back(stage->key_columns[k]);
     out.types.push_back(op->mapjoin_probe_keys[k]->result_type());
+    stage->key_fields.push_back({out.columns[k], out.types[k]});
   }
   std::vector<int> big_columns;
   MINIHIVE_RETURN_IF_ERROR(
@@ -979,7 +964,7 @@ Result<std::unique_ptr<VectorHashAggregator>> CompileGroupBy(
 /// compiled into a kernel.
 Status CompileSinkField(const ExprPtr& e, const ColumnMapping& mapping,
                         BatchCompiler* compiler, ShuffleSinkStage* sink,
-                        ShuffleSinkStage::Field* field) {
+                        BatchField* field) {
   field->type = e->result_type();
   if (e->kind() == ExprKind::kColumn) {
     const int index = e->column_index();
@@ -1001,14 +986,14 @@ Result<std::unique_ptr<ShuffleSinkStage>> CompileShuffleSink(
   auto sink = std::make_unique<ShuffleSinkStage>();
   sink->tag = rs->sink_tag;
   for (size_t k = 0; k < rs->sink_keys.size(); ++k) {
-    ShuffleSinkStage::Field field;
+    BatchField field;
     field.ascending = rs->SinkAscending(k);
     MINIHIVE_RETURN_IF_ERROR(CompileSinkField(rs->sink_keys[k], mapping,
                                               compiler, sink.get(), &field));
     sink->key_fields.push_back(field);
   }
   for (const ExprPtr& e : rs->sink_values) {
-    ShuffleSinkStage::Field field;
+    BatchField field;
     MINIHIVE_RETURN_IF_ERROR(
         CompileSinkField(e, mapping, compiler, sink.get(), &field));
     sink->value_fields.push_back(field);

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <set>
-
 #include "exec/expr.h"
 
 namespace minihive::exec {
@@ -214,36 +211,6 @@ TEST(JoinOperatorTest, ResidualFilterApplies) {
   ASSERT_TRUE(op->EndGroup().ok());
   ASSERT_EQ(h.sink.rows.size(), 1u);
   EXPECT_EQ(h.sink.rows[0][2].AsInt(), 9);
-}
-
-TEST(SerializeKeyTest, NumericFamiliesCollate) {
-  EXPECT_EQ(SerializeKey({Value::Int(3)}), SerializeKey({Value::Double(3.0)}));
-  EXPECT_NE(SerializeKey({Value::Int(3)}), SerializeKey({Value::Int(4)}));
-  EXPECT_NE(SerializeKey({Value::Null()}), SerializeKey({Value::Int(0)}));
-  EXPECT_NE(SerializeKey({Value::String("3")}), SerializeKey({Value::Int(3)}));
-}
-
-// Doubles outside int64's range (and NaN/inf) must not go through the
-// integer cast, which is undefined behaviour for them; they keep their own
-// encoding and never collide with an integer key.
-TEST(SerializeKeyTest, OutOfRangeDoublesStayDoubles) {
-  EXPECT_EQ(SerializeKey({Value::Double(3.0)}), SerializeKey({Value::Int(3)}));
-  const double odd[] = {1e19,
-                        -1e19,
-                        std::numeric_limits<double>::infinity(),
-                        -std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::quiet_NaN()};
-  const int64_t ints[] = {0, 1, -1, std::numeric_limits<int64_t>::max(),
-                          std::numeric_limits<int64_t>::min()};
-  std::set<std::string> seen;
-  for (double d : odd) {
-    std::string key = SerializeKey({Value::Double(d)});
-    EXPECT_EQ(key, SerializeKey({Value::Double(d)}));
-    EXPECT_TRUE(seen.insert(key).second) << d;
-    for (int64_t i : ints) {
-      EXPECT_NE(key, SerializeKey({Value::Int(i)})) << d << " vs " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -125,6 +126,44 @@ TEST_F(MutableTableTest, UpsertLatestWriteWins) {
             Canonicalize({{Value::Int(1), Value::String("a2")},
                           {Value::Int(2), Value::String("b")},
                           {Value::Int(3), Value::String("y")}}));
+}
+
+TEST_F(MutableTableTest, UpsertEdgeKeysStayOneKeyAcrossCompaction) {
+  // The int64 extremes are two keys, and each upserts in place.
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Exec("CREATE TABLE big (k BIGINT, v STRING) UNIQUE KEY (k)");
+  Exec("INSERT INTO big VALUES (-9223372036854775807 - 1, 'min'), "
+       "(9223372036854775807, 'max')");
+  Exec("INSERT INTO big VALUES (9223372036854775807, 'max2'), "
+       "(-9223372036854775807 - 1, 'min2')");
+  EXPECT_EQ(Canonicalize(Exec("SELECT k, v FROM big").rows),
+            Canonicalize({{Value::Int(min), Value::String("min2")},
+                          {Value::Int(max), Value::String("max2")}}));
+
+  // -0.0 and 0.0 are one key, before and after a compaction rewrites the
+  // surviving row (and re-keys it in the unique-key index).
+  Exec("CREATE TABLE dk (k DOUBLE, v STRING) UNIQUE KEY (k)");
+  Exec("INSERT INTO dk VALUES (-0.0, 'neg')");
+  Exec("INSERT INTO dk VALUES (0.0, 'pos')");
+  auto values = [this] {
+    std::vector<std::string> out;
+    for (const Row& row : Exec("SELECT v FROM dk").rows) {
+      out.push_back(row[0].AsString());
+    }
+    return out;
+  };
+  EXPECT_EQ(values(), std::vector<std::string>{"pos"});
+  CompactionOptions copts;
+  copts.small_file_bytes = 16 * 1024 * 1024;
+  CompactionManager compactor(fs_.get(), catalog_.get(), copts);
+  auto stats = compactor.RunOnce();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->tasks_run, 0u);
+  EXPECT_EQ(TableFileCount("dk"), 1u);
+  EXPECT_EQ(values(), std::vector<std::string>{"pos"});
+  Exec("INSERT INTO dk VALUES (-0.0, 'neg2')");
+  EXPECT_EQ(values(), std::vector<std::string>{"neg2"});
 }
 
 TEST_F(MutableTableTest, DeleteRowAndVectorizedAreByteIdentical) {

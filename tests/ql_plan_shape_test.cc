@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "datagen/loader.h"
@@ -12,6 +13,7 @@
 #include "ql/driver.h"
 #include "ql/optimizer.h"
 #include "ql/parser.h"
+#include "ql/task_compiler.h"
 
 namespace minihive::ql {
 namespace {
@@ -571,6 +573,53 @@ TEST_F(PlanShapeTest, MergePartialArgsNameTheirOwnPartialColumns) {
       EXPECT_EQ(partial, input_width) << plan.DebugString();
     }
     EXPECT_GT(merges, 0);
+  }
+}
+
+// A map-join table is keyed on its build keys' shuffle key bytes and probed
+// with the probe keys', and under a floating-point type an int is written
+// as a double. So CompileTasks refuses a hand-built MapJoin whose probe and
+// build keys are declared in different numeric families (BIGINT 3 would
+// miss DOUBLE 3.0); the analyzer's CAST(... AS DOUBLE) never builds one.
+TEST(TaskCompilerTest, MapJoinKeysMustShareANumericFamily) {
+  using exec::Expr;
+  using exec::OpKind;
+  auto compile = [](TypeKind probe, TypeKind build) {
+    // TS(f) -> MAPJOIN(f.0 = d.0) -> FS.
+    exec::OpDescPtr scan = exec::MakeOp(OpKind::kTableScan);
+    scan->table_name = "f";
+    scan->table_width = 2;
+    scan->output_width = 2;
+    exec::OpDescPtr mapjoin = exec::MakeOp(OpKind::kMapJoin);
+    exec::OpDesc::MapJoinSmallSide side;
+    side.table_name = "d";
+    side.build_keys = {Expr::Column(0, build)};
+    side.build_values = {Expr::Column(1, TypeKind::kString)};
+    mapjoin->mapjoin_small_sides.push_back(side);
+    mapjoin->mapjoin_probe_keys = {Expr::Column(0, probe)};
+    mapjoin->mapjoin_big_values = {Expr::Column(1, TypeKind::kBigInt)};
+    mapjoin->mapjoin_big_tag = 1;
+    mapjoin->output_width = 3;
+    exec::OpDesc::Connect(scan, mapjoin);
+    exec::OpDescPtr sink = exec::MakeOp(OpKind::kFileSink);
+    sink->sink_path_prefix = "/tmp/q/out";
+    sink->output_width = 3;
+    exec::OpDesc::Connect(mapjoin, sink);
+    PlannedQuery plan;
+    plan.roots = {scan};
+    plan.sink = sink;
+    return CompileTasks(&plan, "/tmp/q", CompileTasksOptions()).status();
+  };
+  EXPECT_TRUE(compile(TypeKind::kBigInt, TypeKind::kInt).ok());
+  EXPECT_TRUE(compile(TypeKind::kDouble, TypeKind::kDouble).ok());
+  EXPECT_TRUE(compile(TypeKind::kString, TypeKind::kString).ok());
+  for (const auto& [probe, build] :
+       {std::pair{TypeKind::kBigInt, TypeKind::kDouble},
+        std::pair{TypeKind::kDouble, TypeKind::kInt}}) {
+    const Status s = compile(probe, build);
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+    EXPECT_NE(s.ToString().find("map-join key 0"), std::string::npos)
+        << s.ToString();
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <set>
@@ -206,9 +207,11 @@ class VecAggEdgeTest : public ::testing::Test {
     ASSERT_TRUE((*writer)->Close().ok());
   }
 
-  QueryResult Run(const std::string& sql, bool vectorized) {
+  QueryResult Run(const std::string& sql, bool vectorized,
+                  bool mapjoin = true) {
     DriverOptions options;
     options.vectorized_execution = vectorized;
+    options.mapjoin_conversion = mapjoin;
     options.enable_profiling = true;
     options.enable_late_materialization = late_materialization_;
     Driver driver(fs_.get(), catalog_.get(), options);
@@ -451,16 +454,22 @@ class VecMapJoinTest : public VecAggEdgeTest {
  protected:
   void SetUp() override {
     VecAggEdgeTest::SetUp();
-    // fk: 0..59 (the dimensions know 0..39), NULL every 13th row, and the
-    // int64 extremes (a wrong cast of 1e19 lands on one of them). fd: fk as
-    // a double, or 2.5. fs: "s0".."s49", the empty string, or NULL.
+    // fk: 0..59 (the dimensions know 0..39), NULL every 13th row, the int64
+    // extremes (a wrong cast of 1e19 lands on one of them; INT64_MAX as a
+    // double is 2^63) and +-9.2e18. fd: fk as a double (-0.0 for some
+    // zeros), or 2.5. fs: "s0".."s49", the empty string, or NULL.
     std::vector<Row> fact;
     for (int i = 0; i < 6000; ++i) {
       Value fk = i % 13 == 0 ? Value::Null() : Value::Int(i % 60);
       if (i == 1) fk = Value::Int(std::numeric_limits<int64_t>::min());
       if (i == 2) fk = Value::Int(std::numeric_limits<int64_t>::max());
+      if (i == 3) fk = Value::Int(9200000000000000000);
+      if (i == 4) fk = Value::Int(-9200000000000000000);
       fact.push_back(
-          {fk, i % 7 == 0 ? Value::Double(2.5) : Value::Double(i % 60),
+          {fk,
+           i % 7 == 0      ? Value::Double(2.5)
+           : i % 120 == 60 ? Value::Double(-0.0)
+                           : Value::Double(i % 60),
            i % 17 == 0   ? Value::Null()
            : i % 11 == 0 ? Value::String("")
                          : Value::String("s" + std::to_string(i % 50)),
@@ -475,7 +484,9 @@ class VecMapJoinTest : public VecAggEdgeTest {
       dl.push_back({Value::Int(k),
                     k % 5 == 0 ? Value::Null() : Value::String(name),
                     Value::Double(k * 1.5), Value::Int(k % 4)});
-      dd.push_back({Value::Double(k), Value::String("d" + std::to_string(k))});
+      // The build key of d0 is -0.0.
+      dd.push_back({Value::Double(k == 0 ? -0.0 : k),
+                    Value::String("d" + std::to_string(k))});
       ds.push_back({Value::String("s" + std::to_string(k)), Value::Int(k)});
       dc.push_back({Value::String(name), Value::Int(100 + k)});
       dup.push_back({Value::Int(k), Value::String("first")});
@@ -488,6 +499,9 @@ class VecMapJoinTest : public VecAggEdgeTest {
                   Value::Int(0)});
     dd.push_back({Value::Double(1e19), Value::String("huge")});
     dd.push_back({Value::Double(2.5), Value::String("half")});
+    dd.push_back({Value::Double(9.2e18), Value::String("p92")});
+    dd.push_back({Value::Double(-9.2e18), Value::String("m92")});
+    dd.push_back({Value::Double(std::ldexp(1.0, 63)), Value::String("two63")});
     ds.push_back({Value::String(""), Value::Int(1000)});
     ds.push_back({Value::Null(), Value::Int(2000)});
     AddOrcFile("dl", "struct<lk:bigint,lname:string,lx:double,lgrp:bigint>",
@@ -500,18 +514,24 @@ class VecMapJoinTest : public VecAggEdgeTest {
   }
 
   /// Runs `sql` (one job over "f") in both engines and expects identical
-  /// rows. Every map task of the vectorized run ran on batches when
-  /// `vectorizes`; none did otherwise (the map join fell back).
+  /// rows, and the same rows again from the reduce join (map-join
+  /// conversion off), which groups keys by their shuffle bytes. Every map
+  /// task of the vectorized run ran on batches when `vectorizes`; none did
+  /// otherwise (the map join fell back).
   std::vector<std::string> ExpectJoinSameInBothEngines(const std::string& sql,
                                                        bool vectorizes = true) {
     QueryResult row_mode = Run(sql, false);
     QueryResult vec_mode = Run(sql, true);
+    QueryResult reduce_join = Run(sql, true, /*mapjoin=*/false);
     EXPECT_EQ(vec_mode.num_jobs, 1) << sql;
     EXPECT_EQ(vec_mode.counters.map_tasks, 2) << sql;
     EXPECT_EQ(vec_mode.counters.vectorized_map_tasks, vectorizes ? 2u : 0u)
         << sql;
+    // The reduce join scans the build table in map tasks of its own.
+    EXPECT_GT(reduce_join.counters.map_tasks, 2u) << sql;
     std::vector<std::string> rows = Exact(row_mode);
     EXPECT_EQ(rows, Exact(vec_mode)) << sql;
+    EXPECT_EQ(rows, Exact(reduce_join)) << sql;
     return rows;
   }
 
@@ -538,15 +558,22 @@ TEST_F(VecMapJoinTest, LongKeysWithNullsAndMisses) {
 }
 
 TEST_F(VecMapJoinTest, BigintProbesDoubleBuildKeys) {
-  // 3 == 3.0 matches; 2.5 and 1e19 have no bigint twin. A double probe key
-  // (fd) matches 2.5 too.
+  // 3 == 3.0 and 0 == -0.0 match; 2.5 and 1e19 have no bigint twin;
+  // +-9.2e18 match their exact bigints and 2^63 matches INT64_MAX, which
+  // the planner's CAST(fk AS DOUBLE) rounds to 2^63. A double probe key
+  // (fd) matches 2.5 too, and its -0.0 matches d0.
   std::vector<std::string> out = ExpectJoinSameInBothEngines(
       "SELECT dname, COUNT(*) AS c FROM f JOIN dd ON fk = dk GROUP BY dname");
-  EXPECT_EQ(out.size(), 40u);
+  EXPECT_EQ(out.size(), 43u);
+  EXPECT_TRUE(Contains(out, "d0|"));
+  EXPECT_TRUE(Contains(out, "p92|1|"));
+  EXPECT_TRUE(Contains(out, "m92|1|"));
+  EXPECT_TRUE(Contains(out, "two63|1|"));
   EXPECT_FALSE(Contains(out, "huge"));
   EXPECT_FALSE(Contains(out, "half"));
   out = ExpectJoinSameInBothEngines(
       "SELECT dname, COUNT(*) AS c FROM f JOIN dd ON fd = dk GROUP BY dname");
+  EXPECT_EQ(out.size(), 41u);
   EXPECT_TRUE(Contains(out, "half|"));
   EXPECT_FALSE(Contains(out, "huge"));
   // A computed double probe key against bigint build keys.
