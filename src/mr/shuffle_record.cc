@@ -148,20 +148,20 @@ class KeyReader {
 };
 
 Status KeyReader::Read(Value* v) {
-  uint8_t marker;
+  uint8_t marker = 0;
   MINIHIVE_RETURN_IF_ERROR(Marker(&marker));
   switch (marker) {
     case kNull:
       *v = Value::Null();
       return Status::OK();
     case kInt: {
-      uint64_t u;
+      uint64_t u = 0;
       MINIHIVE_RETURN_IF_ERROR(BigEndian(&u));
       *v = Value::Int(static_cast<int64_t>(u ^ kSignBit));
       return Status::OK();
     }
     case kDouble: {
-      uint64_t u;
+      uint64_t u = 0;
       MINIHIVE_RETURN_IF_ERROR(BigEndian(&u));
       uint64_t bits = (u & kSignBit) != 0 ? u & ~kSignBit : ~u;
       double d;
@@ -172,7 +172,7 @@ Status KeyReader::Read(Value* v) {
     case kString: {
       std::string s;
       while (true) {
-        uint8_t b;
+        uint8_t b = 0;
         MINIHIVE_RETURN_IF_ERROR(Byte(&b));
         if (b == 0) break;
         if (b == 1) {
@@ -188,8 +188,8 @@ Status KeyReader::Read(Value* v) {
       return Status::OK();
     }
     case kUnion: {
-      uint8_t int_marker;
-      uint64_t u;
+      uint8_t int_marker = 0;
+      uint64_t u = 0;
       MINIHIVE_RETURN_IF_ERROR(Marker(&int_marker));
       if (int_marker != kInt) return Status::Corruption("bad union tag");
       MINIHIVE_RETURN_IF_ERROR(BigEndian(&u));

@@ -1,8 +1,9 @@
 #include "orc/writer.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/crc32.h"
 #include "common/telemetry.h"
@@ -149,9 +150,13 @@ class ColumnBuilder {
     for (auto& child : children_) child->MarkGroupBoundary();
   }
 
+  /// Buffered bytes for the stripe-size check. Each distinct string is
+  /// charged 48 bytes beyond its own, a modelled per-entry cost (what a
+  /// node-based hash map would take) kept so stripe cuts do not depend on
+  /// how the interning table is laid out.
   size_t MemoryUsage() const {
     size_t total = present_.size() + ints_.size() * 8 + doubles_.size() * 8 +
-                   intern_bytes_ + intern_.size() * 48;
+                   arena_.size() + ends_.size() * 48;
     for (const auto& child : children_) total += child->MemoryUsage();
     return total;
   }
@@ -162,9 +167,9 @@ class ColumnBuilder {
     nonnull_count_ = 0;
     ints_.clear();
     doubles_.clear();
-    intern_.clear();
-    intern_order_.clear();
-    intern_bytes_ = 0;
+    arena_.clear();
+    ends_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
     mark_instances_.clear();
     mark_nonnull_.clear();
     group_stats_.clear();
@@ -178,10 +183,12 @@ class ColumnBuilder {
   uint64_t nonnull_count() const { return nonnull_count_; }
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  const std::vector<const std::string*>& intern_order() const {
-    return intern_order_;
+  size_t distinct_count() const { return ends_.size(); }
+  /// The bytes of interned string `id`. Valid until the next Intern().
+  std::string_view dict_value(size_t id) const {
+    size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(arena_).substr(begin, ends_[id] - begin);
   }
-  size_t distinct_count() const { return intern_order_.size(); }
   const std::vector<uint64_t>& mark_instances() const {
     return mark_instances_;
   }
@@ -196,14 +203,54 @@ class ColumnBuilder {
   }
 
  private:
-  int64_t Intern(const std::string& value) {
-    auto [it, inserted] =
-        intern_.emplace(value, static_cast<uint32_t>(intern_order_.size()));
-    if (inserted) {
-      intern_order_.push_back(&it->first);
-      intern_bytes_ += value.size();
+  /// One slot of the open-addressing id table: `id + 1` (0 = empty) and
+  /// the high half of the value's hash, so most mismatches skip the bytes.
+  struct Slot {
+    uint32_t id_plus_one = 0;
+    uint32_t tag = 0;
+  };
+
+  static uint64_t HashBytes(std::string_view value) {
+    return std::hash<std::string_view>{}(value);
+  }
+
+  /// The slot holding `value`, or the empty slot where it belongs.
+  size_t FindSlot(uint64_t hash, std::string_view value) const {
+    const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].id_plus_one != 0 &&
+           (slots_[i].tag != tag ||
+            dict_value(slots_[i].id_plus_one - 1) != value)) {
+      i = (i + 1) & mask;
     }
-    return it->second;
+    return i;
+  }
+
+  /// Returns the id of `value`, ids in first-seen order. A new value is
+  /// appended to the arena; a duplicate allocates nothing.
+  int64_t Intern(std::string_view value) {
+    if ((ends_.size() + 1) * 2 > slots_.size()) GrowSlots();
+    const uint64_t hash = HashBytes(value);
+    Slot& slot = slots_[FindSlot(hash, value)];
+    if (slot.id_plus_one == 0) {
+      arena_.append(value);
+      ends_.push_back(arena_.size());
+      slot = {static_cast<uint32_t>(ends_.size()),
+              static_cast<uint32_t>(hash >> 32)};
+    }
+    return slot.id_plus_one - 1;
+  }
+
+  /// Doubles the id table, so its load factor stays at most 1/2, and
+  /// reinserts every id.
+  void GrowSlots() {
+    slots_.assign(std::max<size_t>(64, slots_.size() * 2), Slot{});
+    for (size_t id = 0; id < ends_.size(); ++id) {
+      const uint64_t hash = HashBytes(dict_value(id));
+      slots_[FindSlot(hash, dict_value(id))] = {
+          static_cast<uint32_t>(id + 1), static_cast<uint32_t>(hash >> 32)};
+    }
   }
 
   const TypeDescription* type_;
@@ -215,11 +262,13 @@ class ColumnBuilder {
   /// for strings, array/map lengths, and union tags.
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  /// String interning table: all distinct values seen this stripe. Also
-  /// the input to the dictionary-encoding decision.
-  std::unordered_map<std::string, uint32_t> intern_;
-  std::vector<const std::string*> intern_order_;
-  size_t intern_bytes_ = 0;
+  /// String interning: the distinct values seen this stripe, concatenated
+  /// in first-seen order, the end offset of each, and the id table over
+  /// them. Also the input to the dictionary-encoding decision. Reset()
+  /// keeps all three allocations for the next stripe.
+  std::string arena_;
+  std::vector<size_t> ends_;
+  std::vector<Slot> slots_;
   std::vector<uint64_t> mark_instances_;  // Cumulative, one per group.
   std::vector<uint64_t> mark_nonnull_;
   std::vector<ColumnStatistics> group_stats_;
@@ -304,22 +353,21 @@ class OrcWriter::Impl {
     return std::max<uint64_t>(size, 64 * 1024);
   }
 
-  /// Encodes one group slice of one stream; appends compressed bytes to
-  /// *stream_out.
+  /// Encodes one group slice of one stream into raw_ and frames it onto
+  /// the stripe's data_.
   Status EncodeSegment(const ColumnBuilder& col, StreamKind kind,
                        ColumnEncoding encoding,
                        const std::vector<uint32_t>& dict_remap,
                        uint64_t inst_begin, uint64_t inst_end,
-                       uint64_t nn_begin, uint64_t nn_end,
-                       std::string* stream_out) {
-    std::string raw;
+                       uint64_t nn_begin, uint64_t nn_end) {
+    raw_.clear();
     switch (kind) {
       case StreamKind::kPresent: {
         BitFieldEncoder enc;
         for (uint64_t i = inst_begin; i < inst_end; ++i) {
           enc.Add(col.present()[i] != 0);
         }
-        enc.Finish(&raw);
+        enc.Finish(&raw_);
         break;
       }
       case StreamKind::kData: {
@@ -329,7 +377,7 @@ class OrcWriter::Impl {
             for (uint64_t i = nn_begin; i < nn_end; ++i) {
               enc.Add(col.ints()[i] != 0);
             }
-            enc.Finish(&raw);
+            enc.Finish(&raw_);
             break;
           }
           case TypeKind::kTinyInt:
@@ -338,7 +386,7 @@ class OrcWriter::Impl {
             for (uint64_t i = nn_begin; i < nn_end; ++i) {
               enc.Add(static_cast<uint8_t>(col.ints()[i]));
             }
-            enc.Finish(&raw);
+            enc.Finish(&raw_);
             break;
           }
           case TypeKind::kSmallInt:
@@ -349,14 +397,20 @@ class OrcWriter::Impl {
             for (uint64_t i = nn_begin; i < nn_end; ++i) {
               enc.Add(col.ints()[i]);
             }
-            enc.Finish(&raw);
+            enc.Finish(&raw_);
             break;
           }
           case TypeKind::kFloat:
           case TypeKind::kDouble: {
-            raw.reserve((nn_end - nn_begin) * 8);
-            for (uint64_t i = nn_begin; i < nn_end; ++i) {
-              PutDoubleBits(&raw, col.doubles()[i]);
+            // The little-endian bits of each value, as PutDoubleBits
+            // writes them: on a little-endian host, one copy.
+            const double* values = col.doubles().data() + nn_begin;
+            const uint64_t n = nn_end - nn_begin;
+            if constexpr (std::endian::native == std::endian::little) {
+              raw_.append(reinterpret_cast<const char*>(values),
+                          n * sizeof(double));
+            } else {
+              for (uint64_t i = 0; i < n; ++i) PutDoubleBits(&raw_, values[i]);
             }
             break;
           }
@@ -366,12 +420,11 @@ class OrcWriter::Impl {
               for (uint64_t i = nn_begin; i < nn_end; ++i) {
                 enc.Add(dict_remap[static_cast<size_t>(col.ints()[i])]);
               }
-              enc.Finish(&raw);
+              enc.Finish(&raw_);
             } else {
               // Direct: concatenated value bytes.
               for (uint64_t i = nn_begin; i < nn_end; ++i) {
-                raw.append(
-                    *col.intern_order()[static_cast<size_t>(col.ints()[i])]);
+                raw_.append(col.dict_value(static_cast<size_t>(col.ints()[i])));
               }
             }
             break;
@@ -386,22 +439,21 @@ class OrcWriter::Impl {
         if (col.type()->kind() == TypeKind::kString) {
           for (uint64_t i = nn_begin; i < nn_end; ++i) {
             enc.Add(static_cast<int64_t>(
-                col.intern_order()[static_cast<size_t>(col.ints()[i])]
-                    ->size()));
+                col.dict_value(static_cast<size_t>(col.ints()[i])).size()));
           }
         } else {  // Array/Map sizes.
           for (uint64_t i = nn_begin; i < nn_end; ++i) {
             enc.Add(col.ints()[i]);
           }
         }
-        enc.Finish(&raw);
+        enc.Finish(&raw_);
         break;
       }
       default:
         return Status::Internal("EncodeSegment on stripe-scoped stream");
     }
-    return CountedCompress(codec_, raw, options_.compression_unit_size,
-                           stream_out);
+    return CountedCompress(codec_, raw_, options_.compression_unit_size,
+                           &data_);
   }
 
   Status FlushStripe() {
@@ -426,7 +478,7 @@ class OrcWriter::Impl {
     StripeIndex index;
     index.group_stats.resize(columns.size());
 
-    std::string data;  // All streams, concatenated.
+    data_.clear();
     std::vector<ColumnStatistics> stripe_stats(columns.size());
 
     for (size_t c = 0; c < columns.size(); ++c) {
@@ -460,7 +512,7 @@ class OrcWriter::Impl {
           std::iota(sorted_ids.begin(), sorted_ids.end(), 0);
           std::sort(sorted_ids.begin(), sorted_ids.end(),
                     [&](uint32_t a, uint32_t b) {
-                      return *col->intern_order()[a] < *col->intern_order()[b];
+                      return col->dict_value(a) < col->dict_value(b);
                     });
           dict_remap.resize(col->distinct_count());
           for (uint32_t rank = 0; rank < sorted_ids.size(); ++rank) {
@@ -474,50 +526,49 @@ class OrcWriter::Impl {
 
       for (StreamKind kind :
            StreamsForColumn(col->type()->kind(), col->any_null(), encoding)) {
-        std::string stream_bytes;
+        const size_t stream_begin = data_.size();
         std::vector<uint64_t> ends;
         if (IsStripeScoped(kind)) {
-          std::string raw;
+          raw_.clear();
           if (kind == StreamKind::kDictionaryData) {
-            for (uint32_t id : sorted_ids) raw.append(*col->intern_order()[id]);
+            for (uint32_t id : sorted_ids) raw_.append(col->dict_value(id));
           } else {  // kDictionaryLength
             IntRleEncoder enc;
             for (uint32_t id : sorted_ids) {
-              enc.Add(static_cast<int64_t>(col->intern_order()[id]->size()));
+              enc.Add(static_cast<int64_t>(col->dict_value(id).size()));
             }
-            enc.Finish(&raw);
+            enc.Finish(&raw_);
           }
           MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-              codec_, raw, options_.compression_unit_size, &stream_bytes));
-          ends.push_back(stream_bytes.size());
+              codec_, raw_, options_.compression_unit_size, &data_));
+          ends.push_back(data_.size() - stream_begin);
         } else {
           uint64_t ib = 0, nb = 0;
           for (uint32_t g = 0; g < num_groups; ++g) {
             uint64_t ie = col->mark_instances()[g];
             uint64_t ne = col->mark_nonnull()[g];
             MINIHIVE_RETURN_IF_ERROR(EncodeSegment(*col, kind, encoding,
-                                                   dict_remap, ib, ie, nb, ne,
-                                                   &stream_bytes));
-            ends.push_back(stream_bytes.size());
+                                                   dict_remap, ib, ie, nb, ne));
+            ends.push_back(data_.size() - stream_begin);
             ib = ie;
             nb = ne;
           }
         }
         // Checksum each on-disk segment (what a PPD reader fetches) and the
         // stream as a whole (what a full-scan reader fetches).
+        const std::string_view stream =
+            std::string_view(data_).substr(stream_begin);
         std::vector<uint32_t> crcs;
         crcs.reserve(ends.size());
         uint64_t seg_begin = 0;
         for (uint64_t end : ends) {
-          crcs.push_back(Crc32(std::string_view(stream_bytes)
-                                   .substr(seg_begin, end - seg_begin)));
+          crcs.push_back(Crc32(stream.substr(seg_begin, end - seg_begin)));
           seg_begin = end;
         }
-        footer.streams.push_back({static_cast<uint32_t>(c), kind,
-                                  stream_bytes.size(), Crc32(stream_bytes)});
+        footer.streams.push_back(
+            {static_cast<uint32_t>(c), kind, stream.size(), Crc32(stream)});
         index.segment_ends.push_back(std::move(ends));
         index.segment_crcs.push_back(std::move(crcs));
-        data.append(stream_bytes);
       }
     }
 
@@ -532,7 +583,7 @@ class OrcWriter::Impl {
         codec_, footer_raw, options_.compression_unit_size, &footer_bytes));
 
     uint64_t stripe_length =
-        index_bytes.size() + data.size() + footer_bytes.size();
+        index_bytes.size() + data_.size() + footer_bytes.size();
     if (options_.align_stripes_to_blocks && stripe_length <= block_size_ &&
         stripe_length > file_->RemainingInBlock()) {
       // Pad so the stripe starts at the next block boundary (paper §4.1).
@@ -542,13 +593,13 @@ class OrcWriter::Impl {
     StripeInformation info;
     info.offset = file_->Size();
     info.index_length = index_bytes.size();
-    info.data_length = data.size();
+    info.data_length = data_.size();
     info.footer_length = footer_bytes.size();
     info.num_rows = rows_in_stripe_;
     info.index_crc = Crc32(index_bytes);
     info.footer_crc = Crc32(footer_bytes);
     MINIHIVE_RETURN_IF_ERROR(file_->Append(index_bytes));
-    MINIHIVE_RETURN_IF_ERROR(file_->Append(data));
+    MINIHIVE_RETURN_IF_ERROR(file_->Append(data_));
     MINIHIVE_RETURN_IF_ERROR(file_->Append(footer_bytes));
     telemetry::MetricsRegistry::Global()
         .GetCounter("orc.writer.stripes_written")
@@ -631,6 +682,10 @@ class OrcWriter::Impl {
   std::vector<StripeInformation> stripes_;
   std::vector<std::vector<ColumnStatistics>> stripe_stats_;
   std::vector<ColumnStatistics> file_stats_;
+  /// Flush buffers, reused across segments and stripes: one segment's
+  /// encoded bytes, and the open stripe's streams, framed and concatenated.
+  std::string raw_;
+  std::string data_;
 };
 
 OrcWriter::OrcWriter(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
@@ -492,6 +493,74 @@ TEST(OrcFileTest, CompressionShrinksFile) {
   int count = 0;
   while (*reader->NextRow(&row)) ++count;
   EXPECT_EQ(count, 30000);
+}
+
+// Pins the writer's output bytes, its stripe cuts and its buffered-size
+// estimate; the constants were recorded at commit 54a8f3f. A change to how
+// the writer buffers or encodes a stripe must leave all three as they are;
+// a change meant to move bytes re-records them.
+TEST(OrcFileTest, WriterBytesAreStable) {
+  TypePtr schema = *TypeDescription::Parse(
+      "struct<id:bigint,pool:string,uniq:string,x:double>");
+  // 50 values, including the empty string and values holding '\0'.
+  std::vector<std::string> pool;
+  for (int k = 0; k < 50; ++k) {
+    if (k == 0) {
+      pool.emplace_back();
+    } else if (k % 7 == 0) {
+      pool.push_back(std::string("a\0b", 3) + std::to_string(k));
+    } else {
+      pool.push_back("pool-" + std::to_string(k * 37));
+    }
+  }
+  struct Expected {
+    codec::CompressionKind compression;
+    uint64_t size;
+    uint32_t crc;
+    uint64_t stripes;
+    uint64_t buffered_bytes_sum;  // Over every row: pins MemoryUsage().
+  };
+  const Expected kExpected[] = {
+      {codec::CompressionKind::kNone, 116917, 3066743654u, 7, 112713117},
+      {codec::CompressionKind::kFastLz, 115541, 3669672164u, 7, 112713117},
+  };
+  for (const Expected& expected : kExpected) {
+    SCOPED_TRACE(static_cast<int>(expected.compression));
+    dfs::FileSystem fs;
+    OrcWriterOptions options;
+    options.stripe_size = 64 * 1024;  // The floor: several stripes.
+    options.row_index_stride = 1000;
+    options.compression = expected.compression;
+    auto writer = std::move(OrcWriter::Create(&fs, "/orc/pinned", schema,
+                                              options))
+                      .ValueOrDie();
+    Random rng(26);
+    uint64_t buffered_sum = 0;
+    auto maybe_null = [&](Value v) {
+      return rng.Bernoulli(0.1) ? Value::Null() : std::move(v);
+    };
+    for (int i = 0; i < 5000; ++i) {
+      std::string uniq(i % 5 == 0 ? 1 : 0, '\0');
+      uniq += rng.NextString(rng.Uniform(12)) + std::to_string(i);
+      Row row = {
+          maybe_null(Value::Int(i % 3 == 0 ? static_cast<int64_t>(rng.Next())
+                                           : i / 4)),
+          maybe_null(Value::String(pool[rng.Uniform(pool.size())])),
+          maybe_null(Value::String(uniq)),
+          maybe_null(Value::Double((rng.NextDouble() - 0.5) * 1e6))};
+      ASSERT_TRUE(writer->AddRow(row).ok());
+      buffered_sum += writer->buffered_bytes();
+    }
+    ASSERT_TRUE(writer->Close().ok());
+    auto file = std::move(fs.Open("/orc/pinned")).ValueOrDie();
+    std::string contents;
+    ASSERT_TRUE(file->ReadAt(0, file->Size(), &contents).ok());
+    EXPECT_GE(writer->stripes_written(), 2u);
+    EXPECT_EQ(writer->stripes_written(), expected.stripes);
+    EXPECT_EQ(buffered_sum, expected.buffered_bytes_sum);
+    EXPECT_EQ(contents.size(), expected.size);
+    EXPECT_EQ(Crc32(contents), expected.crc);
+  }
 }
 
 }  // namespace
