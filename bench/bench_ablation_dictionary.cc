@@ -48,8 +48,9 @@ int Main() {
       for (int i = 0; i < kRows; ++i) {
         std::string value =
             column.cardinality == 0
-                ? "u" + std::to_string(i) + rng.NextString(12)
-                : "val-" + std::to_string(rng.Uniform(column.cardinality));
+                ? std::string("u").append(std::to_string(i)).append(rng.NextString(12))
+                : std::string("val-").append(
+                      std::to_string(rng.Uniform(column.cardinality)));
         Check(writer->AddRow({Value::String(value)}), "row");
       }
       Check(writer->Close(), "close");

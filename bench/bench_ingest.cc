@@ -99,9 +99,9 @@ int Main() {
     for (int i = 0; i < kRowsPerBatch; ++i) {
       const int64_t k = static_cast<int64_t>(batch) * kRowsPerBatch + i;
       if (i > 0) sql += ", ";
-      sql += "(" + std::to_string(k) + ", " +
-             std::to_string(k % kPartitions) + ", " +
-             std::to_string(k % 1000) + ".5)";
+      sql += "(";
+      sql += std::to_string(k) + ", " + std::to_string(k % kPartitions) +
+             ", " + std::to_string(k % 1000) + ".5)";
     }
     rows_inserted += CheckResult(ingest.Execute(sql), "insert").rows_affected;
   }

@@ -288,6 +288,25 @@ void BM_IntRleDecodeMonotonic(benchmark::State& state) {
 }
 BENCHMARK(BM_IntRleDecodeMonotonic);
 
+// Random values below 2^20 (like l_partkey or day numbers): almost every
+// token is a literal list of 3-byte varints.
+void BM_IntRleDecodeLiterals(benchmark::State& state) {
+  Random rng(20);
+  orc::IntRleEncoder encoder;
+  for (int i = 0; i < 10000; ++i) {
+    encoder.Add(static_cast<int64_t>(rng.Uniform(1 << 20)));
+  }
+  std::string encoded;
+  encoder.Finish(&encoded);
+  std::vector<int64_t> out(10000);
+  for (auto _ : state) {
+    orc::IntRleDecoder decoder(encoded);
+    benchmark::DoNotOptimize(decoder.NextBatch(out.data(), out.size()).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * out.size());
+}
+BENCHMARK(BM_IntRleDecodeLiterals);
+
 // ---- Codec throughput on pseudo-text.
 
 std::string PseudoTextPayload() {

@@ -231,4 +231,21 @@ Status DecompressUnits(const Codec* codec, std::string_view data,
   return Status::OK();
 }
 
+Status ViewUnits(const Codec* codec, std::string_view data,
+                 std::string* scratch, std::string_view* view) {
+  minihive::ByteReader reader(data);
+  uint64_t original_len, stored_len;
+  uint8_t flag;
+  if (reader.GetVarint64(&original_len).ok() && reader.GetByte(&flag).ok() &&
+      flag == 0 && reader.GetVarint64(&stored_len).ok() &&
+      stored_len == reader.remaining()) {
+    *view = data.substr(reader.position());
+    return Status::OK();
+  }
+  scratch->clear();
+  MINIHIVE_RETURN_IF_ERROR(DecompressUnits(codec, data, scratch));
+  *view = *scratch;
+  return Status::OK();
+}
+
 }  // namespace minihive::codec

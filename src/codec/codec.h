@@ -46,6 +46,13 @@ Status CompressToUnits(const Codec* codec, std::string_view data,
 Status DecompressUnits(const Codec* codec, std::string_view data,
                        std::string* out);
 
+/// The bytes DecompressUnits would produce, without copying stored bytes:
+/// when `data` is exactly one stored (flag 0) unit, *view points into
+/// `data`; otherwise `data` is decompressed into *scratch (cleared first)
+/// and *view points there.
+Status ViewUnits(const Codec* codec, std::string_view data,
+                 std::string* scratch, std::string_view* view);
+
 /// Default compression-unit size (256 KB, the paper's default).
 inline constexpr size_t kDefaultCompressionUnitSize = 256 * 1024;
 

@@ -44,25 +44,19 @@ void PutDoubleBits(std::string* dst, double value) {
 }
 
 Status ByteReader::GetVarint64(uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (shift >= 64) return Status::Corruption("varint64 too long");
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return Status::OK();
-    }
-    shift += 7;
+  const uint8_t* begin = reinterpret_cast<const uint8_t*>(data_.data());
+  const uint8_t* p = begin + pos_;
+  if (const char* error = DecodeVarint64(&p, begin + data_.size(), value)) {
+    return Status::Corruption(error);
   }
-  return Status::Corruption("truncated varint64");
+  pos_ = static_cast<size_t>(p - begin);
+  return Status::OK();
 }
 
 Status ByteReader::GetVarintSigned64(int64_t* value) {
   uint64_t zigzag;
   MINIHIVE_RETURN_IF_ERROR(GetVarint64(&zigzag));
-  *value = static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
+  *value = ZigzagDecode(zigzag);
   return Status::OK();
 }
 

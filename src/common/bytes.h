@@ -28,6 +28,31 @@ void PutLengthPrefixed(std::string* dst, std::string_view value);
 /// Appends the raw bits of a double (little-endian).
 void PutDoubleBits(std::string* dst, double value);
 
+/// Decodes one unsigned LEB128 varint at *pos without reading at or past
+/// `end`, and at most 10 bytes long. On success advances *pos and returns
+/// null; otherwise returns the corruption message. ByteReader and the ORC
+/// stream decoders share this one loop.
+inline const char* DecodeVarint64(const uint8_t** pos, const uint8_t* end,
+                                  uint64_t* value) {
+  const uint8_t* p = *pos;
+  uint64_t result = 0;
+  for (int shift = 0;; shift += 7) {
+    if (p == end) return "truncated varint64";
+    const uint8_t byte = *p++;
+    if (shift >= 64) return "varint64 too long";
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) break;
+  }
+  *pos = p;
+  *value = result;
+  return nullptr;
+}
+
+/// The signed value of a zigzag-encoded varint.
+inline int64_t ZigzagDecode(uint64_t zigzag) {
+  return static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
+}
+
 /// Cursor for decoding the encodings above. All Get* methods return an error
 /// Status on truncation/corruption rather than reading out of bounds.
 class ByteReader {

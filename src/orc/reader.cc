@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <map>
+#include <optional>
 
 #include "common/cache.h"
 #include "common/crc32.h"
@@ -121,20 +124,27 @@ Status VerifyCrc(std::string_view stored, uint32_t expected,
 }
 
 /// Reads one stream of one stripe. Two modes:
-///  - full: the entire stream, already read, verified and decompressed as
-///    one section, is handed over at init; groups are decoded strictly in
-///    order with persistent decoders (no index data required — per-group
-///    value counts come from the stripe footer);
+///  - full: the entire stream, already read and verified as one section, is
+///    handed over at init; groups are decoded strictly in order with
+///    persistent decoders (no index data required — per-group value counts
+///    come from the stripe footer);
 ///  - ppd: group byte ranges come from the row index; runs of consecutive
 ///    selected groups are fetched with one positional read, and each group
 ///    is decompressed and decoded with fresh decoders (encoders restart at
 ///    group boundaries, so a group is independently decodable).
+/// Decoders read `data_`, a view of the decoded bytes: into the fetched
+/// bytes when they are one stored unit (codec::ViewUnits), else into the
+/// reused decompression buffer. In ppd mode each StartGroup replaces it;
+/// in full mode it is the whole stream for the stripe.
 class StreamReader {
  public:
-  void InitFull(std::string raw) {
+  Status InitFull(std::string stored, const codec::Codec* codec) {
     full_mode_ = true;
-    raw_ = std::move(raw);
+    stored_ = std::move(stored);
+    MINIHIVE_RETURN_IF_ERROR(
+        codec::ViewUnits(codec, stored_, &decompressed_, &data_));
     ResetDecoders();
+    return Status::OK();
   }
 
   void InitPpd(dfs::ReadableFile* file, uint64_t file_start,
@@ -158,7 +168,7 @@ class StreamReader {
   /// increasing order; this just realigns the bit decoder.
   Status StartGroup(uint32_t g) {
     if (full_mode_) {
-      if (bit_dec_ != nullptr) bit_dec_->AlignToByte();
+      if (bit_dec_.has_value()) bit_dec_->AlignToByte();
       return Status::OK();
     }
     uint64_t seg_start = g == 0 ? 0 : (*seg_ends_)[g - 1];
@@ -167,65 +177,65 @@ class StreamReader {
       MINIHIVE_RETURN_IF_ERROR(FetchRun(g));
     }
     std::string_view slice =
-        std::string_view(run_buf_)
+        std::string_view(stored_)
             .substr(seg_start - run_base_, seg_end - seg_start);
     if (verify_ && seg_crcs_ != nullptr && g < seg_crcs_->size()) {
       MINIHIVE_RETURN_IF_ERROR(
           VerifyCrc(slice, (*seg_crcs_)[g], "stream segment"));
     }
-    raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(codec::DecompressUnits(codec_, slice, &raw_));
+    MINIHIVE_RETURN_IF_ERROR(
+        codec::ViewUnits(codec_, slice, &decompressed_, &data_));
     ResetDecoders();
     return Status::OK();
   }
 
+  /// Decodes n booleans into *out as 0/1 bytes.
   Status ReadBits(uint64_t n, std::vector<uint8_t>* out) {
-    if (bit_dec_ == nullptr) {
-      bit_dec_ = std::make_unique<BitFieldDecoder>(raw_);
-    }
+    if (!bit_dec_.has_value()) bit_dec_.emplace(data_);
     out->resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      bool v;
-      MINIHIVE_RETURN_IF_ERROR(bit_dec_->Next(&v));
-      (*out)[i] = v ? 1 : 0;
-    }
-    return Status::OK();
+    return bit_dec_->NextBatch(out->data(), n);
   }
 
   Status ReadInts(uint64_t n, std::vector<int64_t>* out) {
-    if (int_dec_ == nullptr) {
-      int_dec_ = std::make_unique<IntRleDecoder>(raw_);
-    }
+    if (!int_dec_.has_value()) int_dec_.emplace(data_);
     out->resize(n);
     return int_dec_->NextBatch(out->data(), n);
   }
 
   Status ReadRleBytes(uint64_t n, std::vector<uint8_t>* out) {
-    if (byte_dec_ == nullptr) {
-      byte_dec_ = std::make_unique<RunLengthByteDecoder>(raw_);
-    }
+    if (!byte_dec_.has_value()) byte_dec_.emplace(data_);
     out->resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      MINIHIVE_RETURN_IF_ERROR(byte_dec_->Next(&(*out)[i]));
-    }
-    return Status::OK();
+    return byte_dec_->NextBatch(out->data(), n);
   }
 
-  /// Appends the next n raw bytes to *out.
-  Status ReadRaw(uint64_t n, std::string* out) {
-    if (raw_cursor_ + n > raw_.size()) {
+  /// Views the next n raw bytes; valid until the next StartGroup.
+  Status ReadView(uint64_t n, std::string_view* out) {
+    if (n > data_.size() - cursor_) {
       return Status::Corruption("raw stream exhausted");
     }
-    out->append(raw_, raw_cursor_, n);
-    raw_cursor_ += n;
+    *out = data_.substr(cursor_, n);
+    cursor_ += n;
     return Status::OK();
   }
 
-  const std::string& raw() const { return raw_; }
+  /// Decodes n doubles, stored as their little-endian bits: one bounds
+  /// check and one copy.
+  Status ReadDoubles(uint64_t n, std::vector<double>* out) {
+    static_assert(std::endian::native == std::endian::little,
+                  "DOUBLE streams hold little-endian bits");
+    if (n > (data_.size() - cursor_) / sizeof(double)) {
+      return Status::Corruption("raw stream exhausted");
+    }
+    out->resize(n);
+    if (n == 0) return Status::OK();  // memcpy may not see a null pointer.
+    std::memcpy(out->data(), data_.data() + cursor_, n * sizeof(double));
+    cursor_ += n * sizeof(double);
+    return Status::OK();
+  }
 
  private:
   void ResetDecoders() {
-    raw_cursor_ = 0;
+    cursor_ = 0;
     int_dec_.reset();
     byte_dec_.reset();
     bit_dec_.reset();
@@ -243,10 +253,10 @@ class StreamReader {
     if (run == nullptr) return Status::Internal("group not in any run");
     uint64_t start = run->first == 0 ? 0 : (*seg_ends_)[run->first - 1];
     uint64_t end = (*seg_ends_)[run->last];
-    run_buf_.clear();
+    stored_.clear();
     if (end > start) {
       MINIHIVE_RETURN_IF_ERROR(
-          file_->ReadAt(file_start_ + start, end - start, &run_buf_, host_));
+          file_->ReadAt(file_start_ + start, end - start, &stored_, host_));
     }
     run_base_ = start;
     run_first_ = run->first;
@@ -265,13 +275,14 @@ class StreamReader {
   const std::vector<GroupRun>* runs_ = nullptr;
   bool verify_ = false;
 
-  std::string raw_;
-  size_t raw_cursor_ = 0;
-  std::unique_ptr<IntRleDecoder> int_dec_;
-  std::unique_ptr<RunLengthByteDecoder> byte_dec_;
-  std::unique_ptr<BitFieldDecoder> bit_dec_;
+  std::string stored_;        // Full mode: the stream; ppd: the fetched run.
+  std::string decompressed_;  // Reused when data_ cannot view stored_.
+  std::string_view data_;
+  size_t cursor_ = 0;         // ReadView/ReadDoubles position in data_.
+  std::optional<IntRleDecoder> int_dec_;
+  std::optional<RunLengthByteDecoder> byte_dec_;
+  std::optional<BitFieldDecoder> bit_dec_;
 
-  std::string run_buf_;
   uint64_t run_base_ = 0;
   uint32_t run_first_ = 0;
   uint32_t run_last_ = 0;
@@ -285,6 +296,8 @@ struct ColumnNode {
   int column_id = 0;
   bool needed = false;
   std::vector<std::unique_ptr<ColumnNode>> children;
+  // Projected top-level fields: the subtree (all needed), in decode order.
+  std::vector<ColumnNode*> decode_order;
 
   // Per-stripe state.
   ColumnEncoding encoding = ColumnEncoding::kDirect;
@@ -294,12 +307,12 @@ struct ColumnNode {
   std::unique_ptr<StreamReader> data_stream;
   std::unique_ptr<StreamReader> length_stream;
 
-  // Current decoded group.
+  // Current decoded group. The buffers keep their capacity across groups.
   std::vector<uint8_t> present;  // Empty => no nulls in group.
   std::vector<int64_t> ints;     // Data ints / lengths / dictionary ids.
   std::vector<double> doubles;
-  std::vector<uint8_t> bytes;    // TinyInt values / union tags.
-  std::string arena;             // Direct string bytes.
+  std::vector<uint8_t> bytes;    // TinyInt values / union tags / booleans.
+  std::string_view arena;        // Direct string bytes, in the data stream.
   std::vector<std::pair<uint64_t, uint32_t>> str_spans;  // (offset, len).
   uint64_t instance_count = 0;
   uint64_t nonnull_count = 0;
@@ -368,6 +381,7 @@ class OrcReader::Impl {
   Status Open() {
     MINIHIVE_RETURN_IF_ERROR(ReadTail());
     root_.Build(tail_->schema.get());
+    root_.Flatten(&all_nodes_);
     // Mark needed columns.
     root_.needed = true;
     if (options_.projected_fields.empty()) {
@@ -424,6 +438,7 @@ class OrcReader::Impl {
     // field is lazy.
     for (int field : projected_) {
       ColumnNode* node = root_.children[field].get();
+      if (node->decode_order.empty()) node->Flatten(&node->decode_order);
       if (std::find(filter_nodes_.begin(), filter_nodes_.end(), node) ==
               filter_nodes_.end() &&
           std::find(lazy_nodes_.begin(), lazy_nodes_.end(), node) ==
@@ -585,20 +600,27 @@ class OrcReader::Impl {
     return std::shared_ptr<const T>(std::move(parsed));
   }
 
-  /// Reads the file section [offset, offset + length), verifies its CRC
-  /// (when checksums are on) and decompresses it into *raw. Every
-  /// whole-section read goes through here: file footer and metadata,
-  /// stripe footers and indexes, and full-mode streams.
+  /// Reads the file section [offset, offset + length) into *stored and
+  /// verifies its CRC (when checksums are on). Every whole-section read goes
+  /// through here: file footer and metadata, stripe footers and indexes
+  /// (via ReadSection), and full-mode streams.
+  Status ReadStored(uint64_t offset, uint64_t length, uint32_t crc,
+                    const char* what, std::string* stored) {
+    if (length > 0) {
+      MINIHIVE_RETURN_IF_ERROR(
+          file_->ReadAt(offset, length, stored, options_.reader_host));
+    }
+    if (options_.verify_checksums) {
+      MINIHIVE_RETURN_IF_ERROR(VerifyCrc(*stored, crc, what));
+    }
+    return Status::OK();
+  }
+
+  /// ReadStored, then decompresses the section into *raw.
   Status ReadSection(uint64_t offset, uint64_t length, uint32_t crc,
                      const char* what, std::string* raw) {
     std::string stored;
-    if (length > 0) {
-      MINIHIVE_RETURN_IF_ERROR(
-          file_->ReadAt(offset, length, &stored, options_.reader_host));
-    }
-    if (options_.verify_checksums) {
-      MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, crc, what));
-    }
+    MINIHIVE_RETURN_IF_ERROR(ReadStored(offset, length, crc, what, &stored));
     raw->clear();
     return codec::DecompressUnits(codec_, stored, raw);
   }
@@ -772,9 +794,7 @@ class OrcReader::Impl {
     groups_read_ += selected_groups_.size();
 
     // Wire up stream readers for needed columns.
-    std::vector<ColumnNode*> nodes;
-    root_.Flatten(&nodes);
-    for (ColumnNode* node : nodes) {
+    for (ColumnNode* node : all_nodes_) {
       node->present_stream.reset();
       node->data_stream.reset();
       node->length_stream.reset();
@@ -784,7 +804,7 @@ class OrcReader::Impl {
     uint64_t stream_start = info.offset + info.index_length;
     for (size_t si = 0; si < stripe_footer_->streams.size(); ++si) {
       const StreamInfo& s = stripe_footer_->streams[si];
-      ColumnNode* node = nodes[s.column];
+      ColumnNode* node = all_nodes_[s.column];
       uint64_t start = stream_start;
       stream_start += s.length;
       if (!node->needed) continue;
@@ -800,10 +820,10 @@ class OrcReader::Impl {
                         options_.verify_checksums);
       } else {
         // Full mode; dictionary streams are read whole in either mode.
-        std::string raw;
+        std::string stored;
         MINIHIVE_RETURN_IF_ERROR(
-            ReadSection(start, s.length, s.crc, "stream", &raw));
-        stream->InitFull(std::move(raw));
+            ReadStored(start, s.length, s.crc, "stream", &stored));
+        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(std::move(stored), codec_));
       }
       switch (s.kind) {
         case StreamKind::kPresent:
@@ -829,16 +849,14 @@ class OrcReader::Impl {
       if (it == dict_length_tmp_.end()) {
         return Status::Corruption("dictionary data without lengths");
       }
-      ColumnNode* node = nodes[column];
+      ColumnNode* node = all_nodes_[column];
       uint32_t dict_size = stripe_footer_->dictionary_sizes[column];
-      std::vector<int64_t> lengths;
-      MINIHIVE_RETURN_IF_ERROR(it->second->ReadInts(dict_size, &lengths));
+      MINIHIVE_RETURN_IF_ERROR(it->second->ReadInts(dict_size, &lengths_));
       node->dict.resize(dict_size);
-      std::string entry;
+      std::string_view entry;
       for (uint32_t i = 0; i < dict_size; ++i) {
-        entry.clear();
         MINIHIVE_RETURN_IF_ERROR(
-            data_stream->ReadRaw(static_cast<uint64_t>(lengths[i]), &entry));
+            data_stream->ReadView(static_cast<uint64_t>(lengths_[i]), &entry));
         node->dict[i] = entry;
       }
       node->dict_version = vec::NextDictionaryVersion();
@@ -928,10 +946,7 @@ class OrcReader::Impl {
 
   /// Decodes the whole top-level subtree of `node` for group `g`.
   Status DecodeSubtree(ColumnNode* node, uint32_t g) {
-    std::vector<ColumnNode*> nodes;
-    node->Flatten(&nodes);
-    for (ColumnNode* n : nodes) {
-      if (!n->needed) continue;
+    for (ColumnNode* n : node->decode_order) {
       size_t c = static_cast<size_t>(n->column_id);
       MINIHIVE_RETURN_IF_ERROR(
           DecodeColumnGroup(n, g, stripe_footer_->instance_counts[c][g],
@@ -974,30 +989,38 @@ class OrcReader::Impl {
     return slice;
   }
 
+  /// Decodes one column's segments of group `g` into the node's reused
+  /// buffers, a whole group per decoder call.
   Status DecodeColumnGroup(ColumnNode* node, uint32_t g, uint64_t instances,
                            uint64_t nonnull) {
     node->instance_count = instances;
     node->nonnull_count = nonnull;
     node->inst_cur = 0;
     node->nn_cur = 0;
-    node->present.clear();
-    node->ints.clear();
-    node->doubles.clear();
-    node->bytes.clear();
-    node->arena.clear();
-    node->str_spans.clear();
 
     if (node->present_stream != nullptr) {
       MINIHIVE_RETURN_IF_ERROR(node->present_stream->StartGroup(g));
       MINIHIVE_RETURN_IF_ERROR(
           node->present_stream->ReadBits(instances, &node->present));
+    } else {
+      node->present.clear();
+    }
+    // Every value cursor below stays inside the decoded values only if the
+    // present bits and the footer's non-null count agree.
+    uint64_t present_count = instances;
+    if (!node->present.empty()) {
+      present_count = 0;
+      for (uint8_t bit : node->present) present_count += bit;
+    }
+    if (present_count != nonnull) {
+      return Status::Corruption("present bits disagree with non-null count");
     }
     switch (node->type->kind()) {
       case TypeKind::kBoolean: {
         MINIHIVE_RETURN_IF_ERROR(node->data_stream->StartGroup(g));
-        std::vector<uint8_t> bits;
-        MINIHIVE_RETURN_IF_ERROR(node->data_stream->ReadBits(nonnull, &bits));
-        node->ints.assign(bits.begin(), bits.end());
+        MINIHIVE_RETURN_IF_ERROR(
+            node->data_stream->ReadBits(nonnull, &node->bytes));
+        node->ints.assign(node->bytes.begin(), node->bytes.end());
         break;
       }
       case TypeKind::kTinyInt: {
@@ -1022,13 +1045,8 @@ class OrcReader::Impl {
       case TypeKind::kFloat:
       case TypeKind::kDouble: {
         MINIHIVE_RETURN_IF_ERROR(node->data_stream->StartGroup(g));
-        std::string raw;
-        MINIHIVE_RETURN_IF_ERROR(node->data_stream->ReadRaw(nonnull * 8, &raw));
-        node->doubles.resize(nonnull);
-        ByteReader reader(raw);
-        for (uint64_t i = 0; i < nonnull; ++i) {
-          MINIHIVE_RETURN_IF_ERROR(reader.GetDoubleBits(&node->doubles[i]));
-        }
+        MINIHIVE_RETURN_IF_ERROR(
+            node->data_stream->ReadDoubles(nonnull, &node->doubles));
         break;
       }
       case TypeKind::kString: {
@@ -1038,19 +1056,19 @@ class OrcReader::Impl {
               node->data_stream->ReadInts(nonnull, &node->ints));
         } else {
           MINIHIVE_RETURN_IF_ERROR(node->length_stream->StartGroup(g));
-          std::vector<int64_t> lengths;
           MINIHIVE_RETURN_IF_ERROR(
-              node->length_stream->ReadInts(nonnull, &lengths));
-          uint64_t total = 0;
-          for (int64_t len : lengths) total += static_cast<uint64_t>(len);
-          MINIHIVE_RETURN_IF_ERROR(
-              node->data_stream->ReadRaw(total, &node->arena));
+              node->length_stream->ReadInts(nonnull, &lengths_));
           node->str_spans.resize(nonnull);
           uint64_t at = 0;
           for (uint64_t i = 0; i < nonnull; ++i) {
-            node->str_spans[i] = {at, static_cast<uint32_t>(lengths[i])};
-            at += static_cast<uint64_t>(lengths[i]);
+            if (lengths_[i] < 0 || lengths_[i] > UINT32_MAX) {
+              return Status::Corruption("bad string length");
+            }
+            node->str_spans[i] = {at, static_cast<uint32_t>(lengths_[i])};
+            at += static_cast<uint64_t>(lengths_[i]);
           }
+          MINIHIVE_RETURN_IF_ERROR(
+              node->data_stream->ReadView(at, &node->arena));
         }
         break;
       }
@@ -1108,7 +1126,7 @@ class OrcReader::Impl {
           *out = Value::String(node->dict[static_cast<size_t>(node->ints[j])]);
         } else {
           auto [off, len] = node->str_spans[j];
-          *out = Value::String(node->arena.substr(off, len));
+          *out = Value::String(std::string(node->arena.substr(off, len)));
         }
         return Status::OK();
       }
@@ -1186,7 +1204,8 @@ class OrcReader::Impl {
   /// no-null flag). `sel_mask` (phase-1 verdicts for these n rows, or null)
   /// lets string columns skip arena copies for rows that are already dead;
   /// numeric columns copy unconditionally — the copy is cheaper than a
-  /// branch, and the packed-value cursors must advance either way.
+  /// branch, and the packed-value cursors must advance either way. With no
+  /// NULLs a numeric column is one memcpy.
   Status FillVector(ColumnNode* node, vec::VectorizedRowBatch* batch,
                     int vector_index, int n,
                     const uint8_t* sel_mask = nullptr) {
@@ -1201,6 +1220,12 @@ class OrcReader::Impl {
     switch (base->kind()) {
       case vec::VectorKind::kLong: {
         auto* vec = static_cast<vec::LongColumnVector*>(base);
+        if (no_nulls) {
+          std::memcpy(vec->vector.data(), node->ints.data() + node->nn_cur,
+                      n * sizeof(int64_t));
+          node->nn_cur += n;
+          break;
+        }
         for (int i = 0; i < n; ++i) {
           bool p = no_nulls || node->present[node->inst_cur + i];
           vec->vector[i] = p ? node->ints[node->nn_cur++] : 0;
@@ -1209,6 +1234,12 @@ class OrcReader::Impl {
       }
       case vec::VectorKind::kDouble: {
         auto* vec = static_cast<vec::DoubleColumnVector*>(base);
+        if (no_nulls) {
+          std::memcpy(vec->vector.data(), node->doubles.data() + node->nn_cur,
+                      n * sizeof(double));
+          node->nn_cur += n;
+          break;
+        }
         for (int i = 0; i < n; ++i) {
           bool p = no_nulls || node->present[node->inst_cur + i];
           vec->vector[i] = p ? node->doubles[node->nn_cur++] : 0;
@@ -1336,6 +1367,8 @@ class OrcReader::Impl {
   std::vector<uint8_t> group_sel_;  // Per-row phase-1 verdicts (group-rel).
   std::vector<uint8_t> leaf_scratch_;
   std::vector<std::string_view> str_views_;
+  std::vector<ColumnNode*> all_nodes_;  // The column tree, flattened.
+  std::vector<int64_t> lengths_;        // String lengths of one group.
 
   uint64_t stripes_read_ = 0;
   uint64_t stripes_skipped_ = 0;

@@ -1,5 +1,9 @@
 #include "orc/stream_encoding.h"
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/bytes.h"
 #include "common/wrap_arith.h"
 
 namespace minihive::orc {
@@ -62,28 +66,36 @@ void RunLengthByteEncoder::Finish(std::string* out) {
   buffer_.clear();
 }
 
-Status RunLengthByteDecoder::Next(uint8_t* value) {
-  if (pending_ == 0) {
-    uint8_t header;
-    MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
-    int8_t signed_header = static_cast<int8_t>(header);
-    if (signed_header >= 0) {
-      in_run_ = true;
-      pending_ = signed_header + kMinRun;
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&run_value_));
-    } else {
-      in_run_ = false;
-      pending_ = -signed_header;
-      MINIHIVE_RETURN_IF_ERROR(
-          reader_.GetBytes(pending_, &literal_bytes_));
-      literal_pos_ = 0;
+Status RunLengthByteDecoder::NextBatch(uint8_t* out, size_t n) {
+  while (n > 0) {
+    if (pending_ == 0) {
+      if (pos_ == end_) return Status::Corruption("truncated byte");
+      const int8_t header = static_cast<int8_t>(*pos_++);
+      if (header >= 0) {
+        if (pos_ == end_) return Status::Corruption("truncated byte");
+        in_run_ = true;
+        pending_ = header + kMinRun;
+        run_value_ = *pos_++;
+      } else {
+        in_run_ = false;
+        pending_ = -header;
+        if (end_ - pos_ < pending_) {
+          return Status::Corruption("truncated byte range");
+        }
+        literals_ = pos_;
+        pos_ += pending_;
+      }
     }
-  }
-  --pending_;
-  if (in_run_) {
-    *value = run_value_;
-  } else {
-    *value = static_cast<uint8_t>(literal_bytes_[literal_pos_++]);
+    const size_t take = std::min(static_cast<size_t>(pending_), n);
+    if (in_run_) {
+      std::memset(out, run_value_, take);
+    } else {
+      std::memcpy(out, literals_, take);
+      literals_ += take;
+    }
+    out += take;
+    n -= take;
+    pending_ -= static_cast<int>(take);
   }
   return Status::OK();
 }
@@ -148,36 +160,51 @@ void IntRleEncoder::Finish(std::string* out) {
   buffer_.clear();
 }
 
-Status IntRleDecoder::Next(int64_t* value) {
-  if (pending_ == 0) {
-    uint8_t header;
-    MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
-    int8_t signed_header = static_cast<int8_t>(header);
-    if (signed_header >= 0) {
-      in_run_ = true;
-      pending_ = signed_header + kMinRun;
-      uint8_t delta_byte;
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&delta_byte));
-      run_delta_ = static_cast<int8_t>(delta_byte);
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetVarintSigned64(&run_value_));
-    } else {
-      in_run_ = false;
-      pending_ = -signed_header;
-    }
+Status IntRleDecoder::ReadHeader() {
+  if (pos_ == end_) return Status::Corruption("truncated byte");
+  const int8_t header = static_cast<int8_t>(*pos_++);
+  if (header < 0) {
+    in_run_ = false;
+    pending_ = -header;
+    return Status::OK();
   }
-  --pending_;
-  if (in_run_) {
-    *value = run_value_;
-    run_value_ = WrapAdd(run_value_, run_delta_);
-  } else {
-    MINIHIVE_RETURN_IF_ERROR(reader_.GetVarintSigned64(value));
+  if (pos_ == end_) return Status::Corruption("truncated byte");
+  run_delta_ = static_cast<int8_t>(*pos_++);
+  uint64_t zigzag;
+  if (const char* error = DecodeVarint64(&pos_, end_, &zigzag)) {
+    return Status::Corruption(error);
   }
+  run_value_ = ZigzagDecode(zigzag);
+  in_run_ = true;
+  pending_ = header + kMinRun;
   return Status::OK();
 }
 
 Status IntRleDecoder::NextBatch(int64_t* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    MINIHIVE_RETURN_IF_ERROR(Next(&out[i]));
+  while (n > 0) {
+    if (pending_ == 0) MINIHIVE_RETURN_IF_ERROR(ReadHeader());
+    const size_t take = std::min(static_cast<size_t>(pending_), n);
+    if (in_run_) {
+      const int64_t base = run_value_;
+      for (size_t i = 0; i < take; ++i) {
+        out[i] = WrapAdd(base, WrapMul(run_delta_, static_cast<int64_t>(i)));
+      }
+      run_value_ =
+          WrapAdd(base, WrapMul(run_delta_, static_cast<int64_t>(take)));
+    } else {
+      const uint8_t* p = pos_;
+      for (size_t i = 0; i < take; ++i) {
+        uint64_t zigzag;
+        if (const char* error = DecodeVarint64(&p, end_, &zigzag)) {
+          return Status::Corruption(error);
+        }
+        out[i] = ZigzagDecode(zigzag);
+      }
+      pos_ = p;
+    }
+    out += take;
+    n -= take;
+    pending_ -= static_cast<int>(take);
   }
   return Status::OK();
 }
@@ -206,14 +233,30 @@ void BitFieldEncoder::Finish(std::string* out) {
   bytes_.Finish(out);
 }
 
-Status BitFieldDecoder::Next(bool* value) {
-  if (bits_left_ == 0) {
-    MINIHIVE_RETURN_IF_ERROR(bytes_.Next(&current_));
-    bits_left_ = 8;
+Status BitFieldDecoder::NextBatch(uint8_t* out, size_t n) {
+  // Bits left in the current byte, then whole bytes a chunk at a time, then
+  // the first bits of one more byte.
+  auto drain = [&] {
+    for (; n > 0 && bits_left_ > 0; --n, --bits_left_) {
+      *out++ = current_ >> 7;
+      current_ = static_cast<uint8_t>(current_ << 1);
+    }
+  };
+  drain();
+  uint8_t packed[256];
+  while (n >= 8) {
+    const size_t bytes = std::min(n / 8, sizeof(packed));
+    MINIHIVE_RETURN_IF_ERROR(bytes_.NextBatch(packed, bytes));
+    for (size_t j = 0; j < bytes; ++j, out += 8) {
+      for (int t = 0; t < 8; ++t) out[t] = (packed[j] >> (7 - t)) & 1;
+    }
+    n -= bytes * 8;
   }
-  *value = (current_ & 0x80) != 0;
-  current_ = static_cast<uint8_t>(current_ << 1);
-  --bits_left_;
+  if (n > 0) {
+    MINIHIVE_RETURN_IF_ERROR(bytes_.NextBatch(&current_, 1));
+    bits_left_ = 8;
+    drain();
+  }
   return Status::OK();
 }
 

@@ -21,6 +21,11 @@ namespace minihive::orc {
 /// Encoders are used per index group: MiniHive restarts every encoder at an
 /// index-group boundary, so a row index position is simply a byte offset
 /// (see DESIGN.md for the tradeoff versus ORC's sub-positions).
+///
+/// Decoders hand out many values per call (`NextBatch`): a run token is one
+/// fill loop, a literal list one loop over a raw byte cursor (byte literals:
+/// one bounds check and one copy per token). A token may span calls. A
+/// Status is made per call or on corruption, never per value.
 
 /// Run-length byte encoding (ORC's ByteRunLength): control byte 0..127
 /// means a run of (control + 3) copies of the next byte; control byte
@@ -43,18 +48,21 @@ class RunLengthByteEncoder {
 
 class RunLengthByteDecoder {
  public:
-  explicit RunLengthByteDecoder(std::string_view data) : reader_(data) {}
-  Status Next(uint8_t* value);
+  explicit RunLengthByteDecoder(std::string_view data)
+      : pos_(reinterpret_cast<const uint8_t*>(data.data())),
+        end_(pos_ + data.size()) {}
+  /// Decodes the next `n` values into out[0, n); fails if fewer remain.
+  Status NextBatch(uint8_t* out, size_t n);
   /// True when all encoded values have been consumed.
-  bool AtEnd() const { return pending_ == 0 && reader_.AtEnd(); }
+  bool AtEnd() const { return pending_ == 0 && pos_ == end_; }
 
  private:
-  ByteReader reader_;
-  int pending_ = 0;      // Values remaining in the current run/literal list.
+  const uint8_t* pos_;
+  const uint8_t* end_;
+  int pending_ = 0;  // Values remaining in the current run/literal list.
   bool in_run_ = false;
   uint8_t run_value_ = 0;
-  std::string_view literal_bytes_;
-  size_t literal_pos_ = 0;
+  const uint8_t* literals_ = nullptr;  // Next byte of the literal list.
 };
 
 /// Integer run-length encoding (ORC RLEv1-style): a run header byte
@@ -81,14 +89,18 @@ class IntRleEncoder {
 
 class IntRleDecoder {
  public:
-  explicit IntRleDecoder(std::string_view data) : reader_(data) {}
-  Status Next(int64_t* value);
-  /// Decodes up to `n` values; fails if fewer remain.
+  explicit IntRleDecoder(std::string_view data)
+      : pos_(reinterpret_cast<const uint8_t*>(data.data())),
+        end_(pos_ + data.size()) {}
+  /// Decodes the next `n` values into out[0, n); fails if fewer remain.
   Status NextBatch(int64_t* out, size_t n);
-  bool AtEnd() const { return pending_ == 0 && reader_.AtEnd(); }
+  bool AtEnd() const { return pending_ == 0 && pos_ == end_; }
 
  private:
-  ByteReader reader_;
+  Status ReadHeader();
+
+  const uint8_t* pos_;
+  const uint8_t* end_;
   int pending_ = 0;
   bool in_run_ = false;
   int64_t run_value_ = 0;
@@ -114,7 +126,8 @@ class BitFieldEncoder {
 class BitFieldDecoder {
  public:
   explicit BitFieldDecoder(std::string_view data) : bytes_(data) {}
-  Status Next(bool* value);
+  /// Decodes the next `n` booleans into out[0, n) as 0/1 bytes.
+  Status NextBatch(uint8_t* out, size_t n);
   /// Discards pending bits of the current byte. Called at index-group
   /// boundaries when decoding a concatenated stream sequentially, because
   /// the encoder pads each group to a byte boundary.

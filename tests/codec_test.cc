@@ -154,5 +154,47 @@ TEST(CompressionUnitsTest, IncompressibleUnitStoredRaw) {
   EXPECT_EQ(output, input);
 }
 
+TEST(CompressionUnitsTest, ViewUnitsReadsOneStoredUnitInPlace) {
+  const Codec* codec = GetCodec(CompressionKind::kFastLz);
+  Random rng(7);
+  std::string random_bytes, text;
+  for (int i = 0; i < 1024; ++i) {
+    random_bytes.push_back(static_cast<char>(rng.Next() & 0xff));
+  }
+  for (int i = 0; i < 100; ++i) text += "abcabcabc";
+  struct Case {
+    const char* name;
+    const Codec* codec;
+    std::string input;
+    size_t unit_size;
+    bool in_place;  // Exactly one stored unit.
+  };
+  const Case cases[] = {
+      {"one stored unit, no codec", nullptr, text, 4096, true},
+      {"one incompressible unit", codec, random_bytes, 4096, true},
+      {"empty payload", nullptr, "", 4096, true},
+      {"several stored units", nullptr, text, 256, false},
+      {"one compressed unit", codec, text, 4096, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string framed, scratch = "stale";
+    ASSERT_TRUE(CompressToUnits(c.codec, c.input, c.unit_size, &framed).ok());
+    std::string_view view;
+    ASSERT_TRUE(ViewUnits(c.codec, framed, &scratch, &view).ok());
+    EXPECT_EQ(view, c.input);
+    const bool inside_framed = view.data() >= framed.data() &&
+                               view.data() <= framed.data() + framed.size();
+    EXPECT_EQ(inside_framed, c.in_place);
+  }
+  // Damaged framing fails as DecompressUnits does.
+  std::string framed, scratch, output;
+  ASSERT_TRUE(CompressToUnits(nullptr, text, 4096, &framed).ok());
+  framed.pop_back();
+  std::string_view view;
+  EXPECT_TRUE(ViewUnits(nullptr, framed, &scratch, &view).IsCorruption());
+  EXPECT_TRUE(DecompressUnits(nullptr, framed, &output).IsCorruption());
+}
+
 }  // namespace
 }  // namespace minihive::codec

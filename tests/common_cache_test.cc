@@ -65,7 +65,8 @@ TEST(CacheTest, EvictsLeastRecentlyUsedFirst) {
 TEST(CacheTest, BudgetNeverExceededByInsertSweep) {
   Cache cache("test", 1000, /*num_shards=*/1);
   for (int i = 0; i < 100; ++i) {
-    cache.InsertAndRelease("k" + std::to_string(i), Val("x"), 90);
+    cache.InsertAndRelease(std::string("k").append(std::to_string(i)), Val("x"),
+                           90);
     EXPECT_LE(cache.usage(), cache.capacity());
   }
   EXPECT_GT(cache.stats().evictions, 0u);

@@ -333,8 +333,9 @@ TEST_F(DifferentialTest, RandomMutationsAgreeAcrossEnginesAndModel) {
           const int64_t grp = k % 3;
           const int64_t whole = static_cast<int64_t>(rng.Uniform(1000));
           if (!values.empty()) values += ", ";
-          values += "(" + std::to_string(k) + ", " + std::to_string(grp) +
-                    ", " + std::to_string(whole) + ".5)";
+          values += "(";
+          values += std::to_string(k) + ", " + std::to_string(grp) + ", " +
+                    std::to_string(whole) + ".5)";
           model[k] = {grp, static_cast<double>(whole) + 0.5};  // Last wins.
         }
         auto r = Execute("INSERT INTO " + table + " VALUES " + values, false);

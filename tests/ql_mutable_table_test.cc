@@ -171,7 +171,8 @@ TEST_F(MutableTableTest, DeleteRowAndVectorizedAreByteIdentical) {
   std::string values;
   for (int i = 0; i < 500; ++i) {
     if (!values.empty()) values += ", ";
-    values += "(" + std::to_string(i) + ", " + std::to_string(i % 7) + ", " +
+    values += "(";
+    values += std::to_string(i) + ", " + std::to_string(i % 7) + ", " +
               std::to_string(i) + ".5)";
   }
   Exec("INSERT INTO t VALUES " + values);
@@ -233,8 +234,9 @@ TEST_F(MutableTableTest, CompactionPreservesResultsAndShrinksFileCount) {
     for (int i = 0; i < 50; ++i) {
       const int k = batch * 50 + i;
       if (!values.empty()) values += ", ";
-      values += "(" + std::to_string(k) + ", " + std::to_string(k % 5) +
-                ", " + std::to_string(k) + ".25)";
+      values += "(";
+      values += std::to_string(k) + ", " + std::to_string(k % 5) + ", " +
+                std::to_string(k) + ".25)";
     }
     Exec("INSERT INTO t VALUES " + values);
   }
@@ -319,7 +321,8 @@ TEST_F(MutableTableTest, MidCompactionCrashLeavesSnapshotUntouched) {
     for (int i = 0; i < 25; ++i) {
       const int k = batch * 25 + i;
       if (!values.empty()) values += ", ";
-      values += "(" + std::to_string(k) + ", " + std::to_string(k) + ".5)";
+      values += "(";
+      values += std::to_string(k) + ", " + std::to_string(k) + ".5)";
     }
     Exec("INSERT INTO t VALUES " + values);
   }
@@ -448,7 +451,8 @@ TEST_F(MutableTableTest, RecoverTableRebuildsSnapshot) {
     for (int i = 0; i < 10; ++i) {
       const int k = batch * 10 + i;
       if (!values.empty()) values += ", ";
-      values += "(" + std::to_string(k) + ", 'eu', " + std::to_string(k) + ".5)";
+      values += "(";
+      values += std::to_string(k) + ", 'eu', " + std::to_string(k) + ".5)";
     }
     Exec("INSERT INTO r VALUES " + values);
   }

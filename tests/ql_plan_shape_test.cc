@@ -28,7 +28,7 @@ class PlanShapeTest : public ::testing::Test {
     std::vector<Row> fact;
     for (int i = 0; i < 3000; ++i) {
       fact.push_back({Value::Int(i % 100), Value::Double(i * 0.5),
-                      Value::String("s" + std::to_string(i % 7))});
+                      Value::String(std::string("s").append(std::to_string(i % 7)))});
     }
     ASSERT_TRUE(datagen::CreateAndLoad(catalog_.get(), "fact", fact_schema,
                                        formats::FormatKind::kTextFile,
@@ -36,7 +36,7 @@ class PlanShapeTest : public ::testing::Test {
                     .ok());
     std::vector<Row> dim;
     for (int i = 0; i < 100; ++i) {
-      dim.push_back({Value::Int(i), Value::String("d" + std::to_string(i))});
+      dim.push_back({Value::Int(i), Value::String(std::string("d").append(std::to_string(i)))});
     }
     ASSERT_TRUE(datagen::CreateAndLoad(
                     catalog_.get(), "dim",

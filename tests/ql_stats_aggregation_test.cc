@@ -19,7 +19,7 @@ class StatsAggregationTest : public ::testing::Test {
     for (int i = 0; i < 5000; ++i) {
       rows.push_back({Value::Int(i),
                       i % 11 == 0 ? Value::Null() : Value::Double(i * 0.25),
-                      Value::String("s" + std::to_string(i % 13))});
+                      Value::String(std::string("s").append(std::to_string(i % 13)))});
     }
     ASSERT_TRUE(datagen::CreateAndLoad(
                     catalog_.get(), "orc_t",

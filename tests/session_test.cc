@@ -195,7 +195,7 @@ TEST(SessionManagerTest, ConcurrentAdmissionNeverOvercommits) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 10; ++i) {
-        auto a = manager.Admit("t" + std::to_string(t));
+        auto a = manager.Admit(std::string("t").append(std::to_string(t)));
         if (!a.ok()) {
           ASSERT_TRUE(a.status().IsResourceExhausted())
               << a.status().ToString();

@@ -360,7 +360,7 @@ TEST_F(VecAggEdgeTest, DictionaryAndDirectFilesAgree) {
   for (int i = 0; i < 3000; ++i) {
     rows.push_back({Value::String("key" + std::to_string(i % 5)),
                     Value::Int(i % 2), Value::Int(i), Value::Double(i * 0.3),
-                    Value::String("v" + std::to_string(i % 40))});
+                    Value::String(std::string("v").append(std::to_string(i % 40)))});
   }
   AddOrcFile("t", kEdgeSchema, rows);  // Dictionary-encoded strings.
   orc::OrcWriterOptions direct;
@@ -378,7 +378,7 @@ TEST_F(VecAggEdgeTest, ManyGroupsGrowTheTable) {
   std::vector<Row> rows;
   for (int i = 0; i < 12000; ++i) {
     int g = i % 3000;
-    rows.push_back({Value::String("p" + std::to_string(g % 7)), Value::Int(g),
+    rows.push_back({Value::String(std::string("p").append(std::to_string(g % 7))), Value::Int(g),
                     Value::Int(i), Value::Double(i * 0.01), Value::Null()});
   }
   AddOrcFile("t", kEdgeSchema, rows);
