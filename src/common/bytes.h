@@ -63,15 +63,6 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
-  /// Repositions the cursor (for following position pointers in indexes).
-  Status Seek(size_t pos) {
-    if (pos > data_.size()) {
-      return Status::Corruption("seek past end of buffer");
-    }
-    pos_ = pos;
-    return Status::OK();
-  }
-
   Status GetVarint64(uint64_t* value);
   Status GetVarintSigned64(int64_t* value);
   Status GetFixed64(uint64_t* value);

@@ -152,12 +152,6 @@ Writer& Writer::Null() {
   return *this;
 }
 
-Writer& Writer::Raw(std::string_view value) {
-  BeforeValue();
-  out_ += value;
-  return *this;
-}
-
 const std::string& Writer::str() const {
   assert(stack_.empty());
   return out_;

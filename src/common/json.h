@@ -46,8 +46,6 @@ class Writer {
   Writer& Bool(bool value);
   Writer& Null();
 
-  /// Splices a pre-rendered JSON value (e.g. a nested document) in place.
-  Writer& Raw(std::string_view value);
 
   /// The finished document. Asserts all containers were closed.
   const std::string& str() const;

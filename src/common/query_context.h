@@ -48,7 +48,6 @@ class QueryContext {
       deadline_ = Clock::now() + std::chrono::milliseconds(timeout_millis);
     }
   }
-  bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
 
   /// The query's node in the unified memory accounting tree (see

@@ -233,11 +233,6 @@ std::optional<AttrValue> Span::FindAttr(std::string_view key) const {
   return std::nullopt;
 }
 
-Span* Span::LastChild() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return children_.empty() ? nullptr : children_.back().get();
-}
-
 std::vector<const Span*> Span::children() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Span*> out;

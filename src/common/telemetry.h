@@ -169,10 +169,6 @@ class Span {
   /// Human-readable indented tree with durations and attributes.
   std::string Render(int indent = 0) const;
 
-  /// Most recently started child, or null. The engine opens the job span
-  /// internally; callers that need it back (to hang operator stats off it)
-  /// fetch it here after RunJob returns.
-  Span* LastChild();
   /// Snapshot of child pointers, in start order.
   std::vector<const Span*> children() const;
 

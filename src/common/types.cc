@@ -100,7 +100,6 @@ int TypeDescription::AssignColumnIds(int first_id) {
   for (const TypePtr& child : children_) {
     next = child->AssignColumnIds(next);
   }
-  max_column_id_ = next - 1;
   return next;
 }
 
@@ -124,11 +123,11 @@ std::string TypeDescription::ToString() const {
   std::string result = TypeKindName(kind_);
   switch (kind_) {
     case TypeKind::kArray:
-      result += "<" + children_[0]->ToString() + ">";
+      result.append("<").append(children_[0]->ToString()).append(">");
       break;
     case TypeKind::kMap:
-      result +=
-          "<" + children_[0]->ToString() + "," + children_[1]->ToString() + ">";
+      result.append("<").append(children_[0]->ToString()).append(",");
+      result.append(children_[1]->ToString()).append(">");
       break;
     case TypeKind::kStruct: {
       result += "<";

@@ -88,13 +88,8 @@ class TypeDescription : public std::enable_shared_from_this<TypeDescription> {
   const std::vector<TypePtr>& children() const { return children_; }
   const std::vector<std::string>& field_names() const { return field_names_; }
 
-  bool IsLeaf() const { return children_.empty(); }
-
   /// Pre-order column id; valid after AssignColumnIds() on the root.
   int column_id() const { return column_id_; }
-
-  /// The largest column id in this subtree; valid after AssignColumnIds().
-  int max_column_id() const { return max_column_id_; }
 
   /// Assigns pre-order column ids to this subtree starting at `first_id`.
   /// Returns the next unused id.
@@ -122,7 +117,6 @@ class TypeDescription : public std::enable_shared_from_this<TypeDescription> {
   std::vector<TypePtr> children_;
   std::vector<std::string> field_names_;  // Struct/Union only.
   int column_id_ = -1;
-  int max_column_id_ = -1;
 };
 
 /// Convenience: builds a flat table schema (a Struct root) from parallel

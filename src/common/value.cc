@@ -145,12 +145,4 @@ std::string Value::ToString() const {
   return result;
 }
 
-int CompareRowsOn(const Row& a, const Row& b, const std::vector<int>& cols) {
-  for (int col : cols) {
-    int c = a[col].Compare(b[col]);
-    if (c != 0) return c;
-  }
-  return 0;
-}
-
 }  // namespace minihive

@@ -112,8 +112,6 @@ struct Value::UnionValue {
   Value value;
 };
 
-/// Lexicographic row comparison over a subset of column indexes.
-int CompareRowsOn(const Row& a, const Row& b, const std::vector<int>& cols);
 
 }  // namespace minihive
 

@@ -215,47 +215,24 @@ void Expr::CollectColumns(std::vector<int>* columns) const {
 }
 
 std::string Expr::ToString() const {
+  const char* infix = nullptr;  // A binary operator prints as "(a op b)".
   switch (kind_) {
     case ExprKind::kColumn:
-      return "c" + std::to_string(column_index_);
+      return std::string("c").append(std::to_string(column_index_));
     case ExprKind::kLiteral:
       return literal_.ToString();
-    case ExprKind::kAdd:
-      return "(" + children_[0]->ToString() + " + " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kSub:
-      return "(" + children_[0]->ToString() + " - " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kMul:
-      return "(" + children_[0]->ToString() + " * " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kDiv:
-      return "(" + children_[0]->ToString() + " / " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kEq:
-      return "(" + children_[0]->ToString() + " = " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kNe:
-      return "(" + children_[0]->ToString() + " != " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kLt:
-      return "(" + children_[0]->ToString() + " < " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kLe:
-      return "(" + children_[0]->ToString() + " <= " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kGt:
-      return "(" + children_[0]->ToString() + " > " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kGe:
-      return "(" + children_[0]->ToString() + " >= " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kAnd:
-      return "(" + children_[0]->ToString() + " AND " +
-             children_[1]->ToString() + ")";
-    case ExprKind::kOr:
-      return "(" + children_[0]->ToString() + " OR " +
-             children_[1]->ToString() + ")";
+    case ExprKind::kAdd: infix = " + "; break;
+    case ExprKind::kSub: infix = " - "; break;
+    case ExprKind::kMul: infix = " * "; break;
+    case ExprKind::kDiv: infix = " / "; break;
+    case ExprKind::kEq: infix = " = "; break;
+    case ExprKind::kNe: infix = " != "; break;
+    case ExprKind::kLt: infix = " < "; break;
+    case ExprKind::kLe: infix = " <= "; break;
+    case ExprKind::kGt: infix = " > "; break;
+    case ExprKind::kGe: infix = " >= "; break;
+    case ExprKind::kAnd: infix = " AND "; break;
+    case ExprKind::kOr: infix = " OR "; break;
     case ExprKind::kNot:
       return "NOT " + children_[0]->ToString();
     case ExprKind::kIsNull:
@@ -276,7 +253,12 @@ std::string Expr::ToString() const {
     case ExprKind::kCastDouble:
       return "CAST(" + children_[0]->ToString() + " AS DOUBLE)";
   }
-  return "?";
+  if (infix == nullptr) return "?";
+  return std::string("(")
+      .append(children_[0]->ToString())
+      .append(infix)
+      .append(children_[1]->ToString())
+      .append(")");
 }
 
 const char* AggKindName(AggKind kind) {

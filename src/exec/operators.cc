@@ -87,73 +87,33 @@ Status MapJoinHashTable::Add(std::string key, const Row& values) {
   return Status::OK();
 }
 
-OperatorStats* PipelineProfile::ForOp(const OpDesc* desc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = stats_.find(desc->id);
-  if (it == stats_.end()) {
-    it = stats_.emplace(desc->id, std::make_unique<OperatorStats>()).first;
-    labels_[desc->id] =
-        std::string(OpKindName(desc->kind)) + "#" + std::to_string(desc->id);
-  }
-  return it->second.get();
-}
-
-std::vector<PipelineProfile::Entry> PipelineProfile::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry> out;
-  out.reserve(stats_.size());
-  for (const auto& [id, stats] : stats_) {
-    Entry entry;
-    entry.op_id = id;
-    auto label_it = labels_.find(id);
-    if (label_it != labels_.end()) entry.label = label_it->second;
-    entry.rows_in = stats->rows_in.load(std::memory_order_relaxed);
-    entry.rows_out = stats->rows_out.load(std::memory_order_relaxed);
-    entry.batches = stats->batches.load(std::memory_order_relaxed);
-    entry.nanos = stats->nanos.load(std::memory_order_relaxed);
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-void PipelineProfile::AttachToSpan(telemetry::Span* parent) const {
-  if (parent == nullptr) return;
-  for (const Entry& entry : Snapshot()) {
-    telemetry::Span* op_span = parent->StartChild("op:" + entry.label);
-    op_span->SetAttr("rows_in", entry.rows_in);
-    op_span->SetAttr("rows_out", entry.rows_out);
-    if (entry.batches > 0) op_span->SetAttr("batches", entry.batches);
-    op_span->set_duration_nanos(entry.nanos);
-  }
-}
-
 Status Operator::Init(TaskContext* ctx) {
   // Shared nodes (below a Mux) are reached from several parents; Init once.
   if (init_done_) return Status::OK();
   init_done_ = true;
   ctx_ = ctx;
-  if (ctx->profile != nullptr) stats_ = ctx->profile->ForOp(desc_);
+  stats_ = ctx->StatsFor(desc_);
   for (Operator* child : children_) {
     MINIHIVE_RETURN_IF_ERROR(child->Init(ctx));
   }
   return Status::OK();
 }
 
-Status Operator::StartGroup() {
+Status Operator::DoStartGroup() {
   for (Operator* child : children_) {
     MINIHIVE_RETURN_IF_ERROR(child->StartGroup());
   }
   return Status::OK();
 }
 
-Status Operator::EndGroup() {
+Status Operator::DoEndGroup() {
   for (Operator* child : children_) {
     MINIHIVE_RETURN_IF_ERROR(child->EndGroup());
   }
   return Status::OK();
 }
 
-Status Operator::Finish() {
+Status Operator::DoFinish() {
   for (Operator* child : children_) {
     MINIHIVE_RETURN_IF_ERROR(child->Finish());
   }
@@ -290,21 +250,21 @@ class GroupByOperator : public Operator {
     return Status::OK();
   }
 
-  Status StartGroup() override {
+  Status DoStartGroup() override {
     if (desc_->group_by_mode != GroupByMode::kHash) {
       group_open_ = true;
       have_key_ = false;
       for (AggBuffer& buffer : group_buffers_) buffer.Reset();
     }
-    return Operator::StartGroup();
+    return Operator::DoStartGroup();
   }
 
-  Status EndGroup() override {
+  Status DoEndGroup() override {
     if (desc_->group_by_mode == GroupByMode::kHash) {
       if (desc_->gby_flush_on_end_group) {
         MINIHIVE_RETURN_IF_ERROR(FlushHash());
       }
-      return Operator::EndGroup();
+      return Operator::DoEndGroup();
     }
     if (group_open_) {
       if (have_key_) {
@@ -315,10 +275,10 @@ class GroupByOperator : public Operator {
       }
       group_open_ = false;
     }
-    return Operator::EndGroup();
+    return Operator::DoEndGroup();
   }
 
-  Status Finish() override {
+  Status DoFinish() override {
     // A keyless (global) final aggregation that saw no input still emits
     // its SQL-mandated single row (COUNT(*) over empty input is 0).
     if (desc_->group_by_mode == GroupByMode::kMergePartial &&
@@ -345,7 +305,7 @@ class GroupByOperator : public Operator {
       }
       MINIHIVE_RETURN_IF_ERROR(FlushHash());
     }
-    return Operator::Finish();
+    return Operator::DoFinish();
   }
 
   Status FlushHash() {
@@ -402,19 +362,19 @@ class JoinOperator : public Operator {
     return Status::OK();
   }
 
-  Status StartGroup() override {
+  Status DoStartGroup() override {
     for (auto& buffer : buffers_) buffer.clear();
     have_key_ = false;
-    return Operator::StartGroup();
+    return Operator::DoStartGroup();
   }
 
-  Status EndGroup() override {
+  Status DoEndGroup() override {
     if (have_key_) {
       MINIHIVE_RETURN_IF_ERROR(EmitJoined());
     }
     for (auto& buffer : buffers_) buffer.clear();
     have_key_ = false;
-    return Operator::EndGroup();
+    return Operator::DoEndGroup();
   }
 
  private:
@@ -422,7 +382,6 @@ class JoinOperator : public Operator {
     // Inner sides with no rows produce nothing; left-outer sides with no
     // rows contribute one all-NULL row.
     std::vector<const std::vector<Row>*> sides(buffers_.size());
-    std::vector<Row> null_rows(buffers_.size());
     std::vector<std::vector<Row>> null_holder(buffers_.size());
     for (size_t t = 0; t < buffers_.size(); ++t) {
       if (buffers_[t].empty()) {
@@ -606,11 +565,6 @@ class FileSinkOperator : public Operator {
  public:
   using Operator::Operator;
 
-  Status Init(TaskContext* ctx) override {
-    MINIHIVE_RETURN_IF_ERROR(Operator::Init(ctx));
-    return Status::OK();
-  }
-
   Status DoProcess(const Row& row, int tag) override {
     (void)tag;
     if (writer_ == nullptr) {
@@ -628,12 +582,12 @@ class FileSinkOperator : public Operator {
     return writer_->AddRow(row);
   }
 
-  Status Finish() override {
+  Status DoFinish() override {
     if (writer_ != nullptr) {
       MINIHIVE_RETURN_IF_ERROR(writer_->Close());
       writer_.reset();
     }
-    return Operator::Finish();
+    return Operator::DoFinish();
   }
 
  private:
@@ -672,45 +626,45 @@ class MuxOperator : public Operator {
 
   void set_num_parents(int n) { num_parents_ = n; }
 
+  /// A row from parent slot `parent_index` (through its edge proxy).
   Status ProcessFrom(int parent_index, const Row& row, int tag) {
-    // Rows arrive through per-edge proxies, bypassing the base Process
-    // wrapper; count them against the shared mux core here.
-    if (stats_ != nullptr) {
-      stats_->rows_in.fetch_add(1, std::memory_order_relaxed);
-    }
+    parent_index_ = parent_index;
+    return Process(row, tag);
+  }
+
+  Status DoProcess(const Row& row, int tag) override {
+    // A direct Process (no proxy) means a single-parent Mux: slot 0.
+    const size_t parent = parent_index_;
+    parent_index_ = 0;
     int out_tag = tag;
-    if (static_cast<size_t>(parent_index) < desc_->mux_parent_tags.size() &&
-        desc_->mux_parent_tags[parent_index] >= 0) {
-      out_tag = desc_->mux_parent_tags[parent_index];
+    if (parent < desc_->mux_parent_tags.size() &&
+        desc_->mux_parent_tags[parent] >= 0) {
+      out_tag = desc_->mux_parent_tags[parent];
     }
     return ForwardRow(row, out_tag);
   }
 
-  Status DoProcess(const Row& row, int tag) override {
-    // Direct Process means a single-parent Mux.
-    return ProcessFrom(0, row, tag);
-  }
-
-  Status StartGroup() override {
+  Status DoStartGroup() override {
     if (++start_count_ < num_parents_) return Status::OK();
     start_count_ = 0;
-    return Operator::StartGroup();
+    return Operator::DoStartGroup();
   }
 
-  Status EndGroup() override {
+  Status DoEndGroup() override {
     if (++end_count_ < num_parents_) return Status::OK();
     end_count_ = 0;
-    return Operator::EndGroup();
+    return Operator::DoEndGroup();
   }
 
-  Status Finish() override {
+  Status DoFinish() override {
     if (++finish_count_ < num_parents_) return Status::OK();
     finish_count_ = 0;
-    return Operator::Finish();
+    return Operator::DoFinish();
   }
 
  private:
   int num_parents_ = 1;
+  int parent_index_ = 0;  // The slot of the row being processed.
   int start_count_ = 0;
   int end_count_ = 0;
   int finish_count_ = 0;
@@ -730,9 +684,9 @@ class MuxInputProxy : public Operator {
   Status DoProcess(const Row& row, int tag) override {
     return mux_->ProcessFrom(parent_index_, row, tag);
   }
-  Status StartGroup() override { return mux_->StartGroup(); }
-  Status EndGroup() override { return mux_->EndGroup(); }
-  Status Finish() override { return mux_->Finish(); }
+  Status DoStartGroup() override { return mux_->StartGroup(); }
+  Status DoEndGroup() override { return mux_->EndGroup(); }
+  Status DoFinish() override { return mux_->Finish(); }
 
  private:
   MuxOperator* mux_;

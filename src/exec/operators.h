@@ -1,10 +1,7 @@
 #ifndef MINIHIVE_EXEC_OPERATORS_H_
 #define MINIHIVE_EXEC_OPERATORS_H_
 
-#include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,46 +16,28 @@
 
 namespace minihive::exec {
 
-/// Per-operator runtime statistics, accumulated across every task of a job
-/// that instantiates the operator (tasks run on worker threads, hence the
-/// atomics). `nanos` is inclusive of children — the push model means a
-/// parent's Process frame contains its children's work, exactly like Hive's
-/// per-operator wall times. Vectorized pipelines time each stage once per
-/// batch instead (see RunVectorizedMapPipeline): a stage's nanos are its own
-/// time, and the last stage's also cover boxing rows for the terminal.
-struct OperatorStats {
-  std::atomic<uint64_t> rows_in{0};
-  std::atomic<uint64_t> rows_out{0};
-  std::atomic<uint64_t> batches{0};  // Vectorized pipelines only.
-  std::atomic<int64_t> nanos{0};
-};
+/// The operator clock times one unit of work in 16. A timed frame reads the
+/// clock twice (~40 ns each, clock_gettime on a 4-vCPU VM), as much as a
+/// cheap operator spends on a row; one unit in 16 leaves the clock a few
+/// percent, and a task's hundreds of units a stable estimate.
+inline constexpr int64_t kTimedUnitEvery = 16;
 
-/// Shared per-job sink for operator statistics, keyed by OpDesc id. One
-/// instance per job, handed to every task through TaskContext; operators
-/// resolve their slot once at Init and then update it wait-free.
-class PipelineProfile {
- public:
-  OperatorStats* ForOp(const OpDesc* desc);
+/// One task's operator clock. A unit is a map input row in row mode, or a
+/// key group in a reduce task or a combiner; the driver opens each with
+/// BeginUnit, which times the first and then one in kTimedUnitEvery at
+/// weight kTimedUnitEvery, so the sum stands for the untimed units too.
+/// Finish and vectorized batches are always timed, at weight 1 (TimeAll).
+struct OperatorClock {
+  void BeginUnit() {
+    weight = units++ % kTimedUnitEvery == 0 ? kTimedUnitEvery : 0;
+  }
+  void TimeAll() { weight = 1; }
 
-  struct Entry {
-    int op_id = 0;
-    std::string label;  // "<OpKind>#<id>".
-    uint64_t rows_in = 0;
-    uint64_t rows_out = 0;
-    uint64_t batches = 0;
-    int64_t nanos = 0;
-  };
-  /// Snapshot in op-id order.
-  std::vector<Entry> Snapshot() const;
-
-  /// Appends one child span per operator to `parent`, carrying the stats as
-  /// attributes and the accumulated nanos as the span duration.
-  void AttachToSpan(telemetry::Span* parent) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, std::unique_ptr<OperatorStats>> stats_;
-  std::map<int, std::string> labels_;
+  int64_t weight = 0;  // The open unit's; 0 = not timed.
+  /// Time of the timed frames that closed inside the open one (its
+  /// children's), or, outside any frame, since the driver last took it.
+  int64_t child_nanos = 0;
+  uint64_t units = 0;
 };
 
 /// One build-value column of a map-join table, stored the way a column
@@ -149,26 +128,39 @@ struct TaskContext {
   /// job (Hive's "local task") and shared read-only across tasks.
   const std::unordered_map<int, std::shared_ptr<MapJoinTables>>*
       mapjoin_tables = nullptr;
-  /// Per-operator profiling sink (EnableProfiling). Null = profiling off:
-  /// the per-row cost is then a single predictable branch.
-  PipelineProfile* profile = nullptr;
   /// Attempt-local job counters; the pipeline that reads the split reports
-  /// input records here (the engine cannot see them otherwise), and its
-  /// readers count their bytes and scan work here.
+  /// input records here (the engine cannot see them otherwise), its
+  /// readers count their bytes and scan work here, and its operators their
+  /// stats when the ledger's operator table is enabled.
   mr::JobCounters* counters = nullptr;
   /// Lifecycle governor for this task attempt (cancellation + deadlines).
   /// The pipeline driver polls it at row/batch boundaries; readers check it
   /// per index group. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
+  OperatorClock clock;
+
+  /// Where `desc`'s operator counts in this attempt, made on first use; null
+  /// when the attempt collects no operator stats (profiling off).
+  mr::OperatorStats* StatsFor(const OpDesc* desc) const {
+    if (counters == nullptr || !counters->operators.enabled) return nullptr;
+    mr::OperatorStats* stats = &counters->operators.stats[desc->id];
+    stats->kind = OpKindName(desc->kind);
+    return stats;
+  }
 };
 
 /// Base runtime operator. The push-based model from Hive: parents call
 /// Process on children; group-boundary signals propagate the same way
 /// (paper §5.2.2).
 ///
-/// Process is a non-virtual wrapper so profiling (rows in / inclusive
-/// nanos) instruments every operator uniformly; subclasses implement
-/// DoProcess. With profiling off the wrapper is one null-check.
+/// Process, StartGroup, EndGroup and Finish are non-virtual wrappers, so
+/// profiling instruments every operator alike; subclasses implement the
+/// Do... methods. With profiling off a wrapper is one null check. With it
+/// on, Process counts rows_in and ForwardRow rows_out, exactly, into the
+/// attempt's ledger, and each call in a timed unit (see OperatorClock) is a
+/// frame: two clock reads, and the frame's time minus its children's frames
+/// added to the operator's nanos at the unit's weight. So nanos is self
+/// time, and a Join's emission from EndGroup is the Join's.
 class Operator {
  public:
   explicit Operator(const OpDesc* desc) : desc_(desc) {}
@@ -182,26 +174,23 @@ class Operator {
 
   Status Process(const Row& row, int tag) {
     if (stats_ == nullptr) return DoProcess(row, tag);
-    stats_->rows_in.fetch_add(1, std::memory_order_relaxed);
-    int64_t start = telemetry::MonotonicNanos();
-    Status s = DoProcess(row, tag);
-    stats_->nanos.fetch_add(telemetry::MonotonicNanos() - start,
-                            std::memory_order_relaxed);
-    return s;
+    stats_->rows_in += 1;
+    return Timed([&] { return DoProcess(row, tag); });
   }
-
-  virtual Status StartGroup();
-  virtual Status EndGroup();
+  Status StartGroup() { return Timed([this] { return DoStartGroup(); }); }
+  Status EndGroup() { return Timed([this] { return DoEndGroup(); }); }
   /// End of task: flush state, then propagate.
-  virtual Status Finish();
+  Status Finish() { return Timed([this] { return DoFinish(); }); }
 
  protected:
   virtual Status DoProcess(const Row& row, int tag) = 0;
+  /// The defaults propagate the signal to the children.
+  virtual Status DoStartGroup();
+  virtual Status DoEndGroup();
+  virtual Status DoFinish();
 
   Status ForwardRow(const Row& row, int tag = 0) {
-    if (stats_ != nullptr) {
-      stats_->rows_out.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (stats_ != nullptr) stats_->rows_out += 1;
     for (Operator* child : children_) {
       MINIHIVE_RETURN_IF_ERROR(child->Process(row, tag));
     }
@@ -211,8 +200,23 @@ class Operator {
   const OpDesc* desc_;
   std::vector<Operator*> children_;
   TaskContext* ctx_ = nullptr;
-  OperatorStats* stats_ = nullptr;  // Null when profiling is off.
+  mr::OperatorStats* stats_ = nullptr;  // Null when profiling is off.
   bool init_done_ = false;
+
+ private:
+  template <typename Body>
+  Status Timed(Body&& body) {
+    if (stats_ == nullptr || ctx_->clock.weight == 0) return body();
+    OperatorClock& clock = ctx_->clock;
+    const int64_t outer_children = clock.child_nanos;
+    clock.child_nanos = 0;
+    const int64_t start = telemetry::MonotonicNanos();
+    Status s = body();
+    const int64_t elapsed = telemetry::MonotonicNanos() - start;
+    stats_->nanos += (elapsed - clock.child_nanos) * clock.weight;
+    clock.child_nanos = outer_children + elapsed;
+    return s;
+  }
 };
 
 /// Owns the runtime operators of one task's pipeline.

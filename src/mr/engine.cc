@@ -171,6 +171,7 @@ Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
     if (job.combiner_factory) {
       CollectingEmitter combined;
       std::unique_ptr<ReduceTask> combiner = job.combiner_factory(&combined);
+      combiner->set_attempt_counters(counters);
       size_t pos = 0;
       MINIHIVE_RETURN_IF_ERROR(DriveGroups(
           combiner.get(),
@@ -243,6 +244,7 @@ Status RunMapAttempt(const JobConfig& job, telemetry::Span* job_span,
                      int index, int attempt, const TaskGovernor& governor,
                      JobCounters* local, MapRuns* runs) {
   telemetry::Span* span = StartAttemptSpan(job_span, "map", index, attempt);
+  local->operators.enabled = job_span != nullptr;
   auto emitter = std::make_unique<PartitionedEmitter>(
       std::max(job.num_reducers, 1), local);
   std::unique_ptr<MapTask> task = job.map_factory();
@@ -281,6 +283,7 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
                         JobCounters* local) {
   telemetry::Span* span =
       StartAttemptSpan(job_span, "reduce", partition, attempt);
+  local->operators.enabled = job_span != nullptr;
   struct RunCursor {
     const ShuffleRun* run;
     size_t pos;
@@ -309,6 +312,7 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
   local->reduce_input_records += total;
 
   std::unique_ptr<ReduceTask> task = job.reduce_factory(partition, attempt);
+  task->set_attempt_counters(local);
   auto next = [&](RecordView* record) {
     if (heap.empty()) return false;
     std::pop_heap(heap.begin(), heap.end(), after);
@@ -503,6 +507,32 @@ class DispatchedJob {
 
 }  // namespace
 
+void OperatorTable::MergeInto(OperatorTable* total) const {
+  if (stats.empty()) return;
+  static std::mutex merge_mu;
+  std::lock_guard<std::mutex> lock(merge_mu);
+  for (const auto& [id, from] : stats) {
+    OperatorStats& to = total->stats[id];
+    to.kind = from.kind;
+    to.rows_in += from.rows_in;
+    to.rows_out += from.rows_out;
+    to.batches += from.batches;
+    to.nanos += from.nanos;
+  }
+}
+
+void OperatorTable::AttachToSpan(telemetry::Span* parent) const {
+  if (parent == nullptr) return;
+  for (const auto& [id, op] : stats) {
+    telemetry::Span* span = parent->StartChild(
+        std::string("op:") + op.kind + "#" + std::to_string(id));
+    span->SetAttr("rows_in", op.rows_in);
+    span->SetAttr("rows_out", op.rows_out);
+    if (op.batches > 0) span->SetAttr("batches", op.batches);
+    span->set_duration_nanos(op.nanos);
+  }
+}
+
 Engine::Engine(dfs::FileSystem* fs, EngineOptions options)
     : fs_(fs), options_(options) {}
 
@@ -523,6 +553,7 @@ Status Engine::RunJob(const JobConfig& job, JobCounters* counters) {
   Status status = RunPhases(job, counters, job_span);
   if (job_span != nullptr) {
     counters->ExportToSpan(job_span);
+    counters->operators.AttachToSpan(job_span);
     if (!status.ok()) job_span->SetAttr("error", status.ToString());
     job_span->End();
   }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,6 +34,34 @@ struct InputSplit {
   /// Identifies the logical source so a multi-input map task knows which
   /// operator pipeline to run (Hive tags map inputs the same way).
   int source_tag = 0;
+};
+
+/// One plan operator's stats (EXPLAIN PROFILE): in a task attempt's
+/// ledger, filled by that attempt's thread alone; in a job's, summed over
+/// its winning attempts. Plain integers: nothing is shared while rows flow.
+struct OperatorStats {
+  const char* kind = "";  // OpKindName; the span label is "<kind>#<id>".
+  uint64_t rows_in = 0;   // Exact.
+  uint64_t rows_out = 0;  // Exact.
+  uint64_t batches = 0;   // Vectorized stages only.
+  /// Self time (children's excluded), sampled: see exec::Operator::Process.
+  int64_t nanos = 0;
+};
+
+/// A ledger's per-operator stats, keyed by plan operator id. Operators
+/// count into an attempt's table only when it is enabled: the engine
+/// enables it when the job is traced, and hangs the job's merged table off
+/// the job span.
+struct OperatorTable {
+  /// Adds every operator's stats into `total`'s under one process-wide
+  /// lock: how a winning attempt's stats reach its job, once per attempt.
+  void MergeInto(OperatorTable* total) const;
+  /// Appends one "op:<kind>#<id>" child span per operator to `parent`, in
+  /// id order: the stats as attributes, the nanos as the span's duration.
+  void AttachToSpan(telemetry::Span* parent) const;
+
+  bool enabled = false;
+  std::map<int, OperatorStats> stats;
 };
 
 /// Aggregate job counters, mirroring the metrics the paper reports:
@@ -119,6 +148,10 @@ struct JobCounters {
   int reduce_tasks = 0;
   double map_phase_millis = 0;
   double reduce_phase_millis = 0;
+  /// Per-operator stats of the winning attempts, when enabled. Not a
+  /// scalar, so no field table lists it: operator= copies it and
+  /// AccumulateTaskLocalInto merges it by name.
+  OperatorTable operators;
 
   // ---- Field tables: the single source of truth for "all fields". ----
   template <typename T>
@@ -192,17 +225,17 @@ struct JobCounters {
     }
     for (const auto& f : int_fields()) this->*f.member = other.*f.member;
     for (const auto& f : double_fields()) this->*f.member = other.*f.member;
+    operators = other.operators;
     return *this;
   }
 
   double cpu_millis() const { return cpu_nanos.load() / 1e6; }
   double shuffle_sort_millis() const { return shuffle_sort_nanos.load() / 1e6; }
-  double retried_task_millis() const { return retried_task_nanos.load() / 1e6; }
   double local_task_millis() const { return local_task_nanos.load() / 1e6; }
 
-  /// Merges the record/byte/time counters (all atomic) into `total`.
-  /// Thread-safe: this is how a successful task attempt publishes its
-  /// attempt-local counters from a worker thread.
+  /// Merges the record/byte/time counters (all atomic) and the operator
+  /// stats into `total`. Thread-safe: this is how a successful task
+  /// attempt publishes its attempt-local counters from a worker thread.
   void AccumulateTaskLocalInto(JobCounters* total) const {
     for (const auto& f : atomic_u64_fields()) {
       total->*f.member += (this->*f.member).load();
@@ -210,6 +243,7 @@ struct JobCounters {
     for (const auto& f : atomic_i64_fields()) {
       total->*f.member += (this->*f.member).load();
     }
+    operators.MergeInto(&total->operators);
   }
 
   /// Full merge including the coordinator-owned scalar fields (task counts,
@@ -261,7 +295,8 @@ struct JobCounters {
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
                       8 * (29 + 4) +  // atomic u64/i64 fields
-                          2 * sizeof(int) + 2 * sizeof(double),
+                          2 * sizeof(int) + 2 * sizeof(double) +
+                          sizeof(OperatorTable),
               "JobCounters changed: update the field tables in engine.h");
 
 /// Map tasks emit (key, value, tag) records into the shuffle: `key` is
@@ -340,6 +375,19 @@ class ReduceTask {
   virtual Status EndGroup() = 0;
   /// Called once after the last group (flush output).
   virtual Status Finish() = 0;
+
+  /// The engine points this at the attempt-local counters before the first
+  /// group: a reduce attempt's own, or, for a combiner, those of the map
+  /// attempt that runs it. Null outside the engine.
+  void set_attempt_counters(JobCounters* counters) {
+    attempt_counters_ = counters;
+  }
+
+ protected:
+  JobCounters* attempt_counters() { return attempt_counters_; }
+
+ private:
+  JobCounters* attempt_counters_ = nullptr;
 };
 
 using MapTaskFactory = std::function<std::unique_ptr<MapTask>()>;
@@ -385,7 +433,8 @@ struct JobConfig {
   TaskAbortFn abort_task;
   /// When set, the engine opens a "job:<name>" trace span under this parent,
   /// a child span per task attempt, and folds the job's counters into the
-  /// job span as attributes. Null = no tracing (zero overhead).
+  /// job span as attributes, with a child span per operator from the
+  /// winning attempts' operator stats. Null = no tracing (zero overhead).
   telemetry::Span* parent_span = nullptr;
   /// Query-level lifecycle: cancellation + wall-clock deadline. Checked at
   /// job/phase boundaries and polled cooperatively inside tasks. A dead

@@ -1,6 +1,22 @@
 #include "orc/layout.h"
 
+#include <algorithm>
+
 namespace minihive::orc {
+
+namespace {
+
+/// Reads a count of entries that take at least `min_bytes` each, bounded
+/// by the bytes left: a damaged count never sizes an allocation.
+Status GetCount(ByteReader* reader, uint64_t min_bytes, uint64_t* count) {
+  MINIHIVE_RETURN_IF_ERROR(reader->GetVarint64(count));
+  if (*count > reader->remaining() / min_bytes) {
+    return Status::Corruption("ORC entry count exceeds its section");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 void StripeFooter::Serialize(std::string* out) const {
   PutVarint64(out, streams.size());
@@ -28,7 +44,7 @@ Status StripeFooter::Deserialize(std::string_view data, StripeFooter* footer) {
   *footer = StripeFooter();
   ByteReader reader(data);
   uint64_t num_streams;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_streams));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 7, &num_streams));
   footer->streams.resize(num_streams);
   for (StreamInfo& s : footer->streams) {
     uint64_t column;
@@ -41,7 +57,7 @@ Status StripeFooter::Deserialize(std::string_view data, StripeFooter* footer) {
     MINIHIVE_RETURN_IF_ERROR(reader.GetFixed32(&s.crc));
   }
   uint64_t num_columns;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_columns));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 2, &num_columns));
   footer->encodings.resize(num_columns);
   footer->dictionary_sizes.resize(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
@@ -53,7 +69,8 @@ Status StripeFooter::Deserialize(std::string_view data, StripeFooter* footer) {
     footer->dictionary_sizes[c] = static_cast<uint32_t>(dict_size);
   }
   uint64_t num_groups;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_groups));
+  MINIHIVE_RETURN_IF_ERROR(
+      GetCount(&reader, std::max<uint64_t>(1, 2 * num_columns), &num_groups));
   footer->num_groups = static_cast<uint32_t>(num_groups);
   footer->instance_counts.assign(num_columns,
                                  std::vector<uint64_t>(num_groups, 0));
@@ -100,11 +117,11 @@ Status StripeIndex::Deserialize(std::string_view data, StripeIndex* index) {
   *index = StripeIndex();
   ByteReader reader(data);
   uint64_t num_streams;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_streams));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 1, &num_streams));
   index->segment_ends.resize(num_streams);
   for (std::vector<uint64_t>& ends : index->segment_ends) {
     uint64_t n;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&n));
+    MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 1, &n));
     ends.resize(n);
     uint64_t prev = 0;
     for (uint64_t i = 0; i < n; ++i) {
@@ -115,22 +132,22 @@ Status StripeIndex::Deserialize(std::string_view data, StripeIndex* index) {
     }
   }
   uint64_t num_crc_streams;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_crc_streams));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 1, &num_crc_streams));
   index->segment_crcs.resize(num_crc_streams);
   for (std::vector<uint32_t>& crcs : index->segment_crcs) {
     uint64_t n;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&n));
+    MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 4, &n));
     crcs.resize(n);
     for (uint64_t i = 0; i < n; ++i) {
       MINIHIVE_RETURN_IF_ERROR(reader.GetFixed32(&crcs[i]));
     }
   }
   uint64_t num_columns;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_columns));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 1, &num_columns));
   index->group_stats.resize(num_columns);
   for (std::vector<ColumnStatistics>& column : index->group_stats) {
     uint64_t n;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&n));
+    MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 2, &n));
     column.resize(n);
     for (uint64_t i = 0; i < n; ++i) {
       MINIHIVE_RETURN_IF_ERROR(
@@ -163,11 +180,13 @@ Status DeserializeFileFooter(std::string_view data, FileTail* tail) {
   ByteReader reader(data);
   std::string_view schema_text;
   MINIHIVE_RETURN_IF_ERROR(reader.GetLengthPrefixed(&schema_text));
-  MINIHIVE_ASSIGN_OR_RETURN(tail->schema, TypeDescription::Parse(schema_text));
+  Result<TypePtr> schema = TypeDescription::Parse(schema_text);
+  if (!schema.ok()) return Status::Corruption(schema.status().message());
+  tail->schema = *std::move(schema);
   tail->schema->AssignColumnIds(0);
   MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&tail->num_rows));
   uint64_t num_stripes;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_stripes));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 13, &num_stripes));
   tail->stripes.resize(num_stripes);
   for (StripeInformation& stripe : tail->stripes) {
     MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&stripe.offset));
@@ -179,7 +198,7 @@ Status DeserializeFileFooter(std::string_view data, FileTail* tail) {
     MINIHIVE_RETURN_IF_ERROR(reader.GetFixed32(&stripe.footer_crc));
   }
   uint64_t num_columns;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_columns));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 2, &num_columns));
   tail->file_stats.resize(num_columns);
   for (ColumnStatistics& stats : tail->file_stats) {
     MINIHIVE_RETURN_IF_ERROR(ColumnStatistics::Deserialize(&reader, &stats));
@@ -200,11 +219,11 @@ void SerializeFileMetadata(const FileTail& tail, std::string* out) {
 Status DeserializeFileMetadata(std::string_view data, FileTail* tail) {
   ByteReader reader(data);
   uint64_t num_stripes;
-  MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&num_stripes));
+  MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 1, &num_stripes));
   tail->stripe_stats.resize(num_stripes);
   for (std::vector<ColumnStatistics>& stripe : tail->stripe_stats) {
     uint64_t n;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&n));
+    MINIHIVE_RETURN_IF_ERROR(GetCount(&reader, 2, &n));
     stripe.resize(n);
     for (ColumnStatistics& stats : stripe) {
       MINIHIVE_RETURN_IF_ERROR(ColumnStatistics::Deserialize(&reader, &stats));

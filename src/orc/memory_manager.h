@@ -42,16 +42,11 @@ class MemoryManager {
   }
 
   /// Current scale factor in (0, 1]: 1 while under the threshold, otherwise
-  /// threshold / total_registered.
+  /// threshold / the registered total.
   double Scale() const {
     std::lock_guard<std::mutex> lock(mutex_);
     if (total_ <= threshold_ || total_ == 0) return 1.0;
     return static_cast<double>(threshold_) / static_cast<double>(total_);
-  }
-
-  uint64_t total_registered() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_;
   }
 
   uint64_t threshold() const { return threshold_; }

@@ -728,6 +728,13 @@ class OrcReader::Impl {
 
   Status LoadStripe(size_t stripe_index) {
     const StripeInformation& info = tail_->stripes[stripe_index];
+    const uint64_t size = file_->Size();
+    if (info.offset > size || info.index_length > size ||
+        info.data_length > size || info.footer_length > size ||
+        info.offset + info.index_length + info.data_length +
+                info.footer_length > size) {
+      return Status::Corruption("ORC stripe runs past the end of the file");
+    }
     ++stripes_read_;
     MINIHIVE_ASSIGN_OR_RETURN(
         stripe_footer_,
@@ -740,6 +747,9 @@ class OrcReader::Impl {
                   info.footer_length, info.footer_crc, "stripe footer", &raw));
               return StripeFooter::Deserialize(raw, footer);
             }));
+    if (stripe_footer_->encodings.size() != all_nodes_.size()) {
+      return Status::Corruption("ORC stripe footer has the wrong column count");
+    }
 
     // Group selection.
     group_sel_active_ = false;
@@ -802,8 +812,13 @@ class OrcReader::Impl {
       node->encoding = ColumnEncoding::kDirect;
     }
     uint64_t stream_start = info.offset + info.index_length;
+    const uint64_t data_end = stream_start + info.data_length;
     for (size_t si = 0; si < stripe_footer_->streams.size(); ++si) {
       const StreamInfo& s = stripe_footer_->streams[si];
+      if (s.column >= all_nodes_.size() ||
+          s.length > data_end - stream_start) {
+        return Status::Corruption("ORC stream outside its stripe");
+      }
       ColumnNode* node = all_nodes_[s.column];
       uint64_t start = stream_start;
       stream_start += s.length;
@@ -811,13 +826,20 @@ class OrcReader::Impl {
       node->encoding = stripe_footer_->encodings[s.column];
       auto stream = std::make_unique<StreamReader>();
       if (ppd_mode_ && !IsStripeScoped(s.kind)) {
+        const auto& all_ends = stripe_index_->segment_ends;
+        const std::vector<uint64_t>* ends =
+            si < all_ends.size() ? &all_ends[si] : nullptr;
+        if (ends == nullptr || ends->size() < stripe_footer_->num_groups ||
+            !std::is_sorted(ends->begin(), ends->end()) ||
+            (!ends->empty() && ends->back() > s.length)) {
+          return Status::Corruption("ORC row index does not fit its stream");
+        }
         const std::vector<uint32_t>* crcs =
             si < stripe_index_->segment_crcs.size()
                 ? &stripe_index_->segment_crcs[si]
                 : nullptr;
-        stream->InitPpd(file_.get(), start, &stripe_index_->segment_ends[si],
-                        crcs, &group_runs_, codec_, options_.reader_host,
-                        options_.verify_checksums);
+        stream->InitPpd(file_.get(), start, ends, crcs, &group_runs_, codec_,
+                        options_.reader_host, options_.verify_checksums);
       } else {
         // Full mode; dictionary streams are read whole in either mode.
         std::string stored;
@@ -851,6 +873,11 @@ class OrcReader::Impl {
       }
       ColumnNode* node = all_nodes_[column];
       uint32_t dict_size = stripe_footer_->dictionary_sizes[column];
+      uint64_t values = 0;
+      for (uint64_t n : stripe_footer_->nonnull_counts[column]) values += n;
+      if (dict_size > values) {
+        return Status::Corruption("ORC dictionary larger than its column");
+      }
       MINIHIVE_RETURN_IF_ERROR(it->second->ReadInts(dict_size, &lengths_));
       node->dict.resize(dict_size);
       std::string_view entry;
@@ -1054,6 +1081,11 @@ class OrcReader::Impl {
         if (node->encoding == ColumnEncoding::kDictionary) {
           MINIHIVE_RETURN_IF_ERROR(
               node->data_stream->ReadInts(nonnull, &node->ints));
+          for (int64_t id : node->ints) {
+            if (static_cast<uint64_t>(id) >= node->dict.size()) {
+              return Status::Corruption("dictionary id out of range");
+            }
+          }
         } else {
           MINIHIVE_RETURN_IF_ERROR(node->length_stream->StartGroup(g));
           MINIHIVE_RETURN_IF_ERROR(
@@ -1249,7 +1281,7 @@ class OrcReader::Impl {
       case vec::VectorKind::kBytes: {
         auto* vec = static_cast<vec::BytesColumnVector*>(base);
         if (node->encoding == ColumnEncoding::kDictionary) {
-          MINIHIVE_RETURN_IF_ERROR(FillDictionaryCodes(node, vec, n));
+          FillDictionaryCodes(node, vec, n);
           break;
         }
         vec->dictionary = nullptr;
@@ -1280,10 +1312,9 @@ class OrcReader::Impl {
   /// value bytes, so dead rows cost nothing extra. A batch referencing a
   /// single entry with no nulls is marked is-repeating (paper §6.2).
   /// Advances the non-null cursor; the caller advances the instance cursor.
-  Status FillDictionaryCodes(ColumnNode* node, vec::BytesColumnVector* vec,
-                             int n) {
+  void FillDictionaryCodes(ColumnNode* node, vec::BytesColumnVector* vec,
+                           int n) {
     const bool no_nulls = node->present.empty();
-    const uint64_t dict_size = node->dict.size();
     vec->dictionary = &node->dict;
     vec->dictionary_version = node->dict_version;
     int32_t* codes = vec->codes.data();
@@ -1294,11 +1325,7 @@ class OrcReader::Impl {
         codes[i] = -1;
         continue;
       }
-      int64_t id = ids[nonnull++];
-      if (static_cast<uint64_t>(id) >= dict_size) {
-        return Status::Corruption("dictionary id out of range");
-      }
-      codes[i] = static_cast<int32_t>(id);
+      codes[i] = static_cast<int32_t>(ids[nonnull++]);
     }
     if (no_nulls && n > 0 &&
         std::all_of(codes + 1, codes + n,
@@ -1306,7 +1333,6 @@ class OrcReader::Impl {
       vec->is_repeating = true;
     }
     node->nn_cur += nonnull;
-    return Status::OK();
   }
 
   friend class OrcReader;

@@ -734,8 +734,11 @@ std::string AstExpr::ToString() const {
     case AstExprKind::kLiteral:
       return literal.ToString();
     case AstExprKind::kBinary:
-      return "(" + children[0]->ToString() + " " + op + " " +
-             children[1]->ToString() + ")";
+      return std::string("(")
+          .append(children[0]->ToString())
+          .append(" " + op + " ")
+          .append(children[1]->ToString())
+          .append(")");
     case AstExprKind::kNot:
       return "NOT " + children[0]->ToString();
     case AstExprKind::kIsNull:

@@ -95,14 +95,12 @@ class RowMapTask : public mr::MapTask {
   RowMapTask(dfs::FileSystem* fs, const std::vector<SourceRuntime>* sources,
              const std::unordered_map<int, std::shared_ptr<exec::MapJoinTables>>*
                  mapjoin_tables,
-             bool vectorized, bool enable_late_materialization,
-             exec::PipelineProfile* profile)
+             bool vectorized, bool enable_late_materialization)
       : fs_(fs),
         sources_(sources),
         mapjoin_tables_(mapjoin_tables),
         vectorized_(vectorized),
-        enable_late_materialization_(enable_late_materialization),
-        profile_(profile) {}
+        enable_late_materialization_(enable_late_materialization) {}
 
   Status Run(const mr::InputSplit& split, int task_index, int attempt,
              mr::ShuffleEmitter* emitter) override {
@@ -118,7 +116,6 @@ class RowMapTask : public mr::MapTask {
     ctx.attempt = attempt;
     ctx.emitter = emitter;
     ctx.mapjoin_tables = mapjoin_tables_;
-    ctx.profile = profile_;
     ctx.counters = attempt_counters();
     ctx.governor = governor();
 
@@ -167,9 +164,11 @@ class RowMapTask : public mr::MapTask {
       MINIHIVE_ASSIGN_OR_RETURN(bool more, reader->Next(&row));
       if (!more) break;
       ++records_in;
+      ctx.clock.BeginUnit();
       MINIHIVE_RETURN_IF_ERROR(root->Process(row, 0));
     }
     CountInputRecords(records_in);
+    ctx.clock.TimeAll();
     return root->Finish();
   }
 
@@ -180,7 +179,6 @@ class RowMapTask : public mr::MapTask {
       mapjoin_tables_;
   bool vectorized_;
   bool enable_late_materialization_;
-  exec::PipelineProfile* profile_;
 };
 
 /// Drives a reduce-entry operator pipeline with the engine's push-style
@@ -193,22 +191,22 @@ class RowReduceTask : public mr::ReduceTask {
                 const std::unordered_map<
                     int, std::shared_ptr<exec::MapJoinTables>>* mapjoin_tables,
                 int partition, int attempt = 0,
-                mr::ShuffleEmitter* emitter = nullptr,
-                exec::PipelineProfile* profile = nullptr)
+                mr::ShuffleEmitter* emitter = nullptr)
       : fs_(fs),
         reduce_root_(reduce_root),
         mapjoin_tables_(mapjoin_tables),
         partition_(partition),
         attempt_(attempt),
-        emitter_(emitter),
-        profile_(profile) {}
+        emitter_(emitter) {}
 
   /// Decodes the group's key once; every record of the group reuses it.
+  /// A key group is one unit of the operator clock.
   Status StartGroup(std::string_view key) override {
     MINIHIVE_RETURN_IF_ERROR(EnsureInit());
     row_.clear();
     MINIHIVE_RETURN_IF_ERROR(mr::DecodeKey(key, &row_));
     key_width_ = row_.size();
+    ctx_.clock.BeginUnit();
     return root_->StartGroup();
   }
 
@@ -226,6 +224,7 @@ class RowReduceTask : public mr::ReduceTask {
 
   Status Finish() override {
     MINIHIVE_RETURN_IF_ERROR(EnsureInit());
+    ctx_.clock.TimeAll();
     return root_->Finish();
   }
 
@@ -238,7 +237,7 @@ class RowReduceTask : public mr::ReduceTask {
     ctx_.attempt = attempt_;
     ctx_.mapjoin_tables = mapjoin_tables_;
     ctx_.emitter = emitter_;
-    ctx_.profile = profile_;
+    ctx_.counters = attempt_counters();
     MINIHIVE_ASSIGN_OR_RETURN(root_,
                               exec::BuildOperatorTree(reduce_root_, &arena_));
     return root_->Init(&ctx_);
@@ -251,7 +250,6 @@ class RowReduceTask : public mr::ReduceTask {
   int partition_;
   int attempt_;
   mr::ShuffleEmitter* emitter_;
-  exec::PipelineProfile* profile_;
   exec::TaskContext ctx_;
   exec::OperatorArena arena_;
   exec::Operator* root_ = nullptr;
@@ -280,26 +278,14 @@ Status PlanExecutor::Run(const CompiledPlan& plan, mr::JobCounters* totals) {
   for (const MapRedJob& job : plan.jobs) {
     MINIHIVE_RETURN_IF_ERROR(query_ctx_.CheckAlive());
     mr::JobCounters counters;
-    std::unique_ptr<exec::PipelineProfile> profile;
-    if (execute_span_ != nullptr) {
-      profile = std::make_unique<exec::PipelineProfile>();
-    }
-    Status job_status = RunJob(job, &counters, profile.get());
-    // Jobs run sequentially, so the last child of the execute span is this
-    // job's span (the engine added it); hang the operator stats off it.
-    if (profile != nullptr) {
-      if (telemetry::Span* job_span = execute_span_->LastChild()) {
-        profile->AttachToSpan(job_span);
-      }
-    }
-    MINIHIVE_RETURN_IF_ERROR(job_status);
+    MINIHIVE_RETURN_IF_ERROR(RunJob(job, &counters));
     counters.AccumulateInto(totals);
   }
   return Status::OK();
 }
 
-Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
-                            exec::PipelineProfile* profile) {
+Status PlanExecutor::RunJob(const MapRedJob& job,
+                            mr::JobCounters* counters) {
   // Resolve the sources.
   auto sources = std::make_shared<std::vector<SourceRuntime>>();
   for (const MapRedJob::MapSource& map_source : job.sources) {
@@ -393,29 +379,28 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
   bool late_materialization = options_.enable_late_materialization;
   dfs::FileSystem* fs = fs_;
   config.map_factory = [fs, sources, mapjoin_tables, vectorized,
-                        late_materialization, profile]() {
+                        late_materialization]() {
     return std::make_unique<RowMapTask>(fs, sources.get(),
                                         mapjoin_tables.get(), vectorized,
-                                        late_materialization, profile);
+                                        late_materialization);
   };
   if (job.num_reducers > 0) {
     const OpDesc* reduce_root = job.reduce_root.get();
-    config.reduce_factory = [fs, reduce_root, mapjoin_tables,
-                             profile](int partition, int attempt) {
+    config.reduce_factory = [fs, reduce_root, mapjoin_tables](int partition,
+                                                              int attempt) {
       return std::make_unique<RowReduceTask>(fs, reduce_root,
                                              mapjoin_tables.get(), partition,
-                                             attempt, nullptr, profile);
+                                             attempt);
     };
     if (options_.shuffle_combiner && job.combine_root != nullptr) {
       const OpDesc* combine_root = job.combine_root.get();
-      config.combiner_factory =
-          [fs, combine_root, mapjoin_tables,
-           profile](mr::ShuffleEmitter* out) {
-            return std::make_unique<RowReduceTask>(fs, combine_root,
-                                                   mapjoin_tables.get(),
-                                                   /*partition=*/0,
-                                                   /*attempt=*/0, out, profile);
-          };
+      config.combiner_factory = [fs, combine_root,
+                                 mapjoin_tables](mr::ShuffleEmitter* out) {
+        return std::make_unique<RowReduceTask>(fs, combine_root,
+                                               mapjoin_tables.get(),
+                                               /*partition=*/0,
+                                               /*attempt=*/0, out);
+      };
     }
   }
 

@@ -135,8 +135,7 @@ class PlanExecutor {
   Status Run(const CompiledPlan& plan, mr::JobCounters* totals);
 
  private:
-  Status RunJob(const MapRedJob& job, mr::JobCounters* counters,
-                exec::PipelineProfile* profile);
+  Status RunJob(const MapRedJob& job, mr::JobCounters* counters);
 
   dfs::FileSystem* fs_;
   const Catalog* catalog_;

@@ -525,7 +525,7 @@ class BatchStage {
   virtual ~BatchStage() = default;
   virtual void Run(VectorizedRowBatch* batch) = 0;
 
-  exec::OperatorStats* stats = nullptr;  // Null when profiling is off.
+  mr::OperatorStats* stats = nullptr;  // Null when profiling is off.
 };
 
 /// A Filter's conjuncts, applied in order (paper §6.2).
@@ -830,11 +830,7 @@ struct CompiledPipeline {
   const OpDesc* terminal = nullptr;
 };
 
-using Stats = exec::OperatorStats;
-
-Stats* StatsFor(exec::TaskContext* ctx, const OpDesc* op) {
-  return ctx->profile != nullptr ? ctx->profile->ForOp(op) : nullptr;
-}
+using Stats = mr::OperatorStats;
 
 /// Compiles `exprs` against `in`, appending the kernels to `expressions`
 /// and the result columns to `columns`.
@@ -1022,7 +1018,7 @@ Status CompilePipeline(const OpDesc* scan_root, ColumnMapping mapping,
             stage->filters,
             compiler->CompileFilter(
                 next->predicate->RemapColumns(mapping.columns)));
-        stage->stats = StatsFor(ctx, next);
+        stage->stats = ctx->StatsFor(next);
         pipeline->stages.push_back(std::move(stage));
         break;
       }
@@ -1036,14 +1032,14 @@ Status CompilePipeline(const OpDesc* scan_root, ColumnMapping mapping,
           out.types.push_back(e->result_type());
         }
         mapping = std::move(out);
-        stage->stats = StatsFor(ctx, next);
+        stage->stats = ctx->StatsFor(next);
         pipeline->stages.push_back(std::move(stage));
         break;
       }
       case OpKind::kMapJoin: {
         MINIHIVE_ASSIGN_OR_RETURN(auto stage,
                                   CompileMapJoin(next, ctx, compiler, &mapping));
-        stage->stats = StatsFor(ctx, next);
+        stage->stats = ctx->StatsFor(next);
         pipeline->stages.push_back(std::move(stage));
         break;
       }
@@ -1056,7 +1052,7 @@ Status CompilePipeline(const OpDesc* scan_root, ColumnMapping mapping,
               "shuffle");
         }
         pipeline->gby_inputs = std::make_unique<ProjectStage>();
-        pipeline->gby_inputs->stats = StatsFor(ctx, next);
+        pipeline->gby_inputs->stats = ctx->StatsFor(next);
         MINIHIVE_ASSIGN_OR_RETURN(
             pipeline->aggregator,
             CompileGroupBy(next, mapping, compiler,
@@ -1144,40 +1140,38 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   std::unique_ptr<VectorizedRowBatch> batch =
       MakeBatchFor(compiler.column_types(), kDefaultBatchSize);
 
-  Stats* scan_stats = StatsFor(ctx, scan_root);
+  Stats* scan_stats = ctx->StatsFor(scan_root);
   Stats* gby_stats =
       pipeline.gby_inputs != nullptr ? pipeline.gby_inputs->stats : nullptr;
-  Stats* sink_stats = pipeline.shuffle_sink != nullptr
-                          ? StatsFor(ctx, pipeline.terminal)
-                          : nullptr;
-  // Boxing rows for a FileSink is charged to the last stage (the row
-  // engine's times are inclusive of children too).
-  Stats* last_stats =
-      pipeline.stages.empty() ? scan_stats : pipeline.stages.back()->stats;
-  constexpr auto kRelaxed = std::memory_order_relaxed;
+  Stats* terminal_stats = ctx->StatsFor(pipeline.terminal);
 
   // Stage timing, once per batch and only when profiling: each stage's
-  // nanos is the time since the previous stage ended. Group-by time
-  // includes Emit.
-  const bool profiling = ctx->profile != nullptr;
+  // nanos is the time since the previous stage ended, less the row
+  // terminal's own timed frames inside it (so group-by time covers Emit
+  // but not the ReduceSink it feeds). Every batch is a timed unit, and so
+  // is Finish: the row terminal's frames are timed at weight 1.
+  const bool profiling = scan_stats != nullptr;
+  exec::OperatorClock& clock = ctx->clock;
+  clock.TimeAll();
   int64_t mark = 0;
   auto lap = [&](Stats* stats) {
     int64_t now = telemetry::MonotonicNanos();
-    if (stats != nullptr) stats->nanos.fetch_add(now - mark, kRelaxed);
+    if (stats != nullptr) stats->nanos += now - mark - clock.child_nanos;
+    clock.child_nanos = 0;
     mark = now;
   };
   auto count = [&](Stats* stats, int rows_in, bool rows_out) {
     if (stats == nullptr) return;
-    stats->batches.fetch_add(1, kRelaxed);
-    stats->rows_in.fetch_add(rows_in, kRelaxed);
-    if (rows_out) stats->rows_out.fetch_add(batch->SelectedCount(), kRelaxed);
+    stats->batches += 1;
+    stats->rows_in += rows_in;
+    if (rows_out) stats->rows_out += batch->SelectedCount();
   };
 
   const ColumnMapping& out = pipeline.out;
   Row row;
   auto emit_partials = [&] {
     return pipeline.aggregator->Emit([&](const Row& partial) {
-      if (gby_stats != nullptr) gby_stats->rows_out.fetch_add(1, kRelaxed);
+      if (gby_stats != nullptr) gby_stats->rows_out += 1;
       return terminal->Process(partial, 0);
     });
   };
@@ -1195,9 +1189,9 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       ctx->counters->map_input_records += batch->size;
     }
     if (scan_stats != nullptr) {
-      scan_stats->batches.fetch_add(1, kRelaxed);
-      scan_stats->rows_in.fetch_add(batch->size, kRelaxed);
-      scan_stats->rows_out.fetch_add(batch->size, kRelaxed);
+      scan_stats->batches += 1;
+      scan_stats->rows_in += batch->size;
+      scan_stats->rows_out += batch->size;
     }
     bool empty = false;
     for (auto& stage : pipeline.stages) {
@@ -1225,13 +1219,14 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       continue;
     }
     if (pipeline.shuffle_sink != nullptr) {
-      count(sink_stats, batch->SelectedCount(), /*rows_out=*/false);
+      count(terminal_stats, batch->SelectedCount(), /*rows_out=*/false);
       MINIHIVE_RETURN_IF_ERROR(
           pipeline.shuffle_sink->Sink(batch.get(), ctx->emitter));
-      if (profiling) lap(sink_stats);
+      if (profiling) lap(terminal_stats);
       continue;
     }
-    // Box the surviving rows for the FileSink.
+    // Box the surviving rows for the FileSink: its Process frames time
+    // themselves, and the boxing around them is its time too.
     const int n = batch->SelectedCount();
     for (int j = 0; j < n; ++j) {
       const int i = batch->selected_in_use ? batch->selected[j] : j;
@@ -1243,7 +1238,7 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       }
       MINIHIVE_RETURN_IF_ERROR(terminal->Process(row, 0));
     }
-    if (profiling) lap(last_stats);
+    if (profiling) lap(terminal_stats);
   }
   if (pipeline.shuffle_sink != nullptr) return Status::OK();
   if (pipeline.aggregator != nullptr) {

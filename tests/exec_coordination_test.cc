@@ -20,15 +20,15 @@ class EventSink : public Operator {
                      ",v=" + row[0].ToString() + ")");
     return Status::OK();
   }
-  Status StartGroup() override {
+  Status DoStartGroup() override {
     events.push_back("start");
     return Status::OK();
   }
-  Status EndGroup() override {
+  Status DoEndGroup() override {
     events.push_back("end");
     return Status::OK();
   }
-  Status Finish() override {
+  Status DoFinish() override {
     events.push_back("finish");
     return Status::OK();
   }

@@ -38,6 +38,28 @@ std::vector<std::string> Canonicalize(const std::vector<Row>& rows) {
   return out;
 }
 
+/// A profiled run's exact per-operator row counts, job by job in operator
+/// id order, without the ids (each run plans afresh, so ids differ).
+std::vector<std::string> OperatorRows(const QueryResult& result) {
+  std::vector<std::string> out;
+  const telemetry::Span* execute =
+      result.profile == nullptr ? nullptr
+                                : result.profile->FindDescendant("execute");
+  if (execute == nullptr) return out;
+  for (const telemetry::Span* job : execute->children()) {
+    for (const telemetry::Span* op : job->children()) {
+      if (op->name().rfind("op:", 0) != 0) continue;
+      std::string line = op->name().substr(0, op->name().find('#'));
+      for (const char* attr : {"rows_in", "rows_out"}) {
+        line.append(" ").append(attr).append("=").append(
+            std::to_string(op->FindAttr(attr)->u));
+      }
+      out.push_back(std::move(line));
+    }
+  }
+  return out;
+}
+
 class FaultSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -78,9 +100,10 @@ class FaultSweepTest : public ::testing::Test {
 
   void TearDown() override { fs_->set_fault_injector(nullptr); }
 
-  Result<QueryResult> Execute(const std::string& sql) {
+  Result<QueryResult> Execute(const std::string& sql, bool profile = false) {
     DriverOptions options;
     options.num_workers = 2;
+    options.enable_profiling = profile;
     Driver driver(fs_.get(), catalog_.get(), options);
     return driver.Execute(sql);
   }
@@ -171,16 +194,21 @@ TEST_F(FaultSweepTest, JoinGroupByUnderReadErrorsAndByteFlips) {
 }
 
 TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
-  // Read errors on the fact table fail map attempts after they emitted
-  // part of their shuffle output. The shuffle's byte count is the run
-  // buffers' size, taken from the winning attempt only, so a run that
-  // recovered reports exactly the fault-free shuffle.
+  // Read errors on the fact table fail map attempts, which are retried.
+  // The shuffle's byte count is the run buffers' size, taken from the
+  // winning attempt only, so a run that recovered reports exactly the
+  // fault-free shuffle, and so do its per-operator row counts. (Each file
+  // here is one index group, so an error strikes before an attempt's
+  // first row; RetriedReduceAttemptsCountOperatorRowsOnce fails attempts
+  // after their operators took rows.)
   const std::string sql =
       "SELECT c_segment, COUNT(*) AS cnt, SUM(o_amount) AS total "
       "FROM orders JOIN customers ON o_custkey = c_id GROUP BY c_segment";
-  auto golden = Execute(sql);
+  auto golden = Execute(sql, /*profile=*/true);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   ASSERT_GT(golden->counters.shuffled_bytes.load(), 0u);
+  const std::vector<std::string> golden_ops = OperatorRows(*golden);
+  ASSERT_FALSE(golden_ops.empty());
   int recovered = 0;
   for (int seed = 0; seed < 20; ++seed) {
     FaultConfig config;
@@ -189,7 +217,7 @@ TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
     config.path_filter = "/warehouse/orders";
     FaultInjector injector(config);
     fs_->set_fault_injector(&injector);
-    auto result = Execute(sql);
+    auto result = Execute(sql, /*profile=*/true);
     fs_->set_fault_injector(nullptr);
     if (!result.ok()) {
       EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
@@ -205,8 +233,44 @@ TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
     EXPECT_EQ(result->counters.map_output_records.load(),
               golden->counters.map_output_records.load())
         << "seed " << seed;
+    EXPECT_EQ(OperatorRows(*result), golden_ops) << "seed " << seed;
   }
   EXPECT_GT(recovered, 0) << "no seed recovered from a failed map attempt";
+}
+
+TEST_F(FaultSweepTest, RetriedReduceAttemptsCountOperatorRowsOnce) {
+  // Write errors on the result's attempt files fail reduce attempts after
+  // their operators took in rows. Only the winning attempt's operator stats
+  // may reach the profile, so a run that recovered reports exactly the
+  // fault-free per-operator rows.
+  const std::string sql =
+      "SELECT o_custkey, COUNT(*) AS cnt, SUM(o_amount) AS total "
+      "FROM orders GROUP BY o_custkey";
+  auto golden = Execute(sql, /*profile=*/true);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  const std::vector<std::string> golden_ops = OperatorRows(*golden);
+  ASSERT_FALSE(golden_ops.empty());
+  int recovered = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    FaultConfig config;
+    config.seed = 6000 + seed;
+    config.append_error_probability = 0.2;
+    config.path_filter = "/_attempt-";
+    FaultInjector injector(config);
+    fs_->set_fault_injector(&injector);
+    auto result = Execute(sql, /*profile=*/true);
+    fs_->set_fault_injector(nullptr);
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(Canonicalize(result->rows), Canonicalize(golden->rows))
+        << "seed " << seed;
+    if (result->counters.reduce_task_failures.load() == 0) continue;
+    ++recovered;
+    EXPECT_EQ(OperatorRows(*result), golden_ops) << "seed " << seed;
+  }
+  EXPECT_GT(recovered, 0) << "no seed recovered from a failed reduce attempt";
 }
 
 TEST_F(FaultSweepTest, HighFaultRateNeverProducesWrongRows) {
@@ -246,9 +310,13 @@ TEST_F(FaultSweepTest, DelayedReadsTimeOutAndRetryToSuccess) {
   const std::string sql =
       "SELECT o_custkey, COUNT(*) AS cnt, SUM(o_amount) AS total "
       "FROM orders GROUP BY o_custkey";
-  auto golden = Execute(sql);
+  auto golden = Execute(sql, /*profile=*/true);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   std::vector<std::string> want = Canonicalize(golden->rows);
+  // A killed attempt has pushed rows through its operators before its
+  // deadline check; only the winning attempts' rows may count.
+  const std::vector<std::string> golden_ops = OperatorRows(*golden);
+  ASSERT_FALSE(golden_ops.empty());
 
   auto run_with_timeout = [&](uint64_t seed) {
     FaultConfig config;
@@ -266,6 +334,7 @@ TEST_F(FaultSweepTest, DelayedReadsTimeOutAndRetryToSuccess) {
     DriverOptions options;
     options.num_workers = 2;
     options.task_timeout_millis = 400;
+    options.enable_profiling = true;
     Driver driver(fs_.get(), catalog_.get(), options);
     auto result = driver.Execute(sql);
     fs_->set_fault_injector(nullptr);
@@ -296,6 +365,7 @@ TEST_F(FaultSweepTest, DelayedReadsTimeOutAndRetryToSuccess) {
     EXPECT_GE(result->counters.map_task_failures.load() +
                   result->counters.reduce_task_failures.load(),
               result->counters.tasks_timed_out.load());
+    EXPECT_EQ(OperatorRows(*result), golden_ops) << "seed " << seed;
   }
   EXPECT_GT(delays_injected, 0u) << "no delay ever fired; sweep is vacuous";
   EXPECT_GT(successes, 0) << "every seed failed; timeout retries not working";
@@ -315,10 +385,14 @@ TEST_F(FaultSweepTest, DispatchedWorkerLossSweep) {
       "SELECT c_segment, COUNT(*) AS cnt, SUM(o_amount) AS total "
       "FROM orders JOIN customers ON o_custkey = c_id "
       "GROUP BY c_segment";
-  auto golden = Execute(sql);
+  auto golden = Execute(sql, /*profile=*/true);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   std::vector<std::string> want = Canonicalize(golden->rows);
   ASSERT_FALSE(want.empty());
+  // Duplicate and speculative attempts ran, yet each operator's rows are
+  // the winning attempts' only.
+  const std::vector<std::string> golden_ops = OperatorRows(*golden);
+  ASSERT_FALSE(golden_ops.empty());
 
   int successes = 0;
   int typed_failures = 0;
@@ -348,6 +422,7 @@ TEST_F(FaultSweepTest, DispatchedWorkerLossSweep) {
     options.workers.worker_blacklist_failures = 2;
     options.workers.retry_backoff.max_millis = 50;
     options.workers.seed = config.seed;
+    options.enable_profiling = true;
     Driver driver(fs_.get(), catalog_.get(), options);
     mr::SimulatedRemoteTransport* transport = driver.transport();
     transport->set_fault_injector(&injector);
@@ -376,6 +451,7 @@ TEST_F(FaultSweepTest, DispatchedWorkerLossSweep) {
                             result->counters.transport_fallbacks.load();
     EXPECT_EQ(Canonicalize(result->rows), want)
         << "seed " << seed << ": run succeeded with WRONG rows";
+    EXPECT_EQ(OperatorRows(*result), golden_ops) << "seed " << seed;
   }
 
   EXPECT_GT(transport_faults, 0u)

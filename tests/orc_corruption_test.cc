@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/cache.h"
 #include "common/random.h"
 #include "orc/reader.h"
@@ -64,9 +67,11 @@ void OverwriteFile(dfs::FileSystem* fs, const std::string& path,
 /// the first error.
 Status ReadAllRows(dfs::FileSystem* fs, const std::string& path,
                    std::vector<Row>* rows,
-                   const SearchArgument* sarg = nullptr) {
+                   const SearchArgument* sarg = nullptr,
+                   bool verify_checksums = true) {
   OrcReadOptions options;
   options.sarg = sarg;
+  options.verify_checksums = verify_checksums;
   auto reader = OrcReader::Open(fs, path, options);
   if (!reader.ok()) return reader.status();
   Row row;
@@ -171,6 +176,136 @@ TEST(OrcCorruptionTest, SingleByteFlipsAreDetectedOrHarmless) {
   EXPECT_GT(detected, harmless)
       << detected << " detected vs " << harmless << " harmless";
   EXPECT_GT(detected, 30);
+}
+
+// With checksums off a flipped byte reaches the footer parsers and the
+// decoders. It may decode to other valid values, so any rows are fine; a
+// crash, a hang, a sanitizer report or any status but Corruption is not.
+TEST(OrcCorruptionTest, UnverifiedFlipsEndInRowsOrCorruption) {
+  dfs::FileSystem fs;
+  WriteFile(&fs, "/orc/lax", kRows);
+  const std::string pristine = ReadWholeFile(&fs, "/orc/lax");
+  SearchArgument sarg;
+  sarg.AddLeaf({0, PredicateOp::kBetween, Value::Int(2100), Value::Int(9700),
+                {}});
+  const SearchArgument* filters[] = {nullptr, &sarg};
+  Random rng(20261019);
+  std::vector<uint64_t> offsets;
+  for (int i = 0; i < 200; ++i) offsets.push_back(rng.Uniform(pristine.size()));
+  for (int i = 0; i < 60; ++i) {
+    offsets.push_back(pristine.size() - 1 - rng.Uniform(300));
+  }
+  int corrupt_reads = 0;
+  for (uint64_t offset : offsets) {
+    for (uint8_t mask : {0x01, 0x40, 0x80}) {
+      std::string corrupt = pristine;
+      corrupt[offset] ^= mask;
+      OverwriteFile(&fs, "/orc/lax", corrupt);
+      for (const SearchArgument* filter : filters) {
+        std::vector<Row> rows;
+        Status s = ReadAllRows(&fs, "/orc/lax", &rows, filter,
+                               /*verify_checksums=*/false);
+        EXPECT_TRUE(s.ok() || s.IsCorruption())
+            << "offset " << offset << " mask " << int{mask} << ": "
+            << s.ToString();
+        corrupt_reads += s.IsCorruption();
+      }
+    }
+  }
+  EXPECT_GT(corrupt_reads, 0);
+}
+
+/// Rewrites stripe 0's footer (or, with `index`, its row index) in a fresh
+/// file with `patch` applied, padded with zero bytes (which the parsers
+/// ignore) to its old length, and expects every read through `sarg`, with
+/// checksums on or off, to end in Corruption.
+template <typename Section>
+void ExpectPatchedIsCorruption(const std::function<void(Section*)>& patch,
+                               const SearchArgument* sarg = nullptr) {
+  constexpr bool kIndex = std::is_same_v<Section, StripeIndex>;
+  dfs::FileSystem fs;
+  WriteFile(&fs, "/orc/patched", 2000);
+  const std::string pristine = ReadWholeFile(&fs, "/orc/patched");
+  auto reader = std::move(OrcReader::Open(&fs, "/orc/patched")).ValueOrDie();
+  const StripeInformation& stripe = reader->tail().stripes[0];
+  // The section is one stored unit: varint length, flag 0, varint length,
+  // then the serialized section.
+  const std::string_view unit =
+      kIndex ? std::string_view(pristine).substr(stripe.offset,
+                                                 stripe.index_length)
+             : std::string_view(pristine).substr(
+                   stripe.offset + stripe.index_length + stripe.data_length,
+                   stripe.footer_length);
+  ByteReader header(unit);
+  uint64_t length = 0;
+  uint8_t flag = 1;
+  ASSERT_TRUE(header.GetVarint64(&length).ok());
+  ASSERT_TRUE(header.GetByte(&flag).ok());
+  ASSERT_TRUE(header.GetVarint64(&length).ok());
+  ASSERT_EQ(flag, 0);
+  const size_t at = unit.data() - pristine.data() + unit.size() -
+                    header.remaining();
+  Section section;
+  ASSERT_TRUE(Section::Deserialize(
+                  std::string_view(pristine).substr(at, header.remaining()),
+                  &section)
+                  .ok());
+  patch(&section);
+  std::string patched;
+  section.Serialize(&patched);
+  ASSERT_LE(patched.size(), header.remaining());
+  patched.resize(header.remaining(), '\0');
+  std::string corrupt = pristine;
+  corrupt.replace(at, patched.size(), patched);
+  OverwriteFile(&fs, "/orc/patched", corrupt);
+  for (bool verify : {false, true}) {
+    std::vector<Row> rows;
+    Status s = ReadAllRows(&fs, "/orc/patched", &rows, sarg, verify);
+    EXPECT_TRUE(s.IsCorruption()) << verify << ": " << s.ToString();
+  }
+}
+
+TEST(OrcCorruptionTest, StreamOfAnUnknownColumnIsCorruption) {
+  ExpectPatchedIsCorruption<StripeFooter>(
+      [](StripeFooter* footer) { footer->streams[0].column = 100; });
+}
+
+TEST(OrcCorruptionTest, FooterMissingAColumnIsCorruption) {
+  ExpectPatchedIsCorruption<StripeFooter>([](StripeFooter* footer) {
+    footer->encodings.pop_back();
+    footer->dictionary_sizes.pop_back();
+    footer->instance_counts.pop_back();
+    footer->nonnull_counts.pop_back();
+  });
+}
+
+TEST(OrcCorruptionTest, DictionaryLargerThanItsColumnIsCorruption) {
+  // Dropping the last stream makes room for a 5-byte dictionary size.
+  ExpectPatchedIsCorruption<StripeFooter>([](StripeFooter* footer) {
+    footer->streams.pop_back();
+    for (uint32_t& size : footer->dictionary_sizes) {
+      if (size > 0) size = UINT32_MAX;
+    }
+  });
+}
+
+TEST(OrcCorruptionTest, RowIndexMissingAStreamIsCorruption) {
+  SearchArgument sarg;
+  sarg.AddLeaf({0, PredicateOp::kLessThan, Value::Int(1000), {}, {}});
+  ExpectPatchedIsCorruption<StripeIndex>(
+      [](StripeIndex* index) { index->segment_ends.pop_back(); }, &sarg);
+}
+
+// A count read from metadata can never size an allocation past what its
+// section could hold.
+TEST(OrcCorruptionTest, HugeMetadataCountsAreCorruption) {
+  const std::string huge = "\xff\xff\xff\xff\x0f";  // 2^32 - 1 entries.
+  StripeFooter footer;
+  EXPECT_TRUE(StripeFooter::Deserialize(huge, &footer).IsCorruption());
+  StripeIndex index;
+  EXPECT_TRUE(StripeIndex::Deserialize(huge, &index).IsCorruption());
+  FileTail tail;
+  EXPECT_TRUE(DeserializeFileMetadata(huge, &tail).IsCorruption());
 }
 
 TEST(OrcCorruptionTest, ChecksumMismatchMessageNamesTheSection) {

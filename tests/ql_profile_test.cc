@@ -219,6 +219,91 @@ TEST_F(ProfileTest, VectorizedStagesAreTimed) {
   }
 }
 
+/// Every operator span of a profiled query's jobs, in job then id order.
+std::vector<const telemetry::Span*> OperatorSpans(const QueryResult& result) {
+  std::vector<const telemetry::Span*> ops;
+  const telemetry::Span* execute = result.profile->FindDescendant("execute");
+  if (execute == nullptr) return ops;
+  for (const telemetry::Span* job : execute->children()) {
+    for (const telemetry::Span* op : job->children()) {
+      if (op->name().rfind("op:", 0) == 0) ops.push_back(op);
+    }
+  }
+  return ops;
+}
+
+uint64_t Rows(const telemetry::Span* op, const char* attr) {
+  std::optional<telemetry::AttrValue> v = op->FindAttr(attr);
+  return v.has_value() ? v->u : 0;
+}
+
+// A reduce-side join times its own work, EndGroup's emission included, and
+// not its children's; the rows it emits are exactly the rows its child
+// takes in. No operator's self time is negative.
+TEST_F(ProfileTest, ReduceJoinReportsSelfTimeAndExactRows) {
+  std::vector<Row> customers;
+  for (int i = 0; i < 100; ++i) {
+    customers.push_back(
+        {Value::Int(i), Value::String(std::string("c").append(
+                            std::to_string(i)))});
+  }
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "customers",
+                  *TypeDescription::Parse("struct<c_id:bigint,c_name:string>"),
+                  formats::FormatKind::kTextFile,
+                  codec::CompressionKind::kNone, customers)
+                  .ok());
+  DriverOptions options;
+  options.mapjoin_conversion = false;
+  Driver driver(fs_.get(), catalog_.get(), options);
+  QueryResult result = MustExecute(
+      &driver,
+      "EXPLAIN PROFILE SELECT o_id, c_name FROM orders JOIN customers "
+      "ON o_custkey = c_id");
+  ASSERT_EQ(result.rows.size(), 3000u);
+  ASSERT_NE(result.profile, nullptr);
+  std::vector<const telemetry::Span*> ops = OperatorSpans(result);
+  auto join = std::find_if(ops.begin(), ops.end(), [](const auto* op) {
+    return op->name().rfind("op:JOIN#", 0) == 0;
+  });
+  ASSERT_NE(join, ops.end()) << result.plan_text;
+  EXPECT_GT((*join)->duration_nanos(), 0) << result.plan_text;
+  EXPECT_EQ(Rows(*join, "rows_in"), 3100u);
+  EXPECT_EQ(Rows(*join, "rows_out"), 3000u);
+  // The join's child is the next operator of its reduce pipeline.
+  ASSERT_NE(join + 1, ops.end()) << result.plan_text;
+  EXPECT_EQ(Rows(*(join + 1), "rows_in"), Rows(*join, "rows_out"))
+      << result.plan_text;
+  for (const telemetry::Span* op : ops) {
+    EXPECT_GE(op->duration_nanos(), 0) << op->name();
+  }
+}
+
+// The clock samples one unit in 16 but always times the first, so a query
+// over fewer than 16 rows still shows time for every row-mode operator.
+TEST_F(ProfileTest, TinyInputStillTimesEveryOperator) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 10; ++i) rows.push_back({Value::Int(i % 3)});
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "tiny",
+                  *TypeDescription::Parse("struct<t_k:bigint>"),
+                  formats::FormatKind::kTextFile,
+                  codec::CompressionKind::kNone, rows)
+                  .ok());
+  Driver driver(fs_.get(), catalog_.get());
+  QueryResult result = MustExecute(
+      &driver,
+      "EXPLAIN PROFILE SELECT t_k, COUNT(*) AS c FROM tiny WHERE t_k >= 0 "
+      "GROUP BY t_k");
+  ASSERT_EQ(result.rows.size(), 3u);
+  std::vector<const telemetry::Span*> ops = OperatorSpans(result);
+  ASSERT_GE(ops.size(), 5u) << result.plan_text;
+  for (const telemetry::Span* op : ops) {
+    EXPECT_GT(op->duration_nanos(), 0) << op->name() << "\n"
+                                       << result.plan_text;
+  }
+}
+
 // A Driver without a session runs its queries in one on a private
 // SessionManager: the profile carries the admission and scheduler
 // attributes, and the scheduler ran exactly the query's engine tasks.

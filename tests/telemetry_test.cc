@@ -172,7 +172,7 @@ TEST(SpanTest, NestingAndOrdering) {
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(kids[0]->name(), "a");
   EXPECT_EQ(kids[1]->name(), "b");
-  EXPECT_EQ(root.LastChild(), b);
+  EXPECT_EQ(kids[1], b);
   EXPECT_EQ(root.FindDescendant("a1"), a1);
   EXPECT_EQ(root.FindDescendant("nope"), nullptr);
 }
