@@ -1,6 +1,6 @@
 // Microbenchmarks for the session metadata cache (LLAP-style, scaled down):
-//   1. Cache core operations — insert / hit / miss throughput, single shard
-//      contention excluded (single-threaded; common_cache_test covers the
+//   1. Cache core operations — insert / hit / miss throughput, without
+//      contention (single-threaded; common_cache_test covers the
 //      concurrent budget contract).
 //   2. ORC reopen — the metadata cache eliminating tail re-parse and
 //      checksum re-verification when a file is opened again in the session.
@@ -46,30 +46,23 @@ CoreOpsResult BenchCoreOps() {
   const int kOps = bench::SmokeScaled(200000, 20000);
   const size_t kValueBytes = 256;
   // Budget sized so the working set fits: hits are real hits.
-  cache::Cache cache("bench.core", static_cast<uint64_t>(kOps) * 512);
+  cache::Cache cache(static_cast<uint64_t>(kOps) * 512);
   auto value = std::make_shared<const std::string>(kValueBytes, 'v');
 
   CoreOpsResult r;
   r.ops = kOps;
   Stopwatch watch;
   for (int i = 0; i < kOps; ++i) {
-    cache.InsertAndRelease(CoreKey(1, i), value,
-                           kValueBytes + cache::kEntryOverhead);
+    cache.Insert(CoreKey(1, i), value, kValueBytes + cache::kEntryOverhead);
   }
   r.insert_ms = watch.ElapsedMillis();
 
   watch.Reset();
-  for (int i = 0; i < kOps; ++i) {
-    cache::Cache::Handle* h = cache.Lookup(CoreKey(1, i));
-    if (h != nullptr) cache.Release(h);
-  }
+  for (int i = 0; i < kOps; ++i) cache.Lookup(CoreKey(1, i));
   r.hit_ms = watch.ElapsedMillis();
 
   watch.Reset();
-  for (int i = 0; i < kOps; ++i) {
-    cache::Cache::Handle* h = cache.Lookup(CoreKey(2, i));
-    if (h != nullptr) cache.Release(h);
-  }
+  for (int i = 0; i < kOps; ++i) cache.Lookup(CoreKey(2, i));
   r.miss_ms = watch.ElapsedMillis();
   return r;
 }

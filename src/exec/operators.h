@@ -24,12 +24,18 @@ inline constexpr int64_t kTimedUnitEvery = 16;
 
 /// One task's operator clock. A unit is a map input row in row mode, or a
 /// key group in a reduce task or a combiner; the driver opens each with
-/// BeginUnit, which times the first and then one in kTimedUnitEvery at
-/// weight kTimedUnitEvery, so the sum stands for the untimed units too.
-/// Finish and vectorized batches are always timed, at weight 1 (TimeAll).
+/// BeginUnit, which times the first unit at weight 1 (so its one-off work,
+/// such as a FileSink opening its writer, counts once, and a tiny input
+/// still shows time) and then units kTimedUnitEvery, 2 * kTimedUnitEvery,
+/// ... at weight kTimedUnitEvery, so the sum stands for the untimed units
+/// too. Finish and vectorized batches are always timed, at weight 1
+/// (TimeAll).
 struct OperatorClock {
   void BeginUnit() {
-    weight = units++ % kTimedUnitEvery == 0 ? kTimedUnitEvery : 0;
+    const uint64_t unit = units++;
+    weight = unit == 0                      ? 1
+             : unit % kTimedUnitEvery == 0 ? kTimedUnitEvery
+                                            : 0;
   }
   void TimeAll() { weight = 1; }
 

@@ -350,16 +350,12 @@ class OrcReader::Impl {
         path_(std::move(path)),
         file_(std::move(file)),
         options_(std::move(options)),
-        generation_(file_->Generation()) {
-    if (options_.use_metadata_cache) {
-      // Pin the manager for the reader's lifetime: the installing session
-      // can be destroyed while this reader still inserts/looks up.
-      cache_manager_ = fs_->cache_manager();
-      if (cache_manager_ != nullptr) {
-        mcache_ = cache_manager_->metadata_cache();
-      }
-    }
-  }
+        generation_(file_->Generation()),
+        // Held for the reader's lifetime: the installing session can be
+        // destroyed while this reader still inserts and looks up.
+        cache_manager_(fs_->cache_manager()),
+        mcache_(cache_manager_ != nullptr ? cache_manager_->metadata_cache()
+                                          : nullptr) {}
 
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
@@ -567,25 +563,22 @@ class OrcReader::Impl {
   /// reads, CRC checks, decompression and deserialization; a miss runs
   /// `parse` and populates the cache only from a checksum-verified,
   /// fault-free parse — a cached entry is served without re-verification,
-  /// so unverified or tainted bytes must never seed it. Either way `*pin`
-  /// keeps the entry resident while this reader uses it. `*hit` (optional)
-  /// reports whether the cache served it.
+  /// so unverified or tainted bytes must never seed it. Either way the
+  /// returned shared_ptr keeps the parse alive while this reader uses it,
+  /// evicted or not. `*hit` (optional) reports whether the cache served it.
   template <typename T, typename Parse>
   Result<std::shared_ptr<const T>> CachedParse(std::string_view tag,
                                                uint64_t stripe_offset,
-                                               cache::ScopedHandle* pin,
                                                Parse parse,
                                                bool* hit = nullptr) {
-    pin->reset();
     std::string key;
     if (mcache_ != nullptr) {
       key = MetaKey(tag, stripe_offset);
-      cache::Cache::Handle* handle = mcache_->Lookup(key);
-      ++(handle != nullptr ? metadata_cache_hits_ : metadata_cache_misses_);
-      if (handle != nullptr) {
-        pin->reset(mcache_, handle);
+      std::shared_ptr<const void> cached = mcache_->Lookup(key);
+      ++(cached != nullptr ? metadata_cache_hits_ : metadata_cache_misses_);
+      if (cached != nullptr) {
         if (hit != nullptr) *hit = true;
-        return cache::Cache::value<T>(handle);
+        return std::static_pointer_cast<const T>(std::move(cached));
       }
     }
     TaintWatch taint(fs_->fault_injector());
@@ -593,9 +586,7 @@ class OrcReader::Impl {
     MINIHIVE_RETURN_IF_ERROR(parse(parsed.get()));
     if (mcache_ != nullptr && options_.verify_checksums && !taint.tainted()) {
       size_t charge = ChargeOf(*parsed) + key.size() + cache::kEntryOverhead;
-      if (cache::Cache::Handle* handle = mcache_->Insert(key, parsed, charge)) {
-        pin->reset(mcache_, handle);
-      }
+      mcache_->Insert(key, parsed, charge);
     }
     return std::shared_ptr<const T>(std::move(parsed));
   }
@@ -625,13 +616,12 @@ class OrcReader::Impl {
     return codec::DecompressUnits(codec_, stored, raw);
   }
 
-  /// The parsed tail (postscript, footer, metadata), pinned for the
-  /// reader's lifetime: the open file's metadata can't be evicted out from
-  /// under a long scan.
+  /// The parsed tail (postscript, footer, metadata), held by tail_ for the
+  /// reader's lifetime: an eviction cannot take it from under a long scan.
   Status ReadTail() {
     MINIHIVE_ASSIGN_OR_RETURN(
         tail_, CachedParse<FileTail>(
-                   "orc.tail", 0, &tail_handle_,
+                   "orc.tail", 0,
                    [this](FileTail* tail) { return ParseTail(tail); },
                    &tail_cache_hit_));
     codec_ = codec::GetCodec(tail_->compression);
@@ -739,7 +729,7 @@ class OrcReader::Impl {
     MINIHIVE_ASSIGN_OR_RETURN(
         stripe_footer_,
         CachedParse<StripeFooter>(
-            "orc.sf", info.offset, &sf_handle_,
+            "orc.sf", info.offset,
             [&](StripeFooter* footer) -> Status {
               std::string raw;
               MINIHIVE_RETURN_IF_ERROR(ReadSection(
@@ -755,14 +745,13 @@ class OrcReader::Impl {
     group_sel_active_ = false;
     selected_groups_.clear();
     group_runs_.clear();
-    si_handle_.reset();
     stripe_index_ = nullptr;
     if (ppd_mode_) {
       // Row index: position pointers + per-group statistics.
       MINIHIVE_ASSIGN_OR_RETURN(
           stripe_index_,
           CachedParse<StripeIndex>(
-              "orc.si", info.offset, &si_handle_,
+              "orc.si", info.offset,
               [&](StripeIndex* index) -> Status {
                 std::string raw;
                 MINIHIVE_RETURN_IF_ERROR(ReadSection(info.offset,
@@ -1342,18 +1331,12 @@ class OrcReader::Impl {
   std::shared_ptr<dfs::ReadableFile> file_;
   OrcReadOptions options_;
   // (path_, generation_) names this exact file incarnation — the metadata
-  // cache key. The cache pointer is null when the session has none or the
-  // options turned it off; all cache logic hides behind that test.
+  // cache key. The cache pointer is null when the filesystem has no
+  // CacheManager installed; all cache logic hides behind that test.
   uint64_t generation_ = 0;
   std::shared_ptr<cache::CacheManager> cache_manager_;  // Keeps mcache_ alive.
   cache::Cache* mcache_ = nullptr;
   bool tail_cache_hit_ = false;
-  // Pins for the currently-used cached objects (tail for the reader's whole
-  // life, footer/index for the current stripe). The shared_ptrs below keep
-  // the objects alive regardless; the pins additionally keep them resident.
-  cache::ScopedHandle tail_handle_;
-  cache::ScopedHandle sf_handle_;
-  cache::ScopedHandle si_handle_;
   std::shared_ptr<const FileTail> tail_;
   const codec::Codec* codec_ = nullptr;
   ColumnNode root_;

@@ -41,12 +41,6 @@ struct OrcReadOptions {
   /// stripes remain readable. On by default: the CRC cost is tiny next to
   /// decompression.
   bool verify_checksums = true;
-  /// Serve parsed tails / stripe footers / stripe indexes from (and
-  /// populate) the session metadata cache, when the filesystem has one
-  /// installed. Entries are keyed by (path, generation), so a rewritten or
-  /// renamed file can never be served stale metadata. Only checksum-verified
-  /// parses populate the cache.
-  bool use_metadata_cache = true;
   /// Task lifecycle governor, checked before decoding each index group so a
   /// cancelled or out-of-time query stops a scan mid-stripe. Null =
   /// ungoverned.
@@ -75,6 +69,12 @@ struct OrcReadOptions {
 /// via NextBatch() (the paper's vectorized reader, §6.5 — primitive columns
 /// only). Stripes and index groups that cannot satisfy the pushed-down
 /// predicate are skipped without reading their bytes from the DFS.
+///
+/// When the filesystem has a CacheManager installed, parsed tails, stripe
+/// footers and stripe indexes are served from (and populate) its metadata
+/// cache. Entries are keyed by (path, generation), so a rewritten or renamed
+/// file is never served stale metadata, and only checksum-verified parses
+/// populate the cache.
 class OrcReader {
  public:
   static Result<std::unique_ptr<OrcReader>> Open(

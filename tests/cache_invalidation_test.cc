@@ -103,32 +103,6 @@ TEST(CacheInvalidationTest, RewrittenFileNeverServedStale) {
   fs.set_cache_manager(nullptr);
 }
 
-TEST(CacheInvalidationTest, UseMetadataCacheKnobBypassesCache) {
-  dfs::FileSystem fs;
-  auto caches = std::make_shared<cache::CacheManager>(1 << 20);
-  fs.set_cache_manager(caches);
-  WriteOrc(&fs, "/t/knob", 400, "x");
-
-  OrcReadOptions no_cache;
-  no_cache.use_metadata_cache = false;
-  auto r1 = std::move(OrcReader::Open(&fs, "/t/knob", no_cache)).ValueOrDie();
-  EXPECT_FALSE(r1->tail_cache_hit());
-  EXPECT_EQ(caches->metadata_cache()->usage(), 0u);  // Not populated either.
-
-  // Default options use the cache; only now does it warm up.
-  auto r2 = std::move(OrcReader::Open(&fs, "/t/knob")).ValueOrDie();
-  EXPECT_FALSE(r2->tail_cache_hit());
-  EXPECT_GT(caches->metadata_cache()->usage(), 0u);
-  auto r3 = std::move(OrcReader::Open(&fs, "/t/knob")).ValueOrDie();
-  EXPECT_TRUE(r3->tail_cache_hit());
-
-  // And the knob also bypasses serving, not just population.
-  auto r4 = std::move(OrcReader::Open(&fs, "/t/knob", no_cache)).ValueOrDie();
-  EXPECT_FALSE(r4->tail_cache_hit());
-
-  fs.set_cache_manager(nullptr);
-}
-
 TEST(CacheInvalidationTest, ReaderOpenedBeforeRewriteKeepsItsIncarnation) {
   // A reader opened before the rewrite captured the old generation at Open,
   // so its reads keep resolving against the old incarnation's cache keys —

@@ -15,151 +15,103 @@ std::shared_ptr<const void> Val(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
 
-std::string GetVal(Cache::Handle* handle) {
-  return *Cache::value<std::string>(handle);
+/// The string cached under `key`, or "" on a miss.
+std::string Get(Cache* cache, const std::string& key) {
+  std::shared_ptr<const void> value = cache->Lookup(key);
+  return value == nullptr ? ""
+                          : *std::static_pointer_cast<const std::string>(value);
 }
 
 TEST(CacheTest, InsertLookupRoundtrip) {
-  Cache cache("test", 4096);
+  Cache cache(4096);
   EXPECT_EQ(cache.Lookup("k1"), nullptr);
-  Cache::Handle* h = cache.Insert("k1", Val("v1"), 100);
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(GetVal(h), "v1");
-  cache.Release(h);
-
-  Cache::Handle* h2 = cache.Lookup("k1");
-  ASSERT_NE(h2, nullptr);
-  EXPECT_EQ(GetVal(h2), "v1");
-  cache.Release(h2);
+  ASSERT_TRUE(cache.Insert("k1", Val("v1"), 100));
+  EXPECT_EQ(Get(&cache, "k1"), "v1");
 
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(cache.stats().inserted_bytes, 100u);
   EXPECT_EQ(cache.usage(), 100u);
 }
 
 TEST(CacheTest, EvictsLeastRecentlyUsedFirst) {
-  // One shard so the LRU order is global and deterministic.
-  Cache cache("test", 300, /*num_shards=*/1);
-  ASSERT_TRUE(cache.InsertAndRelease("a", Val("a"), 100));
-  ASSERT_TRUE(cache.InsertAndRelease("b", Val("b"), 100));
-  ASSERT_TRUE(cache.InsertAndRelease("c", Val("c"), 100));
+  Cache cache(300);
+  ASSERT_TRUE(cache.Insert("a", Val("a"), 100));
+  ASSERT_TRUE(cache.Insert("b", Val("b"), 100));
+  ASSERT_TRUE(cache.Insert("c", Val("c"), 100));
 
   // Touch "a" so "b" is now the least recently used.
-  Cache::Handle* h = cache.Lookup("a");
-  ASSERT_NE(h, nullptr);
-  cache.Release(h);
+  EXPECT_EQ(Get(&cache, "a"), "a");
 
-  ASSERT_TRUE(cache.InsertAndRelease("d", Val("d"), 100));
+  ASSERT_TRUE(cache.Insert("d", Val("d"), 100));
   EXPECT_EQ(cache.Lookup("b"), nullptr);  // Evicted.
   for (const char* live : {"a", "c", "d"}) {
-    Cache::Handle* lh = cache.Lookup(live);
-    ASSERT_NE(lh, nullptr) << live;
-    cache.Release(lh);
+    EXPECT_EQ(Get(&cache, live), live);
   }
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().evicted_bytes, 100u);
-  EXPECT_LE(cache.usage(), cache.capacity());
+  EXPECT_EQ(cache.usage(), 300u);
 }
 
 TEST(CacheTest, BudgetNeverExceededByInsertSweep) {
-  Cache cache("test", 1000, /*num_shards=*/1);
+  Cache cache(1000);
   for (int i = 0; i < 100; ++i) {
-    cache.InsertAndRelease(std::string("k").append(std::to_string(i)), Val("x"),
-                           90);
+    ASSERT_TRUE(cache.Insert(std::string("k").append(std::to_string(i)),
+                             Val("x"), 90));
     EXPECT_LE(cache.usage(), cache.capacity());
   }
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(CacheTest, PinnedEntriesSurvivePressureAndBlockInserts) {
-  Cache cache("test", 300, /*num_shards=*/1);
-  Cache::Handle* pinned = cache.Insert("pin", Val("pinned"), 200);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(cache.pinned_usage(), 200u);
-
-  // Fits beside the pin.
-  ASSERT_TRUE(cache.InsertAndRelease("small", Val("s"), 100));
-  // Does not fit: the pin cannot be evicted, so the insert is refused
-  // rather than overcommitting.
-  EXPECT_FALSE(cache.InsertAndRelease("big", Val("b"), 250));
-  EXPECT_EQ(cache.stats().insert_rejects, 1u);
-  EXPECT_LE(cache.usage(), cache.capacity());
-
-  // The pinned entry is still resident and intact.
-  EXPECT_EQ(GetVal(pinned), "pinned");
-  Cache::Handle* again = cache.Lookup("pin");
-  ASSERT_NE(again, nullptr);
-  cache.Release(again);
-  cache.Release(pinned);
-
-  // Unpinned now: the big entry can displace it.
-  ASSERT_TRUE(cache.InsertAndRelease("big", Val("b"), 250));
-  EXPECT_EQ(cache.Lookup("pin"), nullptr);
+  // 11 entries of 90 fit in 1000; every insert after the 11th evicts one.
+  EXPECT_EQ(cache.stats().evictions, 89u);
+  EXPECT_EQ(cache.usage(), 990u);
 }
 
 TEST(CacheTest, OversizedChargeRefused) {
-  Cache cache("test", 100);
-  EXPECT_EQ(cache.Insert("huge", Val("h"), 1 << 20), nullptr);
+  Cache cache(100);
+  EXPECT_FALSE(cache.Insert("huge", Val("h"), 1 << 20));
+  EXPECT_EQ(cache.Lookup("huge"), nullptr);
   EXPECT_EQ(cache.usage(), 0u);
   EXPECT_EQ(cache.stats().insert_rejects, 1u);
 }
 
 TEST(CacheTest, ZeroBudgetDisablesCaching) {
-  Cache cache("test", 0);
-  EXPECT_FALSE(cache.InsertAndRelease("k", Val("v"), 1));
+  Cache cache(0);
+  EXPECT_FALSE(cache.Insert("k", Val("v"), 1));
   EXPECT_EQ(cache.Lookup("k"), nullptr);
   EXPECT_EQ(cache.usage(), 0u);
 }
 
-TEST(CacheTest, ReplaceSameKeyServesNewValueOldPinStaysValid) {
-  Cache cache("test", 4096);
-  Cache::Handle* old_pin = cache.Insert("k", Val("old"), 100);
-  ASSERT_NE(old_pin, nullptr);
-  ASSERT_TRUE(cache.InsertAndRelease("k", Val("new"), 100));
-
-  Cache::Handle* h = cache.Lookup("k");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(GetVal(h), "new");
-  cache.Release(h);
-
-  // The replaced entry stays alive for its holder until released.
-  EXPECT_EQ(GetVal(old_pin), "old");
-  cache.Release(old_pin);
-  EXPECT_EQ(cache.usage(), 100u);
-}
-
-TEST(CacheTest, EraseDropsEntry) {
-  Cache cache("test", 4096);
-  ASSERT_TRUE(cache.InsertAndRelease("k", Val("v"), 100));
-  cache.Erase("k");
-  EXPECT_EQ(cache.Lookup("k"), nullptr);
-  EXPECT_EQ(cache.usage(), 0u);
-  cache.Erase("k");  // Erasing a missing key is a no-op.
+TEST(CacheTest, ReplaceSameKeyServesNewValue) {
+  Cache cache(4096);
+  ASSERT_TRUE(cache.Insert("k", Val("old"), 100));
+  ASSERT_TRUE(cache.Insert("k", Val("new"), 150));
+  EXPECT_EQ(Get(&cache, "k"), "new");
+  EXPECT_EQ(cache.usage(), 150u);  // The old charge was given back.
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(CacheTest, ValueOutlivesEviction) {
-  Cache cache("test", 200, /*num_shards=*/1);
-  Cache::Handle* h = cache.Insert("k", Val("survivor"), 150);
-  ASSERT_NE(h, nullptr);
-  std::shared_ptr<const std::string> value = Cache::value<std::string>(h);
-  cache.Release(h);
+  Cache cache(200);
+  ASSERT_TRUE(cache.Insert("k", Val("survivor"), 150));
+  std::shared_ptr<const void> value = cache.Lookup("k");
+  ASSERT_NE(value, nullptr);
   // Push the entry out.
-  ASSERT_TRUE(cache.InsertAndRelease("other", Val("o"), 150));
+  ASSERT_TRUE(cache.Insert("other", Val("o"), 150));
   EXPECT_EQ(cache.Lookup("k"), nullptr);
-  EXPECT_EQ(*value, "survivor");  // shared_ptr keeps the bytes alive.
+  // The holder's shared_ptr keeps the bytes alive.
+  EXPECT_EQ(*std::static_pointer_cast<const std::string>(value), "survivor");
 }
 
 TEST(CacheTest, ConcurrentStressRespectsBudgetAndIntegrity) {
   // The budget contract under contention: at NO observed instant may usage
   // exceed capacity, and a hit must always return the exact bytes inserted
-  // under that key. 8 threads × mixed insert/lookup/erase over a keyspace
-  // larger than the cache forces constant eviction on every shard.
+  // under that key. 8 threads × mixed inserts and lookups over a keyspace
+  // larger than the cache force constant eviction.
   constexpr uint64_t kCapacity = 64 * 1024;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr int kKeySpace = 256;
-  Cache cache("stress", kCapacity);
+  Cache cache(kCapacity);
   std::atomic<bool> failed{false};
 
   auto worker = [&](int tid) {
@@ -176,24 +128,13 @@ TEST(CacheTest, ConcurrentStressRespectsBudgetAndIntegrity) {
       // The value is derived from the key, so any cross-key mixup is
       // detectable from a reader thread.
       std::string expect = "value-for-" + key;
-      switch (next() % 4) {
-        case 0: {
-          size_t charge = 64 + next() % 1024;
-          cache.InsertAndRelease(key, Val(expect), charge);
-          break;
+      if (next() % 3 == 0) {
+        size_t charge = 64 + next() % 1024;
+        cache.Insert(key, Val(expect), charge);
+      } else if (std::shared_ptr<const void> value = cache.Lookup(key)) {
+        if (*std::static_pointer_cast<const std::string>(value) != expect) {
+          failed.store(true);
         }
-        case 1:
-        case 2: {
-          Cache::Handle* h = cache.Lookup(key);
-          if (h != nullptr) {
-            if (GetVal(h) != expect) failed.store(true);
-            cache.Release(h);
-          }
-          break;
-        }
-        case 3:
-          cache.Erase(key);
-          break;
       }
       if (cache.usage() > kCapacity) failed.store(true);
     }
@@ -208,6 +149,7 @@ TEST(CacheTest, ConcurrentStressRespectsBudgetAndIntegrity) {
   EXPECT_LE(cache.usage(), kCapacity);
   const Cache::StatsSnapshot stats = cache.stats();
   EXPECT_GT(stats.inserts, 0u);
+  EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GE(stats.inserted_bytes, stats.evicted_bytes);
 }

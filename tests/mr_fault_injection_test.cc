@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "datagen/loader.h"
 #include "mr/transport.h"
+#include "orc/writer.h"
 #include "ql/driver.h"
 
 namespace minihive::ql {
@@ -68,20 +69,36 @@ class FaultSweepTest : public ::testing::Test {
     fs_ = std::make_unique<dfs::FileSystem>(fs_options);
     catalog_ = std::make_unique<Catalog>(fs_.get());
 
-    std::vector<Row> orders;
-    for (int i = 0; i < 4000; ++i) {
-      orders.push_back({Value::Int(i), Value::Int(i % 128),
-                        Value::Double((i % 97) * 2.25),
-                        Value::String(i % 3 == 0 ? "open" : "done")});
-    }
-    ASSERT_TRUE(datagen::CreateAndLoad(
-                    catalog_.get(), "orders",
-                    *TypeDescription::Parse("struct<o_id:bigint,"
-                                            "o_custkey:bigint,o_amount:double,"
-                                            "o_status:string>"),
-                    formats::FormatKind::kOrcFile,
-                    codec::CompressionKind::kNone, orders, 3)
+    // Three orders files of three stripes each. No query here has a SARG,
+    // so a reader loads a stripe's streams only after the previous stripe's
+    // rows went through the operators and into the shuffle: a read error
+    // can fail a map attempt that already emitted records.
+    ASSERT_TRUE(catalog_
+                    ->CreateTable("orders",
+                                  *TypeDescription::Parse(
+                                      "struct<o_id:bigint,o_custkey:bigint,"
+                                      "o_amount:double,o_status:string>"),
+                                  formats::FormatKind::kOrcFile)
                     .ok());
+    const TableDesc* orders = *catalog_->GetTable("orders");
+    orc::OrcWriterOptions writer_options;
+    writer_options.stripe_size = 1;  // The writer's 64 KiB floor: ~1800 rows.
+    constexpr int kOrdersPerFile = 4000;
+    for (int f = 0; f < 3; ++f) {
+      auto writer = orc::OrcWriter::Create(
+          fs_.get(), orders->path_prefix + "/part-" + std::to_string(f),
+          orders->schema, writer_options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      for (int i = f * kOrdersPerFile; i < (f + 1) * kOrdersPerFile; ++i) {
+        ASSERT_TRUE((*writer)
+                        ->AddRow({Value::Int(i), Value::Int(i % 128),
+                                  Value::Double((i % 97) * 2.25),
+                                  Value::String(i % 3 == 0 ? "open" : "done")})
+                        .ok());
+      }
+      ASSERT_TRUE((*writer)->Close().ok());
+      ASSERT_EQ((*writer)->stripes_written(), 3u);
+    }
 
     std::vector<Row> customers;
     for (int i = 0; i < 128; ++i) {
@@ -195,16 +212,24 @@ TEST_F(FaultSweepTest, JoinGroupByUnderReadErrorsAndByteFlips) {
 
 TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
   // Read errors on the fact table fail map attempts, which are retried.
-  // The shuffle's byte count is the run buffers' size, taken from the
-  // winning attempt only, so a run that recovered reports exactly the
-  // fault-free shuffle, and so do its per-operator row counts. (Each file
-  // here is one index group, so an error strikes before an attempt's
-  // first row; RetriedReduceAttemptsCountOperatorRowsOnce fails attempts
-  // after their operators took rows.)
+  // The join runs reduce-side, so a map attempt ships each orders row into
+  // the shuffle as it reads it, and an error in a file's second or third
+  // stripe fails an attempt that already emitted shuffle records. The
+  // shuffle's byte count is the run buffers' size, taken from the winning
+  // attempt only, so a run that recovered reports exactly the fault-free
+  // shuffle, and so do its per-operator row counts.
   const std::string sql =
       "SELECT c_segment, COUNT(*) AS cnt, SUM(o_amount) AS total "
       "FROM orders JOIN customers ON o_custkey = c_id GROUP BY c_segment";
-  auto golden = Execute(sql, /*profile=*/true);
+  auto execute = [&] {
+    DriverOptions options;
+    options.num_workers = 2;
+    options.enable_profiling = true;
+    options.mapjoin_conversion = false;
+    Driver driver(fs_.get(), catalog_.get(), options);
+    return driver.Execute(sql);
+  };
+  auto golden = execute();
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   ASSERT_GT(golden->counters.shuffled_bytes.load(), 0u);
   const std::vector<std::string> golden_ops = OperatorRows(*golden);
@@ -217,7 +242,7 @@ TEST_F(FaultSweepTest, RetriedMapAttemptsCountShuffleOutputOnce) {
     config.path_filter = "/warehouse/orders";
     FaultInjector injector(config);
     fs_->set_fault_injector(&injector);
-    auto result = Execute(sql, /*profile=*/true);
+    auto result = execute();
     fs_->set_fault_injector(nullptr);
     if (!result.ok()) {
       EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();

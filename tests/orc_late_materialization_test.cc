@@ -90,13 +90,11 @@ struct ScanResult {
 /// Batch-scans `path`, honoring the batch's selection vector (the late
 /// reader's phase-1 verdicts); an eager reader returns every group row.
 Result<ScanResult> ScanBatches(dfs::FileSystem* fs, const std::string& path,
-                               const SearchArgument* sarg, bool late,
-                               bool use_metadata_cache = true) {
+                               const SearchArgument* sarg, bool late) {
   OrcReadOptions options;
   options.projected_fields = {0, 1, 2, 3, 4};
   options.sarg = sarg;
   options.enable_late_materialization = late;
-  options.use_metadata_cache = use_metadata_cache;
   auto reader_or = OrcReader::Open(fs, path, options);
   MINIHIVE_RETURN_IF_ERROR(reader_or.status());
   auto reader = std::move(reader_or).ValueOrDie();
@@ -246,15 +244,14 @@ TEST(OrcLateMaterializationTest, NullRowsDropLikeTheEngineFilter) {
 TEST(OrcLateMaterializationTest, MetadataCacheOnAndOffAgree) {
   dfs::FileSystem fs;
   WriteFile(&fs, "/orc/late_cache", /*with_nulls=*/false);
-  auto caches = std::make_shared<cache::CacheManager>(4 * 1024 * 1024);
-  fs.set_cache_manager(caches);
-
   SearchArgument sarg;
   sarg.AddLeaf({1, PredicateOp::kLessThan, Value::Int(kCatRange / 4), {}, {}});
+  // No CacheManager installed yet: the uncached read.
   ScanResult uncached =
-      std::move(ScanBatches(&fs, "/orc/late_cache", &sarg, true,
-                            /*use_metadata_cache=*/false))
-          .ValueOrDie();
+      std::move(ScanBatches(&fs, "/orc/late_cache", &sarg, true)).ValueOrDie();
+
+  auto caches = std::make_shared<cache::CacheManager>(4 * 1024 * 1024);
+  fs.set_cache_manager(caches);
   // First cached run populates, second serves from the cache; all three
   // must agree row for row and keep skipping at row level.
   ScanResult warm =
@@ -262,6 +259,7 @@ TEST(OrcLateMaterializationTest, MetadataCacheOnAndOffAgree) {
   ScanResult hot =
       std::move(ScanBatches(&fs, "/orc/late_cache", &sarg, true)).ValueOrDie();
   EXPECT_GT(caches->metadata_cache()->usage(), 0u);
+  EXPECT_GT(caches->metadata_cache()->stats().hits, 0u);
   ExpectSameRows(uncached.rows, warm.rows);
   ExpectSameRows(uncached.rows, hot.rows);
   EXPECT_GT(hot.rows_late_skipped, 0u);

@@ -237,9 +237,34 @@ uint64_t Rows(const telemetry::Span* op, const char* attr) {
   return v.has_value() ? v->u : 0;
 }
 
+/// No operator's (sampled, weighted) self time exceeds the summed wall of
+/// its job's task attempts: a one-off cost in a timed unit, such as a
+/// FileSink opening its writer on its first row, must count once.
+void ExpectOperatorsWithinAttemptWall(const QueryResult& result) {
+  const telemetry::Span* execute = result.profile->FindDescendant("execute");
+  ASSERT_NE(execute, nullptr);
+  for (const telemetry::Span* job : execute->children()) {
+    int64_t attempts_wall = 0;
+    for (const telemetry::Span* child : job->children()) {
+      if (child->name().rfind("map[", 0) == 0 ||
+          child->name().rfind("reduce[", 0) == 0) {
+        attempts_wall += child->duration_nanos();
+      }
+    }
+    for (const telemetry::Span* op : job->children()) {
+      if (op->name().rfind("op:", 0) != 0) continue;
+      EXPECT_LE(op->duration_nanos(), attempts_wall)
+          << op->name() << " in " << job->name() << "\n"
+          << result.plan_text;
+    }
+  }
+}
+
 // A reduce-side join times its own work, EndGroup's emission included, and
 // not its children's; the rows it emits are exactly the rows its child
-// takes in. No operator's self time is negative.
+// takes in. No operator's self time is negative, and none exceeds the
+// summed wall of its job's task attempts (one-off first-row work, such as
+// a FileSink opening its writer, is counted once, not scaled up).
 TEST_F(ProfileTest, ReduceJoinReportsSelfTimeAndExactRows) {
   std::vector<Row> customers;
   for (int i = 0; i < 100; ++i) {
@@ -277,10 +302,12 @@ TEST_F(ProfileTest, ReduceJoinReportsSelfTimeAndExactRows) {
   for (const telemetry::Span* op : ops) {
     EXPECT_GE(op->duration_nanos(), 0) << op->name();
   }
+  ExpectOperatorsWithinAttemptWall(result);
 }
 
-// The clock samples one unit in 16 but always times the first, so a query
-// over fewer than 16 rows still shows time for every row-mode operator.
+// The clock samples one unit in 16 but always times the first (at weight
+// 1), so a query over fewer than 16 rows still shows time for every
+// row-mode operator.
 TEST_F(ProfileTest, TinyInputStillTimesEveryOperator) {
   std::vector<Row> rows;
   for (int i = 0; i < 10; ++i) rows.push_back({Value::Int(i % 3)});
@@ -302,6 +329,7 @@ TEST_F(ProfileTest, TinyInputStillTimesEveryOperator) {
     EXPECT_GT(op->duration_nanos(), 0) << op->name() << "\n"
                                        << result.plan_text;
   }
+  ExpectOperatorsWithinAttemptWall(result);
 }
 
 // A Driver without a session runs its queries in one on a private
