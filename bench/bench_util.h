@@ -12,7 +12,6 @@
 #include "common/json.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "mr/engine.h"
 
 // Git/build metadata; the bench CMakeLists defines these at configure time.
@@ -112,15 +111,14 @@ T SmokeScaled(T full, T smoke) {
   return SmokeMode() ? smoke : full;
 }
 
-/// Collects a bench's headline numbers and writes them — together with a
-/// process-wide metrics-registry snapshot and git/build metadata — to
-/// BENCH_<name>.json (schema below). tools/check_bench_regression.py compares
-/// these files against bench/baseline/.
+/// Collects a bench's headline numbers and writes them — together with
+/// git/build metadata — to BENCH_<name>.json (schema below).
+/// tools/check_bench_regression.py compares these files against
+/// bench/baseline/.
 ///
 ///   {"schema_version": 1, "bench": ..., "smoke": ...,
 ///    "git": {"commit", "branch"}, "build": {"type", "compiler"},
-///    "metrics": {<name>: {"value", "unit"}, ...},
-///    "registry": {"counters": ..., "gauges": ..., "histograms": ...}}
+///    "metrics": {<name>: {"value", "unit"}, ...}}
 ///
 /// Units matter: the regression checker only compares machine-independent
 /// units (rows/bytes/count/...) and ignores timings ("ms", "ns", ...).
@@ -173,8 +171,6 @@ class BenchReporter {
       writer.EndObject();
     }
     writer.EndObject();
-    writer.Key("registry");
-    telemetry::MetricsRegistry::Global().WriteJson(&writer);
     writer.EndObject();
     return writer.str();
   }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/telemetry.h"
-
 namespace minihive {
 
 namespace {
@@ -103,22 +101,14 @@ void TaskScheduler::RunOneLocked(std::unique_lock<std::mutex>& lock,
   int index = batch->next++;
   Queue* queue = batch->queue;
   queue->running_++;
-  uint64_t wait_nanos = NowNanos() - batch->enqueue_nanos;
   queue->stats_.tasks_run++;
-  queue->stats_.queue_wait_nanos += wait_nanos;
+  queue->stats_.queue_wait_nanos += NowNanos() - batch->enqueue_nanos;
   if (batch->next >= batch->count) {
     // Fully claimed: no further worker should pick this batch up.
     queue->batches_.erase(std::find(queue->batches_.begin(),
                                     queue->batches_.end(), batch));
   }
   lock.unlock();
-  static telemetry::Counter* tasks_run =
-      telemetry::MetricsRegistry::Global().GetCounter("scheduler.tasks_run");
-  static telemetry::Histogram* queue_wait =
-      telemetry::MetricsRegistry::Global().GetHistogram(
-          "scheduler.queue_wait_millis");
-  tasks_run->Increment();
-  queue_wait->Record(wait_nanos / 1000000);
   Status status = (*batch->fn)(index);
   lock.lock();
   queue->running_--;

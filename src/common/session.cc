@@ -3,35 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/telemetry.h"
-
 namespace minihive {
-
-namespace {
-
-telemetry::Counter* AdmittedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global()
-                                     .GetCounter("session.queries_admitted");
-  return c;
-}
-telemetry::Counter* QueuedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global()
-                                     .GetCounter("session.queries_queued");
-  return c;
-}
-telemetry::Counter* RejectedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global()
-                                     .GetCounter("session.queries_rejected");
-  return c;
-}
-telemetry::Histogram* QueueWaitHistogram() {
-  static telemetry::Histogram* h =
-      telemetry::MetricsRegistry::Global().GetHistogram(
-          "session.queue_wait_millis");
-  return h;
-}
-
-}  // namespace
 
 QueryAdmission::~QueryAdmission() {
   budget_.reset();  // releases the committed slice back to the root
@@ -74,7 +46,6 @@ Result<std::unique_ptr<QueryAdmission>> SessionManager::Admit(
                        : requested_bytes;
   if (options_.per_query_memory_budget_bytes > 0 &&
       bytes > options_.per_query_memory_budget_bytes) {
-    RejectedCounter()->Increment();
     return Status::ResourceExhausted(
         "query '" + query_name + "' requested " + std::to_string(bytes) +
         " bytes, above the per-query budget of " +
@@ -83,7 +54,6 @@ Result<std::unique_ptr<QueryAdmission>> SessionManager::Admit(
   // A request that could never fit must not queue forever.
   if (root_budget_->limit() > 0 &&
       bytes + cache_budget_->limit() > root_budget_->limit()) {
-    RejectedCounter()->Increment();
     return Status::ResourceExhausted(
         "query '" + query_name + "' requested " + std::to_string(bytes) +
         " bytes, which can never fit under the global budget of " +
@@ -96,14 +66,12 @@ Result<std::unique_ptr<QueryAdmission>> SessionManager::Admit(
     auto slice = MemoryBudget::CreateChild(root_budget_.get(),
                                            "query:" + query_name, bytes);
     if (slice.ok()) {
-      AdmittedCounter()->Increment();
       return std::unique_ptr<QueryAdmission>(
           new QueryAdmission(this, std::move(slice).ValueOrDie(), 0));
     }
   }
   if (options_.max_queued_queries <= 0 ||
       queued_ >= options_.max_queued_queries) {
-    RejectedCounter()->Increment();
     return Status::ResourceExhausted(
         "global memory budget committed and admission queue is " +
         std::string(options_.max_queued_queries <= 0 ? "disabled"
@@ -114,7 +82,6 @@ Result<std::unique_ptr<QueryAdmission>> SessionManager::Admit(
   uint64_t my_seq = admit_seq_++;
   wait_queue_.push_back(my_seq);
   queued_++;
-  QueuedCounter()->Increment();
   auto start = std::chrono::steady_clock::now();
   auto elapsed_millis = [&start] {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -158,15 +125,9 @@ Result<std::unique_ptr<QueryAdmission>> SessionManager::Admit(
   wait_queue_.erase(
       std::find(wait_queue_.begin(), wait_queue_.end(), my_seq));
   admit_cv_.notify_all();
-  int64_t waited = elapsed_millis();
-  QueueWaitHistogram()->Record(static_cast<uint64_t>(waited));
-  if (!result.ok()) {
-    RejectedCounter()->Increment();
-    return result;
-  }
-  AdmittedCounter()->Increment();
+  if (!result.ok()) return result;
   return std::unique_ptr<QueryAdmission>(
-      new QueryAdmission(this, std::move(slice_out), waited));
+      new QueryAdmission(this, std::move(slice_out), elapsed_millis()));
 }
 
 void SessionManager::OnQueryFinished() {

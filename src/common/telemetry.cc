@@ -2,8 +2,6 @@
 
 #include <time.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdio>
 
 namespace minihive::telemetry {
@@ -12,136 +10,6 @@ int64_t MonotonicNanos() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-}
-
-// ---------------------------------------------------------------- Histogram
-
-void Histogram::Record(uint64_t value) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  // min/max via CAS loops; contention is rare (updates are monotone).
-  uint64_t observed = min_.load(std::memory_order_relaxed);
-  while (value < observed &&
-         !min_.compare_exchange_weak(observed, value,
-                                     std::memory_order_relaxed)) {
-  }
-  observed = max_.load(std::memory_order_relaxed);
-  while (value > observed &&
-         !max_.compare_exchange_weak(observed, value,
-                                     std::memory_order_relaxed)) {
-  }
-  int bucket = value == 0 ? 0 : 64 - std::countl_zero(value);
-  buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-uint64_t Histogram::min() const {
-  uint64_t v = min_.load(std::memory_order_relaxed);
-  return v == UINT64_MAX ? 0 : v;
-}
-
-double Histogram::mean() const {
-  uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------- Registry
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // Never dies.
-  return *registry;
-}
-
-Counter* MetricsRegistry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, static_cast<double>(counter->value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out.emplace_back(name, static_cast<double>(gauge->value()));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out.emplace_back(name + ".count",
-                     static_cast<double>(histogram->count()));
-    out.emplace_back(name + ".sum", static_cast<double>(histogram->sum()));
-    out.emplace_back(name + ".mean", histogram->mean());
-    out.emplace_back(name + ".min", static_cast<double>(histogram->min()));
-    out.emplace_back(name + ".max", static_cast<double>(histogram->max()));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void MetricsRegistry::WriteJson(json::Writer* writer) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  writer->BeginObject();
-  writer->Key("counters").BeginObject();
-  for (const auto& [name, counter] : counters_) {
-    writer->Key(name).UInt(counter->value());
-  }
-  writer->EndObject();
-  writer->Key("gauges").BeginObject();
-  for (const auto& [name, gauge] : gauges_) {
-    writer->Key(name).Int(gauge->value());
-  }
-  writer->EndObject();
-  writer->Key("histograms").BeginObject();
-  for (const auto& [name, histogram] : histograms_) {
-    writer->Key(name).BeginObject();
-    writer->Key("count").UInt(histogram->count());
-    writer->Key("sum").UInt(histogram->sum());
-    writer->Key("mean").Double(histogram->mean());
-    writer->Key("min").UInt(histogram->min());
-    writer->Key("max").UInt(histogram->max());
-    writer->EndObject();
-  }
-  writer->EndObject();
-  writer->EndObject();
 }
 
 // ---------------------------------------------------------------- AttrValue

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -17,98 +16,6 @@ namespace minihive::telemetry {
 
 /// Monotonic nanoseconds (CLOCK_MONOTONIC); the time base for all spans.
 int64_t MonotonicNanos();
-
-// ---------------------------------------------------------------------------
-// Metrics: named atomic counters / gauges / histograms.
-//
-// The registry hands out stable pointers; hot loops look a metric up once
-// and then pay one relaxed atomic RMW per update. This is the uniform
-// measurement surface the paper's evaluation counters (bytes read, rows
-// skipped, per-phase times) flow through, replacing per-module ad-hoc
-// fields.
-// ---------------------------------------------------------------------------
-
-/// Monotonically increasing count (rows, bytes, stripes, ...).
-class Counter {
- public:
-  void Add(uint64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Increment() { Add(1); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-/// Last-write-wins signed level (queue depth, bytes buffered, ...).
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Lock-free power-of-two bucket histogram: bucket i counts values in
-/// [2^(i-1), 2^i) with bucket 0 counting zero. Tracks count/sum/min/max.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(uint64_t value);
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t min() const;
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  uint64_t bucket(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  double mean() const;
-  void Reset();
-
- private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-};
-
-/// Process-wide registry of named metrics. Lookup takes a mutex (do it once,
-/// outside hot loops); updates through the returned pointers are wait-free.
-/// Pointers stay valid for the life of the process — metrics are never
-/// removed, only Reset().
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-
-  Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
-
-  /// Zeroes every registered metric (bench/test isolation between phases).
-  void ResetAll();
-
-  /// One flat snapshot: metric name -> value, sorted by name. Histograms
-  /// expand to <name>.count/.sum/.mean/.min/.max entries.
-  std::vector<std::pair<std::string, double>> Snapshot() const;
-
-  /// Serializes the registry as one JSON object value:
-  ///   {"counters": {...}, "gauges": {...}, "histograms": {...}}
-  /// Keys are sorted, so output is stable for goldens and diffs.
-  void WriteJson(json::Writer* writer) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-};
 
 // ---------------------------------------------------------------------------
 // Trace spans: a hierarchical profile of one query / job / task attempt /

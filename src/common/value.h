@@ -38,10 +38,16 @@ class Value {
   Value() : data_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Rep(static_cast<int64_t>(v))); }
-  static Value Int(int64_t v) { return Value(Rep(v)); }
-  static Value Double(double v) { return Value(Rep(v)); }
-  static Value String(std::string v) { return Value(Rep(std::move(v))); }
+  static Value Bool(bool v) {
+    return Value(std::in_place_type<int64_t>, static_cast<int64_t>(v));
+  }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
   static Value MakeArray(Array elements);
   static Value MakeMap(MapEntries entries);
   static Value MakeStruct(StructFields fields);
@@ -101,6 +107,11 @@ class Value {
                            std::shared_ptr<StructData>,
                            std::shared_ptr<UnionValue>>;
   explicit Value(Rep data) : data_(std::move(data)) {}
+  // Builds the alternative in place: going through a temporary Rep makes
+  // GCC's -Wmaybe-uninitialized misread the moved-from variant's string.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : data_(type, std::forward<Arg>(arg)) {}
 
   Rep data_;
 };

@@ -22,20 +22,7 @@ constexpr size_t kDurationWindow = 256;
 WorkerManager::WorkerManager(const WorkerPoolOptions& options)
     : options_(options),
       workers_(std::max(0, options.num_workers)),
-      durations_(kDurationWindow, 0) {
-  auto& registry = telemetry::MetricsRegistry::Global();
-  workers_alive_gauge_ = registry.GetGauge("session.workers_alive");
-  workers_blacklisted_gauge_ =
-      registry.GetGauge("session.workers_blacklisted");
-  heartbeats_missed_counter_ =
-      registry.GetCounter("session.workers_heartbeats_missed");
-  deaths_counter_ = registry.GetCounter("session.workers_deaths");
-  blacklists_counter_ = registry.GetCounter("session.workers_blacklists");
-  readmissions_counter_ =
-      registry.GetCounter("session.workers_probation_readmissions");
-  std::lock_guard<std::mutex> lock(mu_);
-  UpdateGaugesLocked();
-}
+      durations_(kDurationWindow, 0) {}
 
 WorkerManager::~WorkerManager() { StopMonitor(); }
 
@@ -103,10 +90,7 @@ void WorkerManager::ReportDispatch(int worker, bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
   WorkerState& w = workers_[worker];
   if (ok) {
-    if (w.on_probation) {
-      counters_.probation_readmissions += 1;
-      readmissions_counter_->Increment();
-    }
+    if (w.on_probation) counters_.probation_readmissions += 1;
     w.dispatch_failures = 0;
     w.on_probation = false;
     w.blacklisted_until = Clock::time_point{};
@@ -123,10 +107,8 @@ void WorkerManager::ReportDispatch(int worker, bool ok) {
       w.on_probation = true;
       w.dispatch_failures = 0;
       counters_.blacklists += 1;
-      blacklists_counter_->Increment();
     }
   }
-  UpdateGaugesLocked();
 }
 
 void WorkerManager::ReportHeartbeat(int worker, bool ok) {
@@ -139,15 +121,12 @@ void WorkerManager::ReportHeartbeat(int worker, bool ok) {
   } else {
     w.missed_beats += 1;
     counters_.heartbeats_missed += 1;
-    heartbeats_missed_counter_->Increment();
     if (w.alive &&
         w.missed_beats >= std::max(1, options_.missed_heartbeats_dead)) {
       w.alive = false;
       counters_.deaths += 1;
-      deaths_counter_->Increment();
     }
   }
-  UpdateGaugesLocked();
 }
 
 bool WorkerManager::IsAlive(int worker) const {
@@ -201,17 +180,6 @@ WorkerPoolStats WorkerManager::stats() const {
     if (BlacklistedLocked(w)) out.blacklisted += 1;
   }
   return out;
-}
-
-void WorkerManager::UpdateGaugesLocked() {
-  int alive = 0;
-  int blacklisted = 0;
-  for (const WorkerState& w : workers_) {
-    if (w.alive) alive += 1;
-    if (BlacklistedLocked(w)) blacklisted += 1;
-  }
-  workers_alive_gauge_->Set(alive);
-  workers_blacklisted_gauge_->Set(blacklisted);
 }
 
 }  // namespace minihive

@@ -12,7 +12,6 @@
 #include "common/backoff.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/telemetry.h"
 
 namespace minihive {
 
@@ -152,7 +151,6 @@ class WorkerManager {
   bool UsableLocked(const WorkerState& w) const {
     return w.alive && !BlacklistedLocked(w);
   }
-  void UpdateGaugesLocked();
 
   const WorkerPoolOptions options_;
 
@@ -170,14 +168,6 @@ class WorkerManager {
   std::condition_variable monitor_cv_;
   bool monitor_stop_ = false;
   bool monitor_running_ = false;
-
-  // Registry metrics (looked up once; updates are wait-free).
-  telemetry::Gauge* workers_alive_gauge_;
-  telemetry::Gauge* workers_blacklisted_gauge_;
-  telemetry::Counter* heartbeats_missed_counter_;
-  telemetry::Counter* deaths_counter_;
-  telemetry::Counter* blacklists_counter_;
-  telemetry::Counter* readmissions_counter_;
 };
 
 }  // namespace minihive

@@ -274,19 +274,6 @@ struct JobCounters {
     }
   }
 
-  /// Adds the atomic counters into the process-wide registry as
-  /// `<prefix><name>`, so registry totals are sums of per-query scopes.
-  void AddToRegistry(std::string_view prefix) const {
-    telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
-    for (const auto& f : atomic_u64_fields()) {
-      registry.GetCounter(std::string(prefix) + f.name)
-          ->Add((this->*f.member).load());
-    }
-    for (const auto& f : atomic_i64_fields()) {
-      registry.GetCounter(std::string(prefix) + f.name)
-          ->Add(static_cast<uint64_t>((this->*f.member).load()));
-    }
-  }
 };
 
 // Trips when a field is added to JobCounters without a field-table entry

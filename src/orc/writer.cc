@@ -6,30 +6,12 @@
 #include <numeric>
 
 #include "common/crc32.h"
-#include "common/telemetry.h"
 #include "orc/layout.h"
 #include "orc/stream_encoding.h"
 
 namespace minihive::orc {
 
 namespace {
-
-/// Counts every compression pass through the writer (raw bytes in, stored
-/// bytes out). Same signature as codec::CompressToUnits, which it wraps.
-Status CountedCompress(const codec::Codec* codec, std::string_view raw,
-                       uint64_t unit_size, std::string* out) {
-  static telemetry::Counter* in_bytes =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.writer.compress_in_bytes");
-  static telemetry::Counter* out_bytes =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.writer.compress_out_bytes");
-  size_t before = out->size();
-  MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(codec, raw, unit_size, out));
-  in_bytes->Add(raw.size());
-  out_bytes->Add(out->size() - before);
-  return Status::OK();
-}
 
 /// Per-column stripe buffer. One instance per node of the column tree;
 /// buffers raw values for the open stripe and records group boundaries.
@@ -452,8 +434,8 @@ class OrcWriter::Impl {
       default:
         return Status::Internal("EncodeSegment on stripe-scoped stream");
     }
-    return CountedCompress(codec_, raw_, options_.compression_unit_size,
-                           &data_);
+    return codec::CompressToUnits(codec_, raw_,
+                                  options_.compression_unit_size, &data_);
   }
 
   Status FlushStripe() {
@@ -539,7 +521,7 @@ class OrcWriter::Impl {
             }
             enc.Finish(&raw_);
           }
-          MINIHIVE_RETURN_IF_ERROR(CountedCompress(
+          MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
               codec_, raw_, options_.compression_unit_size, &data_));
           ends.push_back(data_.size() - stream_begin);
         } else {
@@ -575,11 +557,11 @@ class OrcWriter::Impl {
     // Serialize + compress the index and footer sections.
     std::string index_raw, index_bytes;
     index.Serialize(&index_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
+    MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
         codec_, index_raw, options_.compression_unit_size, &index_bytes));
     std::string footer_raw, footer_bytes;
     footer.Serialize(&footer_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
+    MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
         codec_, footer_raw, options_.compression_unit_size, &footer_bytes));
 
     uint64_t stripe_length =
@@ -601,12 +583,6 @@ class OrcWriter::Impl {
     MINIHIVE_RETURN_IF_ERROR(file_->Append(index_bytes));
     MINIHIVE_RETURN_IF_ERROR(file_->Append(data_));
     MINIHIVE_RETURN_IF_ERROR(file_->Append(footer_bytes));
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.writer.stripes_written")
-        ->Increment();
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.writer.bytes_written")
-        ->Add(stripe_length);
     stripes_.push_back(info);
     stripe_stats_.push_back(stripe_stats);
     for (size_t c = 0; c < columns.size(); ++c) {
@@ -632,11 +608,11 @@ class OrcWriter::Impl {
 
     std::string metadata_raw, metadata_bytes;
     SerializeFileMetadata(tail, &metadata_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
+    MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
         codec_, metadata_raw, options_.compression_unit_size, &metadata_bytes));
     std::string footer_raw, footer_bytes;
     SerializeFileFooter(tail, &footer_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
+    MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
         codec_, footer_raw, options_.compression_unit_size, &footer_bytes));
 
     // Postscript (uncompressed): footer length, metadata length, codec,
@@ -657,10 +633,6 @@ class OrcWriter::Impl {
     MINIHIVE_RETURN_IF_ERROR(file_->Append(metadata_bytes));
     MINIHIVE_RETURN_IF_ERROR(file_->Append(footer_bytes));
     MINIHIVE_RETURN_IF_ERROR(file_->Append(postscript));
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.writer.bytes_written")
-        ->Add(metadata_bytes.size() + footer_bytes.size() + postscript.size() +
-              1);
     std::string ps_len(1, static_cast<char>(postscript.size()));
     return file_->Append(ps_len);
   }

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "ql/table_ops.h"
@@ -351,12 +350,6 @@ Status CompactionManager::CompactTable(const TableDesc& table,
   stats->files_written += 1;
   stats->rows_rewritten += rows_out;
   stats->deleted_rows_reclaimed += dead_reclaimed;
-  telemetry::MetricsRegistry::Global()
-      .GetCounter("ql.compaction.files_removed")
-      ->Add(candidate.files.size());
-  telemetry::MetricsRegistry::Global()
-      .GetCounter("ql.compaction.rows_rewritten")
-      ->Add(rows_out);
   return Status::OK();
 }
 

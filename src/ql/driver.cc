@@ -198,12 +198,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
     result = RunOnce(sql, execute, explain_profile, query_ctx,
                      /*disable_mapjoin=*/true, /*mapjoin_fallbacks=*/1);
   }
-  if (!result.ok() && (result.status().IsCancelled() ||
-                       result.status().IsDeadlineExceeded())) {
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("ql.driver.queries_cancelled")
-        ->Increment();
-  }
   if (active_queue_ != nullptr) {
     manager->scheduler()->UnregisterQueue(active_queue_);
     active_queue_ = nullptr;
@@ -249,9 +243,8 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   }
   // Every per-query count in the profile comes from result->counters: the
   // winning task attempts' own counters, so concurrent queries never see
-  // each other's work. The registry's ql.query.* totals are their sum.
+  // each other's work.
   auto finish = [&](QueryResult* result) {
-    result->counters.AddToRegistry("ql.query.");
     if (query_span == nullptr) return;
     query_span->SetAttr("num_jobs", static_cast<int64_t>(result->num_jobs));
     query_span->SetAttr("result_rows",

@@ -1,6 +1,7 @@
-// Tests for the telemetry subsystem: the process-wide metrics registry
-// (exact concurrent counting), trace spans (nesting, ordering, timing) and
-// the stable JSON serialization both ride on (golden strings).
+// Tests for the telemetry subsystem: trace spans (nesting, ordering,
+// timing), the stable JSON serialization they ride on (golden strings), and
+// the JobCounters field tables, including the exact concurrent merge of
+// task-attempt counters into a job's.
 
 #include "common/telemetry.h"
 
@@ -15,7 +16,6 @@
 namespace minihive {
 namespace {
 
-using telemetry::MetricsRegistry;
 using telemetry::Span;
 
 // ---- JSON writer goldens.
@@ -62,98 +62,6 @@ TEST(JsonWriterTest, EmptyContainers) {
   w.Key("o").BeginObject().EndObject();
   w.EndObject();
   EXPECT_EQ(w.str(), "{\n  \"a\": [],\n  \"o\": {}\n}");
-}
-
-// ---- Metrics registry.
-
-TEST(MetricsRegistryTest, SameNameReturnsSamePointer) {
-  auto& registry = MetricsRegistry::Global();
-  auto* a = registry.GetCounter("test.same_name");
-  auto* b = registry.GetCounter("test.same_name");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(registry.GetCounter("test.other_name"), a);
-}
-
-TEST(MetricsRegistryTest, ConcurrentIncrementsSumExactly) {
-  constexpr int kThreads = 8;
-  constexpr int kIncrementsPerThread = 100000;
-  auto* counter =
-      MetricsRegistry::Global().GetCounter("test.concurrent_counter");
-  counter->Reset();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([counter] {
-      for (int i = 0; i < kIncrementsPerThread; ++i) counter->Increment();
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counter->value(),
-            static_cast<uint64_t>(kThreads) * kIncrementsPerThread);
-}
-
-TEST(MetricsRegistryTest, ConcurrentLookupAndUpdateMixed) {
-  // Lookups race with updates through already-held pointers; the total must
-  // still be exact and all lookups must agree on one instance.
-  constexpr int kThreads = 4;
-  constexpr int kOps = 20000;
-  MetricsRegistry::Global().GetCounter("test.mixed_counter")->Reset();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kOps; ++i) {
-        MetricsRegistry::Global().GetCounter("test.mixed_counter")->Add(2);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("test.mixed_counter")->value(),
-            static_cast<uint64_t>(kThreads) * kOps * 2);
-}
-
-TEST(MetricsRegistryTest, GaugeSetAndAdd) {
-  auto* gauge = MetricsRegistry::Global().GetGauge("test.gauge");
-  gauge->Set(10);
-  gauge->Add(-3);
-  EXPECT_EQ(gauge->value(), 7);
-  gauge->Reset();
-  EXPECT_EQ(gauge->value(), 0);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketsAndStats) {
-  auto* h = MetricsRegistry::Global().GetHistogram("test.histogram");
-  h->Reset();
-  h->Record(0);
-  h->Record(1);
-  h->Record(7);
-  h->Record(1024);
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_EQ(h->sum(), 1032u);
-  EXPECT_EQ(h->min(), 0u);
-  EXPECT_EQ(h->max(), 1024u);
-  EXPECT_DOUBLE_EQ(h->mean(), 1032.0 / 4);
-  EXPECT_EQ(h->bucket(0), 1u);   // zero
-  EXPECT_EQ(h->bucket(1), 1u);   // [1, 2)
-  EXPECT_EQ(h->bucket(3), 1u);   // [4, 8)
-  EXPECT_EQ(h->bucket(11), 1u);  // [1024, 2048)
-}
-
-TEST(MetricsRegistryTest, SnapshotContainsRegisteredMetrics) {
-  auto& registry = MetricsRegistry::Global();
-  registry.GetCounter("test.snapshot_counter")->Reset();
-  registry.GetCounter("test.snapshot_counter")->Add(5);
-  auto snapshot = registry.Snapshot();
-  bool found = false;
-  for (const auto& [name, value] : snapshot) {
-    if (name == "test.snapshot_counter") {
-      found = true;
-      EXPECT_DOUBLE_EQ(value, 5.0);
-    }
-  }
-  EXPECT_TRUE(found);
-  // Sorted by name.
-  for (size_t i = 1; i < snapshot.size(); ++i) {
-    EXPECT_LT(snapshot[i - 1].first, snapshot[i].first);
-  }
 }
 
 // ---- Spans.
@@ -302,6 +210,69 @@ TEST(JobCountersTest, AccumulateCoversEveryField) {
   EXPECT_EQ(total.reduce_tasks, 4);
   EXPECT_DOUBLE_EQ(total.reduce_phase_millis, 3.0);
   EXPECT_EQ(total.retried_task_nanos.load(), 200);
+}
+
+TEST(JobCountersTest, ConcurrentTaskLocalMergeSumsExactly) {
+  // Winning attempts publish from worker threads into one job total; no
+  // update may be lost. Each field gets its own value, so a merge that
+  // crossed two fields would show too.
+  constexpr int kThreads = 8;
+  constexpr int kMergesPerThread = 2000;
+  mr::JobCounters attempt;
+  uint64_t next = 1;
+  for (const auto& f : mr::JobCounters::atomic_u64_fields()) {
+    attempt.*f.member = next++;
+  }
+  for (const auto& f : mr::JobCounters::atomic_i64_fields()) {
+    attempt.*f.member = static_cast<int64_t>(next++);
+  }
+  // Coordinator-owned: a task-local merge must leave them alone.
+  for (const auto& f : mr::JobCounters::int_fields()) attempt.*f.member = 3;
+  for (const auto& f : mr::JobCounters::double_fields()) {
+    attempt.*f.member = 1.5;
+  }
+  attempt.operators.enabled = true;
+  attempt.operators.stats[0] = {"TS", 10, 8, 2, 100};
+  attempt.operators.stats[4] = {"GBY", 8, 1, 0, 7};
+
+  mr::JobCounters total;
+  total.operators.enabled = true;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&attempt, &total] {
+      mr::JobCounters mine(attempt);  // Each attempt owns its counters.
+      for (int i = 0; i < kMergesPerThread; ++i) {
+        mine.AccumulateTaskLocalInto(&total);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const uint64_t merges = static_cast<uint64_t>(kThreads) * kMergesPerThread;
+  for (const auto& f : mr::JobCounters::atomic_u64_fields()) {
+    EXPECT_EQ((total.*f.member).load(), (attempt.*f.member).load() * merges)
+        << f.name;
+  }
+  for (const auto& f : mr::JobCounters::atomic_i64_fields()) {
+    EXPECT_EQ((total.*f.member).load(),
+              (attempt.*f.member).load() * static_cast<int64_t>(merges))
+        << f.name;
+  }
+  for (const auto& f : mr::JobCounters::int_fields()) {
+    EXPECT_EQ(total.*f.member, 0) << f.name;
+  }
+  for (const auto& f : mr::JobCounters::double_fields()) {
+    EXPECT_EQ(total.*f.member, 0.0) << f.name;
+  }
+  ASSERT_EQ(total.operators.stats.size(), 2u);
+  for (const auto& [id, want] : attempt.operators.stats) {
+    const mr::OperatorStats& got = total.operators.stats.at(id);
+    EXPECT_STREQ(got.kind, want.kind) << id;
+    EXPECT_EQ(got.rows_in, want.rows_in * merges) << id;
+    EXPECT_EQ(got.rows_out, want.rows_out * merges) << id;
+    EXPECT_EQ(got.batches, want.batches * merges) << id;
+    EXPECT_EQ(got.nanos, want.nanos * static_cast<int64_t>(merges)) << id;
+  }
 }
 
 TEST(JobCountersTest, ExportToSpanWritesEveryTableEntry) {
