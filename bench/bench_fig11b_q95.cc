@@ -84,15 +84,10 @@ int Main() {
     std::printf("  %-34s elapsed %8.0f ms   jobs=%d (map-only=%d) rows=%zu\n",
                 configs[c].label, elapsed[c], jobs[c],
                 result.num_map_only_jobs, rows[c]);
-    std::printf("  %-34s read %s MB  shuffled %s MB  sort %s ms  "
-                "combine %llu -> %llu\n",
-                "", bench::Mb(bytes_read[c]).c_str(),
+    std::printf("  %-34s read %s MB  shuffled %s MB  sort %s ms\n", "",
+                bench::Mb(bytes_read[c]).c_str(),
                 bench::Mb(shuffled[c]).c_str(),
-                bench::Fmt(result.counters.shuffle_sort_millis(), 1).c_str(),
-                static_cast<unsigned long long>(
-                    result.counters.combine_input_records.load()),
-                static_cast<unsigned long long>(
-                    result.counters.combine_output_records.load()));
+                bench::Fmt(result.counters.shuffle_sort_millis(), 1).c_str());
   }
 
   bench::BenchReporter reporter("fig11b_q95");

@@ -7,9 +7,8 @@
 //     (O(N log M)). Both paths are timed here over the same >=1M-record
 //     skewed-key workload.
 //
-//  2. combiner on/off: the same aggregation job through the real engine,
-//     with and without a map-side combiner, reporting shuffled_bytes and
-//     the new combine/sort counters.
+//  2. engine: the same skewed aggregation job through the real engine,
+//     reporting shuffled_bytes and the run-sort counters.
 
 #include <algorithm>
 #include <cstdio>
@@ -141,7 +140,7 @@ double TimeKWayMerge(const std::vector<std::vector<Record>>& runs,
   return watch.ElapsedMillis();
 }
 
-// ---- Part 2: the real engine, combiner on/off.
+// ---- Part 2: the real engine.
 
 class SkewMapTask : public mr::MapTask {
  public:
@@ -162,14 +161,10 @@ class SkewMapTask : public mr::MapTask {
   }
 };
 
-/// Sums (value, count) pairs per key group; used both as the combiner and
-/// as the reduce task (partials merge with the same function).
-class SumCombineTask : public mr::ReduceTask {
+/// Sums (value, count) pairs per key group.
+class SumReduceTask : public mr::ReduceTask {
  public:
-  explicit SumCombineTask(mr::ShuffleEmitter* out) : out_(out) {}
-
-  Status StartGroup(std::string_view key) override {
-    key_ = key;
+  Status StartGroup(std::string_view) override {
     sum_ = count_ = 0;
     return Status::OK();
   }
@@ -180,29 +175,23 @@ class SumCombineTask : public mr::ReduceTask {
     count_ += value_[1].AsInt();
     return Status::OK();
   }
-  Status EndGroup() override {
-    if (out_ == nullptr) return Status::OK();
-    return out_->Emit(
-        key_, mr::EncodeValues({Value::Int(sum_), Value::Int(count_)}), 0);
-  }
+  Status EndGroup() override { return Status::OK(); }
   Status Finish() override { return Status::OK(); }
 
  private:
-  mr::ShuffleEmitter* out_;
-  std::string key_;
   Row value_;
   int64_t sum_ = 0;
   int64_t count_ = 0;
 };
 
-mr::JobCounters RunEngineJob(bool use_combiner) {
+mr::JobCounters RunEngineJob() {
   dfs::FileSystem fs;
   // Three scheduler workers plus this thread: four task slots.
   TaskScheduler scheduler(SchedulerOptions{3});
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("bench");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   mr::Engine engine(&fs, mr::EngineOptions{0, &scheduler, queue});
   mr::JobConfig job;
-  job.name = use_combiner ? "skew-sum-combined" : "skew-sum";
+  job.name = "skew-sum";
   for (int s = 0; s < kRuns; ++s) {
     job.splits.push_back({"", static_cast<uint64_t>(s + 1) * 104729,
                           kRecords / kRuns, -1, 0});
@@ -210,13 +199,8 @@ mr::JobCounters RunEngineJob(bool use_combiner) {
   job.num_reducers = 4;
   job.map_factory = [] { return std::make_unique<SkewMapTask>(); };
   job.reduce_factory = [](int, int) {
-    return std::make_unique<SumCombineTask>(nullptr);
+    return std::make_unique<SumReduceTask>();
   };
-  if (use_combiner) {
-    job.combiner_factory = [](mr::ShuffleEmitter* out) {
-      return std::make_unique<SumCombineTask>(out);
-    };
-  }
   mr::JobCounters counters;
   bench::Check(engine.RunJob(job, &counters), job.name.c_str());
   scheduler.UnregisterQueue(queue);
@@ -267,35 +251,15 @@ int Main() {
               full_sort_ms / (run_sort_ms + merge_ms),
               static_cast<long long>(merge_walker.groups));
 
-  // ---- Part 2: the real engine with the combiner on/off.
-  mr::JobCounters without = RunEngineJob(false);
-  mr::JobCounters with = RunEngineJob(true);
-
-  TablePrinter combine_table({"config", "shuffled MB", "reduce input",
-                              "sort ms", "reduce ms"});
-  combine_table.AddRow(
-      {"combiner off", Mb(without.shuffled_bytes.load()),
-       std::to_string(without.reduce_input_records.load()),
-       Fmt(without.shuffle_sort_millis(), 1),
-       Fmt(without.reduce_phase_millis, 1)});
-  combine_table.AddRow(
-      {"combiner on", Mb(with.shuffled_bytes.load()),
-       std::to_string(with.reduce_input_records.load()),
-       Fmt(with.shuffle_sort_millis(), 1),
-       Fmt(with.reduce_phase_millis, 1)});
-  combine_table.Print();
-  std::printf("  combine: %llu -> %llu records (%.1f%% kept off the wire)\n",
-              static_cast<unsigned long long>(
-                  with.combine_input_records.load()),
-              static_cast<unsigned long long>(
-                  with.combine_output_records.load()),
-              100.0 * (1.0 - static_cast<double>(
-                                 with.combine_output_records.load()) /
-                                 static_cast<double>(
-                                     with.combine_input_records.load())));
-  std::printf("  shuffled bytes: %s MB -> %s MB\n",
-              Mb(without.shuffled_bytes.load()).c_str(),
-              Mb(with.shuffled_bytes.load()).c_str());
+  // ---- Part 2: the real engine.
+  mr::JobCounters engine = RunEngineJob();
+  TablePrinter engine_table({"shuffled MB", "reduce input", "sort ms",
+                             "reduce ms"});
+  engine_table.AddRow({Mb(engine.shuffled_bytes.load()),
+                       std::to_string(engine.reduce_input_records.load()),
+                       Fmt(engine.shuffle_sort_millis(), 1),
+                       Fmt(engine.reduce_phase_millis, 1)});
+  engine_table.Print();
 
   bench::BenchReporter reporter("micro_shuffle");
   reporter.AddMetric("records", static_cast<double>(kRecords), "rows");
@@ -304,19 +268,14 @@ int Main() {
   reporter.AddMetric("full_sort_ms", full_sort_ms, "ms");
   reporter.AddMetric("run_sort_ms", run_sort_ms, "ms");
   reporter.AddMetric("kway_merge_ms", merge_ms, "ms");
-  reporter.AddJobCounters("combiner_off", without);
-  reporter.AddJobCounters("combiner_on", with);
+  reporter.AddJobCounters("engine", engine);
   reporter.Write();
 
   bool merge_wins = merge_ms < full_sort_ms;
-  bool combiner_shrinks =
-      with.shuffled_bytes.load() < without.shuffled_bytes.load();
   std::printf("\nshape checks:\n");
   std::printf("  k-way merge beats full-sort reduce path: %s\n",
               merge_wins ? "yes" : "NO");
-  std::printf("  combiner strictly reduces shuffled bytes: %s\n",
-              combiner_shrinks ? "yes" : "NO");
-  return merge_wins && combiner_shrinks ? 0 : 1;
+  return merge_wins ? 0 : 1;
 }
 
 }  // namespace

@@ -31,15 +31,11 @@ struct TaskScheduler::Batch {
 /// Per-query queue of outstanding batches plus fair-share bookkeeping.
 class TaskScheduler::Queue {
  public:
-  Queue(std::string name, int priority, uint64_t seq)
-      : name_(std::move(name)), priority_(priority), seq_(seq) {}
-
-  const std::string& name() const { return name_; }
+  Queue(int priority, uint64_t seq) : priority_(priority), seq_(seq) {}
 
  private:
   friend class TaskScheduler;
 
-  std::string name_;
   int priority_;
   uint64_t seq_;  // registration order, round-robin tiebreak
   std::deque<Batch*> batches_;
@@ -64,11 +60,9 @@ TaskScheduler::~TaskScheduler() {
   for (std::thread& w : workers_) w.join();
 }
 
-TaskScheduler::Queue* TaskScheduler::RegisterQueue(const std::string& name,
-                                                   int priority) {
+TaskScheduler::Queue* TaskScheduler::RegisterQueue(int priority) {
   std::lock_guard<std::mutex> lock(mu_);
-  queues_.push_back(
-      std::make_unique<Queue>(name, priority, next_queue_seq_++));
+  queues_.push_back(std::make_unique<Queue>(priority, next_queue_seq_++));
   return queues_.back().get();
 }
 

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,9 +65,8 @@ class TaskScheduler {
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
   /// Registers a per-query queue. The returned handle stays valid until
-  /// UnregisterQueue. `name` labels telemetry; `priority` is one of the
-  /// kPriority* tiers.
-  Queue* RegisterQueue(const std::string& name, int priority = kPriorityNormal);
+  /// UnregisterQueue. `priority` is one of the kPriority* tiers.
+  Queue* RegisterQueue(int priority = kPriorityNormal);
 
   /// Removes a queue, blocking until all of its in-flight tasks finish.
   /// Safe to call with outstanding batches only from the thread that owns

@@ -90,7 +90,7 @@ void WorkerManager::ReportDispatch(int worker, bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
   WorkerState& w = workers_[worker];
   if (ok) {
-    if (w.on_probation) counters_.probation_readmissions += 1;
+    if (w.on_probation) probation_readmissions_ += 1;
     w.dispatch_failures = 0;
     w.on_probation = false;
     w.blacklisted_until = Clock::time_point{};
@@ -106,7 +106,7 @@ void WorkerManager::ReportDispatch(int worker, bool ok) {
       // but the next failure re-blacklists without a fresh failure budget.
       w.on_probation = true;
       w.dispatch_failures = 0;
-      counters_.blacklists += 1;
+      blacklists_ += 1;
     }
   }
 }
@@ -120,11 +120,11 @@ void WorkerManager::ReportHeartbeat(int worker, bool ok) {
     w.alive = true;  // Revival: probes succeeding again = worker is back.
   } else {
     w.missed_beats += 1;
-    counters_.heartbeats_missed += 1;
+    heartbeats_missed_ += 1;
     if (w.alive &&
         w.missed_beats >= std::max(1, options_.missed_heartbeats_dead)) {
       w.alive = false;
-      counters_.deaths += 1;
+      deaths_ += 1;
     }
   }
 }
@@ -172,9 +172,10 @@ int64_t WorkerManager::SpeculativeDelayMillis() const {
 
 WorkerPoolStats WorkerManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  WorkerPoolStats out = counters_;
-  out.alive = 0;
-  out.blacklisted = 0;
+  WorkerPoolStats out{.heartbeats_missed = heartbeats_missed_,
+                      .deaths = deaths_,
+                      .blacklists = blacklists_,
+                      .probation_readmissions = probation_readmissions_};
   for (const WorkerState& w : workers_) {
     if (w.alive) out.alive += 1;
     if (BlacklistedLocked(w)) out.blacklisted += 1;

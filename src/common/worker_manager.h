@@ -156,7 +156,11 @@ class WorkerManager {
 
   mutable std::mutex mu_;
   std::vector<WorkerState> workers_;
-  WorkerPoolStats counters_;  // guarded by mu_ (gauge-style fields unused)
+  // Cumulative event counts behind stats(), guarded by mu_.
+  uint64_t heartbeats_missed_ = 0;
+  uint64_t deaths_ = 0;
+  uint64_t blacklists_ = 0;
+  uint64_t probation_readmissions_ = 0;
 
   // Sliding window of completed-task durations for the p99 estimate.
   std::vector<int64_t> durations_;

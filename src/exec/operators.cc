@@ -217,8 +217,8 @@ class GroupByOperator : public Operator {
       if (desc_->gby_max_hash_entries > 0 &&
           hash_.size() >= static_cast<size_t>(desc_->gby_max_hash_entries)) {
         // Memory-bounded partial aggregation: emit the partials downstream
-        // and start over. Downstream (the shuffle, then the combiner/reduce
-        // merge) re-aggregates the duplicates this creates.
+        // and start over. The reducer's merge-partial GroupBy merges the
+        // duplicates this creates.
         MINIHIVE_RETURN_IF_ERROR(FlushHash());
       }
       return Status::OK();

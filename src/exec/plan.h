@@ -89,8 +89,8 @@ struct OpDesc {
   bool gby_flush_on_end_group = false;
   /// kHash mode: flush partials downstream whenever the table reaches this
   /// many entries (0 = unbounded). Bounds map-side aggregation memory, as
-  /// hive.map.aggr.hash.percentmemory does; the shuffle combiner re-merges
-  /// the duplicate partials the flushes create.
+  /// hive.map.aggr.hash.percentmemory does; the reducer's merge-partial
+  /// GroupBy merges the duplicate partials the flushes create.
   int gby_max_hash_entries = 0;
 
   // ---- ReduceSink ----

@@ -76,7 +76,7 @@ bool RecordLess(const ShuffleRun& run_a, const RecordRef& a,
 
 /// Collects one map task's shuffle output, hash-partitioned by key bytes.
 /// After the map task finishes, each partition's records are sorted in
-/// place (and optionally combined) so the reduce side only has to merge.
+/// place so the reduce side only has to merge.
 class PartitionedEmitter : public ShuffleEmitter {
  public:
   PartitionedEmitter(int num_partitions, JobCounters* counters)
@@ -96,96 +96,18 @@ class PartitionedEmitter : public ShuffleEmitter {
   JobCounters* counters_;
 };
 
-/// Shuffle emitter handed to a combiner: captures its output so it can
-/// replace the run being combined.
-class CollectingEmitter : public ShuffleEmitter {
- public:
-  Status Emit(std::string_view key, std::string_view value,
-              int tag) override {
-    return run_.Add(key, value, tag);
-  }
-
-  ShuffleRun& run() { return run_; }
-
- private:
-  ShuffleRun run_;
-};
-
-/// One record as a reduce-side consumer sees it.
-struct RecordView {
-  std::string_view key;
-  std::string_view value;
-  int tag = 0;
-};
-
-/// Drives `reduce` (a ReduceTask-protocol consumer) over records delivered
-/// in (key, tag) order, inserting group-boundary signals where the key
-/// bytes change. `next(&record)` yields the next record, false when
-/// exhausted; the bytes it points at outlive the drive.
-template <typename NextFn>
-Status DriveGroups(ReduceTask* reduce, NextFn&& next,
-                   const TaskGovernor* governor = nullptr) {
-  bool group_open = false;
-  std::string_view current_key;
-  uint64_t records_seen = 0;
-  RecordView record;
-  while (next(&record)) {
-    // Cancellation point: cheap enough to keep per-record cost negligible,
-    // frequent enough that a dead query stops within one batch of records.
-    if (governor != nullptr && (++records_seen & 511u) == 0) {
-      MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
-    }
-    if (!group_open || record.key != current_key) {
-      if (group_open) {
-        MINIHIVE_RETURN_IF_ERROR(reduce->EndGroup());
-      }
-      MINIHIVE_RETURN_IF_ERROR(reduce->StartGroup(record.key));
-      group_open = true;
-      current_key = record.key;
-    }
-    MINIHIVE_RETURN_IF_ERROR(
-        reduce->Reduce(record.key, record.value, record.tag));
-  }
-  if (group_open) {
-    MINIHIVE_RETURN_IF_ERROR(reduce->EndGroup());
-  }
-  return reduce->Finish();
-}
-
 /// Map-side run formation: sorts every partition run of one map task's
-/// output, folds each sorted run through the combiner (when configured),
-/// and counts the post-combine run bytes as the task's shuffled bytes.
-Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
-                          JobCounters* counters,
-                          const TaskGovernor* governor = nullptr) {
+/// output and counts the run bytes as the task's shuffled bytes.
+Status SortRuns(PartitionedEmitter* emitter, JobCounters* counters,
+                const TaskGovernor& governor) {
   Stopwatch sort_watch;
   for (ShuffleRun& run : emitter->partitions()) {
-    if (governor != nullptr) {
-      MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
-    }
+    MINIHIVE_RETURN_IF_ERROR(governor.CheckAlive());
     if (run.refs.empty()) continue;
     std::sort(run.refs.begin(), run.refs.end(),
               [&run](const RecordRef& a, const RecordRef& b) {
                 return RecordLess(run, a, run, b);
               });
-    if (job.combiner_factory) {
-      CollectingEmitter combined;
-      std::unique_ptr<ReduceTask> combiner = job.combiner_factory(&combined);
-      combiner->set_attempt_counters(counters);
-      size_t pos = 0;
-      MINIHIVE_RETURN_IF_ERROR(DriveGroups(
-          combiner.get(),
-          [&](RecordView* record) {
-            if (pos == run.refs.size()) return false;
-            const RecordRef& ref = run.refs[pos++];
-            *record = {run.Key(ref), run.Value(ref), ref.tag};
-            return true;
-          },
-          governor));
-      counters->combine_input_records += run.refs.size();
-      counters->combine_output_records += combined.run().refs.size();
-      run = std::move(combined.run());
-    }
     counters->shuffled_bytes += run.bytes.size();
   }
   counters->shuffle_sort_nanos += static_cast<int64_t>(
@@ -199,7 +121,7 @@ Status QueryAlive(const JobConfig& job) {
                                   : Status::OK();
 }
 
-/// One map task's sorted (and combined) runs; null until an attempt wins.
+/// One map task's sorted runs; null until an attempt wins.
 using MapRuns = std::unique_ptr<PartitionedEmitter>;
 
 /// The governor one task attempt polls: the query's lifecycle, the job's
@@ -236,7 +158,7 @@ Status EndAttempt(const JobConfig& job, TaskKind kind, int index, int attempt,
 }
 
 /// One map task attempt: runs the task into fresh partition runs, then
-/// forms this task's sorted (and combined) runs while still on the task's
+/// forms this task's sorted runs while still on the task's
 /// thread — the expensive sort work happens where it is cheap and parallel
 /// — and commits. Fills the attempt-local `local`; on success `*runs`
 /// holds the runs.
@@ -255,7 +177,7 @@ Status RunMapAttempt(const JobConfig& job, telemetry::Span* job_span,
   // kill, but deterministic — the attempt can't commit past its deadline.
   if (s.ok()) s = governor.CheckAlive();
   if (s.ok() && job.num_reducers > 0) {
-    s = SortAndCombineRuns(emitter.get(), job, local, &governor);
+    s = SortRuns(emitter.get(), local, governor);
   }
   if (s.ok() && job.commit_task) {
     s = job.commit_task(TaskKind::kMap, index, attempt);
@@ -275,8 +197,8 @@ Status RunMapAttempt(const JobConfig& job, telemetry::Span* job_span,
 /// One reduce task attempt: k-way merges `partition` of every map task's
 /// sorted runs with a binary heap — O(N log M) for M runs, reading the runs
 /// in place (no second copy of the partition) — pushes the merged stream
-/// into the reduce task with group boundary signals, and commits. Fills
-/// the attempt-local `local`.
+/// into the reduce task with group boundary signals where the key bytes
+/// change, and commits. Fills the attempt-local `local`.
 Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
                         const std::vector<MapRuns>& map_runs, int partition,
                         int attempt, const TaskGovernor& governor,
@@ -313,20 +235,41 @@ Status RunReduceAttempt(const JobConfig& job, telemetry::Span* job_span,
 
   std::unique_ptr<ReduceTask> task = job.reduce_factory(partition, attempt);
   task->set_attempt_counters(local);
-  auto next = [&](RecordView* record) {
-    if (heap.empty()) return false;
-    std::pop_heap(heap.begin(), heap.end(), after);
-    RunCursor& cursor = heap.back();
-    const RecordRef& ref = cursor.ref();
-    *record = {cursor.run->Key(ref), cursor.run->Value(ref), ref.tag};
-    if (++cursor.pos < cursor.run->refs.size()) {
-      std::push_heap(heap.begin(), heap.end(), after);
-    } else {
-      heap.pop_back();
+  auto drive = [&]() -> Status {
+    bool group_open = false;
+    std::string_view current_key;
+    uint64_t records_seen = 0;
+    while (!heap.empty()) {
+      // Cancellation point: cheap enough to keep per-record cost
+      // negligible, frequent enough that a dead query stops within one
+      // batch of records.
+      if ((++records_seen & 511u) == 0) {
+        MINIHIVE_RETURN_IF_ERROR(governor.CheckAlive());
+      }
+      std::pop_heap(heap.begin(), heap.end(), after);
+      RunCursor& cursor = heap.back();
+      const RecordRef& ref = cursor.ref();
+      // The runs outlive the drive, so these views stay valid.
+      const std::string_view key = cursor.run->Key(ref);
+      const std::string_view value = cursor.run->Value(ref);
+      const int tag = ref.tag;
+      if (++cursor.pos < cursor.run->refs.size()) {
+        std::push_heap(heap.begin(), heap.end(), after);
+      } else {
+        heap.pop_back();
+      }
+      if (!group_open || key != current_key) {
+        if (group_open) MINIHIVE_RETURN_IF_ERROR(task->EndGroup());
+        MINIHIVE_RETURN_IF_ERROR(task->StartGroup(key));
+        group_open = true;
+        current_key = key;
+      }
+      MINIHIVE_RETURN_IF_ERROR(task->Reduce(key, value, tag));
     }
-    return true;
+    if (group_open) MINIHIVE_RETURN_IF_ERROR(task->EndGroup());
+    return task->Finish();
   };
-  Status s = DriveGroups(task.get(), next, &governor);
+  Status s = drive();
   if (s.ok()) s = governor.CheckAlive();
   if (s.ok() && job.commit_task) {
     s = job.commit_task(TaskKind::kReduce, partition, attempt);

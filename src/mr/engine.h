@@ -67,28 +67,29 @@ struct OperatorTable {
 /// Aggregate job counters, mirroring the metrics the paper reports:
 /// elapsed time per phase and cumulative task CPU time (Figure 12b).
 ///
-/// Every field is registered exactly once in the field tables below
-/// (atomic_u64_fields / atomic_i64_fields / int_fields / double_fields);
-/// copying, accumulation and span/JSON export all iterate those tables, so
-/// a new field cannot silently miss operator= or the telemetry fold. A
-/// static_assert on sizeof catches a field added without a table entry.
+/// Every field but the two unwritten combine_* ones is registered exactly
+/// once in the field tables below (atomic_u64_fields / atomic_i64_fields /
+/// int_fields / double_fields); copying, accumulation and span/JSON export
+/// all iterate those tables, so a new field cannot silently miss operator=
+/// or the telemetry fold. A static_assert on sizeof catches a field added
+/// without a table entry.
 struct JobCounters {
   std::atomic<uint64_t> map_input_records{0};
   std::atomic<uint64_t> map_output_records{0};
   std::atomic<uint64_t> reduce_input_records{0};
-  /// Key and value bytes of the map tasks' final (post-combine) runs.
+  /// Key and value bytes of the map tasks' sorted runs.
   std::atomic<uint64_t> shuffled_bytes{0};
-  /// Records fed into / emitted by map-side combiners (0 when no combiner
-  /// is configured). combine_output <= combine_input; the gap is what the
-  /// combiner kept off the wire.
+  // Sole reader: perfbench/src/util.cc. Never written: there is no
+  // combiner. Goes with the next change to perfbench.
   std::atomic<uint64_t> combine_input_records{0};
+  // Sole reader: perfbench/src/util.cc. Never written: there is no
+  // combiner. Goes with the next change to perfbench.
   std::atomic<uint64_t> combine_output_records{0};
   /// Thread CPU of the winning attempt of each task (failed attempts'
   /// time is in retried_task_nanos).
   std::atomic<int64_t> cpu_nanos{0};
-  /// Wall time spent forming sorted runs inside map tasks (run sort +
-  /// combine), summed over tasks; runs in parallel, so it can exceed
-  /// map_phase_millis.
+  /// Wall time spent sorting runs inside map tasks, summed over tasks;
+  /// runs in parallel, so it can exceed map_phase_millis.
   std::atomic<int64_t> shuffle_sort_nanos{0};
   /// Failed task attempts (each retried attempt counts once). A job that
   /// succeeds with nonzero failures recovered via retries.
@@ -160,14 +161,12 @@ struct JobCounters {
     T JobCounters::*member;
   };
 
-  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 29>
+  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 27>
   atomic_u64_fields() {
     return {{{"map_input_records", &JobCounters::map_input_records},
              {"map_output_records", &JobCounters::map_output_records},
              {"reduce_input_records", &JobCounters::reduce_input_records},
              {"shuffled_bytes", &JobCounters::shuffled_bytes},
-             {"combine_input_records", &JobCounters::combine_input_records},
-             {"combine_output_records", &JobCounters::combine_output_records},
              {"map_task_failures", &JobCounters::map_task_failures},
              {"reduce_task_failures", &JobCounters::reduce_task_failures},
              {"tasks_timed_out", &JobCounters::tasks_timed_out},
@@ -281,7 +280,8 @@ struct JobCounters {
 // the matching *_fields() table above, then adjust the expected size.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
-                      8 * (29 + 4) +  // atomic u64/i64 fields
+                      8 * (27 + 4) +  // atomic u64/i64 fields
+                          8 * 2 +  // combine_* (untabled, never written)
                           2 * sizeof(int) + 2 * sizeof(double) +
                           sizeof(OperatorTable),
               "JobCounters changed: update the field tables in engine.h");
@@ -363,9 +363,8 @@ class ReduceTask {
   /// Called once after the last group (flush output).
   virtual Status Finish() = 0;
 
-  /// The engine points this at the attempt-local counters before the first
-  /// group: a reduce attempt's own, or, for a combiner, those of the map
-  /// attempt that runs it. Null outside the engine.
+  /// The engine points this at the reduce attempt's own counters before
+  /// the first group. Null outside the engine.
   void set_attempt_counters(JobCounters* counters) {
     attempt_counters_ = counters;
   }
@@ -382,15 +381,6 @@ using MapTaskFactory = std::function<std::unique_ptr<MapTask>()>;
 /// 0-based attempt number.
 using ReduceTaskFactory =
     std::function<std::unique_ptr<ReduceTask>(int partition, int attempt)>;
-/// Builds a map-side combiner: a ReduceTask driven over one sorted run
-/// (StartGroup/Reduce/EndGroup/Finish) whose output — written through the
-/// given emitter — replaces that run in the shuffle. A combiner must emit
-/// records carrying the key of the group being combined (so the run stays
-/// sorted and rows keep their partition), and its output must be
-/// re-combinable: the reduce side sees combined and uncombined records mixed
-/// (Hadoop's "combiner may run zero or more times" contract).
-using CombinerFactory =
-    std::function<std::unique_ptr<ReduceTask>(ShuffleEmitter* out)>;
 
 enum class TaskKind { kMap, kReduce };
 
@@ -410,8 +400,6 @@ struct JobConfig {
   int num_reducers = 0;
   MapTaskFactory map_factory;
   ReduceTaskFactory reduce_factory;  // Required when num_reducers > 0.
-  /// Optional pre-aggregation over each map task's sorted runs.
-  CombinerFactory combiner_factory;
   /// Maximum attempts per task (Hadoop's mapred.map.max.attempts). The job
   /// fails with the last attempt's error once a task exhausts its attempts.
   int max_task_attempts = 4;
@@ -457,11 +445,12 @@ struct EngineOptions {
 /// An in-process MapReduce engine with a sort-merge shuffle: map tasks hash
 /// partition their records by key bytes into flat runs (one byte buffer
 /// plus one ref per record), sort each run by (key bytes, tag) *inside the
-/// map task* (and optionally fold it through a combiner), and reduce tasks
-/// k-way merge the per-map sorted runs — O(N log M) instead of re-sorting
-/// the whole partition — driving reduce logic push-style with group
-/// signals. The reduce phase starts only after the whole map phase finishes
-/// (matching the paper's Hadoop config).
+/// map task*, and reduce tasks k-way merge the per-map sorted runs —
+/// O(N log M) instead of re-sorting the whole partition — driving reduce
+/// logic push-style with group signals. There is no combiner: as in Hive,
+/// map-side pre-aggregation is the query's hash GroupBy, and the reducer
+/// merges whatever duplicates it leaves. The reduce phase starts only after
+/// the whole map phase finishes (matching the paper's Hadoop config).
 class Engine {
  public:
   explicit Engine(dfs::FileSystem* fs, EngineOptions options = EngineOptions());

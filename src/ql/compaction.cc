@@ -131,7 +131,7 @@ CompactionManager::CompactionManager(dfs::FileSystem* fs, Catalog* catalog,
       scheduler_(scheduler),
       budget_(budget) {
   if (scheduler_ != nullptr) {
-    queue_ = scheduler_->RegisterQueue("compaction", kPriorityLow);
+    queue_ = scheduler_->RegisterQueue(kPriorityLow);
   }
 }
 

@@ -182,8 +182,7 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
     admission = std::move(admitted).ValueOrDie();
     query_ctx.set_memory_budget(admission->budget());
     active_admission_ = admission.get();
-    active_queue_ =
-        manager->scheduler()->RegisterQueue(query_name, session_->priority());
+    active_queue_ = manager->scheduler()->RegisterQueue(session_->priority());
   }
 
   Result<QueryResult> result = RunOnce(sql, execute, explain_profile,

@@ -182,22 +182,18 @@ class RowMapTask : public mr::MapTask {
 };
 
 /// Drives a reduce-entry operator pipeline with the engine's push-style
-/// ReduceTask protocol. Doubles as the combiner driver: a combiner is the
-/// same protocol run over one map task's sorted run, with `emitter`
-/// capturing the pipeline's ReduceSink output.
+/// ReduceTask protocol.
 class RowReduceTask : public mr::ReduceTask {
  public:
   RowReduceTask(dfs::FileSystem* fs, const OpDesc* reduce_root,
                 const std::unordered_map<
                     int, std::shared_ptr<exec::MapJoinTables>>* mapjoin_tables,
-                int partition, int attempt = 0,
-                mr::ShuffleEmitter* emitter = nullptr)
+                int partition, int attempt)
       : fs_(fs),
         reduce_root_(reduce_root),
         mapjoin_tables_(mapjoin_tables),
         partition_(partition),
-        attempt_(attempt),
-        emitter_(emitter) {}
+        attempt_(attempt) {}
 
   /// Decodes the group's key once; every record of the group reuses it.
   /// A key group is one unit of the operator clock.
@@ -232,11 +228,9 @@ class RowReduceTask : public mr::ReduceTask {
   Status EnsureInit() {
     if (root_ != nullptr) return Status::OK();
     ctx_.fs = fs_;
-    ctx_.task_suffix = (emitter_ != nullptr ? "c-" : "r-") +
-                       std::to_string(partition_);
+    ctx_.task_suffix = "r-" + std::to_string(partition_);
     ctx_.attempt = attempt_;
     ctx_.mapjoin_tables = mapjoin_tables_;
-    ctx_.emitter = emitter_;
     ctx_.counters = attempt_counters();
     MINIHIVE_ASSIGN_OR_RETURN(root_,
                               exec::BuildOperatorTree(reduce_root_, &arena_));
@@ -249,7 +243,6 @@ class RowReduceTask : public mr::ReduceTask {
       mapjoin_tables_;
   int partition_;
   int attempt_;
-  mr::ShuffleEmitter* emitter_;
   exec::TaskContext ctx_;
   exec::OperatorArena arena_;
   exec::Operator* root_ = nullptr;
@@ -392,16 +385,6 @@ Status PlanExecutor::RunJob(const MapRedJob& job,
                                              mapjoin_tables.get(), partition,
                                              attempt);
     };
-    if (options_.shuffle_combiner && job.combine_root != nullptr) {
-      const OpDesc* combine_root = job.combine_root.get();
-      config.combiner_factory = [fs, combine_root,
-                                 mapjoin_tables](mr::ShuffleEmitter* out) {
-        return std::make_unique<RowReduceTask>(fs, combine_root,
-                                               mapjoin_tables.get(),
-                                               /*partition=*/0,
-                                               /*attempt=*/0, out);
-      };
-    }
   }
 
   // Attempt-output promotion: a successful attempt's sink files are renamed

@@ -47,14 +47,10 @@ struct DriverOptions {
   /// §4.2: answer simple aggregations over unfiltered ORC tables directly
   /// from file statistics (no scan, no MapReduce job).
   bool stats_aggregation = true;
-  /// Map-side combiner over sorted shuffle runs for GROUP BY jobs with
-  /// decomposable aggregates (COUNT/SUM/MIN/MAX). Cuts shuffled_bytes
-  /// whenever a map task emits several partials for one key (bounded-memory
-  /// hash flushes, multiple input splits of the same keys).
-  bool shuffle_combiner = true;
   /// Entry cap for map-side hash aggregation before a partial flush
-  /// (0 = unbounded), like hive.map.aggr.hash.percentmemory. The combiner
-  /// re-merges the duplicate partials flushing creates.
+  /// (0 = unbounded), like hive.map.aggr.hash.percentmemory. The duplicate
+  /// partials a flush creates are shuffled and merged by the reducer's
+  /// merge-partial GroupBy, as in Hive.
   int map_aggr_flush_entries = 64 * 1024;
   int default_reducers = 4;
   /// Concurrent task slots of the private manager: its scheduler gets

@@ -45,28 +45,6 @@ Result<OpDescPtr> FindScanRoot(OpDesc* op,
   return Status::Internal("scan root not found among plan ops");
 }
 
-/// True when every aggregate's partial form re-aggregates with the same
-/// merge function (COUNT partials re-aggregate as SUM, SUM as SUM, MIN/MAX
-/// as themselves) — the condition for a combiner to be a pure
-/// intermediate-data reduction. AVG is excluded: its final division is not
-/// re-applicable, and although its (sum, count) pair is mergeable, the
-/// plan's reduce side expects untouched partial pairs.
-bool AggsAreDecomposable(const std::vector<exec::AggDesc>& aggs) {
-  for (const exec::AggDesc& agg : aggs) {
-    switch (agg.kind) {
-      case exec::AggKind::kCount:
-      case exec::AggKind::kCountStar:
-      case exec::AggKind::kSum:
-      case exec::AggKind::kMin:
-      case exec::AggKind::kMax:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 /// Key bytes (mr::AppendKeyValue) depend on a key column's declared type:
 /// under a floating-point type an int is written as a double. So two
 /// writers of keys that must meet declare each key column in one numeric
@@ -108,50 +86,6 @@ Status CheckMapJoinKeysAgree(const std::vector<OpDescPtr>& ops) {
     }
   }
   return Status::OK();
-}
-
-/// Attaches a combiner pipeline (GroupBy merge -> ReduceSink) to a GROUP BY
-/// job when its aggregates are decomposable. The combiner reuses the reduce
-/// side's merge semantics: it folds each sorted run's (key ++ partials)
-/// records group by group and re-emits one (key, merged partials) record —
-/// for decomposable aggregates the merged "final" representation is
-/// byte-identical to a partial, so the reduce merge consumes it unchanged.
-void MaybeAttachCombiner(MapRedJob* job,
-                         const std::vector<OpDescPtr>& rs_list) {
-  if (job->reduce_root == nullptr ||
-      job->reduce_root->kind != OpKind::kGroupBy ||
-      job->reduce_root->group_by_mode != exec::GroupByMode::kMergePartial) {
-    return;
-  }
-  if (rs_list.size() != 1) return;  // Multi-input reduces are joins/demux.
-  const OpDesc& rs = *rs_list[0];
-  const std::vector<exec::AggDesc>& aggs = job->reduce_root->aggs;
-  if (!AggsAreDecomposable(aggs)) return;
-  int num_keys = static_cast<int>(rs.sink_keys.size());
-  if (job->reduce_root->partial_offset != num_keys) return;
-  // Decomposable partials are all single-column, so the shuffled value row
-  // must be exactly one column per aggregate.
-  if (rs.sink_values.size() != aggs.size()) return;
-
-  OpDescPtr gby = MakeOp(OpKind::kGroupBy);
-  gby->aggs = aggs;
-  gby->group_by_mode = exec::GroupByMode::kMergePartial;
-  gby->partial_offset = num_keys;
-  gby->output_width = num_keys + static_cast<int>(aggs.size());
-  OpDescPtr out = MakeOp(OpKind::kReduceSink);
-  for (int k = 0; k < num_keys; ++k) {
-    out->sink_keys.push_back(
-        exec::Expr::Column(k, rs.sink_keys[k]->result_type()));
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    out->sink_values.push_back(exec::Expr::Column(
-        num_keys + static_cast<int>(a), aggs[a].ResultType()));
-  }
-  out->sink_ascending = rs.sink_ascending;
-  out->sink_tag = rs.sink_tag;
-  out->output_width = gby->output_width;
-  OpDesc::Connect(gby, out);
-  job->combine_root = gby;
 }
 
 }  // namespace
@@ -269,7 +203,6 @@ Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
     if (job.reduce_root == nullptr) {
       return Status::Internal("reduce entry not found");
     }
-    MaybeAttachCombiner(&job, rs_list);
     int job_index = static_cast<int>(jobs.size());
     record_sinks(job.reduce_root, job_index);
     jobs.push_back(std::move(job));
@@ -354,10 +287,6 @@ std::string CompiledPlan::DebugString() const {
          " reducers=" + std::to_string(job.num_reducers) + "\n";
     for (const auto& source : job.sources) {
       s += source.root->DebugString(1);
-    }
-    if (job.combine_root != nullptr) {
-      s += "  --- combine ---\n";
-      s += job.combine_root->DebugString(1);
     }
     if (job.reduce_root != nullptr) {
       s += "  --- reduce ---\n";

@@ -22,12 +22,6 @@ struct MapRedJob {
   /// Reduce entry operator (Join / GroupBy / Select / Demux); null for a
   /// map-only job.
   exec::OpDescPtr reduce_root;
-  /// Optional map-side combiner pipeline (GroupBy merge -> ReduceSink),
-  /// attached when the job's reduce is a GROUP BY whose aggregates are all
-  /// decomposable (COUNT/SUM/MIN/MAX — their partial merge equals their
-  /// final merge, so COUNT re-aggregates as a SUM of partial counts). The
-  /// engine drives it over each map task's sorted runs.
-  exec::OpDescPtr combine_root;
   int num_reducers = 0;
   /// Indexes of jobs that must complete before this one (they produce
   /// temporary files this job scans).
@@ -55,10 +49,7 @@ struct CompileTasksOptions {
 /// the output of a reduce-side operator, an intermediate FileSink/TableScan
 /// pair is inserted so the next job re-loads the data from the DFS — this
 /// is precisely the materialization the §5 optimizations then remove.
-/// Jobs whose reduce is a decomposable GROUP BY also get a combiner
-/// pipeline attached (MapRedJob::combine_root); the executor decides
-/// whether to run it. `tmp_prefix` names the DFS directory for
-/// intermediates.
+/// `tmp_prefix` names the DFS directory for intermediates.
 Result<CompiledPlan> CompileTasks(PlannedQuery* plan,
                                   const std::string& tmp_prefix,
                                   const CompileTasksOptions& options);

@@ -1211,7 +1211,7 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       pipeline.aggregator->Update(*batch);
       if (pipeline.aggregator->Full()) {
         // Memory-bounded partial aggregation, as in the row engine: the
-        // combiner and the reduce merge re-aggregate the duplicates.
+        // reduce merge re-aggregates the duplicates.
         MINIHIVE_RETURN_IF_ERROR(emit_partials());
         pipeline.aggregator->Clear();
       }

@@ -30,7 +30,7 @@ class TestEngine {
  public:
   TestEngine(dfs::FileSystem* fs, int slots)
       : scheduler_(SchedulerOptions{slots - 1}),
-        queue_(scheduler_.RegisterQueue("test")),
+        queue_(scheduler_.RegisterQueue()),
         engine_(fs, EngineOptions{0, &scheduler_, queue_}) {}
   ~TestEngine() { scheduler_.UnregisterQueue(queue_); }
 
@@ -264,122 +264,6 @@ TEST(ComputeSplitsTest, UnreadableFileIsAnError) {
 
   auto result = ComputeSplits(&fs, {"/exists", "/missing"}, 1000, 0);
   ASSERT_FALSE(result.ok()) << "missing input must fail the job, not shrink it";
-}
-
-/// Combiner for ModuloMapTask output: sums values and counts records per
-/// key group, re-emitting one (key, [sum, count]) record. The matching
-/// reduce side below re-merges by summing both columns, so combined and
-/// uncombined runs mix correctly.
-class SummingCombiner : public ReduceTask {
- public:
-  explicit SummingCombiner(ShuffleEmitter* out) : out_(out) {}
-
-  Status StartGroup(std::string_view key) override {
-    key_ = key;
-    sum_ = 0;
-    count_ = 0;
-    return Status::OK();
-  }
-  Status Reduce(std::string_view, std::string_view value, int) override {
-    // Accepts both raw map output ([v]) and already-combined records
-    // ([sum, count]).
-    Row row = ValueRow(value);
-    sum_ += row[0].AsInt();
-    count_ += row.size() > 1 ? row[1].AsInt() : 1;
-    return Status::OK();
-  }
-  Status EndGroup() override {
-    return out_->Emit(key_, EncodeValues({Value::Int(sum_), Value::Int(count_)}),
-                      0);
-  }
-  Status Finish() override { return Status::OK(); }
-
- private:
-  ShuffleEmitter* out_;
-  std::string key_;
-  int64_t sum_ = 0;
-  int64_t count_ = 0;
-};
-
-/// Reduce side matching SummingCombiner's protocol.
-class SummingReduceTask : public ReduceTask {
- public:
-  SummingReduceTask(std::mutex* mutex, std::vector<GroupRecord>* sink)
-      : mutex_(mutex), sink_(sink) {}
-
-  Status StartGroup(std::string_view key) override {
-    current_ = GroupRecord{KeyRow(key)[0].AsInt()};
-    return Status::OK();
-  }
-  Status Reduce(std::string_view, std::string_view value, int) override {
-    Row row = ValueRow(value);
-    current_.sum += row[0].AsInt();
-    current_.count += row.size() > 1 ? row[1].AsInt() : 1;
-    return Status::OK();
-  }
-  Status EndGroup() override {
-    std::lock_guard<std::mutex> lock(*mutex_);
-    sink_->push_back(current_);
-    return Status::OK();
-  }
-  Status Finish() override { return Status::OK(); }
-
- private:
-  std::mutex* mutex_;
-  std::vector<GroupRecord>* sink_;
-  GroupRecord current_{0};
-};
-
-TEST(EngineTest, CombinerPreservesOutputAndCutsShuffledBytes) {
-  // Run the identical job with and without a combiner: reduce output must
-  // match exactly, shuffled bytes must strictly drop (each map task emits
-  // ~125 records per key, which the combiner folds to 1).
-  std::map<int64_t, GroupRecord> results[2];
-  JobCounters counters[2];
-  for (int use_combiner = 0; use_combiner < 2; ++use_combiner) {
-    dfs::FileSystem fs;
-    TestEngine engine(&fs, 4);
-    JobConfig job;
-    job.name = "combined-sum";
-    for (int s = 0; s < 8; ++s) {
-      job.splits.push_back({"", static_cast<uint64_t>(s) * 1000, 1000, -1, 0});
-    }
-    job.num_reducers = 3;
-    job.map_factory = [] { return std::make_unique<ModuloMapTask>(8); };
-    std::mutex mutex;
-    std::vector<GroupRecord> groups;
-    job.reduce_factory = [&](int, int) {
-      return std::make_unique<SummingReduceTask>(&mutex, &groups);
-    };
-    if (use_combiner) {
-      job.combiner_factory = [](ShuffleEmitter* out) {
-        return std::make_unique<SummingCombiner>(out);
-      };
-    }
-    ASSERT_TRUE(engine.RunJob(job, &counters[use_combiner]).ok());
-    for (const GroupRecord& g : groups) {
-      ASSERT_EQ(results[use_combiner].count(g.key), 0u);
-      results[use_combiner][g.key] = g;
-    }
-  }
-
-  ASSERT_EQ(results[0].size(), 8u);
-  ASSERT_EQ(results[1].size(), 8u);
-  for (const auto& [key, g] : results[0]) {
-    ASSERT_EQ(results[1].count(key), 1u);
-    EXPECT_EQ(results[1][key].sum, g.sum) << "key " << key;
-    EXPECT_EQ(results[1][key].count, g.count) << "key " << key;
-  }
-  // Map output (pre-combine) is identical; the wire traffic is not.
-  EXPECT_EQ(counters[0].map_output_records.load(),
-            counters[1].map_output_records.load());
-  EXPECT_LT(counters[1].shuffled_bytes.load(),
-            counters[0].shuffled_bytes.load());
-  EXPECT_EQ(counters[0].combine_input_records.load(), 0u);
-  EXPECT_EQ(counters[1].combine_input_records.load(), 8000u);
-  // 8 tasks x 8 keys = 64 combined records, one per (task, key).
-  EXPECT_EQ(counters[1].combine_output_records.load(), 64u);
-  EXPECT_EQ(counters[1].reduce_input_records.load(), 64u);
 }
 
 /// Map task for the merge-ordering property test: regenerates a
@@ -633,7 +517,7 @@ TEST(EngineTest, FlakyReduceTaskRetriesAgainstIntactRuns) {
     }
 
    private:
-    SummingReduceTask inner_;
+    CollectingReduceTask inner_;
     int attempt_;
   };
   dfs::FileSystem fs;
@@ -680,7 +564,7 @@ TEST(EngineTest, CommitAndAbortHooksFirePerAttempt) {
   job.map_factory = [] { return std::make_unique<FlakyMapTask>(5, 1); };
   std::vector<GroupRecord> groups;
   job.reduce_factory = [&](int, int) {
-    return std::make_unique<SummingReduceTask>(&mutex, &groups);
+    return std::make_unique<CollectingReduceTask>(&mutex, &groups);
   };
   job.commit_task = [&](TaskKind kind, int index, int attempt) {
     std::lock_guard<std::mutex> lock(mutex);

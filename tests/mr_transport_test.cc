@@ -546,9 +546,7 @@ TEST_F(DispatchQueryTest, RemoteTransportMatchesPlainEngine) {
   for (auto field : {&JobCounters::map_input_records,
                      &JobCounters::map_output_records,
                      &JobCounters::reduce_input_records,
-                     &JobCounters::shuffled_bytes,
-                     &JobCounters::combine_input_records,
-                     &JobCounters::combine_output_records}) {
+                     &JobCounters::shuffled_bytes}) {
     EXPECT_EQ((remote.*field).load(), (local.*field).load());
   }
   EXPECT_GT(local.map_input_records.load(), 0u);

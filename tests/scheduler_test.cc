@@ -13,7 +13,7 @@ namespace {
 
 TEST(SchedulerTest, RunsEveryTaskExactlyOnce) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 4});
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("q");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   std::vector<std::atomic<int>> ran(100);
   Status s = scheduler.RunParallel(queue, 100, [&](int i) {
     ran[i].fetch_add(1);
@@ -26,7 +26,7 @@ TEST(SchedulerTest, RunsEveryTaskExactlyOnce) {
 
 TEST(SchedulerTest, ReturnsFirstErrorAndStillRunsAllTasks) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 2});
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("q");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   std::atomic<int> ran{0};
   Status s = scheduler.RunParallel(queue, 50, [&](int i) -> Status {
     ran.fetch_add(1);
@@ -44,7 +44,7 @@ TEST(SchedulerTest, ReturnsFirstErrorAndStillRunsAllTasks) {
 TEST(SchedulerTest, ZeroWorkersStillCompletesViaCallerHandoff) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 0});
   ASSERT_EQ(scheduler.num_workers(), 0);
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("q");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   std::atomic<int> ran{0};
   Status s = scheduler.RunParallel(queue, 25, [&](int) {
     ran.fetch_add(1);
@@ -57,7 +57,7 @@ TEST(SchedulerTest, ZeroWorkersStillCompletesViaCallerHandoff) {
 
 TEST(SchedulerTest, EmptyBatchIsANoOp) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 2});
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("q");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   EXPECT_TRUE(scheduler.RunParallel(queue, 0, [](int) {
     return Status::Internal("must not run");
   }).ok());
@@ -75,8 +75,7 @@ TEST(SchedulerTest, ConcurrentBatchesFromManyQueuesAllComplete) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       TaskScheduler::Queue* queue = scheduler.RegisterQueue(
-          "client-" + std::to_string(c), c % 2 == 0 ? kPriorityNormal
-                                                    : kPriorityLow);
+          c % 2 == 0 ? kPriorityNormal : kPriorityLow);
       for (int b = 0; b < kBatches; ++b) {
         Status s = scheduler.RunParallel(queue, kTasks, [&](int) {
           done[c].fetch_add(1);
@@ -95,7 +94,7 @@ TEST(SchedulerTest, ConcurrentBatchesFromManyQueuesAllComplete) {
 
 TEST(SchedulerTest, QueueStatsCountTasksAndWait) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 2});
-  TaskScheduler::Queue* queue = scheduler.RegisterQueue("q");
+  TaskScheduler::Queue* queue = scheduler.RegisterQueue();
   ASSERT_TRUE(scheduler.RunParallel(queue, 32, [](int) {
     return Status::OK();
   }).ok());
@@ -106,8 +105,8 @@ TEST(SchedulerTest, QueueStatsCountTasksAndWait) {
 
 TEST(SchedulerTest, ErrorsFromConcurrentQueuesStayIsolated) {
   TaskScheduler scheduler(SchedulerOptions{.num_workers = 3});
-  TaskScheduler::Queue* good = scheduler.RegisterQueue("good");
-  TaskScheduler::Queue* bad = scheduler.RegisterQueue("bad");
+  TaskScheduler::Queue* good = scheduler.RegisterQueue();
+  TaskScheduler::Queue* bad = scheduler.RegisterQueue();
   Status good_status, bad_status;
   std::thread good_client([&] {
     good_status = scheduler.RunParallel(good, 64, [](int) {

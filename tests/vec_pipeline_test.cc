@@ -925,8 +925,8 @@ TEST_F(VecAggEdgeTest, TpcdsFactScansVectorizeThroughMapJoins) {
 
 // A vectorized map-side hash aggregation flushes its partials at the
 // map_aggr_flush_entries bound, as the row engine does, so its table never
-// holds more groups than the bound; the combiner and the reduce merge
-// re-aggregate the duplicates.
+// holds more groups than the bound; the reduce merge re-aggregates the
+// duplicates.
 TEST_F(VecAggEdgeTest, MapAggregationFlushesAtItsBound) {
   datagen::TpcdsOptions data;
   data.store_sales_rows = 20000;
